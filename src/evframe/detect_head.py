@@ -26,6 +26,10 @@ DEFAULT_SCALES = (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
 DEFAULT_RATIOS = (0.5, 1.0, 2.0)
 DEFAULT_SCORE_THRESHOLD = 0.05
 DEFAULT_NMS_IOU = 0.5
+# decode_head clips log size offsets here, so one wild row cannot overflow
+# (or underflow to a zero-size box) and abort the whole image
+# (torchvision BoxCoder's bbox_xform_clip)
+BBOX_XFORM_CLIP = math.log(1000.0 / 16)
 
 
 @dataclass
@@ -382,7 +386,8 @@ def decode_head(
     """Turn head outputs into suppressed detection records for one image.
 
     Candidates over the score threshold are trimmed to the pre_nms_top_k
-    best before suppression, which bounds NMS cost on dense outputs.
+    best before suppression, which bounds NMS cost on dense outputs. Their
+    log size offsets are clipped to +-BBOX_XFORM_CLIP before decoding.
     """
     cls = np.asarray(cls)
     reg = np.asarray(reg)
@@ -399,9 +404,10 @@ def decode_head(
     if len(rows) > pre_nms_top_k:
         best = np.argsort(-cls[rows, cols], kind="stable")[:pre_nms_top_k]
         rows, cols = rows[best], cols[best]
+    sizes = np.clip(reg[rows, 2:], -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP)
     candidates = []
-    for n, k in zip(rows, cols):
-        box = decode_offsets(anchors[n], OffsetVector(*reg[n]))
+    for n, k, (t_w, t_h) in zip(rows, cols, sizes):
+        box = decode_offsets(anchors[n], OffsetVector(reg[n, 0], reg[n, 1], t_w, t_h))
         candidates.append(
             DetectionRecord(
                 image_id=image_id,

@@ -193,8 +193,57 @@ def _enhance_vjp(activated: FeaturePair, m: np.ndarray, sigmoid_map: bool, gf, g
 
 # -- stage 3: swapped-query attention -------------------------------------------------
 
+# Attention runs over blocks of query rows so that no N x N matrix is ever
+# built: each block's B x N float64 score matrix takes at most this many bytes
+# (about 90 rows at DAVIS346 scale, 5 655 tokens; never fewer than one row).
+# A softmax row needs every key but only its own query, so blocking by rows
+# changes no math; results match the dense form to rounding.
+ATTN_BLOCK_BYTES = 4 << 20
+
+
+def _score_blocks(q: np.ndarray, k: np.ndarray, scale: float):
+    """Yield (rows, q[rows] @ k.T * scale) block by block.
+
+    Every block is written into one reused buffer, so the loop allocates no
+    fresh B x N scores per block; the next block overwrites the yielded view.
+    """
+    n = q.shape[0]
+    b = min(n, max(1, ATTN_BLOCK_BYTES // (8 * k.shape[0])))
+    buf = np.empty((b, k.shape[0]))
+    for s in range(0, n, b):
+        rows = slice(s, min(s + b, n))
+        scores = buf[: rows.stop - s]
+        np.matmul(q[rows], k.T, out=scores)
+        scores *= scale
+        yield rows, scores
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """softmax_rows(q @ k.T * scale) @ v, one block of query rows at a time."""
+    out = np.empty((q.shape[0], v.shape[1]))
+    for rows, scores in _score_blocks(q, k, scale):
+        out[rows] = softmax_rows(scores) @ v
+    return out
+
+
+def _attend_vjp(q, k, v, scale: float, g: np.ndarray):
+    """(dq, dk, dv) of _attend; each block's attention is recomputed."""
+    dq = np.empty_like(q)
+    dk = np.zeros_like(k)
+    dv = np.zeros_like(v)
+    for rows, scores in _score_blocks(q, k, scale):
+        a = softmax_rows(scores)
+        dv += a.T @ g[rows]
+        ds = softmax_rows_vjp(a, g[rows] @ v.T)
+        dq[rows] = ds @ k * scale
+        dk += ds.T @ q[rows] * scale
+    return dq, dk, dv
+
+
 @dataclass
 class _AttnCache:
+    """Tokens and projections only: O(N*C), no attention matrix."""
+
     tf: np.ndarray
     te: np.ndarray
     qe: np.ndarray
@@ -203,8 +252,6 @@ class _AttnCache:
     qf: np.ndarray
     kf: np.ndarray
     ve: np.ndarray
-    a_f: np.ndarray
-    a_e: np.ndarray
     scale: float
 
 
@@ -212,15 +259,18 @@ def _attention(pair: FeaturePair, w: CafrWeights):
     shape = pair.frame.shape
     tf = _tokens(pair.frame)
     te = _tokens(pair.event)
+    if not len(tf):
+        raise ShapeError(f"attention needs at least one token, got {shape}")
     scale = 1.0 / math.sqrt(pair.channels)
     # each stream's values are mixed under weights derived from the other
     # stream's own query/key pair
     qe, ke, vf = linear(te, w.wq_e), linear(te, w.wk_e), linear(tf, w.wv_f)
     qf, kf, ve = linear(tf, w.wq_f), linear(tf, w.wk_f), linear(te, w.wv_e)
-    a_f = softmax_rows(qe @ ke.T * scale)
-    a_e = softmax_rows(qf @ kf.T * scale)
-    out = FeaturePair(_untokens(a_f @ vf, shape), _untokens(a_e @ ve, shape))
-    return out, _AttnCache(tf, te, qe, ke, vf, qf, kf, ve, a_f, a_e, scale)
+    out = FeaturePair(
+        _untokens(_attend(qe, ke, vf, scale), shape),
+        _untokens(_attend(qf, kf, ve, scale), shape),
+    )
+    return out, _AttnCache(tf, te, qe, ke, vf, qf, kf, ve, scale)
 
 
 def cross_self_attention(enhanced: FeaturePair, w: CafrWeights) -> FeaturePair:
@@ -230,17 +280,8 @@ def cross_self_attention(enhanced: FeaturePair, w: CafrWeights) -> FeaturePair:
 
 def _attention_vjp(cache: _AttnCache, w: CafrWeights, g_caf: np.ndarray, g_cae: np.ndarray):
     """Token-space grads in, (dtf, dte, weight grads) out."""
-    da_f = g_caf @ cache.vf.T
-    dvf = cache.a_f.T @ g_caf
-    ds_f = softmax_rows_vjp(cache.a_f, da_f)
-    dqe = ds_f @ cache.ke * cache.scale
-    dke = ds_f.T @ cache.qe * cache.scale
-
-    da_e = g_cae @ cache.ve.T
-    dve = cache.a_e.T @ g_cae
-    ds_e = softmax_rows_vjp(cache.a_e, da_e)
-    dqf = ds_e @ cache.kf * cache.scale
-    dkf = ds_e.T @ cache.qf * cache.scale
+    dqe, dke, dvf = _attend_vjp(cache.qe, cache.ke, cache.vf, cache.scale, g_caf)
+    dqf, dkf, dve = _attend_vjp(cache.qf, cache.kf, cache.ve, cache.scale, g_cae)
 
     dws = {}
     dtf, dws["wv_f"] = linear_vjp(cache.tf, w.wv_f, dvf)

@@ -158,9 +158,13 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"softmax input must be [N,M], got rank {x.ndim}")
     if not np.all(np.isfinite(x)):
         raise DomainError("softmax input must be finite")
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # one output array, updated in place: blocked attention calls this once
+    # per block, and with a fresh temporary per step the allocator handed the
+    # freed pages back and faulted them in again on every block
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_rows_vjp(s: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from evframe import (
     save_fpn_weights,
     save_head_weights,
 )
-from evframe.detect_head import HeadWeights, FpnWeights
+from evframe.detect_head import BBOX_XFORM_CLIP, HeadWeights, FpnWeights
 from evframe.tensor_math import ConvWeights
 
 
@@ -373,6 +373,24 @@ def test_decode_head_maps_category_ids():
     assert sorted(d.category_id for d in out) == [17, 42]
     with pytest.raises(ShapeError):
         decode_head(cls, reg, anchors, image_id=0, categories=[17])
+
+
+@pytest.mark.parametrize("wild", [800.0, -800.0])
+def test_decode_head_clips_a_wild_size_offset_and_keeps_the_other_boxes(wild):
+    # exp(+800) overflows and exp(-800) underflows to a zero-size box; either
+    # used to raise and drop every detection of the image
+    anchors = [Anchor(10.0 + 100.0 * i, 10.0, 4.0, 4.0) for i in range(3)]
+    cls = np.array([[0.9], [0.8], [0.7]])
+    reg = np.zeros((3, 4))
+    reg[1] = (0.0, 0.0, wild, wild)
+    reg_before = reg.copy()
+    out = decode_head(cls, reg, anchors, image_id=0)
+    assert [d.score for d in out] == [0.9, 0.8, 0.7]
+    assert out[0].bbox == (8.0, 8.0, 4.0, 4.0)
+    assert out[2].bbox == (208.0, 8.0, 4.0, 4.0)
+    size = 4.0 * math.exp(math.copysign(BBOX_XFORM_CLIP, wild))
+    assert out[1].bbox[2:] == (size, size)
+    assert np.array_equal(reg, reg_before)
 
 
 def test_decode_head_validates_row_counts():

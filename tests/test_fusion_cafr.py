@@ -1,5 +1,8 @@
 """Fusion module: stage contracts, ablation bypasses, analytic gradients."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,9 @@ from evframe import (
     save_cafr_weights,
     tafr_refine,
 )
+from evframe import fusion_cafr
 from evframe.fusion_cafr import LINEAR_NAMES, weight_arrays
-from evframe.tensor_math import ConvWeights
+from evframe.tensor_math import ConvWeights, softmax_rows
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
 from conftest import philox
 
@@ -182,6 +186,12 @@ def test_single_token_attention_returns_the_value_projection_exactly():
     assert np.array_equal(out.event.reshape(c), ve)
 
 
+def test_attention_rejects_an_empty_token_set():
+    empty = FeaturePair(np.zeros((3, 0, 4)), np.zeros((3, 0, 4)))
+    with pytest.raises(ShapeError):
+        cross_self_attention(empty, init_cafr_weights(3))
+
+
 def test_attention_weights_come_from_the_opposite_stream(rng):
     # zeroing the event stream must flatten the weights applied to frame values
     c, h, wdt = 3, 2, 2
@@ -192,6 +202,126 @@ def test_attention_weights_come_from_the_opposite_stream(rng):
     # event tokens all zero -> logits all zero -> uniform average of frame tokens
     mean_token = frame.reshape(c, -1).mean(axis=1)
     assert np.allclose(out.frame, mean_token[:, None, None], atol=1e-12)
+
+
+# -- blocked attention against the dense oracle ------------------------------------
+
+
+def dense_attention(pair: FeaturePair, w) -> FeaturePair:
+    """Oracle: both full N x N attention maps, built at once."""
+    c = pair.channels
+    tf = pair.frame.reshape(c, -1).T
+    te = pair.event.reshape(c, -1).T
+    scale = 1.0 / np.sqrt(c)
+    a_f = softmax_rows((te @ w.wq_e) @ (te @ w.wk_e).T * scale)
+    a_e = softmax_rows((tf @ w.wq_f) @ (tf @ w.wk_f).T * scale)
+    shape = pair.frame.shape
+    return FeaturePair(
+        (a_f @ (tf @ w.wv_f)).T.reshape(shape), (a_e @ (te @ w.wv_e)).T.reshape(shape)
+    )
+
+
+def set_block_rows(monkeypatch, n_tokens: int, rows: int):
+    """Size blocks to ``rows`` query rows for ``n_tokens`` keys."""
+    monkeypatch.setattr(fusion_cafr, "ATTN_BLOCK_BYTES", 8 * n_tokens * rows)
+
+
+def spy_block_rows(monkeypatch) -> list:
+    """Record the row count of every attention block the module computes."""
+    seen = []
+
+    def spy(x):
+        seen.append(x.shape[0])
+        return softmax_rows(x)
+
+    monkeypatch.setattr(fusion_cafr, "softmax_rows", spy)
+    return seen
+
+
+# (h, w, rows per block, row counts of one stream's blocks)
+BLOCK_CASES = [
+    pytest.param(3, 5, 4, [4, 4, 4, 3], id="ragged-last-block"),
+    pytest.param(4, 4, 4, [4, 4, 4, 4], id="exact-multiple"),
+    pytest.param(3, 5, 1, [1] * 15, id="one-row-blocks"),
+    pytest.param(2, 3, 32, [6], id="fewer-tokens-than-rows"),
+    pytest.param(1, 1, 4, [1], id="single-token"),
+]
+
+
+@pytest.mark.parametrize("h, wdt, rows, blocks", BLOCK_CASES)
+def test_blocked_attention_matches_the_dense_oracle(monkeypatch, h, wdt, rows, blocks):
+    rng = philox(64)
+    c = 4
+    pair = FeaturePair(rng.standard_normal((c, h, wdt)), rng.standard_normal((c, h, wdt)))
+    w = init_cafr_weights(c, seed=64)
+    set_block_rows(monkeypatch, h * wdt, rows)
+    seen = spy_block_rows(monkeypatch)
+    out = cross_self_attention(pair, w)
+    assert seen == blocks * 2  # one pass per stream
+    want = dense_attention(pair, w)
+    assert np.abs(out.frame - want.frame).max() < 1e-12
+    assert np.abs(out.event - want.event).max() < 1e-12
+
+
+def test_block_smaller_than_one_row_still_takes_a_row(monkeypatch, rng):
+    pair = random_pair(rng, c=3, h=2, w=2)
+    monkeypatch.setattr(fusion_cafr, "ATTN_BLOCK_BYTES", 1)
+    seen = spy_block_rows(monkeypatch)
+    cross_self_attention(pair, init_cafr_weights(3, seed=2))
+    assert seen == [1] * 8
+
+
+@pytest.mark.parametrize("h, wdt, rows, blocks", BLOCK_CASES)
+def test_blocked_backward_passes_gradcheck(monkeypatch, h, wdt, rows, blocks):
+    rng = philox(65)
+    c = 3
+    pair = FeaturePair(rng.standard_normal((c, h, wdt)), rng.standard_normal((c, h, wdt)))
+    w = init_cafr_weights(c, seed=65)
+    out, cache = cafr_forward(pair, w)
+    r = rng.standard_normal(out.shape)
+    whole = cafr_backward(cache, r)
+
+    set_block_rows(monkeypatch, h * wdt, rows)
+    seen = spy_block_rows(monkeypatch)
+    blocked = cafr_backward(cafr_forward(pair, w)[1], r)
+    assert seen == blocks * 4  # forward and backward, both streams
+    for got, want in [(blocked.frame, whole.frame), (blocked.event, whole.event)] + [
+        (blocked.weights[name], whole.weights[name]) for name in whole.weights
+    ]:
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    worst = cafr_gradcheck(pair, w, probes=50, step=1e-5, seed=1)
+    assert worst < 1e-5, f"worst relative error {worst:.3e}"
+
+
+def cache_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from cache_arrays(getattr(obj, field.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from cache_arrays(item)
+
+
+def test_fusion_memory_stays_linear_in_tokens():
+    # 2 700 tokens: one dense N x N float64 map alone is 58 MB, and the dense
+    # formulation peaked near 290 MB here
+    rng = philox(66)
+    c, h, wdt = 8, 45, 60
+    n = h * wdt
+    pair = FeaturePair(rng.standard_normal((c, h, wdt)), rng.standard_normal((c, h, wdt)))
+    w = init_cafr_weights(c, seed=66)
+    tracemalloc.start()
+    try:
+        _, cache = cafr_forward(pair, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert cache.attn is not None
+    assert max(a.size for a in cache_arrays(cache)) < n * n
 
 
 # -- stage 4: refinement -------------------------------------------------------------
