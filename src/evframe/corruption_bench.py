@@ -26,6 +26,9 @@ from .formats_io import ImagePNM, decode_image, encode_image
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MANIFEST_NAME = "manifest.jsonl"
+# Most render threads corrupt_dataset accepts; the pool never exceeds the
+# number of variants either.
+MAX_WORKERS = 128
 
 
 class CorruptionType(Enum):
@@ -218,19 +221,23 @@ def corrupt_motion_blur(arr: np.ndarray, rng, length: int) -> np.ndarray:
 
 
 def corrupt_zoom_blur(arr: np.ndarray, max_zoom: float) -> np.ndarray:
-    """Average of progressively zoomed-and-cropped copies."""
+    """Average of progressively zoomed-and-cropped copies.
+
+    Channels are zoomed one plane at a time: a unit zoom factor on the
+    channel axis only ever weighs a sample by 1 and its neighbour by 0, so a
+    3-D zoom gives the same values for twice the work.
+    """
     if max_zoom < 1.0:
         raise DomainError(f"max_zoom must be >= 1, got {max_zoom}")
     h, w = arr.shape[:2]
     acc = arr.copy()
     count = 1
     for z in np.arange(1.02, max_zoom + 1e-9, 0.02):
-        zoomed = ndi.zoom(arr, (z, z, 1.0), order=1)
-        zh, zw = zoomed.shape[:2]
-        top, left = (zh - h) // 2, (zw - w) // 2
-        if top < 0 or left < 0:
-            continue
-        acc += zoomed[top:top + h, left:left + w]
+        for c in range(arr.shape[2]):
+            zoomed = ndi.zoom(arr[:, :, c], (z, z), order=1)
+            # z > 1, so the zoomed plane is never smaller than the input
+            top, left = (zoomed.shape[0] - h) // 2, (zoomed.shape[1] - w) // 2
+            acc[:, :, c] += zoomed[top:top + h, left:left + w]
         count += 1
     return acc / count
 
@@ -239,7 +246,13 @@ def corrupt_zoom_blur(arr: np.ndarray, max_zoom: float) -> np.ndarray:
 
 def _plasma(rng, height: int, width: int, roughness: float) -> np.ndarray:
     """Diamond-square noise on the smallest covering power-of-two grid,
-    cropped and normalized to [0,1]."""
+    cropped and normalized to [0,1].
+
+    Built one level at a time on strided views. Each step reads only points
+    set by earlier steps, and one ``rng.random(k)`` draw yields the same
+    stream as k scalar draws in row-major order, so the field is the one a
+    point-by-point loop gives.
+    """
     size = 1
     while size < max(height, width):
         size *= 2
@@ -249,23 +262,36 @@ def _plasma(rng, height: int, width: int, roughness: float) -> np.ndarray:
     step, scale = size, 1.0
     while step > 1:
         half = step // 2
-        for y in range(half, n, step):
-            for x in range(half, n, step):
-                avg = (
-                    g[y - half, x - half] + g[y - half, x + half]
-                    + g[y + half, x - half] + g[y + half, x + half]
-                ) / 4.0
-                g[y, x] = avg + (rng.random() - 0.5) * scale
-        for y in range(0, n, half):
-            xstart = half if (y % step) == 0 else 0
-            for x in range(xstart, n, step):
-                total, cnt = 0.0, 0
-                for dy, dx in ((-half, 0), (half, 0), (0, -half), (0, half)):
-                    yy, xx = y + dy, x + dx
-                    if 0 <= yy < n and 0 <= xx < n:
-                        total += g[yy, xx]
-                        cnt += 1
-                g[y, x] = total / cnt + (rng.random() - 0.5) * scale
+        m = size // step
+        corners = g[::step, ::step]  # (m+1, m+1) points set by earlier levels
+        # diamond step: centres of the m x m squares
+        avg = (corners[:-1, :-1] + corners[:-1, 1:] + corners[1:, :-1] + corners[1:, 1:]) / 4.0
+        g[half::step, half::step] = avg + (rng.random((m, m)) - 0.5) * scale
+        centres = g[half::step, half::step]
+        # square step: edge midpoints. Rows y % step == 0 ("even", m points)
+        # and y % step == half ("odd", m + 1 points) take their draws
+        # interleaved, so one draw padded by m + 1 unused values splits into
+        # m + 1 rows of 2m + 1. Neighbours are summed up, down, left, right; a
+        # missing one adds 0.0, which is exact since the sum starts at 0.0.
+        draws = np.zeros((m + 1) * (2 * m + 1))
+        draws[: 2 * m * (m + 1)] = rng.random(2 * m * (m + 1))
+        noise = ((draws - 0.5) * scale).reshape(m + 1, 2 * m + 1)
+        even = np.zeros((m + 1, m))  # points (y % step == 0, x % step == half)
+        even[1:] += centres
+        even[:-1] += centres
+        even += corners[:, :-1]
+        even += corners[:, 1:]
+        even[1:-1] /= 4.0
+        even[0] /= 3.0
+        even[-1] /= 3.0
+        odd = corners[:-1] + corners[1:]  # points (y % step == half, x % step == 0)
+        odd[:, 1:] += centres
+        odd[:, :-1] += centres
+        odd[:, 1:-1] /= 4.0
+        odd[:, 0] /= 3.0
+        odd[:, -1] /= 3.0
+        g[::step, half::step] = even + noise[:, :m]
+        g[half::step, ::step] = odd + noise[:-1, m:]
         step = half
         scale *= roughness
     g = g[:height, :width]
@@ -499,13 +525,14 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
 
     Returns the manifest rows: {src, dst, type, severity, seed} per output.
     The manifest order is image, then type, then severity, independent of
-    how many workers render the variants.
+    how many workers render the variants. ``workers`` above MAX_WORKERS is
+    rejected before any image is read.
     """
     paths = [Path(p) for p in image_paths]
     if not paths:
         raise DomainError("need at least one input image")
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise DomainError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = []
@@ -526,6 +553,7 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
                         "seed": seed,
                     }
                 )
+    workers = min(workers, len(tasks))
     if workers == 1:
         for task in tasks:
             _corrupt_one(task)

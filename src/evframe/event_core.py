@@ -15,6 +15,8 @@ from .errors import DomainError, ShapeError
 from .formats_io import Event, EventStream, ImagePNM
 
 DEFAULT_LOG_EPS = 1.0 / 255.0
+# Most events one simulate_events call may emit; checked before any is built.
+MAX_EVENTS = 2**24
 
 
 @dataclass
@@ -61,7 +63,8 @@ def simulate_events(
     Per pixel, with d = log(i_b + eps) - log(i_a + eps) on [0, 1] intensities,
     floor(|d| / threshold) events are emitted with polarity sign(d), evenly
     spaced in (t_a, t_b]. Output is sorted by timestamp, ties broken in
-    row-major pixel order. Deterministic.
+    row-major pixel order. Deterministic. A pair that asks for more than
+    MAX_EVENTS events in total is rejected before any event is built.
     """
     if frame_a.channels != 1 or frame_b.channels != 1:
         raise ShapeError("simulate_events expects grayscale frames")
@@ -76,7 +79,16 @@ def simulate_events(
     ia = frame_a.to_float01()[:, :, 0]
     ib = frame_b.to_float01()[:, :, 0]
     delta = np.log(ib + cfg.log_eps) - np.log(ia + cfg.log_eps)
-    counts = np.floor(np.abs(delta) / cfg.threshold).astype(np.int64)
+    counts = np.floor(np.abs(delta) / cfg.threshold)
+    total = counts.sum()
+    # a non-finite count makes the sum non-finite; checking it before the
+    # int64 cast keeps an overflowing count from wrapping negative
+    if not total <= MAX_EVENTS:
+        raise DomainError(
+            f"threshold {cfg.threshold} asks for {total:.6g} events, more than "
+            f"the cap of {MAX_EVENTS}"
+        )
+    counts = counts.astype(np.int64)
     polarity = np.where(delta >= 0, 1, -1)
 
     span = t_b - t_a

@@ -259,6 +259,17 @@ def test_bad_thread_env_is_a_runtime_error(capsys, tmp_path, monkeypatch):
     assert "EVFRAME_THREADS" in err
 
 
+def test_absurd_thread_env_is_refused_before_any_work(capsys, tmp_path, monkeypatch):
+    src = tmp_path / "img.ppm"
+    src.write_bytes(encode_image(rgb_image(philox(4), 8, 8)))
+    monkeypatch.setenv("EVFRAME_THREADS", "1000000")
+    out_dir = tmp_path / "o"
+    code, _, err = run(capsys, "corrupt-dataset", "--images", str(src), "--out-dir", str(out_dir))
+    assert code == 1
+    assert "workers" in err
+    assert not out_dir.exists()
+
+
 # -- fusion subcommands ----------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
 from evframe import (
     CorruptionSpec,
@@ -18,6 +19,7 @@ from evframe import (
     psnr,
     severity_params,
 )
+from evframe import corruption_bench
 from evframe.corruption_bench import SEVERITY_TABLE
 from conftest import philox, rgb_image, gray_image
 
@@ -271,3 +273,136 @@ def test_dataset_input_validation(tmp_path):
         corrupt_dataset([], tmp_path / "x")
     with pytest.raises(DomainError):
         corrupt_dataset([tmp_path / "missing.pnm"], tmp_path / "x", workers=0)
+
+
+# -- level-at-a-time plasma and per-channel zoom against their scalar forms ----------
+
+
+def scalar_plasma(rng, height, width, roughness):
+    """Point-by-point diamond-square: the reference for corruption_bench._plasma."""
+    size = 1
+    while size < max(height, width):
+        size *= 2
+    n = size + 1
+    g = np.zeros((n, n))
+    g[0, 0], g[0, -1], g[-1, 0], g[-1, -1] = rng.random(4)
+    step, scale = size, 1.0
+    while step > 1:
+        half = step // 2
+        for y in range(half, n, step):
+            for x in range(half, n, step):
+                avg = (
+                    g[y - half, x - half] + g[y - half, x + half]
+                    + g[y + half, x - half] + g[y + half, x + half]
+                ) / 4.0
+                g[y, x] = avg + (rng.random() - 0.5) * scale
+        for y in range(0, n, half):
+            xstart = half if (y % step) == 0 else 0
+            for x in range(xstart, n, step):
+                total, cnt = 0.0, 0
+                for dy, dx in ((-half, 0), (half, 0), (0, -half), (0, half)):
+                    yy, xx = y + dy, x + dx
+                    if 0 <= yy < n and 0 <= xx < n:
+                        total += g[yy, xx]
+                        cnt += 1
+                g[y, x] = total / cnt + (rng.random() - 0.5) * scale
+        step = half
+        scale *= roughness
+    g = g[:height, :width]
+    lo, hi = g.min(), g.max()
+    return (g - lo) / (hi - lo) if hi > lo else np.zeros_like(g)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+@pytest.mark.parametrize("roughness", [0.55, 0.7, 1.0])
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 5), (24, 32), (129, 129), (257, 100), (260, 346)],
+    ids=lambda s: f"{s[0]}x{s[1]}",
+)
+def test_plasma_matches_the_scalar_oracle_byte_for_byte(shape, roughness, seed):
+    got = corruption_bench._plasma(philox(seed), *shape, roughness)
+    want = scalar_plasma(philox(seed), *shape, roughness)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+class CountingGenerator:
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def test_plasma_draws_once_per_step_and_level():
+    rng = CountingGenerator(philox(1))
+    corruption_bench._plasma(rng, 260, 346, 0.55)
+    # 512 covers 346: four corners, then one diamond and one square draw per level
+    assert rng.calls <= 2 * 9 + 1
+
+
+def scalar_zoom_blur(arr, max_zoom):
+    """Zoom blur with one 3-D zoom per step: the reference for corrupt_zoom_blur."""
+    h, w = arr.shape[:2]
+    acc = arr.copy()
+    count = 1
+    for z in np.arange(1.02, max_zoom + 1e-9, 0.02):
+        zoomed = ndi.zoom(arr, (z, z, 1.0), order=1)
+        zh, zw = zoomed.shape[:2]
+        top, left = (zh - h) // 2, (zw - w) // 2
+        acc += zoomed[top:top + h, left:left + w]
+        count += 1
+    return acc / count
+
+
+@pytest.mark.parametrize("severity", range(1, 6))
+@pytest.mark.parametrize("channels", [3, 1], ids=["rgb", "gray"])
+def test_zoom_blur_matches_the_3d_zoom_oracle_byte_for_byte(channels, severity):
+    arr = philox(severity).random((37, 50, channels))
+    max_zoom = severity_params(CorruptionType.ZOOM_BLUR, severity)["max_zoom"]
+    got = corruption_bench.corrupt_zoom_blur(arr, max_zoom)
+    assert got.tobytes() == scalar_zoom_blur(arr, max_zoom).tobytes()
+
+
+# -- worker pool bounds ---------------------------------------------------------------
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap ThreadPoolExecutor for a serial stand-in; returns the pool sizes asked for."""
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(corruption_bench, "ThreadPoolExecutor", SerialExecutor)
+    return sizes
+
+
+@pytest.mark.parametrize("workers,pool", [(3, 3), (75, 75), (corruption_bench.MAX_WORKERS, 75)])
+def test_dataset_pool_is_no_larger_than_the_task_list(tmp_path, pool_sizes, workers, pool):
+    rows = corrupt_dataset(write_corpus(tmp_path, n=1), tmp_path / "out", workers=workers)
+    assert pool_sizes == [pool]
+    assert len(rows) == 75 and len(list((tmp_path / "out").glob("*.pnm"))) == 75
+
+
+def test_dataset_refuses_too_many_workers_before_reading_anything(tmp_path, pool_sizes):
+    # the input does not exist: reaching the decode would raise FileNotFoundError
+    with pytest.raises(DomainError, match="workers"):
+        corrupt_dataset(
+            [tmp_path / "missing.pnm"], tmp_path / "out", workers=corruption_bench.MAX_WORKERS + 1
+        )
+    assert pool_sizes == []
+    assert not (tmp_path / "out").exists()

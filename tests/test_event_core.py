@@ -1,6 +1,7 @@
 """Event simulation, timestamp normalization, voxel splatting, dropout."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from evframe import (
     normalize_timestamps,
     simulate_events,
 )
+from evframe import event_core
 from conftest import philox, gray_image
 
 
@@ -94,6 +96,36 @@ def test_simulation_rejects_inverted_time_window():
 def test_sim_config_rejects_non_positive_threshold():
     with pytest.raises(DomainError):
         SimConfig(threshold=0.0)
+
+
+@pytest.mark.parametrize("threshold", [1e-9, 1e-300])
+def test_event_count_above_the_cap_is_refused_before_any_event_is_built(threshold):
+    # one black-to-white pixel asks for 5.5e9 (1e-9) or 5.5e300 (1e-300) events;
+    # the second does not even fit in int64
+    a = flat_gray(0, width=2, height=2)
+    b = flat_gray(0, width=2, height=2)
+    b.pixels[1, 1, 0] = 255
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="events"):
+            simulate_events(a, b, 0, 1000, SimConfig(threshold=threshold))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_event_cap_is_inclusive(monkeypatch):
+    a = flat_gray(100)
+    b = flat_gray(100)
+    b.pixels[2, 3, 0] = 200
+    cfg = SimConfig(threshold=0.05)
+    n = len(simulate_events(a, b, 0, 1000, cfg).events)
+    monkeypatch.setattr(event_core, "MAX_EVENTS", n)
+    assert len(simulate_events(a, b, 0, 1000, cfg).events) == n
+    monkeypatch.setattr(event_core, "MAX_EVENTS", n - 1)
+    with pytest.raises(DomainError):
+        simulate_events(a, b, 0, 1000, cfg)
 
 
 # -- timestamp normalization --------------------------------------------------------
