@@ -197,7 +197,7 @@ def _cmd_simulate_events(ns) -> int:
     frame_b = _read_image(ns.frame_b)
     stream = simulate_events(frame_a, frame_b, ns.t_a, ns.t_b, cfg)
     Path(ns.out).write_bytes(encode_events(stream))
-    _print_json({"events": len(stream.events), "out": str(ns.out)})
+    _print_json({"events": len(stream.t), "out": str(ns.out)})
     return 0
 
 
@@ -210,7 +210,7 @@ def _cmd_evt2grid(ns) -> int:
             "bins": grid.bins,
             "height": grid.height,
             "width": grid.width,
-            "events": len(stream.events),
+            "events": len(stream.t),
             "mass": float(grid.data.sum()),
             "out": str(ns.out),
         }

@@ -137,11 +137,11 @@ def run_pipeline_demo(
     (out / "frame_b.pnm").write_bytes(encode_image(frame_b))
 
     stream = simulate_events(frame_a, frame_b, t_a=0, t_b=10_000, cfg=SimConfig(threshold=0.1))
-    _check(len(stream.events) > 0, "scene produced no events")
+    _check(len(stream.t) > 0, "scene produced no events")
 
     grid = build_voxel_grid(stream, bins=channels)
     mass = float(grid.data.sum())
-    total_polarity = float(sum(e.p for e in stream.events))
+    total_polarity = float(stream.p.sum())
     _check(abs(mass - total_polarity) < 1e-6, "voxel grid does not conserve event mass")
 
     rgb = frame_b.to_float01()[:, :, 0][None, :, :]
@@ -184,7 +184,7 @@ def run_pipeline_demo(
     _check(0.0 <= result.map <= 1.0, "mAP must lie in [0,1]")
 
     summary = PipelineResult(
-        n_events=len(stream.events),
+        n_events=len(stream.t),
         grid_shape=grid.data.shape,
         fused_shape=fused.shape,
         n_detections=len(dets),

@@ -2,17 +2,18 @@
 
 The simulator produces events from the log-intensity difference of two
 grayscale frames; the voxel grid accumulates polarity mass over B temporal
-bins with a bilinear kernel and exposes the time axis as channels.
+bins with a linear kernel in time and exposes the time axis as channels.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .formats_io import Event, EventStream, ImagePNM
+from .formats_io import INT64_MAX, INT64_MIN, EventStream, ImagePNM
 
 DEFAULT_LOG_EPS = 1.0 / 255.0
 # Most events one simulate_events call may emit; checked before any is built.
@@ -62,9 +63,11 @@ def simulate_events(
 
     Per pixel, with d = log(i_b + eps) - log(i_a + eps) on [0, 1] intensities,
     floor(|d| / threshold) events are emitted with polarity sign(d), evenly
-    spaced in (t_a, t_b]. Output is sorted by timestamp, ties broken in
-    row-major pixel order. Deterministic. A pair that asks for more than
-    MAX_EVENTS events in total is rejected before any event is built.
+    spaced in (t_a, t_b]: the k-th of n at t_a + ceil(k * (t_b - t_a) / n),
+    exact for integer t_a < t_b whose span fits in int64. Output is sorted by
+    timestamp, ties broken in row-major pixel order. Deterministic. A pair
+    that asks for more than MAX_EVENTS events in total is rejected before any
+    event is built.
     """
     if frame_a.channels != 1 or frame_b.channels != 1:
         raise ShapeError("simulate_events expects grayscale frames")
@@ -73,8 +76,17 @@ def simulate_events(
             f"frame dims differ: {frame_a.width}x{frame_a.height} vs "
             f"{frame_b.width}x{frame_b.height}"
         )
+    try:
+        t_a, t_b = operator.index(t_a), operator.index(t_b)
+    except TypeError:
+        raise DomainError(f"t_a and t_b must be integers, got {t_a!r}, {t_b!r}") from None
     if t_b <= t_a:
         raise DomainError(f"t_b must exceed t_a, got t_a={t_a}, t_b={t_b}")
+    span = t_b - t_a
+    if t_a < INT64_MIN or t_b > INT64_MAX or span > INT64_MAX:
+        raise DomainError(
+            f"t_a={t_a}, t_b={t_b} and their span must lie in the int64 range"
+        )
 
     ia = frame_a.to_float01()[:, :, 0]
     ib = frame_b.to_float01()[:, :, 0]
@@ -88,23 +100,27 @@ def simulate_events(
             f"threshold {cfg.threshold} asks for {total:.6g} events, more than "
             f"the cap of {MAX_EVENTS}"
         )
+    # The output is allocated before the temporaries below: taken after them
+    # it sat between their freed blocks and split the malloc heap, and a
+    # detect-346 process then more often grew its peak RSS by ~20 MB.
+    table = np.empty((int(total), 4), dtype=np.int64)
     counts = counts.astype(np.int64)
     polarity = np.where(delta >= 0, 1, -1)
 
-    span = t_b - t_a
-    events = []
+    # k-th of n events at t_a + ceil(k * span / n), split as
+    # k * (span // n) + ceil(k * (span % n) / n) so no product leaves int64
     ys, xs = np.nonzero(counts)
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        n = int(counts[y, x])
-        p = int(polarity[y, x])
-        for k in range(1, n + 1):
-            # ceil division keeps timestamps strictly inside (t_a, t_b]
-            t = t_a + -((-k * span) // n)
-            events.append(Event(x=x, y=y, t=int(t), p=p))
-    events.sort(key=lambda e: (e.t, e.y, e.x))
-    return EventStream(
-        sensor_width=frame_a.width, sensor_height=frame_a.height, events=events
-    )
+    n = counts[ys, xs]
+    per_event = np.repeat(n, n)
+    k = np.arange(1, len(per_event) + 1) - np.repeat(np.cumsum(n) - n, n)
+    t = t_a + (k * (span // per_event) - (-k * (span % per_event) // per_event))
+    # pixels are already in row-major order, so a stable sort on t alone
+    # gives the (t, y, x) order
+    order = np.argsort(t, kind="stable")
+    columns = (t, np.repeat(xs, n), np.repeat(ys, n), np.repeat(polarity[ys, xs], n))
+    for col, values in enumerate(columns):
+        table[:, col] = values[order]
+    return EventStream.from_table(frame_a.width, frame_a.height, table)
 
 
 def normalize_timestamps(stream: EventStream, bins: int) -> np.ndarray:
@@ -114,9 +130,9 @@ def normalize_timestamps(stream: EventStream, bins: int) -> np.ndarray:
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
-    if not stream.events:
-        return np.zeros(0, dtype=np.float64)
-    t = np.array([e.t for e in stream.events], dtype=np.float64)
+    t = stream.t.astype(np.float64)
+    if not len(t):
+        return t
     span = t[-1] - t[0]
     if span == 0 or bins == 1:
         return np.zeros(len(t), dtype=np.float64)
@@ -126,63 +142,29 @@ def normalize_timestamps(stream: EventStream, bins: int) -> np.ndarray:
 def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
     """Accumulate polarity mass into a (B, H, W) grid.
 
-    Integer event coordinates land on their exact pixel; the temporal kernel
-    max(0, 1 - |a|) splits each event's mass linearly across the two adjacent
-    bins. Non-integer coordinates (e.g. after warping) splat bilinearly in
-    space as well.
+    Each event lands on its pixel; the temporal kernel max(0, 1 - |a|)
+    splits its mass linearly across the two adjacent bins.
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     h, w = stream.sensor_height, stream.sensor_width
     grid = np.zeros((bins, h, w), dtype=np.float64)
-    if not stream.events:
-        return VoxelGrid(bins=bins, height=h, width=w, data=grid)
-
-    xs = np.array([e.x for e in stream.events], dtype=np.float64)
-    ys = np.array([e.y for e in stream.events], dtype=np.float64)
-    ps = np.array([e.p for e in stream.events], dtype=np.float64)
+    xs, ys = stream.x, stream.y
     if np.any(xs < 0) or np.any(xs > w - 1) or np.any(ys < 0) or np.any(ys > h - 1):
         raise DomainError("event coordinates outside sensor bounds")
     ts = normalize_timestamps(stream, bins)
+    ps = stream.p.astype(np.float64)
 
-    _splat(grid, xs, ys, ts, ps)
-    return VoxelGrid(bins=bins, height=h, width=w, data=grid)
-
-
-def _splat(grid: np.ndarray, xs, ys, ts, ps) -> None:
-    """Trilinear scatter-add of per-event mass into the grid."""
-    bins, h, w = grid.shape
-    flat = grid.reshape(-1)
-
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
     t0 = np.floor(ts).astype(np.int64)
-    fx = xs - x0
-    fy = ys - y0
     ft = ts - t0
-
-    for dt in (0, 1):
-        wt = (1.0 - ft) if dt == 0 else ft
-        tb = t0 + dt
-        for dy in (0, 1):
-            wy = (1.0 - fy) if dy == 0 else fy
-            yb = y0 + dy
-            for dx in (0, 1):
-                wx = (1.0 - fx) if dx == 0 else fx
-                xb = x0 + dx
-                mass = ps * wt * wy * wx
-                ok = (
-                    (mass != 0)
-                    & (tb >= 0)
-                    & (tb < bins)
-                    & (yb >= 0)
-                    & (yb < h)
-                    & (xb >= 0)
-                    & (xb < w)
-                )
-                if np.any(ok):
-                    idx = (tb[ok] * h + yb[ok]) * w + xb[ok]
-                    np.add.at(flat, idx, mass[ok])
+    pixel = ys * w + xs
+    for tb, wt in ((t0, 1.0 - ft), (t0 + 1, ft)):
+        mass = ps * wt
+        # ts leaves [0, B-1] for an unsorted stream, and steps past B-1 by
+        # rounding when the span exceeds 2**53
+        ok = (mass != 0) & (tb >= 0) & (tb < bins)
+        np.add.at(grid.reshape(-1), tb[ok] * (h * w) + pixel[ok], mass[ok])
+    return VoxelGrid(bins=bins, height=h, width=w, data=grid)
 
 
 def modality_dropout(rgb: np.ndarray, probability: float, rng_seed: int) -> np.ndarray:

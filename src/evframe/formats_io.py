@@ -13,11 +13,13 @@ instead of repairing it; errors name the offending line or field.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,6 +37,9 @@ MAX_TENSOR_RANK = 4
 # Default category ids: 0 car, 1 pedestrian, 2 large vehicle.
 DEFAULT_CATEGORIES = (0, 1, 2)
 
+# Range of event fields: timestamps, coordinates and polarities are int64.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 
 class Event(NamedTuple):
     """Single sensor event: pixel coordinates, microsecond timestamp, polarity."""
@@ -45,13 +50,135 @@ class Event(NamedTuple):
     p: int
 
 
-@dataclass
-class EventStream:
-    """Ordered event list plus the sensor geometry it was captured on."""
+class EventView(Sequence):
+    """Read-only sequence of Event over an (n, 4) t, x, y, p table.
 
-    sensor_width: int
-    sensor_height: int
-    events: list  # list[Event], non-decreasing in t
+    Length is O(1); events are built only while iterating or indexing. Equal
+    to another view with an equal table or to a list of equal events;
+    ``+`` with a list or view gives a list.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EventView(self._table[i])
+        t, x, y, p = self._table[i].tolist()
+        return Event(x, y, t, p)
+
+    def __iter__(self):
+        for t, x, y, p in self._table.tolist():
+            yield Event(x, y, t, p)
+
+    def __eq__(self, other):
+        if isinstance(other, EventView):
+            return np.array_equal(self._table, other._table)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, (list, EventView)):
+            return list(self) + list(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, list):
+            return other + list(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventView({len(self)} events)"
+
+
+class EventStream:
+    """Events plus the sensor geometry they were captured on.
+
+    The events live in ``table``, an (n, 4) int64 array whose columns are
+    the CSV's t, x, y, p, non-decreasing in t; ``t``, ``x``, ``y`` and ``p``
+    are its read-only column views. The constructor takes a sequence of
+    Event; ``from_table`` wraps a table as it is. ``events`` views the table
+    as a read-only sequence of Event.
+    """
+
+    def __init__(self, sensor_width: int, sensor_height: int, events: Sequence):
+        self.sensor_width = sensor_width
+        self.sensor_height = sensor_height
+        self.table = _read_only(_event_table(events))
+
+    @classmethod
+    def from_table(cls, sensor_width: int, sensor_height: int, table: np.ndarray) -> "EventStream":
+        """Wrap an (n, 4) int64 t, x, y, p table without copying it."""
+        table = np.asarray(table)
+        if table.dtype != np.int64 or table.ndim != 2 or table.shape[1] != 4:
+            raise ValidationError(f"event table must be (n, 4) int64, got {table.dtype} {table.shape}")
+        stream = cls.__new__(cls)
+        stream.sensor_width, stream.sensor_height = sensor_width, sensor_height
+        stream.table = _read_only(table)
+        return stream
+
+    @property
+    def events(self) -> EventView:
+        return EventView(self.table)
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.table[:, 1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.table[:, 2]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.table[:, 3]
+
+    def __eq__(self, other):
+        if not isinstance(other, EventStream):
+            return NotImplemented
+        return (self.sensor_width, self.sensor_height) == (
+            other.sensor_width,
+            other.sensor_height,
+        ) and np.array_equal(self.table, other.table)
+
+    def __repr__(self) -> str:
+        return (
+            f"EventStream({self.sensor_width}x{self.sensor_height}, "
+            f"{len(self.table)} events)"
+        )
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A read-only view, so the stream's columns cannot be written through."""
+    view = table.view()
+    view.flags.writeable = False
+    return view
+
+
+def _event_table(events: Sequence) -> np.ndarray:
+    """(n, 4) int64 t, x, y, p table of a sequence of Event."""
+    if isinstance(events, EventView):
+        return events._table
+    events = list(events)
+    if not events:
+        return np.empty((0, 4), dtype=np.int64)
+    try:
+        rows = np.array(events)
+    except (OverflowError, ValueError):
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] != 4 or rows.dtype.kind not in "ib":
+        raise ValidationError("events must be (x, y, t, p) tuples of int64 integers")
+    return np.ascontiguousarray(rows[:, [2, 0, 1, 3]], dtype=np.int64)
 
 
 @dataclass
@@ -161,10 +288,8 @@ class DetectionRecord:
 
 def encode_events(stream: EventStream) -> bytes:
     """Serialize a stream to CSV with header ``t,x,y,p``."""
-    lines = ["t,x,y,p"]
-    for e in stream.events:
-        lines.append(f"{e.t},{e.x},{e.y},{e.p}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    body = ("{},{},{},{}\n" * len(stream.table)).format(*stream.table.ravel().tolist())
+    return ("t,x,y,p\n" + body).encode("ascii")
 
 
 def decode_events(
@@ -175,17 +300,70 @@ def decode_events(
     """Parse an event CSV file; validates ordering, bounds, and polarity.
 
     When the sensor dims are omitted they are inferred as max coordinate + 1,
-    which requires at least one event.
+    which requires at least one event. Every field must fit in int64.
     """
     if (sensor_width is None) != (sensor_height is None):
         raise DomainError("sensor_width and sensor_height must be given together")
-    text = data.decode("ascii", errors="replace")
-    lines = text.split("\n")
-    if not lines or lines[0].strip() != "t,x,y,p":
+    head, _, body = data.partition(b"\n")
+    if head.decode("ascii", errors="replace").strip() != "t,x,y,p":
         raise ParseError("missing or malformed header, expected 't,x,y,p'", line=1)
-    events = []
+    table = _parse_event_table(body)
+    if table is None or not _event_table_valid(table, sensor_width, sensor_height):
+        table = _scan_event_lines(body, sensor_width, sensor_height)
+    if sensor_width is None:
+        if not len(table):
+            raise DomainError("cannot infer sensor dims from an empty stream")
+        sensor_width = int(table[:, 1].max()) + 1
+        sensor_height = int(table[:, 2].max()) + 1
+    return EventStream.from_table(sensor_width, sensor_height, table)
+
+
+# Bytes of a plain body: optionally signed decimal fields, commas, LF or
+# CRLF line ends.
+_EVENT_BODY_BYTES = b"0123456789,-\r\n"
+
+
+def _parse_event_table(body: bytes) -> Optional[np.ndarray]:
+    """Parse a plain CSV body in one pass; None for anything else.
+
+    Bodies with other bytes are left to the line scanner, since int() and
+    np.loadtxt disagree outside plain digits: int() reads '1_0', loadtxt
+    reads '5\\x1c' (and, in numpy 1.x, '1.0') as integers.
+    """
+    if body.translate(None, _EVENT_BODY_BYTES):
+        return None
+    if not body.strip(b"\r\n"):
+        return np.empty((0, 4), dtype=np.int64)
+    try:
+        table = np.loadtxt(
+            io.StringIO(body.decode("ascii")),
+            delimiter=",",
+            dtype=np.int64,
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError:  # a bad field, a ragged row or a value outside int64
+        return None
+    return table if table.shape[1] == 4 else None
+
+
+def _event_table_valid(table: np.ndarray, sensor_width, sensor_height) -> bool:
+    t, x, y, p = table.T
+    bad = ((p != 1) & (p != -1)) | (x < 0) | (y < 0)
+    if sensor_width is not None:
+        bad |= (x >= sensor_width) | (y >= sensor_height)
+    return not bad.any() and not np.any(t[1:] < t[:-1])
+
+
+def _scan_event_lines(body: bytes, sensor_width, sensor_height) -> np.ndarray:
+    """Check a CSV body line by line, raising the first line's error.
+
+    Runs only when the one-pass parse declines the body or its checks fail.
+    A body it accepts (e.g. fields like '+5' or ' 5') is returned as a table.
+    """
+    rows = []
     prev_t = None
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(body.decode("ascii", errors="replace").split("\n"), start=2):
         if raw.strip() == "":
             continue
         parts = raw.split(",")
@@ -195,6 +373,8 @@ def decode_events(
             t, x, y, p = (int(v) for v in parts)
         except ValueError:
             raise ParseError(f"non-integer field in '{raw}'", line=lineno) from None
+        if not all(INT64_MIN <= v <= INT64_MAX for v in (t, x, y, p)):
+            raise DomainError(f"line {lineno}: field outside the int64 range in '{raw}'")
         if p not in (-1, 1):
             raise DomainError(f"line {lineno}: polarity must be -1 or +1, got {p}")
         if x < 0 or y < 0:
@@ -209,13 +389,8 @@ def decode_events(
                 f"line {lineno}: timestamps must be non-decreasing ({t} < {prev_t})"
             )
         prev_t = t
-        events.append(Event(x=x, y=y, t=t, p=p))
-    if sensor_width is None:
-        if not events:
-            raise DomainError("cannot infer sensor dims from an empty stream")
-        sensor_width = max(e.x for e in events) + 1
-        sensor_height = max(e.y for e in events) + 1
-    return EventStream(sensor_width=sensor_width, sensor_height=sensor_height, events=events)
+        rows.append((t, x, y, p))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------

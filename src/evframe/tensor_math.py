@@ -203,48 +203,6 @@ def channel_stats_vjp(x: np.ndarray, sigma: np.ndarray, gmu: np.ndarray, gsigma:
     return gx
 
 
-# -- elementwise ------------------------------------------------------------------
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise shapes differ: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def multiply_vjp(a: np.ndarray, b: np.ndarray, gy: np.ndarray):
-    return gy * b, gy * a
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise shapes differ: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def add_vjp(gy: np.ndarray):
-    return gy, gy
-
-
-# -- finite-difference oracle --------------------------------------------------
-
-def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f(x); mutates x transiently."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat, gflat = x.ravel(), grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f(x)
-        flat[i] = orig - step
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
-    return grad
-
-
 def relative_error(a: float, b: float) -> float:
     """|a - b| scaled by max(1, |a|, |b|) so near-zero gradients compare sanely."""
     return abs(a - b) / max(1.0, abs(a), abs(b))

@@ -10,6 +10,22 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of scalar f(x); mutates x transiently."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat, gflat = x.ravel(), grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = f(x)
+        flat[i] = orig - step
+        fm = f(x)
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * step)
+    return grad
+
+
 def gray_image(rng, width: int, height: int) -> ImagePNM:
     pixels = rng.integers(0, 256, size=(height, width, 1)).astype(np.uint8)
     return ImagePNM(width=width, height=height, channels=1, pixels=pixels)

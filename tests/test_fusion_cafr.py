@@ -27,7 +27,7 @@ from evframe import fusion_cafr
 from evframe.fusion_cafr import LINEAR_NAMES, weight_arrays
 from evframe.tensor_math import ConvWeights, softmax_rows
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
-from conftest import philox
+from conftest import numeric_grad, philox
 
 
 def random_pair(rng, c=4, h=3, w=5) -> FeaturePair:
@@ -434,7 +434,7 @@ def test_gradients_hold_under_every_ablation(kwargs):
     def loss(arr):
         return float(np.sum(cafr_forward(pair, w, **kwargs)[0] * r))
 
-    from evframe.tensor_math import numeric_grad, relative_error
+    from evframe.tensor_math import relative_error
 
     for target, analytic in ((pair.frame, grads.frame), (pair.event, grads.event)):
         numeric = numeric_grad(loss, target)

@@ -10,8 +10,6 @@ import pytest
 from evframe import DomainError, ShapeError, StateError
 from evframe.tensor_math import (
     ConvWeights,
-    add,
-    add_vjp,
     channel_stats,
     channel_stats_vjp,
     conv2d,
@@ -19,14 +17,11 @@ from evframe.tensor_math import (
     conv2d_vjp,
     linear,
     linear_vjp,
-    multiply,
-    multiply_vjp,
-    numeric_grad,
     relative_error,
     softmax_rows,
     softmax_rows_vjp,
 )
-from conftest import philox
+from conftest import numeric_grad, philox
 
 GRAD_TOL = 1e-6
 
@@ -208,27 +203,6 @@ def test_channel_stats_backward_matches_finite_differences(rng):
     _, sigma = channel_stats(x)
     dx = channel_stats_vjp(x, sigma, gmu, gsigma)
     check_grad(dx, numeric_grad(loss, x))
-
-
-# -- elementwise --------------------------------------------------------------------
-
-
-def test_elementwise_ops_and_their_grads(rng):
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((3, 4))
-    r = rng.standard_normal((3, 4))
-    assert np.array_equal(multiply(a, b), a * b)
-    assert np.array_equal(add(a, b), a + b)
-    da, db = multiply_vjp(a, b, r)
-    check_grad(da, numeric_grad(lambda _: float(np.sum(multiply(a, b) * r)), a))
-    check_grad(db, numeric_grad(lambda _: float(np.sum(multiply(a, b) * r)), b))
-    ga, gb = add_vjp(r)
-    assert np.array_equal(ga, r) and np.array_equal(gb, r)
-
-
-def test_elementwise_shape_mismatch_is_rejected(rng):
-    with pytest.raises(ShapeError):
-        multiply(rng.standard_normal((2, 2)), rng.standard_normal((2, 3)))
 
 
 def test_relative_error_uses_unit_floor():
