@@ -1,15 +1,22 @@
 """Detection metrics: IoU, COCO-style mAP, corruption means, relative curves.
 
-All arithmetic is plain Python floats with fixed iteration orders (classes
-ascending, IoU thresholds ascending, recall points ascending), so tiny
-instances can be compared bit-for-bit against an independent reference
-computation.
+COCO scoring computes one IoU matrix per (image, class) in numpy float64
+with the same IEEE operations, in the same order, as the scalar ``iou_tlwh``,
+runs the greedy match for each IoU threshold over its rows, and takes AP
+from cumulative TP counts and a suffix maximum of precision. The divisions
+are the correctly rounded ones of Python ``int / int``. The 101 interpolated
+precisions are summed in a Python loop in ascending recall order and the
+threshold and class means are plain Python sums, with fixed iteration
+orders (classes ascending, IoU thresholds ascending), so results are
+bit-identical to an independent scalar reference computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ValidationError
 from .formats_io import DetectionRecord
@@ -20,6 +27,12 @@ DEFAULT_MAX_DETECTIONS = 100
 CORRUPTION_TYPE_COUNT = 15
 SEVERITY_COUNT = 5
 
+_RECALL_GRID = np.array(RECALL_POINTS)
+
+
+def _zero_union(a, b) -> DomainError:
+    return DomainError(f"IoU of boxes {tuple(a)} and {tuple(b)} is undefined: their union is 0")
+
 
 def iou_tlwh(a: Sequence[float], b: Sequence[float]) -> float:
     """Intersection over union of two (x, y, w, h) top-left boxes."""
@@ -29,7 +42,66 @@ def iou_tlwh(a: Sequence[float], b: Sequence[float]) -> float:
     iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
+    try:
+        return inter / union
+    except ZeroDivisionError:
+        raise _zero_union(a, b) from None
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(D, G) IoU of the (D, 4) boxes ``a`` against the (G, 4) boxes ``b``.
+
+    Each entry is computed by the operations of ``iou_tlwh`` in its order,
+    so it equals ``iou_tlwh(a[i], b[j])`` bit for bit.
+    """
+    ax, ay, aw, ah = a.T[:, :, None]
+    bx, by, bw, bh = b.T
+    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    if not union.all():
+        i, j = np.argwhere(union == 0.0)[0]
+        raise _zero_union(a[i].tolist(), b[j].tolist())
     return inter / union
+
+
+def _greedy_flags(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """(T, D) hit table of the greedy one-to-one match at each threshold.
+
+    Rows of ``ious`` are visited in order; each claims the untaken column of
+    highest IoU (strictly above 0, first column on a tie) when that IoU meets
+    the threshold, else it is a miss and takes nothing. Only entries at or
+    above the lowest threshold can decide a match, so only those are scanned.
+    """
+    flags = np.zeros((len(thresholds), ious.shape[0]), dtype=bool)
+    lo = min(thresholds)
+    ri, ci = np.nonzero((ious >= lo) & (ious > 0.0))
+    rows: Dict[int, list] = {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), ious[ri, ci].tolist()):
+        rows.setdefault(i, []).append((j, v))
+    for k, t in enumerate(thresholds):
+        taken = set()
+        for i, cands in rows.items():
+            best_j, best_iou = -1, 0.0
+            for j, v in cands:
+                if v > best_iou and j not in taken:
+                    best_j, best_iou = j, v
+            if best_j >= 0 and best_iou >= t:
+                taken.add(best_j)
+                flags[k, i] = True
+    return flags
+
+
+def _match_table(preds: Sequence[DetectionRecord], gts: Sequence[Sequence[float]], thresholds):
+    """Scores in descending order (ties keep input order) and their (T, D) hits."""
+    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
+    scores = [preds[i].score for i in order]
+    if not order or not len(gts):
+        return scores, np.zeros((len(thresholds), len(order)), dtype=bool)
+    boxes = np.array([preds[i].bbox for i in order], dtype=np.float64)
+    ious = _iou_matrix(boxes, np.array(gts, dtype=np.float64))
+    return scores, _greedy_flags(ious, thresholds)
 
 
 @dataclass
@@ -56,24 +128,28 @@ def match_detections(
     for p in preds:
         if p.score is None:
             raise DomainError("matching needs scored detections")
-    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-    taken = [False] * len(gts)
-    flags, scores = [], []
-    for i in order:
-        box = preds[i].bbox
-        best_j, best_iou = -1, 0.0
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou_tlwh(box, gt)
-            if v > best_iou:
-                best_j, best_iou = j, v
-        hit = best_j >= 0 and best_iou >= iou_threshold
-        if hit:
-            taken[best_j] = True
-        flags.append(hit)
-        scores.append(preds[i].score)
-    return MatchResult(tuple(flags), tuple(scores), len(gts), taken.count(False))
+    scores, flags = _match_table(preds, gts, (iou_threshold,))
+    hits = flags[0].tolist()
+    return MatchResult(tuple(hits), tuple(scores), len(gts), len(gts) - sum(hits))
+
+
+def _ap_table(flags: np.ndarray, n_gt: int) -> List[float]:
+    """101-point AP of each row of a (T, n) descending-score TP table; n_gt > 0."""
+    n = flags.shape[1]
+    tp = np.cumsum(flags, axis=1)
+    prec = tp / np.arange(1, n + 1)
+    rec = tp / n_gt
+    # best precision at recall >= r: suffix max from the first such index,
+    # 0.0 past the end
+    best = np.zeros((len(flags), n + 1))
+    best[:, :n] = np.maximum.accumulate(prec[:, ::-1], axis=1)[:, ::-1]
+    aps = []
+    for row_rec, row_best in zip(rec, best):
+        total = 0.0
+        for v in row_best[np.searchsorted(row_rec, _RECALL_GRID, side="left")].tolist():
+            total += v
+        aps.append(total / len(RECALL_POINTS))
+    return aps
 
 
 def average_precision(flags: Sequence[bool], n_gt: int) -> float:
@@ -87,21 +163,7 @@ def average_precision(flags: Sequence[bool], n_gt: int) -> float:
         raise DomainError(f"n_gt must be >= 0, got {n_gt}")
     if n_gt == 0:
         return 0.0
-    tp = 0
-    precisions, recalls = [], []
-    for i, flag in enumerate(flags):
-        if flag:
-            tp += 1
-        precisions.append(tp / (i + 1))
-        recalls.append(tp / n_gt)
-    total = 0.0
-    for r in RECALL_POINTS:
-        best = 0.0
-        for p, rec in zip(precisions, recalls):
-            if rec >= r and p > best:
-                best = p
-        total += best
-    return total / len(RECALL_POINTS)
+    return _ap_table(np.asarray(flags, dtype=bool).reshape(1, -1), n_gt)[0]
 
 
 def _group(records: Sequence[DetectionRecord]) -> Dict[int, Dict[int, List[DetectionRecord]]]:
@@ -120,24 +182,6 @@ def _cap_per_image(preds: Sequence[DetectionRecord], max_dets: int) -> List[Dete
         rows = sorted(by_image[img], key=lambda r: -r.score)[:max_dets]
         kept.extend(rows)
     return kept
-
-
-def _class_flags(
-    pred_imgs: Dict[int, List[DetectionRecord]],
-    gt_imgs: Dict[int, List[DetectionRecord]],
-    threshold: float,
-) -> List[bool]:
-    """Merge per-image match flags into one global descending-score list."""
-    merged = []
-    seq = 0
-    for img in sorted(set(pred_imgs) | set(gt_imgs)):
-        gts = [g.bbox for g in gt_imgs.get(img, [])]
-        res = match_detections(pred_imgs.get(img, []), gts, threshold)
-        for s, f in zip(res.scores, res.flags):
-            merged.append((-s, seq, f))
-            seq += 1
-    merged.sort()
-    return [f for _, _, f in merged]
 
 
 @dataclass
@@ -161,8 +205,21 @@ def map_coco(
 
     Detections are capped per image across classes; classes with zero
     ground-truth boxes are excluded from the class mean; each class AP is the
-    mean over the 10 thresholds of the 101-point AP.
+    mean over the 10 thresholds of the 101-point AP. Within a class, the
+    detections of all images are ranked by descending score, ties in image
+    order and then in per-image match order.
     """
+    if (
+        not isinstance(max_detections, int)
+        or isinstance(max_detections, bool)
+        or max_detections < 1
+    ):
+        raise DomainError(f"max_detections must be an int >= 1, got {max_detections!r}")
+    for i, p in enumerate(preds):
+        if p.score is None:
+            raise DomainError(
+                f"prediction {i} (image {p.image_id}, category {p.category_id}) has no score"
+            )
     classes = sorted({g.category_id for g in gts})
     if not classes:
         raise DomainError("evaluation needs at least one ground-truth box")
@@ -175,10 +232,14 @@ def map_coco(
         gt_imgs = gt_groups[c]
         pred_imgs = pred_groups.get(c, {})
         n_gt = sum(len(v) for v in gt_imgs.values())
-        aps = []
-        for t in IOU_THRESHOLDS:
-            flags = _class_flags(pred_imgs, gt_imgs, t)
-            aps.append(average_precision(flags, n_gt))
+        scores, tables = [], [np.zeros((len(IOU_THRESHOLDS), 0), dtype=bool)]
+        for img in sorted(pred_imgs):
+            gt_boxes = [g.bbox for g in gt_imgs.get(img, [])]
+            s, f = _match_table(pred_imgs[img], gt_boxes, IOU_THRESHOLDS)
+            scores.extend(s)
+            tables.append(f)
+        order = np.argsort(-np.array(scores, dtype=np.float64), kind="stable")
+        aps = _ap_table(np.concatenate(tables, axis=1)[:, order], n_gt)
         per_class[c] = sum(aps) / len(aps)
         map50_sum += aps[0]
     n = len(classes)

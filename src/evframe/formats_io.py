@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -259,8 +260,8 @@ class CameraRig:
 class DetectionRecord:
     """One detection or ground-truth box in file convention.
 
-    ``bbox`` is (x, y, w, h) with (x, y) the top-left corner in pixels.
-    ``score`` is None for ground truth.
+    ``bbox`` is (x, y, w, h) with (x, y) the top-left corner in pixels; its
+    entries are finite and w, h positive. ``score`` is None for ground truth.
     """
 
     image_id: int
@@ -269,9 +270,14 @@ class DetectionRecord:
     score: Optional[float] = None
 
     def __post_init__(self):
-        self.bbox = tuple(float(v) for v in self.bbox)
+        try:
+            self.bbox = tuple(float(v) for v in self.bbox)
+        except OverflowError:
+            raise DomainError(f"bbox entries must be finite, got {self.bbox}") from None
         if len(self.bbox) != 4:
             raise ValidationError(f"bbox must have 4 entries, got {len(self.bbox)}")
+        if not all(map(math.isfinite, self.bbox)):
+            raise DomainError(f"bbox entries must be finite, got {self.bbox}")
         if self.bbox[2] <= 0 or self.bbox[3] <= 0:
             raise DomainError(
                 f"bbox width/height must be positive, got w={self.bbox[2]}, h={self.bbox[3]}"
@@ -608,7 +614,9 @@ def decode_detections(data: bytes, categories=None) -> list:
     """Parse newline-delimited detection records.
 
     When ``categories`` is given, every record's category_id must belong to it.
-    Ground-truth records legitimately omit ``score``.
+    Ground-truth records legitimately omit ``score``. A record that
+    ``DetectionRecord`` refuses (a non-finite or non-positive box, a score
+    outside [0, 1]) is a ``DomainError`` naming its line.
     """
     records = []
     for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
@@ -626,20 +634,18 @@ def decode_detections(data: bytes, categories=None) -> list:
             raise ParseError("bbox must be a 4-element array", line=lineno)
         if not all(isinstance(v, (int, float)) for v in bbox):
             raise ParseError("bbox entries must be numeric", line=lineno)
-        if bbox[2] <= 0 or bbox[3] <= 0:
-            raise DomainError(
-                f"line {lineno}: bbox width/height must be positive, got {bbox[2]}, {bbox[3]}"
-            )
-        if categories is not None and doc["category_id"] not in categories:
-            raise DomainError(
-                f"line {lineno}: category_id {doc['category_id']} not in declared set"
-            )
-        records.append(
-            DetectionRecord(
+        try:
+            record = DetectionRecord(
                 image_id=int(doc["image_id"]),
                 category_id=int(doc["category_id"]),
                 bbox=tuple(bbox),
                 score=doc.get("score"),
             )
-        )
+        except DomainError as exc:
+            raise DomainError(f"line {lineno}: {exc}") from None
+        if categories is not None and doc["category_id"] not in categories:
+            raise DomainError(
+                f"line {lineno}: category_id {doc['category_id']} not in declared set"
+            )
+        records.append(record)
     return records

@@ -388,6 +388,33 @@ def test_eval_map_matches_module_value(capsys, tmp_path):
     assert doc["map50"] == pytest.approx(0.75, abs=1e-9)
 
 
+@pytest.mark.parametrize("case", ["gt-as-pred", "negative-cap", "zero-cap", "zero-union"])
+def test_eval_map_domain_errors_exit_1(capsys, tmp_path, case):
+    gts = [DetectionRecord(0, 0, (10.0, 10.0, 20.0, 20.0), None)]
+    preds = [DetectionRecord(0, 0, (10.0, 10.0, 19.0, 19.0), 0.9)]
+    extra = []
+    if case == "gt-as-pred":
+        preds = gts
+    elif case == "negative-cap":
+        extra = ["--max-detections", "-1"]
+    elif case == "zero-cap":
+        extra = ["--max-detections", "0"]
+    else:
+        # both areas underflow to 0.0, so the union is 0
+        tiny = (3.0, 4.0, 1e-200, 1e-200)
+        preds = [DetectionRecord(0, 0, tiny, 0.9)]
+        gts = [DetectionRecord(0, 0, tiny, None)]
+    gt_path, pred_path = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    gt_path.write_bytes(encode_detections(gts))
+    pred_path.write_bytes(encode_detections(preds))
+    code, out, err = run(
+        capsys, "eval-map", "--pred", str(pred_path), "--gt", str(gt_path), *extra
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_eval_mpc_full_grid(capsys, tmp_path):
     from evframe import CorruptionType
 

@@ -1,6 +1,9 @@
 """Metrics: IoU, greedy matching, interpolated AP, COCO mAP, corruption means."""
 
+import numpy as np
 import pytest
+
+from conftest import philox
 
 from evframe import (
     DetectionRecord,
@@ -15,6 +18,7 @@ from evframe import (
     mpc,
     rpc,
 )
+from evframe import eval_metrics
 from evframe.eval_metrics import IOU_THRESHOLDS, RECALL_POINTS
 
 
@@ -220,6 +224,270 @@ def test_map_merges_scores_across_images():
 def test_threshold_grid_is_the_coco_ladder():
     assert IOU_THRESHOLDS == tuple((50 + 5 * i) / 100 for i in range(10))
     assert len(RECALL_POINTS) == 101
+
+
+# -- scalar oracles ---------------------------------------------------------------
+# The scalar scoring code that map_coco replaced, kept verbatim as the
+# reference: the array path must reproduce every float bit for bit.
+
+
+def oracle_iou(a, b):
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return inter / union
+
+
+def oracle_match_detections(preds, gts, iou_threshold):
+    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
+    taken = [False] * len(gts)
+    flags, scores = [], []
+    for i in order:
+        box = preds[i].bbox
+        best_j, best_iou = -1, 0.0
+        for j, gt in enumerate(gts):
+            if taken[j]:
+                continue
+            v = oracle_iou(box, gt)
+            if v > best_iou:
+                best_j, best_iou = j, v
+        hit = best_j >= 0 and best_iou >= iou_threshold
+        if hit:
+            taken[best_j] = True
+        flags.append(hit)
+        scores.append(preds[i].score)
+    return tuple(flags), tuple(scores), len(gts), taken.count(False)
+
+
+def oracle_average_precision(flags, n_gt):
+    if n_gt == 0:
+        return 0.0
+    tp = 0
+    precisions, recalls = [], []
+    for i, flag in enumerate(flags):
+        if flag:
+            tp += 1
+        precisions.append(tp / (i + 1))
+        recalls.append(tp / n_gt)
+    total = 0.0
+    for r in RECALL_POINTS:
+        best = 0.0
+        for p, rec in zip(precisions, recalls):
+            if rec >= r and p > best:
+                best = p
+        total += best
+    return total / len(RECALL_POINTS)
+
+
+def oracle_group(records):
+    by_class = {}
+    for r in records:
+        by_class.setdefault(r.category_id, {}).setdefault(r.image_id, []).append(r)
+    return by_class
+
+
+def oracle_cap_per_image(preds, max_dets):
+    by_image = {}
+    for p in preds:
+        by_image.setdefault(p.image_id, []).append(p)
+    kept = []
+    for img in sorted(by_image):
+        kept.extend(sorted(by_image[img], key=lambda r: -r.score)[:max_dets])
+    return kept
+
+
+def oracle_class_flags(pred_imgs, gt_imgs, threshold):
+    merged = []
+    seq = 0
+    for img in sorted(set(pred_imgs) | set(gt_imgs)):
+        gts = [g.bbox for g in gt_imgs.get(img, [])]
+        flags, scores, _, _ = oracle_match_detections(pred_imgs.get(img, []), gts, threshold)
+        for s, f in zip(scores, flags):
+            merged.append((-s, seq, f))
+            seq += 1
+    merged.sort()
+    return [f for _, _, f in merged]
+
+
+def oracle_map_coco(preds, gts, max_detections=100):
+    classes = sorted({g.category_id for g in gts})
+    pred_groups = oracle_group(oracle_cap_per_image(preds, max_detections))
+    gt_groups = oracle_group(gts)
+    per_class = {}
+    map50_sum = 0.0
+    for c in classes:
+        gt_imgs = gt_groups[c]
+        pred_imgs = pred_groups.get(c, {})
+        n_gt = sum(len(v) for v in gt_imgs.values())
+        aps = [
+            oracle_average_precision(oracle_class_flags(pred_imgs, gt_imgs, t), n_gt)
+            for t in IOU_THRESHOLDS
+        ]
+        per_class[c] = sum(aps) / len(aps)
+        map50_sum += aps[0]
+    n = len(classes)
+    return sum(per_class[c] for c in classes) / n, map50_sum / n, per_class
+
+
+def random_split(seed, score_decimals=4, n_images=30, n_classes=3, preds_per_image=40):
+    """A bench-like split: jittered hits on each GT plus uniform false positives.
+
+    Images 0-1 get ground truth only, images past ``n_images`` predictions
+    only, class ``n_classes`` has ground truth but no prediction, and every
+    other image holds a prediction whose IoU with two class-0 boxes is
+    exactly tied.
+    """
+    rng = philox(seed)
+    gts, preds = [], []
+    for img in range(n_images + 3):
+        n_pred = preds_per_image
+        if img < n_images:
+            for _ in range(6):
+                xy = rng.integers(0, 280, size=2).astype(float)
+                wh = rng.integers(8, 60, size=2).astype(float)
+                gts.append(det(None, (*xy, *wh), image=img, cat=int(rng.integers(0, n_classes))))
+            # the prediction at x=301 overlaps both boxes by 90/110
+            gts.append(det(None, (300.0, 300.0, 10.0, 10.0), image=img, cat=0))
+            gts.append(det(None, (302.0, 300.0, 10.0, 10.0), image=img, cat=0))
+        if img >= 2:
+            if img < n_images:
+                preds.append(det(0.5, (301.0, 300.0, 10.0, 10.0), image=img, cat=0))
+                n_pred -= 1
+            own = [g for g in gts if g.image_id == img]
+            for _ in range(n_pred):
+                if own and rng.random() < 0.6:
+                    g = own[int(rng.integers(0, len(own)))]
+                    x, y, w, h = g.bbox
+                    jit = rng.normal(0.0, 0.08, size=4)
+                    box = (
+                        round(x + jit[0] * w, 1), round(y + jit[1] * h, 1),
+                        max(1.0, round(w * (1 + jit[2]), 1)), max(1.0, round(h * (1 + jit[3]), 1)),
+                    )
+                    cat = g.category_id if rng.random() < 0.9 else int(rng.integers(0, n_classes))
+                else:
+                    xy = rng.uniform(0.0, 300.0, size=2).round(1)
+                    box = (*xy, *rng.uniform(5.0, 80.0, size=2).round(1))
+                    cat = int(rng.integers(0, n_classes))
+                if cat == n_classes:
+                    cat = 0
+                score = round(float(rng.uniform(0.0, 1.0)), score_decimals)
+                preds.append(det(score, box, image=img, cat=cat))
+    gts.append(det(None, (5.0, 5.0, 20.0, 20.0), image=3, cat=n_classes))
+    return preds, gts
+
+
+def test_oracle_parity_ap_exhaustive_flag_patterns():
+    for length in range(11):
+        for mask in range(2**length):
+            flags = [bool(mask >> i & 1) for i in range(length)]
+            for n_gt in range(5):
+                assert average_precision(flags, n_gt) == oracle_average_precision(flags, n_gt)
+
+
+def test_oracle_parity_iou_matrix():
+    rng = philox(7)
+    a = np.hstack([rng.uniform(0.0, 50.0, (60, 2)), rng.uniform(0.1, 40.0, (60, 2))])
+    b = np.vstack([a[:20] + rng.normal(0.0, 1.0, (20, 4)) * [1, 1, 0, 0], a[40:]])
+    got = eval_metrics._iou_matrix(a, b)
+    want = [[oracle_iou(p, g) for g in b.tolist()] for p in a.tolist()]
+    assert got.tolist() == want
+    assert (got > 0.5).sum() >= 20
+
+
+def test_oracle_parity_match_detections():
+    for seed in range(40):
+        preds, gts = random_split(1_000 + seed, score_decimals=1, n_images=3)
+        boxes = [g.bbox for g in gts if g.image_id == 2 and g.category_id == 0]
+        mine = [p for p in preds if p.image_id == 2 and p.category_id == 0]
+        for t in (0.0, 0.3, 0.5, 0.75, 0.95):
+            res = match_detections(mine, boxes, t)
+            want = oracle_match_detections(mine, boxes, t)
+            assert (res.flags, res.scores, res.n_gt, res.unmatched_gt) == want
+
+
+@pytest.mark.parametrize(
+    "seed, score_decimals, max_detections",
+    [
+        (11, 4, 100),
+        (12, 1, 100),  # many repeated scores
+        (13, 2, 25),  # the cap drops 15 of every image's 40 predictions
+        (14, 1, 7),
+    ],
+)
+def test_oracle_parity_map_coco(seed, score_decimals, max_detections):
+    preds, gts = random_split(seed, score_decimals)
+    assert len(preds) == 31 * 40
+    got = map_coco(preds, gts, max_detections=max_detections)
+    want = oracle_map_coco(preds, gts, max_detections)
+    assert (got.map, got.map50, got.per_class) == want
+    assert got.per_class[3] == 0.0  # ground truth only
+
+
+def test_match_exact_iou_tie_goes_to_the_first_ground_truth():
+    gts = [(0.0, 0.0, 10.0, 10.0), (2.0, 0.0, 10.0, 10.0)]
+    tied = det(0.9, (1, 0, 10, 10))
+    assert iou_tlwh(tied.bbox, gts[0]) == iou_tlwh(tied.bbox, gts[1])
+    # the runner-up overlaps box 1 by 90/110 and box 0 by 70/130: it can
+    # clear 0.8 only if the tied detection took box 0
+    res = match_detections([tied, det(0.8, (3, 0, 10, 10))], gts, 0.8)
+    assert res.flags == (True, True)
+
+
+def test_map_computes_each_iou_matrix_once(monkeypatch):
+    preds, gts = random_split(15)
+    shapes = []
+    real = eval_metrics._iou_matrix
+
+    def spy(a, b):
+        shapes.append((len(a), len(b)))
+        return real(a, b)
+
+    def no_scalar_iou(a, b):
+        raise AssertionError("map_coco called the scalar IoU")
+
+    monkeypatch.setattr(eval_metrics, "_iou_matrix", spy)
+    monkeypatch.setattr(eval_metrics, "iou_tlwh", no_scalar_iou)
+    map_coco(preds, gts)
+    both = {(p.image_id, p.category_id) for p in preds}
+    both &= {(g.image_id, g.category_id) for g in gts}
+    assert len(shapes) == len(both)
+    assert sum(d for d, _ in shapes) == sum((p.image_id, p.category_id) in both for p in preds)
+    assert sum(g for _, g in shapes) == sum((g.image_id, g.category_id) in both for g in gts)
+
+
+# -- input domain ----------------------------------------------------------------------
+
+
+def test_map_rejects_unscored_predictions():
+    preds, gts = two_class_scenario()
+    with pytest.raises(DomainError, match="no score"):
+        map_coco(preds + [det(None, (0.0, 0.0, 4.0, 4.0), cat=1)], gts)
+    # ground truth passed as predictions: no record has a score
+    with pytest.raises(DomainError, match="no score"):
+        map_coco(gts, gts)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3", None])
+def test_map_rejects_bad_max_detections(bad):
+    preds, gts = two_class_scenario()
+    with pytest.raises(DomainError, match="max_detections"):
+        map_coco(preds, gts, max_detections=bad)
+
+
+def test_iou_of_two_zero_area_boxes_is_a_domain_error():
+    tiny = (3.0, 4.0, 1e-200, 1e-200)
+    with pytest.raises(DomainError, match="union is 0"):
+        iou_tlwh(tiny, tiny)
+    with pytest.raises(DomainError, match="union is 0"):
+        map_coco([det(0.9, tiny)], [det(None, tiny)])
+    with pytest.raises(DomainError, match="union is 0"):
+        match_detections([det(0.9, tiny)], [tiny], 0.5)
+    # one such box against an ordinary one is well defined
+    assert iou_tlwh(tiny, (0.0, 0.0, 10.0, 10.0)) == 0.0
+    assert map_coco([det(0.9, tiny)], [det(None, (0.0, 0.0, 10.0, 10.0))]).map == 0.0
 
 
 # -- corruption aggregates ------------------------------------------------------------

@@ -277,3 +277,26 @@ def test_detection_record_rejects_non_positive_dims():
 def test_detection_record_rejects_out_of_range_score():
     with pytest.raises(DomainError):
         DetectionRecord(image_id=0, category_id=0, bbox=(0, 0, 1, 1), score=1.5)
+
+
+@pytest.mark.parametrize(
+    "bbox",
+    [
+        (float("nan"), 0, 1, 1),
+        (0, float("-inf"), 1, 1),
+        (0, 0, float("inf"), 1),
+        (0, 0, 1, float("nan")),
+        (0, 0, 10**400, 1),
+    ],
+)
+def test_detection_record_rejects_non_finite_bbox(bbox):
+    with pytest.raises(DomainError, match="finite"):
+        DetectionRecord(image_id=0, category_id=0, bbox=bbox, score=None)
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_detections_name_the_line_of_a_non_finite_bbox(entry):
+    good = b'{"image_id": 0, "category_id": 0, "bbox": [1, 1, 2, 2]}\n'
+    bad = b'{"image_id": 0, "category_id": 0, "bbox": [1, %s, 2, 2]}\n' % entry.encode()
+    with pytest.raises(DomainError, match="^line 2: bbox entries must be finite"):
+        decode_detections(good + bad)
