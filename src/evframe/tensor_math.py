@@ -65,7 +65,7 @@ def _require_cache(cache, op: str):
 
 @dataclass
 class ConvCache:
-    cols: np.ndarray
+    xp: np.ndarray  # padded input; the backward rebuilds its im2col from it
     kernel: np.ndarray
     x_shape: tuple
     stride: int
@@ -88,8 +88,20 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return windows.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * kh * kw, oh * ow)
 
 
+# Bytes of one band's im2col copy, (C*k_h*k_w) x (rows*out_w) entries. A whole
+# copy for a 64-channel 3x3 conv on an 87x65 map is ~26 MB; whether copies that
+# size fit a free hole of the malloc heap depends on its layout (glibc raises
+# its mmap threshold as large blocks are freed), so peak RSS of the same work
+# differed by ~20 MB from one process to the next.
+CONV_BLOCK_BYTES = 4 << 20
+
+
 def conv2d_forward(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0):
-    """2-D cross-correlation with bias; returns (output, cache)."""
+    """2-D cross-correlation with bias; returns (output, cache).
+
+    Output rows are computed in bands whose im2col copy fits
+    ``CONV_BLOCK_BYTES`` (at least one row per band).
+    """
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"conv input must be [C,H,W], got rank {x.ndim}")
@@ -100,10 +112,15 @@ def conv2d_forward(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0)
     c, h, wid = x.shape
     oh, ow = _conv_out_dims(h, wid, w.k_h, w.k_w, stride, pad)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _im2col(xp, w.k_h, w.k_w, stride, oh, ow)
-    flat = w.kernel.reshape(w.out_ch, -1) @ cols + w.bias[:, None]
-    y = flat.reshape(w.out_ch, oh, ow)
-    cache = ConvCache(cols, w.kernel, x.shape, stride, pad, y.shape)
+    k = w.kernel.reshape(w.out_ch, -1)
+    y = np.empty((w.out_ch, oh, ow), dtype=np.result_type(k, xp))
+    band = max(1, CONV_BLOCK_BYTES // (k.shape[1] * ow * y.itemsize))
+    for r in range(0, oh, band):
+        n = min(band, oh - r)
+        rows = xp[:, r * stride:(r + n - 1) * stride + w.k_h]
+        y[:, r:r + n] = (k @ _im2col(rows, w.k_h, w.k_w, stride, n, ow)).reshape(w.out_ch, n, ow)
+    y += w.bias[:, None, None]
+    cache = ConvCache(xp, w.kernel, x.shape, stride, pad, y.shape)
     return y, cache
 
 
@@ -117,12 +134,12 @@ def conv2d_vjp(cache: ConvCache, gy: np.ndarray):
     o, oh, ow = cache.out_shape
     gy_flat = np.asarray(gy).reshape(o, oh * ow)
     gb = gy_flat.sum(axis=1)
-    gk = (gy_flat @ cache.cols.T).reshape(cache.kernel.shape)
-    gcols = cache.kernel.reshape(o, -1).T @ gy_flat
-
     c, h, wid = cache.x_shape
     kh, kw = cache.kernel.shape[2], cache.kernel.shape[3]
     s, p = cache.stride, cache.pad
+    cols = _im2col(cache.xp, kh, kw, s, oh, ow)
+    gk = (gy_flat @ cols.T).reshape(cache.kernel.shape)
+    gcols = cache.kernel.reshape(o, -1).T @ gy_flat
     gxp = np.zeros((c, h + 2 * p, wid + 2 * p), dtype=gcols.dtype)
     g = gcols.reshape(c, kh, kw, oh, ow)
     for i in range(kh):

@@ -4,10 +4,12 @@ Forward passes are checked against naive loop oracles, backward passes
 against central finite differences of an inner-product loss.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from evframe import DomainError, ShapeError, StateError
+from evframe import DomainError, ShapeError, StateError, tensor_math
 from evframe.tensor_math import (
     ConvWeights,
     channel_stats,
@@ -117,6 +119,99 @@ def test_conv_backward_matches_finite_differences(stride, pad):
 def test_conv_backward_requires_cache():
     with pytest.raises(StateError):
         conv2d_vjp(None, np.zeros((1, 1, 1)))
+
+
+# -- banded conv forward ----------------------------------------------------------------
+
+
+def spy_band_rows(monkeypatch):
+    """Record the output rows of every im2col band the forward builds."""
+    seen = []
+    real = tensor_math._im2col
+
+    def spy(xp, kh, kw, stride, oh, ow):
+        seen.append(oh)
+        return real(xp, kh, kw, stride, oh, ow)
+
+    monkeypatch.setattr(tensor_math, "_im2col", spy)
+    return seen
+
+
+def set_band_rows(monkeypatch, c_in, ow, rows):
+    """Budget exactly ``rows`` output rows of a 3x3 float64 im2col band."""
+    monkeypatch.setattr(tensor_math, "CONV_BLOCK_BYTES", c_in * 9 * ow * rows * 8)
+
+
+# (h, w, stride, pad, rows per band, rows of each band)
+BAND_CASES = [
+    pytest.param(9, 6, 1, 1, 4, [4, 4, 1], id="ragged-last-band"),
+    pytest.param(8, 6, 1, 1, 4, [4, 4], id="exact-multiple"),
+    pytest.param(7, 6, 2, 1, 1, [1, 1, 1, 1], id="one-row-bands-stride-2"),
+    pytest.param(11, 5, 3, 2, 2, [2, 2, 1], id="stride-3-pad-2"),
+    pytest.param(5, 4, 1, 0, 16, [3], id="one-band"),
+]
+
+
+@pytest.mark.parametrize("h, wdt, stride, pad, rows, bands", BAND_CASES)
+def test_banded_conv_matches_naive_loops(monkeypatch, h, wdt, stride, pad, rows, bands):
+    rng = philox(70)
+    x = rng.standard_normal((3, h, wdt))
+    w = ConvWeights(rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4))
+    ow = (wdt + 2 * pad - 3) // stride + 1
+    set_band_rows(monkeypatch, 3, ow, rows)
+    seen = spy_band_rows(monkeypatch)
+    got = conv2d(x, w, stride=stride, pad=pad)
+    assert seen == bands
+    want = naive_conv(x, w.kernel, w.bias, stride, pad)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_band_smaller_than_one_row_still_takes_a_row(monkeypatch, rng):
+    x = rng.standard_normal((2, 5, 4))
+    w = ConvWeights(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
+    monkeypatch.setattr(tensor_math, "CONV_BLOCK_BYTES", 1)
+    seen = spy_band_rows(monkeypatch)
+    got = conv2d(x, w, stride=1, pad=1)
+    assert seen == [1] * 5
+    assert np.abs(got - naive_conv(x, w.kernel, w.bias, 1, 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
+def test_banded_backward_matches_finite_differences(monkeypatch, stride, pad):
+    rng = philox(71 + stride)
+    x = rng.standard_normal((2, 7, 5))
+    w = ConvWeights(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
+    out, cache = conv2d_forward(x, w, stride=stride, pad=pad)
+    r = rng.standard_normal(out.shape)
+    whole = conv2d_vjp(cache, r)
+
+    set_band_rows(monkeypatch, 2, out.shape[2], 1)
+    seen = spy_band_rows(monkeypatch)
+    banded_out, banded_cache = conv2d_forward(x, w, stride=stride, pad=pad)
+    assert seen == [1] * out.shape[1]
+    assert np.abs(banded_out - out).max() < 1e-12
+    banded = conv2d_vjp(banded_cache, r)
+    for got, want in zip(banded, whole):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+    check_grad(banded[0], numeric_grad(lambda _: float(np.sum(conv2d(x, w, stride, pad) * r)), x))
+    check_grad(banded[1], numeric_grad(lambda _: float(np.sum(conv2d(x, w, stride, pad) * r)), w.kernel))
+
+
+def test_conv_memory_stays_within_one_band():
+    # the detector head's first-level conv: 64 -> 64 channels, 3x3, on the
+    # 65x87 map of a 346x260 frame; its whole im2col copy alone is ~26 MiB
+    rng = philox(72)
+    x = rng.standard_normal((64, 65, 87))
+    w = ConvWeights(rng.standard_normal((64, 64, 3, 3)), rng.standard_normal(64))
+    tracemalloc.start()
+    try:
+        out, cache = conv2d_forward(x, w, stride=1, pad=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert cache.xp.shape == (64, 67, 89)
 
 
 def test_conv_weights_reject_non_finite():
