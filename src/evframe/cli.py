@@ -28,7 +28,7 @@ from .corruption_bench import (
     corrupt_dataset,
 )
 from .demo import run_pipeline_demo
-from .detect_head import HeadConfig, decode_head, gen_anchors
+from .detect_head import HeadConfig, decode_head, level_anchors
 from .errors import DomainError, EvframeError, SchemaError, ShapeError
 from .eval_metrics import SEVERITY_COUNT, build_mpc_report, map_coco, mpc
 from .event_core import SimConfig, build_voxel_grid, simulate_events
@@ -353,11 +353,7 @@ def _cmd_head_decode(ns) -> int:
             f"expected rank-2 score/offset tensors, got {cls.shape} and {reg.shape}"
         )
     cfg = HeadConfig(num_classes=cls.shape[1])
-    anchors = []
-    stride = ns.base_stride
-    for i, (h, w) in enumerate(_parse_levels(ns.levels)):
-        anchors.extend(gen_anchors(h, w, stride, cfg, level=i + 1))
-        stride *= 2
+    anchors = level_anchors(_parse_levels(ns.levels), ns.base_stride, cfg)
     dets = decode_head(
         cls,
         reg,

@@ -26,7 +26,7 @@ from .detect_head import (
     init_head_weights,
 )
 from .errors import ValidationError
-from .eval_metrics import iou_tlwh, map_coco
+from .eval_metrics import _iou_matrix, map_coco
 from .event_core import SimConfig, build_voxel_grid, modality_dropout, simulate_events
 from .formats_io import (
     DetectionRecord,
@@ -170,10 +170,13 @@ def run_pipeline_demo(
     _check(cls.shape[0] == len(anchors), "head rows must cover every anchor")
     dets = decode_head(cls, reg, anchors, image_id=0, score_threshold=0.3, iou_threshold=0.5)
     _check(len(dets) > 0, "decode produced no detections")
-    for i, a in enumerate(dets):
-        for b in dets[i + 1:]:
-            if a.category_id == b.category_id:
-                _check(iou_tlwh(a.bbox, b.bbox) <= 0.5, "NMS left overlapping boxes")
+    boxes = np.array([d.bbox for d in dets])
+    cats = np.array([d.category_id for d in dets])
+    for c in np.unique(cats):
+        same = boxes[cats == c]
+        ious = _iou_matrix(same, same)
+        np.fill_diagonal(ious, 0.0)
+        _check(bool(np.all(ious <= 0.5)), "NMS left overlapping boxes")
 
     det_path = out / "detections.jsonl"
     det_path.write_bytes(encode_detections(dets))

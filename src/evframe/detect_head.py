@@ -4,8 +4,14 @@ The pyramid keeps the P1..P5 level naming used throughout this package
 (P1 is the finest level; conventional FPN literature would call these
 levels P3..P7 when the finest stride is 8). Anchors, head outputs, and the
 decode path all share one flattening order: level, then row, then column,
-then anchor index, so position n of the head output corresponds to anchor
-n of the concatenated per-level anchor lists.
+then anchor index, so row n of the head output corresponds to row n of the
+(N, 4) (cx, cy, w, h) anchor array.
+
+The back end works on arrays: ``decode_head`` decodes the selected rows as
+columns with the float operations of ``decode_offsets`` in their order, and
+one suppression core, shared with ``nms``, gives each kept box one IoU column
+against its group's boxes still alive. ``Anchor``, ``BBox``, ``OffsetVector``
+and the offset codec stay as the scalar form for single boxes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .eval_metrics import iou_tlwh
+from .eval_metrics import _iou_matrix
 from .formats_io import DetectionRecord, read_tensor_bundle, write_tensor_bundle
 from .tensor_math import ConvWeights, conv2d
 
@@ -258,12 +264,8 @@ def build_fpn(backbone_feats: Sequence[np.ndarray], w: FpnWeights, base_stride: 
 
 # -- anchors ----------------------------------------------------------------------
 
-def gen_anchors(height: int, width: int, stride: int, cfg: HeadConfig, level: int = 0) -> List[Anchor]:
-    """A = |scales|*|ratios| anchors per cell, centers at (i+0.5)*stride.
-
-    Base size is 4*stride; w = base*scale*sqrt(ratio), h = base*scale/sqrt(ratio),
-    so w/h equals the ratio. Order: row, column, then ratio-major anchor index.
-    """
+def _anchor_shapes(stride: int, cfg: HeadConfig) -> np.ndarray:
+    """(A, 2) anchor widths and heights, ratio-major, computed in Python floats."""
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
     base = 4.0 * stride
@@ -272,21 +274,38 @@ def gen_anchors(height: int, width: int, stride: int, cfg: HeadConfig, level: in
         for r in cfg.ratios
         for s in cfg.scales
     ]
-    anchors = []
-    for i in range(height):
-        cy = (i + 0.5) * stride
-        for j in range(width):
-            cx = (j + 0.5) * stride
-            anchors.extend(Anchor(cx, cy, aw, ah, level) for aw, ah in shapes)
-    return anchors
+    for w, h in shapes:
+        if not (w > 0 and h > 0):
+            raise DomainError(f"box dims must be positive, got w={w}, h={h}")
+    return np.array(shapes, dtype=np.float64)
 
 
-def gen_pyramid_anchors(pyr: FeaturePyramid, cfg: HeadConfig) -> List[Anchor]:
+def gen_anchors(height: int, width: int, stride: int, cfg: HeadConfig) -> np.ndarray:
+    """(H*W*A, 4) anchors as (cx, cy, w, h) rows, centers at (i+0.5)*stride.
+
+    Base size is 4*stride; w = base*scale*sqrt(ratio), h = base*scale/sqrt(ratio),
+    so w/h equals the ratio. Order: row, column, then ratio-major anchor index.
+    """
+    shapes = _anchor_shapes(stride, cfg)
+    cy = (np.arange(height) + 0.5) * stride
+    cx = (np.arange(width) + 0.5) * stride
+    grid = np.empty((len(cy), len(cx), len(shapes), 4))
+    grid[..., 0] = cx[None, :, None]
+    grid[..., 1] = cy[:, None, None]
+    grid[..., 2:] = shapes
+    return grid.reshape(-1, 4)
+
+
+def level_anchors(shapes: Sequence[tuple], base_stride: int, cfg: HeadConfig) -> np.ndarray:
+    """Anchors of levels with (H, W) ``shapes``, strides doubling from base_stride."""
+    return np.concatenate(
+        [gen_anchors(h, w, base_stride * 2 ** i, cfg) for i, (h, w) in enumerate(shapes)]
+    )
+
+
+def gen_pyramid_anchors(pyr: FeaturePyramid, cfg: HeadConfig) -> np.ndarray:
     """Anchors for every level, concatenated in level order."""
-    out = []
-    for idx, (lvl, stride) in enumerate(zip(pyr.levels, pyr.strides)):
-        out.extend(gen_anchors(lvl.shape[1], lvl.shape[2], stride, cfg, level=idx + 1))
-    return out
+    return level_anchors([lvl.shape[1:] for lvl in pyr.levels], pyr.strides[0], cfg)
 
 
 # -- head -------------------------------------------------------------------------
@@ -348,6 +367,38 @@ def decode_offsets(anchor: Anchor, t: OffsetVector) -> BBox:
 
 # -- non-maximum suppression -----------------------------------------------------------
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
+
+
+def _nms_keep(
+    boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray, iou_threshold: float
+) -> np.ndarray:
+    """Indices of the (n, 4) top-left ``boxes`` greedy suppression keeps.
+
+    Boxes are visited by descending score (ties in input order) within each
+    group label. Each kept box gets one ``_iou_matrix`` column against the
+    group's later boxes that are still alive, and every one of them with an
+    IoU above the threshold dies. A candidate is thus compared with exactly
+    the kept boxes a scalar loop compares it with, up to the first that
+    suppresses it, and with the same ``iou_tlwh(candidate, kept)`` bits.
+    The result is in visit order.
+    """
+    order = np.argsort(-scores, kind="stable")
+    by_group = order[np.argsort(groups[order], kind="stable")]
+    cuts = np.flatnonzero(np.diff(groups[by_group])) + 1
+    keep = np.zeros(len(scores), dtype=bool)
+    for idx in np.split(by_group, cuts):
+        while len(idx):
+            kept, idx = idx[0], idx[1:]
+            keep[kept] = True
+            if len(idx):
+                ious = _iou_matrix(boxes[idx], boxes[kept:kept + 1])[:, 0]
+                idx = idx[~(ious > iou_threshold)]
+    return order[keep[order]]
+
+
 def nms(dets: Sequence[DetectionRecord], iou_threshold: float) -> List[DetectionRecord]:
     """Greedy suppression per (image, class).
 
@@ -355,28 +406,50 @@ def nms(dets: Sequence[DetectionRecord], iou_threshold: float) -> List[Detection
     dropped when their IoU with an already kept same-group box exceeds the
     threshold. Output is sorted the same way.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
     for d in dets:
         if d.score is None:
             raise DomainError("nms needs scored detections")
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    kept_by_group: dict = {}
-    kept_idx = []
-    for i in order:
-        d = dets[i]
-        group = kept_by_group.setdefault((d.image_id, d.category_id), [])
-        if any(iou_tlwh(d.bbox, k.bbox) > iou_threshold for k in group):
-            continue
-        group.append(d)
-        kept_idx.append(i)
-    return [dets[i] for i in kept_idx]
+    labels: dict = {}
+    groups = np.array(
+        [labels.setdefault((d.image_id, d.category_id), len(labels)) for d in dets],
+        dtype=np.intp,
+    )
+    boxes = np.array([d.bbox for d in dets], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    return [dets[i] for i in _nms_keep(boxes, scores, groups, iou_threshold).tolist()]
+
+
+def _top_k_stable(keys: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")[:k]`` for NaN-free keys, 0 < k < len(keys).
+
+    A partition finds the k-th smallest key u; every key below u and the
+    first (in index order) of the keys equal to u make up the k, and only
+    they are stably sorted.
+    """
+    u = np.partition(keys, k - 1)[k - 1]
+    below = keys < u
+    at = keys == u
+    at &= np.cumsum(at) <= k - np.count_nonzero(below)
+    picked = np.flatnonzero(below | at)
+    return picked[np.argsort(keys[picked], kind="stable")]
+
+
+def _first_bad_candidate(i, offsets, w, h, boxes, scores):
+    """The error the checks of one decoded candidate raise first."""
+    if not np.isfinite(offsets[i]).all():
+        return DomainError(f"offsets must be finite, got {tuple(offsets[i])}")
+    if not (w[i] > 0 and h[i] > 0):
+        return DomainError(f"box dims must be positive, got w={float(w[i])}, h={float(h[i])}")
+    if not np.isfinite(boxes[i]).all():
+        return DomainError(f"bbox entries must be finite, got {tuple(boxes[i].tolist())}")
+    return DomainError(f"score must be in [0, 1], got {float(scores[i])}")
 
 
 def decode_head(
     cls: np.ndarray,
     reg: np.ndarray,
-    anchors: Sequence[Anchor],
+    anchors: np.ndarray,
     image_id: int,
     score_threshold: float = DEFAULT_SCORE_THRESHOLD,
     iou_threshold: float = DEFAULT_NMS_IOU,
@@ -385,12 +458,23 @@ def decode_head(
 ) -> List[DetectionRecord]:
     """Turn head outputs into suppressed detection records for one image.
 
+    ``anchors`` is the (N, 4) (cx, cy, w, h) array of ``gen_pyramid_anchors``.
     Candidates over the score threshold are trimmed to the pre_nms_top_k
     best before suppression, which bounds NMS cost on dense outputs. Their
-    log size offsets are clipped to +-BBOX_XFORM_CLIP before decoding.
+    log size offsets are clipped to +-BBOX_XFORM_CLIP, and the selected rows
+    are decoded as columns with the operations of ``decode_offsets`` and
+    ``BBox.to_tlwh`` in their order (``math.exp`` for the sizes, and the
+    centre arithmetic in the offsets' dtype). Every selected row is checked,
+    kept or not: a non-finite offset, a non-positive size, a non-finite box
+    or a score outside [0, 1] is a ``DomainError`` for the first such row.
+    Suppression is ``_nms_keep`` per category id, and records are built for
+    the kept boxes only.
     """
     cls = np.asarray(cls)
     reg = np.asarray(reg)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    if anchors.ndim != 2 or anchors.shape[1] != 4:
+        raise ShapeError(f"anchors must be an (N, 4) array, got shape {anchors.shape}")
     if cls.shape[0] != len(anchors) or reg.shape != (len(anchors), 4):
         raise ShapeError(
             f"head outputs {cls.shape}/{reg.shape} do not cover {len(anchors)} anchors"
@@ -399,21 +483,43 @@ def decode_head(
         categories = list(range(cls.shape[1]))
     elif len(categories) != cls.shape[1]:
         raise ShapeError(f"{len(categories)} categories for {cls.shape[1]} classes")
+    cat_ids = [int(c) for c in categories]
+    if pre_nms_top_k < 1:
+        raise DomainError(f"pre_nms_top_k must be >= 1, got {pre_nms_top_k}")
 
     rows, cols = np.nonzero(cls > score_threshold)
     if len(rows) > pre_nms_top_k:
-        best = np.argsort(-cls[rows, cols], kind="stable")[:pre_nms_top_k]
+        best = _top_k_stable(-cls[rows, cols], pre_nms_top_k)
         rows, cols = rows[best], cols[best]
-    sizes = np.clip(reg[rows, 2:], -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP)
-    candidates = []
-    for n, k, (t_w, t_h) in zip(rows, cols, sizes):
-        box = decode_offsets(anchors[n], OffsetVector(reg[n, 0], reg[n, 1], t_w, t_h))
-        candidates.append(
-            DetectionRecord(
-                image_id=image_id,
-                category_id=int(categories[k]),
-                bbox=box.to_tlwh(),
-                score=float(cls[n, k]),
-            )
+    dt = np.result_type(reg.dtype, 0.0)
+    t = reg[rows].astype(dt)
+    t[:, 2:] = np.clip(t[:, 2:], -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP)
+    ax, ay, aw, ah = anchors[rows].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = aw * np.array([math.exp(v) for v in t[:, 2].tolist()], dtype=np.float64)
+        h = ah * np.array([math.exp(v) for v in t[:, 3].tolist()], dtype=np.float64)
+        x = t[:, 0] * aw.astype(dt) + ax.astype(dt)
+        y = t[:, 1] * ah.astype(dt) + ay.astype(dt)
+        boxes = np.stack(
+            [x - (w / 2.0).astype(dt), y - (h / 2.0).astype(dt), w, h], axis=1
+        ).astype(np.float64, copy=False)
+    scores = cls[rows, cols].astype(np.float64)
+    bad = (
+        ~np.isfinite(t).all(axis=1)
+        | ~((w > 0) & (h > 0))
+        | ~np.isfinite(boxes).all(axis=1)
+        | ~((scores >= 0.0) & (scores <= 1.0))
+    )
+    if bad.any():
+        raise _first_bad_candidate(int(np.argmax(bad)), t, w, h, boxes, scores)
+    _check_iou_threshold(iou_threshold)
+
+    labels: dict = {}
+    cat_groups = np.array([labels.setdefault(c, len(labels)) for c in cat_ids], dtype=np.intp)
+    kept = _nms_keep(boxes, scores, cat_groups[cols], iou_threshold)
+    return [
+        DetectionRecord(image_id=image_id, category_id=cat_ids[k], bbox=tuple(b), score=s)
+        for k, b, s in zip(
+            cols[kept].tolist(), boxes[kept].tolist(), scores[kept].tolist()
         )
-    return nms(candidates, iou_threshold)
+    ]

@@ -13,6 +13,7 @@ bit-identical to an independent scalar reference computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -30,39 +31,45 @@ SEVERITY_COUNT = 5
 _RECALL_GRID = np.array(RECALL_POINTS)
 
 
-def _zero_union(a, b) -> DomainError:
-    return DomainError(f"IoU of boxes {tuple(a)} and {tuple(b)} is undefined: their union is 0")
+def _bad_union(a, b, union) -> DomainError:
+    why = "their union is 0" if union == 0.0 else f"their union is not finite ({union})"
+    return DomainError(f"IoU of boxes {tuple(a)} and {tuple(b)} is undefined: {why}")
 
 
 def iou_tlwh(a: Sequence[float], b: Sequence[float]) -> float:
-    """Intersection over union of two (x, y, w, h) top-left boxes."""
+    """Intersection over union of two (x, y, w, h) top-left boxes.
+
+    A union that is 0, or not finite because an area or the sum overflows,
+    is a ``DomainError`` naming the pair.
+    """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
     iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
-    try:
-        return inter / union
-    except ZeroDivisionError:
-        raise _zero_union(a, b) from None
+    if union == 0.0 or not math.isfinite(union):
+        raise _bad_union(a, b, union)
+    return inter / union
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(D, G) IoU of the (D, 4) boxes ``a`` against the (G, 4) boxes ``b``.
 
     Each entry is computed by the operations of ``iou_tlwh`` in its order,
-    so it equals ``iou_tlwh(a[i], b[j])`` bit for bit.
+    so it equals ``iou_tlwh(a[i], b[j])`` bit for bit, and the first pair
+    whose union is 0 or not finite raises the same ``DomainError``.
     """
     ax, ay, aw, ah = a.T[:, :, None]
     bx, by, bw, bh = b.T
-    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
-    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    if not union.all():
-        i, j = np.argwhere(union == 0.0)[0]
-        raise _zero_union(a[i].tolist(), b[j].tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+        iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+        inter = ix * iy
+        union = aw * ah + bw * bh - inter
+    if not (union.all() and np.isfinite(union).all()):
+        i, j = np.argwhere((union == 0.0) | ~np.isfinite(union))[0]
+        raise _bad_union(a[i].tolist(), b[j].tolist(), float(union[i, j]))
     return inter / union
 
 

@@ -610,13 +610,24 @@ def encode_detections(records: Sequence[DetectionRecord]) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
+def _bad_number(doc: dict, lineno: int) -> ParseError:
+    """The error for a record whose ids or score do not convert."""
+    for key in ("image_id", "category_id"):
+        try:
+            int(doc[key])
+        except (TypeError, ValueError, OverflowError):
+            return ParseError(f"{key} must be an integer, got {doc[key]!r}", line=lineno)
+    return ParseError(f"score must be a number, got {doc.get('score')!r}", line=lineno)
+
+
 def decode_detections(data: bytes, categories=None) -> list:
     """Parse newline-delimited detection records.
 
     When ``categories`` is given, every record's category_id must belong to it.
     Ground-truth records legitimately omit ``score``. A record that
     ``DetectionRecord`` refuses (a non-finite or non-positive box, a score
-    outside [0, 1]) is a ``DomainError`` naming its line.
+    outside [0, 1]) is a ``DomainError`` naming its line; an id that is not
+    an integer or a score that is not a number is a ``ParseError`` naming it.
     """
     records = []
     for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
@@ -643,6 +654,8 @@ def decode_detections(data: bytes, categories=None) -> list:
             )
         except DomainError as exc:
             raise DomainError(f"line {lineno}: {exc}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise _bad_number(doc, lineno) from None
         if categories is not None and doc["category_id"] not in categories:
             raise DomainError(
                 f"line {lineno}: category_id {doc['category_id']} not in declared set"

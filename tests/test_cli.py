@@ -415,6 +415,21 @@ def test_eval_map_domain_errors_exit_1(capsys, tmp_path, case):
     assert out == ""
 
 
+def test_eval_map_non_numeric_field_exits_1_naming_the_line(capsys, tmp_path):
+    gts = [DetectionRecord(0, 0, (10.0, 10.0, 20.0, 20.0), None)]
+    gt_path, pred_path = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    gt_path.write_bytes(encode_detections(gts))
+    pred_path.write_bytes(
+        encode_detections([DetectionRecord(0, 0, (10.0, 10.0, 19.0, 19.0), 0.9)])
+        + b'{"image_id": 0, "category_id": 0, "bbox": [1, 1, 2, 2], "score": "x"}\n'
+    )
+    code, out, err = run(capsys, "eval-map", "--pred", str(pred_path), "--gt", str(gt_path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "line 2: score must be a number" in err
+    assert out == ""
+
+
 def test_eval_mpc_full_grid(capsys, tmp_path):
     from evframe import CorruptionType
 

@@ -1,5 +1,7 @@
 """Metrics: IoU, greedy matching, interpolated AP, COCO mAP, corruption means."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -488,6 +490,39 @@ def test_iou_of_two_zero_area_boxes_is_a_domain_error():
     # one such box against an ordinary one is well defined
     assert iou_tlwh(tiny, (0.0, 0.0, 10.0, 10.0)) == 0.0
     assert map_coco([det(0.9, tiny)], [det(None, (0.0, 0.0, 10.0, 10.0))]).map == 0.0
+
+
+def test_iou_whose_union_overflows_is_a_domain_error():
+    # finite boxes whose areas overflow: inf - inf in the union used to give nan
+    huge = (0.0, 0.0, 1e200, 1e200)
+    with pytest.raises(DomainError, match=r"\(0\.0, 0\.0, 1e\+200, 1e\+200\).*not finite"):
+        iou_tlwh(huge, huge)
+    # areas finite, their sum not
+    wide = (0.0, 0.0, 1e300, 1.5e8)
+    with pytest.raises(DomainError, match="not finite"):
+        iou_tlwh(wide, (5.0, 0.0, 1e300, 1.5e8))
+
+
+def test_iou_matrix_names_the_first_pair_whose_union_overflows():
+    a = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 1e200, 1e200]])
+    b = np.array([[1.0, 1.0, 5.0, 5.0], [0.0, 0.0, 1e200, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning first
+        with pytest.raises(DomainError, match="not finite") as exc:
+            eval_metrics._iou_matrix(a, b)
+    # row-major: a[0] against b[1] is the first bad pair
+    assert "(0.0, 0.0, 10.0, 10.0) and (0.0, 0.0, 1e+200, 1e+200)" in str(exc.value)
+
+
+def test_map_and_nms_refuse_boxes_whose_union_overflows():
+    from evframe import nms
+
+    huge = (0.0, 0.0, 1e200, 1e200)
+    with pytest.raises(DomainError, match="not finite"):
+        map_coco([det(0.9, huge)], [det(None, huge)])
+    # two identical boxes: the scalar loop's nan IoU kept both
+    with pytest.raises(DomainError, match="not finite"):
+        nms([det(0.9, huge), det(0.8, huge)], 0.5)
 
 
 # -- corruption aggregates ------------------------------------------------------------

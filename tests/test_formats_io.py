@@ -300,3 +300,25 @@ def test_detections_name_the_line_of_a_non_finite_bbox(entry):
     bad = b'{"image_id": 0, "category_id": 0, "bbox": [1, %s, 2, 2]}\n' % entry.encode()
     with pytest.raises(DomainError, match="^line 2: bbox entries must be finite"):
         decode_detections(good + bad)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("image_id", '"a"', "image_id must be an integer, got 'a'"),
+        ("category_id", '"a"', "category_id must be an integer, got 'a'"),
+        ("category_id", "[1]", "category_id must be an integer, got [1]"),
+        ("image_id", "Infinity", "image_id must be an integer, got inf"),
+        ("score", '"x"', "score must be a number, got 'x'"),
+        ("score", "{}", "score must be a number, got {}"),
+    ],
+)
+def test_detections_name_the_line_of_a_non_numeric_field(field, value, message):
+    doc = {"image_id": "0", "category_id": "1", "bbox": "[1, 1, 2, 2]", "score": "0.5"}
+    doc[field] = value
+    good = b'{"image_id": 0, "category_id": 0, "bbox": [1, 1, 2, 2]}\n'
+    bad = ("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}\n").encode()
+    with pytest.raises(ParseError) as exc:
+        decode_detections(good + good + bad)
+    assert str(exc.value) == f"line 3: {message}"
+    assert exc.value.line == 3
