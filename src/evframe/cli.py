@@ -19,8 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corruption_bench import (
     CorruptionSpec,
     CorruptionType,
@@ -40,18 +38,20 @@ from .formats_io import (
     encode_detections,
     encode_events,
     encode_image,
+    load_weights,
     parse_calibration,
     read_tensor,
     write_tensor,
 )
 from .fusion_cafr import (
+    CafrWeights,
     FeaturePair,
     cafr_forward,
     cafr_gradcheck,
     init_cafr_weights,
-    load_cafr_weights,
 )
 from .geometry_align import compose_homography, warp_bbox, warp_image
+from .tensor_math import philox
 
 THREADS_ENV = "EVFRAME_THREADS"
 
@@ -220,7 +220,7 @@ def _cmd_evt2grid(ns) -> int:
 
 def _cmd_warp(ns) -> int:
     rig = parse_calibration(Path(ns.calib).read_bytes())
-    hom = compose_homography(rig, convention=ns.convention)
+    hom = compose_homography(rig)
     img = _read_image(ns.image)
     out_w = ns.out_width if ns.out_width is not None else img.width
     out_h = ns.out_height if ns.out_height is not None else img.height
@@ -232,7 +232,7 @@ def _cmd_warp(ns) -> int:
 
 def _cmd_warp_labels(ns) -> int:
     rig = parse_calibration(Path(ns.calib).read_bytes())
-    hom = compose_homography(rig, convention=ns.convention)
+    hom = compose_homography(rig)
     records = decode_detections(Path(ns.labels).read_bytes())
     kept = []
     dropped = 0
@@ -288,7 +288,7 @@ def _cmd_cafr_forward(ns) -> int:
     event = read_tensor(ns.event_features)
     pair = FeaturePair(frame, event)
     if ns.weights is not None:
-        weights = load_cafr_weights(ns.weights)
+        weights = load_weights(CafrWeights, ns.weights)
     else:
         weights = init_cafr_weights(pair.channels, seed=ns.seed)
     fused, _ = cafr_forward(
@@ -298,7 +298,6 @@ def _cmd_cafr_forward(ns) -> int:
         use_mul_add=not ns.skip_enhance,
         use_cross_att=not ns.skip_attention,
         use_fr=not ns.skip_refine,
-        sigmoid_map=ns.sigmoid_map,
     )
     write_tensor(ns.out, fused)
     _print_json({"shape": list(fused.shape), "branch": ns.branch, "out": str(ns.out)})
@@ -306,7 +305,7 @@ def _cmd_cafr_forward(ns) -> int:
 
 
 def _cmd_cafr_gradcheck(ns) -> int:
-    rng = np.random.Generator(np.random.Philox(ns.seed & 0xFFFFFFFFFFFFFFFF))
+    rng = philox(ns.seed)
     shape = (ns.channels, ns.height, ns.width)
     pair = FeaturePair(rng.standard_normal(shape), rng.standard_normal(shape))
     weights = init_cafr_weights(ns.channels, seed=ns.seed + 1)
@@ -477,12 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add("--out-width", type=int, help="output width; defaults to the input's")
     sub.add("--out-height", type=int, help="output height; defaults to the input's")
     sub.add(
-        "--convention",
-        choices=("printed", "rectified"),
-        default="printed",
-        help="homography composition order",
-    )
-    sub.add(
         "--interp",
         choices=("bilinear", "nearest"),
         default="bilinear",
@@ -500,12 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add("--calib", required=True, help="camera rig calibration JSON")
     sub.add("--clip-width", type=float, required=True, help="target plane width")
     sub.add("--clip-height", type=float, required=True, help="target plane height")
-    sub.add(
-        "--convention",
-        choices=("printed", "rectified"),
-        default="printed",
-        help="homography composition order",
-    )
     sub.add("--out", required=True, help="output detection JSONL")
 
     sub = _Sub(
@@ -547,7 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="dual",
         help="which fused half to emit",
     )
-    sub.add_flag("--sigmoid-map", help="squash the interaction map through a sigmoid")
     sub.add_flag("--skip-enhance", help="bypass the mutual enhancement stage")
     sub.add_flag("--skip-attention", help="bypass the cross attention stage")
     sub.add_flag("--skip-refine", help="bypass the statistics refinement stage")

@@ -23,6 +23,7 @@ import scipy.ndimage as ndi
 
 from .errors import DomainError, ShapeError
 from .formats_io import ImagePNM, decode_image, encode_image
+from .tensor_math import philox
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MANIFEST_NAME = "manifest.jsonl"
@@ -481,9 +482,8 @@ _APPLY = {
 def apply_corruption(img: ImagePNM, spec: CorruptionSpec) -> ImagePNM:
     """Apply one corruption; output has the same dims/channels, clamped bytes."""
     params = severity_params(spec.ctype, spec.severity)
-    rng = np.random.Generator(np.random.Philox(key=spec.seed & MASK64))
     arr = img.to_float01()
-    out = np.asarray(_APPLY[spec.ctype](arr, params, rng), dtype=np.float64)
+    out = np.asarray(_APPLY[spec.ctype](arr, params, philox(spec.seed)), dtype=np.float64)
     if out.shape != arr.shape:
         raise ShapeError(f"corruption changed shape {arr.shape} -> {out.shape}")
     return ImagePNM.from_float01(np.clip(out, 0.0, 1.0))

@@ -10,7 +10,6 @@ inline so a single run exercises the whole stack.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,9 +34,8 @@ from .formats_io import (
     encode_image,
 )
 from .fusion_cafr import FeaturePair, cafr_forward, init_cafr_weights
-from .tensor_math import ConvWeights, conv2d
+from .tensor_math import conv2d, philox, uniform_conv
 
-SEED_MASK = 0xFFFFFFFFFFFFFFFF
 SCENE_CATEGORY = 0
 
 
@@ -71,7 +69,7 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
     Returns (frame_a, frame_b, gts) where gts hold the block's position in
     frame_b as a top-left-form detection record.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed & SEED_MASK))
+    rng = philox(seed)
     base = np.full((height, width), 200, dtype=np.float64)
     base += rng.uniform(-8.0, 8.0, size=base.shape)
 
@@ -96,15 +94,6 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
         )
     ]
     return frame_a, frame_b, gts
-
-
-def _seeded_conv(out_ch: int, in_ch: int, k: int, seed: int) -> ConvWeights:
-    rng = np.random.Generator(np.random.Philox(key=seed & SEED_MASK))
-    bound = 1.0 / math.sqrt(in_ch * k * k)
-    return ConvWeights(
-        rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k)),
-        rng.uniform(-bound, bound, size=out_ch),
-    )
 
 
 def _halve(x: np.ndarray) -> np.ndarray:
@@ -147,8 +136,10 @@ def run_pipeline_demo(
     rgb = frame_b.to_float01()[:, :, 0][None, :, :]
     rgb = modality_dropout(rgb, probability=dropout_p, rng_seed=seed + 1)
 
-    frame_feats = conv2d(rgb, _seeded_conv(channels, 1, 3, seed + 2), stride=4, pad=1)
-    event_feats = conv2d(grid.as_tensor(), _seeded_conv(channels, channels, 3, seed + 3), stride=4, pad=1)
+    frame_conv = uniform_conv(philox(seed + 2), channels, 1, 3)
+    event_conv = uniform_conv(philox(seed + 3), channels, channels, 3)
+    frame_feats = conv2d(rgb, frame_conv, stride=4, pad=1)
+    event_feats = conv2d(grid.as_tensor(), event_conv, stride=4, pad=1)
     pair = FeaturePair(frame_feats, event_feats)
 
     fused, _ = cafr_forward(pair, init_cafr_weights(channels, seed + 4))

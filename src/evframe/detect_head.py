@@ -17,17 +17,16 @@ and the offset codec stay as the scalar form for single boxes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .eval_metrics import _iou_matrix
-from .formats_io import DetectionRecord, read_tensor_bundle, write_tensor_bundle
-from .tensor_math import ConvWeights, conv2d
+from .formats_io import DetectionRecord
+from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
-SEED_MASK = 0xFFFFFFFFFFFFFFFF
 DEFAULT_SCALES = (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
 DEFAULT_RATIOS = (0.5, 1.0, 2.0)
 DEFAULT_SCORE_THRESHOLD = 0.05
@@ -127,8 +126,8 @@ class FeaturePyramid:
 class FpnWeights:
     """Four lateral 1x1 convs, four 3x3 smoothing convs, one stride-2 extra conv."""
 
-    laterals: tuple
-    smooths: tuple
+    laterals: Tuple[ConvWeights, ...] = field(metadata={"member": "lateral"})
+    smooths: Tuple[ConvWeights, ...] = field(metadata={"member": "smooth"})
     extra: ConvWeights
 
     def __post_init__(self):
@@ -140,96 +139,32 @@ class FpnWeights:
 class HeadWeights:
     """Shared-across-levels classification and regression towers."""
 
-    cls_tower: tuple
+    cls_tower: Tuple[ConvWeights, ...]
     cls_out: ConvWeights
-    reg_tower: tuple
+    reg_tower: Tuple[ConvWeights, ...]
     reg_out: ConvWeights
-
-
-def _uniform_conv(rng, out_ch: int, in_ch: int, k: int) -> ConvWeights:
-    bound = 1.0 / math.sqrt(in_ch * k * k)
-    kernel = rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k))
-    bias = rng.uniform(-bound, bound, size=out_ch)
-    return ConvWeights(kernel, bias)
 
 
 def init_fpn_weights(in_channels: Sequence[int], width: int = 256, seed: int = 0) -> FpnWeights:
     """Seeded fan-in uniform init for fixture pyramids."""
     if len(in_channels) != 4:
         raise ShapeError(f"need 4 backbone channel counts, got {len(in_channels)}")
-    rng = np.random.Generator(np.random.Philox(key=seed & SEED_MASK))
-    laterals = tuple(_uniform_conv(rng, width, c, 1) for c in in_channels)
-    smooths = tuple(_uniform_conv(rng, width, width, 3) for _ in range(4))
-    extra = _uniform_conv(rng, width, width, 3)
+    rng = philox(seed)
+    laterals = tuple(uniform_conv(rng, width, c, 1) for c in in_channels)
+    smooths = tuple(uniform_conv(rng, width, width, 3) for _ in range(4))
+    extra = uniform_conv(rng, width, width, 3)
     return FpnWeights(laterals, smooths, extra)
 
 
 def init_head_weights(cfg: HeadConfig, seed: int = 0) -> HeadWeights:
     """Seeded fan-in uniform init for the two subnets."""
-    rng = np.random.Generator(np.random.Philox(key=seed & SEED_MASK))
+    rng = philox(seed)
     a = cfg.anchors_per_position
-    cls_tower = tuple(_uniform_conv(rng, cfg.width, cfg.width, 3) for _ in range(4))
-    cls_out = _uniform_conv(rng, cfg.num_classes * a, cfg.width, 3)
-    reg_tower = tuple(_uniform_conv(rng, cfg.width, cfg.width, 3) for _ in range(4))
-    reg_out = _uniform_conv(rng, 4 * a, cfg.width, 3)
+    cls_tower = tuple(uniform_conv(rng, cfg.width, cfg.width, 3) for _ in range(4))
+    cls_out = uniform_conv(rng, cfg.num_classes * a, cfg.width, 3)
+    reg_tower = tuple(uniform_conv(rng, cfg.width, cfg.width, 3) for _ in range(4))
+    reg_out = uniform_conv(rng, 4 * a, cfg.width, 3)
     return HeadWeights(cls_tower, cls_out, reg_tower, reg_out)
-
-
-def save_fpn_weights(w: FpnWeights, directory) -> None:
-    arrays = {}
-    for i in range(4):
-        arrays[f"lateral{i + 1}.kernel"] = w.laterals[i].kernel
-        arrays[f"lateral{i + 1}.bias"] = w.laterals[i].bias
-        arrays[f"smooth{i + 1}.kernel"] = w.smooths[i].kernel
-        arrays[f"smooth{i + 1}.bias"] = w.smooths[i].bias
-    arrays["extra.kernel"] = w.extra.kernel
-    arrays["extra.bias"] = w.extra.bias
-    write_tensor_bundle(directory, arrays)
-
-
-def load_fpn_weights(directory) -> FpnWeights:
-    arrays, _ = read_tensor_bundle(directory)
-    laterals = tuple(
-        ConvWeights(arrays[f"lateral{i + 1}.kernel"], arrays[f"lateral{i + 1}.bias"])
-        for i in range(4)
-    )
-    smooths = tuple(
-        ConvWeights(arrays[f"smooth{i + 1}.kernel"], arrays[f"smooth{i + 1}.bias"])
-        for i in range(4)
-    )
-    return FpnWeights(laterals, smooths, ConvWeights(arrays["extra.kernel"], arrays["extra.bias"]))
-
-
-def save_head_weights(w: HeadWeights, directory) -> None:
-    arrays = {}
-    for i in range(4):
-        arrays[f"cls_tower{i + 1}.kernel"] = w.cls_tower[i].kernel
-        arrays[f"cls_tower{i + 1}.bias"] = w.cls_tower[i].bias
-        arrays[f"reg_tower{i + 1}.kernel"] = w.reg_tower[i].kernel
-        arrays[f"reg_tower{i + 1}.bias"] = w.reg_tower[i].bias
-    arrays["cls_out.kernel"] = w.cls_out.kernel
-    arrays["cls_out.bias"] = w.cls_out.bias
-    arrays["reg_out.kernel"] = w.reg_out.kernel
-    arrays["reg_out.bias"] = w.reg_out.bias
-    write_tensor_bundle(directory, arrays)
-
-
-def load_head_weights(directory) -> HeadWeights:
-    arrays, _ = read_tensor_bundle(directory)
-    cls_tower = tuple(
-        ConvWeights(arrays[f"cls_tower{i + 1}.kernel"], arrays[f"cls_tower{i + 1}.bias"])
-        for i in range(4)
-    )
-    reg_tower = tuple(
-        ConvWeights(arrays[f"reg_tower{i + 1}.kernel"], arrays[f"reg_tower{i + 1}.bias"])
-        for i in range(4)
-    )
-    return HeadWeights(
-        cls_tower,
-        ConvWeights(arrays["cls_out.kernel"], arrays["cls_out.bias"]),
-        reg_tower,
-        ConvWeights(arrays["reg_out.kernel"], arrays["reg_out.bias"]),
-    )
 
 
 # -- pyramid ----------------------------------------------------------------------

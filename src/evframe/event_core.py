@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .formats_io import INT64_MAX, INT64_MIN, EventStream, ImagePNM
+from .tensor_math import philox
 
 DEFAULT_LOG_EPS = 1.0 / 255.0
 # Most events one simulate_events call may emit; checked before any is built.
@@ -172,7 +173,6 @@ def modality_dropout(rgb: np.ndarray, probability: float, rng_seed: int) -> np.n
     if not 0.0 <= probability <= 1.0:
         raise DomainError(f"probability must be in [0, 1], got {probability}")
     rgb = np.asarray(rgb)
-    rng = np.random.Generator(np.random.Philox(key=rng_seed & 0xFFFFFFFFFFFFFFFF))
-    if rng.random() < probability:
+    if philox(rng_seed).random() < probability:
         return np.zeros_like(rgb)
     return rgb

@@ -4,6 +4,7 @@ Formats:
   * event files     - CSV with header ``t,x,y,p``, microsecond timestamps
   * images          - binary PNM (P5 grayscale / P6 color), maxval 255
   * tensors         - "FTNS" container: u32-LE rank and dims, f32-LE payload
+  * weight bundles  - a directory of tensors plus a JSON manifest naming them
   * calibration     - JSON with five 3x3 row-major matrices
   * detections      - newline-delimited JSON records (COCO-style tlwh boxes)
 
@@ -18,9 +19,9 @@ import json
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -533,12 +534,95 @@ def write_tensor_bundle(directory, arrays: dict, extra: Optional[dict] = None) -
 def read_tensor_bundle(directory):
     """Read a bundle directory back as ({name: array}, manifest)."""
     d = Path(directory)
-    manifest = json.loads((d / BUNDLE_MANIFEST).read_text())
+    try:
+        manifest = json.loads((d / BUNDLE_MANIFEST).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"bundle manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError("bundle manifest must be a JSON object")
     members = manifest.get("members")
     if not isinstance(members, dict):
         raise SchemaError("bundle manifest has no 'members' table")
-    arrays = {name: read_tensor(d / fname) for name, fname in members.items()}
+    arrays = {}
+    for name, fname in members.items():
+        if not isinstance(fname, str):
+            raise SchemaError(f"bundle member '{name}' must name a file, got {fname!r}")
+        arrays[name] = read_tensor(d / fname)
     return arrays, manifest
+
+
+# Weight bundles: a weight dataclass's parameters as bundle members. An array
+# field is member ``name``, a nested dataclass field prefixes its members
+# with ``name.`` (a ConvWeights gives ``name.kernel`` and ``name.bias``), and
+# a ``Tuple[T, ...]`` field gives ``name1`` .. ``nameN``. ``name`` is the
+# field's ``member`` metadata when it has one, else the field name.
+
+
+def _member_name(prefix: str, f) -> str:
+    name = f.metadata.get("member", f.name)
+    return f"{prefix}.{name}" if prefix else name
+
+
+def _flatten(value, name: str, out: dict) -> None:
+    if isinstance(value, tuple):
+        for i, item in enumerate(value, start=1):
+            _flatten(item, f"{name}{i}", out)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _flatten(getattr(value, f.name), _member_name(name, f), out)
+    else:
+        out[name] = value
+
+
+def weight_arrays(w) -> dict:
+    """Live parameter arrays of a weight dataclass keyed by member name."""
+    out = {}
+    _flatten(w, "", out)
+    return out
+
+
+def save_weights(w, directory) -> None:
+    """Write a weight dataclass as a tensor bundle, one member per array."""
+    write_tensor_bundle(directory, weight_arrays(w))
+
+
+def _unflatten(hint, name: str, arrays: dict):
+    if get_origin(hint) is tuple:
+        item_type = get_args(hint)[0]
+        items = []
+        while True:
+            item = f"{name}{len(items) + 1}"
+            if not any(k == item or k.startswith(item + ".") for k in arrays):
+                return tuple(items)
+            items.append(_unflatten(item_type, item, arrays))
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return hint(
+            **{
+                f.name: _unflatten(hints[f.name], _member_name(name, f), arrays)
+                for f in fields(hint)
+            }
+        )
+    if name not in arrays:
+        raise SchemaError(f"weight bundle is missing member '{name}'")
+    return arrays[name]
+
+
+def load_weights(cls, directory):
+    """Inverse of save_weights; values round through 32-bit storage.
+
+    A missing member, or a member ``cls`` has no field for (such as a gap in
+    a tower's numbering), is a ``SchemaError`` naming it.
+    """
+    arrays, _ = read_tensor_bundle(directory)
+    w = _unflatten(cls, "", arrays)
+    extra = sorted(set(arrays) - set(weight_arrays(w)))
+    if extra:
+        raise SchemaError(
+            f"weight bundle member '{extra[0]}' is not read by {cls.__name__}: "
+            "an unknown name or a gap in its numbering"
+        )
+    return w
 
 
 # ---------------------------------------------------------------------------

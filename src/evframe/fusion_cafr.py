@@ -5,7 +5,8 @@ through four stages: per-stream 1x1 activation, multiplicative mutual
 enhancement, swapped-query attention over spatial tokens (each stream
 attends with the other stream's query/key projections), and a
 statistics-aligned refinement that concatenates both streams to 2C channels.
-Each stage can be bypassed independently for ablations, and the whole
+Enhancement, attention and refinement can each be bypassed, and either
+single-stream half emitted alone, for the paper's ablations; the whole
 composition has a hand-derived backward checked against finite differences.
 """
 
@@ -17,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, ShapeError, StateError
-from .formats_io import read_tensor_bundle, write_tensor_bundle
+from .errors import DomainError, ShapeError, StateError
+from .formats_io import weight_arrays
 from .tensor_math import (
     ConvWeights,
     channel_stats,
@@ -27,12 +28,13 @@ from .tensor_math import (
     conv2d_vjp,
     linear,
     linear_vjp,
+    philox,
     relative_error,
     softmax_rows,
     softmax_rows_vjp,
+    uniform_conv,
 )
 
-SEED_MASK = 0xFFFFFFFFFFFFFFFF
 BRANCHES = ("dual", "frame", "event")
 LINEAR_NAMES = ("wq_f", "wk_f", "wv_f", "wq_e", "wk_e", "wv_e", "wf", "we")
 
@@ -98,48 +100,12 @@ def init_cafr_weights(channels: int, seed: int = 0) -> CafrWeights:
     """Deterministic uniform [-1/sqrt(C), +1/sqrt(C)] init, fixed draw order."""
     if channels < 1:
         raise DomainError(f"channels must be positive, got {channels}")
-    rng = np.random.Generator(np.random.Philox(key=seed & SEED_MASK))
+    rng = philox(seed)
+    conv_f = uniform_conv(rng, channels, channels, 1)
+    conv_e = uniform_conv(rng, channels, channels, 1)
     bound = 1.0 / math.sqrt(channels)
-
-    def draw(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    conv_f = ConvWeights(draw(channels, channels, 1, 1), draw(channels))
-    conv_e = ConvWeights(draw(channels, channels, 1, 1), draw(channels))
-    mats = [draw(channels, channels) for _ in LINEAR_NAMES]
+    mats = [rng.uniform(-bound, bound, size=(channels, channels)) for _ in LINEAR_NAMES]
     return CafrWeights(conv_f, conv_e, *mats)
-
-
-def weight_arrays(w: CafrWeights) -> dict:
-    """Live parameter arrays keyed by member name (shared, not copied)."""
-    out = {
-        "conv1x1_f.kernel": w.conv1x1_f.kernel,
-        "conv1x1_f.bias": w.conv1x1_f.bias,
-        "conv1x1_e.kernel": w.conv1x1_e.kernel,
-        "conv1x1_e.bias": w.conv1x1_e.bias,
-    }
-    for name in LINEAR_NAMES:
-        out[name] = getattr(w, name)
-    return out
-
-
-def save_cafr_weights(w: CafrWeights, directory) -> None:
-    """Write each member as a tensor file plus a JSON manifest."""
-    write_tensor_bundle(directory, weight_arrays(w), extra={"channels": w.channels})
-
-
-def load_cafr_weights(directory) -> CafrWeights:
-    """Inverse of save_cafr_weights; values round through 32-bit storage."""
-    arrays, _ = read_tensor_bundle(directory)
-
-    def member(name):
-        if name not in arrays:
-            raise SchemaError(f"weight manifest missing member '{name}'")
-        return arrays[name]
-
-    conv_f = ConvWeights(member("conv1x1_f.kernel"), member("conv1x1_f.bias"))
-    conv_e = ConvWeights(member("conv1x1_e.kernel"), member("conv1x1_e.bias"))
-    return CafrWeights(conv_f, conv_e, *(member(n) for n in LINEAR_NAMES))
 
 
 def _tokens(x: np.ndarray) -> np.ndarray:
@@ -168,26 +134,18 @@ def bci_activate(pair: FeaturePair, w: CafrWeights) -> FeaturePair:
 
 # -- stage 2: mutual enhancement ---------------------------------------------------
 
-def _enhance(pair: FeaturePair, sigmoid_map: bool):
-    m = pair.frame * pair.event
-    if sigmoid_map:
-        m = 1.0 / (1.0 + np.exp(-m))
-    return FeaturePair(m + pair.frame, m + pair.event), m
-
-
-def bci_enhance(activated: FeaturePair, sigmoid_map: bool = False) -> FeaturePair:
+def bci_enhance(activated: FeaturePair) -> FeaturePair:
     """Add the shared elementwise-product map back onto each stream.
 
     The difference of the two outputs equals the difference of the inputs
-    exactly. ``sigmoid_map`` squashes the product map first (experimental).
+    exactly.
     """
-    return _enhance(activated, sigmoid_map)[0]
+    m = activated.frame * activated.event
+    return FeaturePair(m + activated.frame, m + activated.event)
 
 
-def _enhance_vjp(activated: FeaturePair, m: np.ndarray, sigmoid_map: bool, gf, ge):
+def _enhance_vjp(activated: FeaturePair, gf, ge):
     gm = gf + ge
-    if sigmoid_map:
-        gm = gm * m * (1.0 - m)
     return gf + gm * activated.event, ge + gm * activated.frame
 
 
@@ -378,7 +336,6 @@ class CafrCache:
     weights: CafrWeights
     conv_caches: tuple
     activated: FeaturePair
-    m: Optional[np.ndarray]
     enhanced: FeaturePair
     attn: Optional[_AttnCache]
     attended: FeaturePair
@@ -388,7 +345,6 @@ class CafrCache:
     use_mul_add: bool
     use_cross_att: bool
     use_fr: bool
-    sigmoid_map: bool
 
 
 def cafr_forward(
@@ -398,7 +354,6 @@ def cafr_forward(
     use_mul_add: bool = True,
     use_cross_att: bool = True,
     use_fr: bool = True,
-    sigmoid_map: bool = False,
 ):
     """Run activation -> enhancement -> attention -> refinement.
 
@@ -409,10 +364,7 @@ def cafr_forward(
     if branch not in BRANCHES:
         raise DomainError(f"branch must be one of {BRANCHES}, got '{branch}'")
     activated, conv_caches = _activate(pair, w)
-    if use_mul_add:
-        enhanced, m = _enhance(activated, sigmoid_map)
-    else:
-        enhanced, m = activated, None
+    enhanced = bci_enhance(activated) if use_mul_add else activated
     if use_cross_att:
         attended, attn = _attention(enhanced, w)
     else:
@@ -429,8 +381,8 @@ def cafr_forward(
     elif branch == "event":
         out = out[c:]
     cache = CafrCache(
-        w, conv_caches, activated, m, enhanced, attn, attended, refine,
-        c, branch, use_mul_add, use_cross_att, use_fr, sigmoid_map,
+        w, conv_caches, activated, enhanced, attn, attended, refine,
+        c, branch, use_mul_add, use_cross_att, use_fr,
     )
     return out, cache
 
@@ -482,9 +434,7 @@ def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
         g_enh_e = g_enh_e + g_att_e
 
     if cache.use_mul_add:
-        g_act_f, g_act_e = _enhance_vjp(
-            cache.activated, cache.m, cache.sigmoid_map, g_enh_f, g_enh_e
-        )
+        g_act_f, g_act_e = _enhance_vjp(cache.activated, g_enh_f, g_enh_e)
     else:
         g_act_f, g_act_e = g_enh_f, g_enh_e
 
@@ -520,7 +470,7 @@ def cafr_gradcheck(
         raise DomainError(f"probes must be positive, got {probes}")
     if step <= 0:
         raise DomainError(f"step must be positive, got {step}")
-    rng = np.random.Generator(np.random.Philox(key=seed & SEED_MASK))
+    rng = philox(seed)
     out, cache = cafr_forward(pair, w)
     r = rng.standard_normal(out.shape)
     grads = cafr_backward(cache, r)

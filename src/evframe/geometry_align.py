@@ -35,24 +35,16 @@ class Homography:
         return Homography(np.linalg.inv(self.matrix))
 
 
-def compose_homography(rig: CameraRig, convention: str = "printed") -> Homography:
+def compose_homography(rig: CameraRig) -> Homography:
     """Build the RGB-to-event alignment homography from a camera rig.
 
-    ``printed`` composes K_event . R_rgb . R_event_rgb . R_event^T . K_rgb^-1.
-    ``rectified`` is the conventional rectified-stereo alternative,
-    K_event . R_event . R_event_rgb . R_rgb^T . K_rgb^-1, kept behind this
-    switch for experimentation.
+    Composes K_event . R_rgb . R_event_rgb . R_event^T . K_rgb^-1, the order
+    the paper prints.
     """
     if abs(np.linalg.det(rig.k_rgb)) <= SINGULARITY_TOL:
         raise ValidationError("K_rgb is singular, cannot invert")
     k_rgb_inv = np.linalg.inv(rig.k_rgb)
-    if convention == "printed":
-        m = rig.k_event @ rig.r_rgb @ rig.r_event_rgb @ rig.r_event.T @ k_rgb_inv
-    elif convention == "rectified":
-        m = rig.k_event @ rig.r_event @ rig.r_event_rgb @ rig.r_rgb.T @ k_rgb_inv
-    else:
-        raise DomainError(f"unknown convention '{convention}'")
-    return Homography(m)
+    return Homography(rig.k_event @ rig.r_rgb @ rig.r_event_rgb @ rig.r_event.T @ k_rgb_inv)
 
 
 def warp_point(h: Homography, point) -> tuple:

@@ -9,6 +9,7 @@ accepted for throughput.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,19 @@ class ConvWeights:
     @property
     def k_w(self) -> int:
         return self.kernel.shape[3]
+
+
+def philox(seed: int) -> np.random.Generator:
+    """The package's one seeded generator: Philox keyed by the seed's low 64 bits."""
+    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+
+
+def uniform_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int) -> ConvWeights:
+    """Fan-in uniform k x k conv: kernel, then bias, from U(+-1/sqrt(in_ch*k*k))."""
+    bound = 1.0 / math.sqrt(in_ch * k * k)
+    kernel = rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k))
+    bias = rng.uniform(-bound, bound, size=out_ch)
+    return ConvWeights(kernel, bias)
 
 
 def _require_cache(cache, op: str):

@@ -9,8 +9,14 @@ from evframe import (
     encode_calibration,
     encode_detections,
     encode_image,
+    CafrWeights,
     DetectionRecord,
+    FeaturePair,
+    cafr_forward,
+    init_cafr_weights,
+    load_weights,
     read_tensor,
+    save_weights,
     write_tensor,
 )
 from evframe.cli import main
@@ -142,6 +148,34 @@ def test_unknown_config_key_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "evt2grid", "--config", str(cfg))
     assert code == 2
     assert "binz" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["warp", "--convention", "printed"], None),
+        (["warp"], {"convention": "printed"}),
+        (["cafr-forward", "--sigmoid-map"], None),
+        (["cafr-forward"], {"sigmoid_map": True}),
+    ],
+    ids=["warp-flag", "warp-config", "cafr-flag", "cafr-config"],
+)
+def test_removed_switches_are_usage_errors(capsys, tmp_path, argv, config):
+    # every required input is named, so a switch still accepted would run the
+    # command and fail on the missing files with exit code 1
+    inputs = {
+        "warp": {"--image": "in.ppm", "--calib": "calib.json", "--out": "out.ppm"},
+        "cafr-forward": {"--frame-features": "f.ftns", "--event-features": "e.ftns", "--out": "o.ftns"},
+    }
+    for flag, name in inputs[argv[0]].items():
+        argv = argv + [flag, str(tmp_path / name)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "convention" in err or "sigmoid" in err
 
 
 # -- simulate-events ----------------------------------------------------------------
@@ -299,6 +333,38 @@ def test_cafr_forward_single_branch(capsys, tmp_path):
     )
     assert code == 0
     assert read_tensor(out).shape == (3, 2, 2)
+
+
+def test_cafr_forward_reads_a_weight_bundle(capsys, tmp_path):
+    rng = philox(7)
+    ff, fe = tmp_path / "ff.ftns", tmp_path / "fe.ftns"
+    write_tensor(ff, rng.standard_normal((4, 3, 2)))
+    write_tensor(fe, rng.standard_normal((4, 3, 2)))
+    bundle = tmp_path / "weights"
+    save_weights(init_cafr_weights(4, seed=2), bundle)
+    out = tmp_path / "fused.ftns"
+    code, _, err = run(
+        capsys, "cafr-forward", "--frame-features", str(ff), "--event-features", str(fe),
+        "--weights", str(bundle), "--out", str(out),
+    )
+    assert code == 0, err
+    pair = FeaturePair(read_tensor(ff), read_tensor(fe))
+    want, _ = cafr_forward(pair, load_weights(CafrWeights, bundle))
+    assert np.array_equal(read_tensor(out), want.astype(np.float32))
+
+
+def test_cafr_forward_broken_bundle_exits_1(capsys, tmp_path):
+    ff = tmp_path / "ff.ftns"
+    write_tensor(ff, np.ones((2, 2, 2)))
+    bundle = tmp_path / "weights"
+    bundle.mkdir()
+    (bundle / "manifest.json").write_text("[]")
+    code, _, err = run(
+        capsys, "cafr-forward", "--frame-features", str(ff), "--event-features", str(ff),
+        "--weights", str(bundle), "--out", str(tmp_path / "fused.ftns"),
+    )
+    assert code == 1
+    assert "error: bundle manifest must be a JSON object" in err
 
 
 def test_cafr_gradcheck_reports_worst_error(capsys):

@@ -23,13 +23,8 @@ from evframe import (
     gen_pyramid_anchors,
     head_forward,
     init_fpn_weights,
-    init_head_weights,
     level_anchors,
-    load_fpn_weights,
-    load_head_weights,
     nms,
-    save_fpn_weights,
-    save_head_weights,
 )
 from evframe.detect_head import BBOX_XFORM_CLIP, HeadWeights, FpnWeights
 from evframe.tensor_math import ConvWeights
@@ -200,14 +195,6 @@ def test_fpn_init_shapes_follow_backbone_channels():
     assert w.extra.kernel.shape == (12, 12, 3, 3)
 
 
-def test_fpn_weight_roundtrip(tmp_path):
-    w = init_fpn_weights([4, 4, 4, 4], width=6, seed=7)
-    save_fpn_weights(w, tmp_path)
-    back = load_fpn_weights(tmp_path)
-    for a, b in zip(w.laterals + w.smooths + (w.extra,), back.laterals + back.smooths + (back.extra,)):
-        assert np.array_equal(a.kernel.astype(np.float32), b.kernel.astype(np.float32))
-
-
 # -- subnets ----------------------------------------------------------------------
 
 
@@ -259,17 +246,6 @@ def test_head_rows_follow_position_then_anchor_order(rng):
                         assert reg[row, j] == pytest.approx(want, abs=1e-12)
                     row += 1
     assert row == n
-
-
-def test_head_weight_roundtrip(tmp_path):
-    cfg = HeadConfig(num_classes=2, width=4)
-    w = init_head_weights(cfg, seed=3)
-    save_head_weights(w, tmp_path)
-    back = load_head_weights(tmp_path)
-    assert np.array_equal(
-        w.cls_out.kernel.astype(np.float32), back.cls_out.kernel.astype(np.float32)
-    )
-    assert len(back.cls_tower) == len(back.reg_tower) == 4
 
 
 # -- offset codec --------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from evframe import (
+    CafrWeights,
     DomainError,
     FeaturePair,
     SchemaError,
@@ -19,12 +20,13 @@ from evframe import (
     cafr_gradcheck,
     cross_self_attention,
     init_cafr_weights,
-    load_cafr_weights,
-    save_cafr_weights,
+    load_weights,
+    save_weights,
     tafr_refine,
 )
 from evframe import fusion_cafr
-from evframe.fusion_cafr import LINEAR_NAMES, weight_arrays
+from evframe.formats_io import weight_arrays
+from evframe.fusion_cafr import LINEAR_NAMES
 from evframe.tensor_math import ConvWeights, softmax_rows
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
 from conftest import numeric_grad, philox
@@ -39,8 +41,6 @@ def identity_weights(c: int):
     eye_conv = ConvWeights(np.eye(c).reshape(c, c, 1, 1), np.zeros(c))
     eye_conv2 = ConvWeights(np.eye(c).reshape(c, c, 1, 1), np.zeros(c))
     mats = [np.eye(c) for _ in LINEAR_NAMES]
-    from evframe import CafrWeights
-
     return CafrWeights(eye_conv, eye_conv2, *mats)
 
 
@@ -80,18 +80,9 @@ def test_weight_init_respects_fan_in_bound():
         assert np.abs(arr).max() <= bound
 
 
-def test_weight_save_load_roundtrip(tmp_path):
-    w = init_cafr_weights(5, seed=3)
-    save_cafr_weights(w, tmp_path)
-    back = load_cafr_weights(tmp_path)
-    for name, arr in weight_arrays(w).items():
-        # storage is 32-bit, so expect float32 resolution
-        assert np.allclose(weight_arrays(back)[name], arr, atol=1e-6)
-
-
 def test_weight_load_rejects_missing_member(tmp_path):
     w = init_cafr_weights(3, seed=1)
-    save_cafr_weights(w, tmp_path)
+    save_weights(w, tmp_path)
     (tmp_path / "wq_f.ftns").unlink()
     import json
 
@@ -99,7 +90,7 @@ def test_weight_load_rejects_missing_member(tmp_path):
     del manifest["members"]["wq_f"]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SchemaError):
-        load_cafr_weights(tmp_path)
+        load_weights(CafrWeights, tmp_path)
 
 
 # -- stage 1+2: activation and enhancement ----------------------------------------------
@@ -137,13 +128,6 @@ def test_enhancement_difference_within_rounding_on_dense_inputs(rng):
     lhs = out.frame - out.event
     rhs = pair.frame - pair.event
     assert np.abs(lhs - rhs).max() < 1e-13
-
-
-def test_sigmoid_map_variant_squashes_the_product(rng):
-    pair = random_pair(rng)
-    out = bci_enhance(pair, sigmoid_map=True)
-    m = 1.0 / (1.0 + np.exp(-(pair.frame * pair.event)))
-    assert np.allclose(out.frame, m + pair.frame, atol=1e-15)
 
 
 # -- stage 3: attention -------------------------------------------------------------
@@ -420,7 +404,6 @@ def test_gradcheck_on_default_configuration():
         {"use_mul_add": False},
         {"use_cross_att": False},
         {"use_fr": False},
-        {"sigmoid_map": True},
     ],
 )
 def test_gradients_hold_under_every_ablation(kwargs):

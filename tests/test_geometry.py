@@ -58,29 +58,6 @@ def test_composition_order_puts_event_rotation_transposed_on_the_right():
     assert np.allclose(compose_homography(rig).matrix, expected, atol=1e-12)
 
 
-def test_rectified_convention_swaps_the_rotation_roles():
-    rig = small_rig()
-    expected = (
-        rig.k_event @ rig.r_event @ rig.r_event_rgb @ rig.r_rgb.T
-        @ np.linalg.inv(rig.k_rgb)
-    )
-    assert np.allclose(
-        compose_homography(rig, convention="rectified").matrix, expected, atol=1e-12
-    )
-
-
-def test_conventions_agree_when_both_rectifying_rotations_match():
-    rig = small_rig(angle_rgb=0.03, angle_event=0.03)
-    printed = compose_homography(rig, convention="printed").matrix
-    rectified = compose_homography(rig, convention="rectified").matrix
-    assert np.allclose(printed, rectified, atol=1e-12)
-
-
-def test_unknown_convention_is_rejected():
-    with pytest.raises(DomainError):
-        compose_homography(small_rig(), convention="sideways")
-
-
 def test_singular_matrix_is_rejected():
     with pytest.raises(ValidationError):
         Homography(np.zeros((3, 3)))

@@ -5,6 +5,7 @@ against central finite differences of an inner-product loss.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +304,10 @@ def test_channel_stats_backward_matches_finite_differences(rng):
 def test_relative_error_uses_unit_floor():
     assert relative_error(1e-9, 0.0) == pytest.approx(1e-9)
     assert relative_error(200.0, 100.0) == pytest.approx(0.5)
+
+
+def test_the_package_builds_its_generator_in_one_place():
+    # every seeded stream goes through tensor_math.philox
+    src = Path(tensor_math.__file__).parent
+    sites = {p.name: p.read_text().count("Philox(") for p in src.glob("*.py")}
+    assert {name: n for name, n in sites.items() if n} == {"tensor_math.py": 1}
