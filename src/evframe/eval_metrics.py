@@ -1,14 +1,16 @@
 """Detection metrics: IoU, COCO-style mAP, corruption means, relative curves.
 
-COCO scoring computes one IoU matrix per (image, class) in numpy float64
-with the same IEEE operations, in the same order, as the scalar ``iou_tlwh``,
-runs the greedy match for each IoU threshold over its rows, and takes AP
-from cumulative TP counts and a suffix maximum of precision. The divisions
-are the correctly rounded ones of Python ``int / int``. The 101 interpolated
-precisions are summed in a Python loop in ascending recall order and the
-threshold and class means are plain Python sums, with fixed iteration
-orders (classes ascending, IoU thresholds ascending), so results are
-bit-identical to an independent scalar reference computation.
+COCO scoring works on detection columns (a ``DetectionTable``): it caps
+each image and finds the (class, image) groups by sorting, then computes
+one IoU matrix per group in numpy float64 with the same IEEE operations,
+in the same order, as the scalar ``iou_tlwh``, runs the greedy match for
+each IoU threshold over its rows, and takes AP from cumulative TP counts
+and a suffix maximum of precision. The divisions are the correctly rounded
+ones of Python ``int / int``. The 101 interpolated precisions are summed in
+a Python loop in ascending recall order and the threshold and class means
+are plain Python sums, with fixed iteration orders (classes ascending, IoU
+thresholds ascending), so results are bit-identical to an independent
+scalar reference computation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .formats_io import DetectionRecord
+from .formats_io import DetectionRecord, DetectionTable
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 RECALL_POINTS = tuple(i / 100.0 for i in range(101))
@@ -100,15 +102,11 @@ def _greedy_flags(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     return flags
 
 
-def _match_table(preds: Sequence[DetectionRecord], gts: Sequence[Sequence[float]], thresholds):
-    """Scores in descending order (ties keep input order) and their (T, D) hits."""
-    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-    scores = [preds[i].score for i in order]
-    if not order or not len(gts):
-        return scores, np.zeros((len(thresholds), len(order)), dtype=bool)
-    boxes = np.array([preds[i].bbox for i in order], dtype=np.float64)
-    ious = _iou_matrix(boxes, np.array(gts, dtype=np.float64))
-    return scores, _greedy_flags(ious, thresholds)
+def _hits(boxes: np.ndarray, gt_boxes: np.ndarray, thresholds) -> np.ndarray:
+    """(T, D) hit table of (D, 4) boxes in rank order against (G, 4) ground truth."""
+    if not len(boxes) or not len(gt_boxes):
+        return np.zeros((len(thresholds), len(boxes)), dtype=bool)
+    return _greedy_flags(_iou_matrix(boxes, gt_boxes), thresholds)
 
 
 @dataclass
@@ -135,9 +133,12 @@ def match_detections(
     for p in preds:
         if p.score is None:
             raise DomainError("matching needs scored detections")
-    scores, flags = _match_table(preds, gts, (iou_threshold,))
-    hits = flags[0].tolist()
-    return MatchResult(tuple(hits), tuple(scores), len(gts), len(gts) - sum(hits))
+    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
+    boxes = np.array([preds[i].bbox for i in order], dtype=np.float64).reshape(-1, 4)
+    gt_boxes = np.array(gts, dtype=np.float64).reshape(-1, 4)
+    hits = _hits(boxes, gt_boxes, (iou_threshold,))[0].tolist()
+    scores = tuple(preds[i].score for i in order)
+    return MatchResult(tuple(hits), scores, len(gts), len(gts) - sum(hits))
 
 
 def _ap_table(flags: np.ndarray, n_gt: int) -> List[float]:
@@ -173,22 +174,30 @@ def average_precision(flags: Sequence[bool], n_gt: int) -> float:
     return _ap_table(np.asarray(flags, dtype=bool).reshape(1, -1), n_gt)[0]
 
 
-def _group(records: Sequence[DetectionRecord]) -> Dict[int, Dict[int, List[DetectionRecord]]]:
-    by_class: Dict[int, Dict[int, List[DetectionRecord]]] = {}
-    for r in records:
-        by_class.setdefault(r.category_id, {}).setdefault(r.image_id, []).append(r)
-    return by_class
+def _capped(image_id: np.ndarray, score: np.ndarray, max_dets: int) -> np.ndarray:
+    """Rows of the ``max_dets`` best scores of each image, by image then
+    descending score, ties in input order."""
+    order = np.lexsort((-score, image_id))
+    image = image_id[order]
+    rank = np.arange(len(order)) - image.searchsorted(image)
+    return order[rank < max_dets]
 
 
-def _cap_per_image(preds: Sequence[DetectionRecord], max_dets: int) -> List[DetectionRecord]:
-    by_image: Dict[int, List[DetectionRecord]] = {}
-    for p in preds:
-        by_image.setdefault(p.image_id, []).append(p)
-    kept = []
-    for img in sorted(by_image):
-        rows = sorted(by_image[img], key=lambda r: -r.score)[:max_dets]
-        kept.extend(rows)
-    return kept
+def _class_hits(p_img, p_box, g_img, g_box) -> np.ndarray:
+    """(T, D) hit table of one class's predictions, image by image.
+
+    Predictions are sorted by image then descending score, ground truth by
+    image; each image's rows are matched against that image's ground truth.
+    """
+    tables = [np.zeros((len(IOU_THRESHOLDS), 0), dtype=bool)]
+    if len(p_img):
+        cuts = np.flatnonzero(p_img[1:] != p_img[:-1]) + 1
+        starts, ends = np.r_[0, cuts], np.r_[cuts, len(p_img)]
+        images = p_img[starts]
+        g_starts, g_ends = g_img.searchsorted(images), g_img.searchsorted(images, "right")
+        for a, b, c, d in zip(starts.tolist(), ends.tolist(), g_starts.tolist(), g_ends.tolist()):
+            tables.append(_hits(p_box[a:b], g_box[c:d], IOU_THRESHOLDS))
+    return np.concatenate(tables, axis=1)
 
 
 @dataclass
@@ -214,7 +223,9 @@ def map_coco(
     ground-truth boxes are excluded from the class mean; each class AP is the
     mean over the 10 thresholds of the 101-point AP. Within a class, the
     detections of all images are ranked by descending score, ties in image
-    order and then in per-image match order.
+    order and then in per-image match order. ``preds`` and ``gts`` are
+    DetectionTables, such as decode_detections returns, or sequences of
+    DetectionRecord, whose ids must then fit in int64.
     """
     if (
         not isinstance(max_detections, int)
@@ -222,36 +233,40 @@ def map_coco(
         or max_detections < 1
     ):
         raise DomainError(f"max_detections must be an int >= 1, got {max_detections!r}")
-    for i, p in enumerate(preds):
-        if p.score is None:
-            raise DomainError(
-                f"prediction {i} (image {p.image_id}, category {p.category_id}) has no score"
-            )
-    classes = sorted({g.category_id for g in gts})
-    if not classes:
+    preds, gts = DetectionTable.from_records(preds), DetectionTable.from_records(gts)
+    unscored = np.flatnonzero(np.isnan(preds.score))
+    if len(unscored):
+        i = int(unscored[0])
+        raise DomainError(
+            f"prediction {i} (image {preds.image_id[i]}, category {preds.category_id[i]}) has no score"
+        )
+    if not len(gts):
         raise DomainError("evaluation needs at least one ground-truth box")
-    pred_groups = _group(_cap_per_image(preds, max_detections))
-    gt_groups = _group(gts)
+    # predictions by class, image and descending score; ground truth by
+    # class and image, in input order within each
+    kept = _capped(preds.image_id, preds.score, max_detections)
+    rows = kept[np.argsort(preds.category_id[kept], kind="stable")]
+    p_cls, p_img = preds.category_id[rows], preds.image_id[rows]
+    p_box, p_score = preds.bbox[rows], preds.score[rows]
+    g = np.lexsort((gts.image_id, gts.category_id))
+    g_cls, g_img, g_box = gts.category_id[g], gts.image_id[g], gts.bbox[g]
+    classes = np.unique(g_cls)
+    p_lo, p_hi = p_cls.searchsorted(classes), p_cls.searchsorted(classes, "right")
+    g_lo, g_hi = g_cls.searchsorted(classes), g_cls.searchsorted(classes, "right")
 
     per_class: Dict[int, float] = {}
     map50_sum = 0.0
-    for c in classes:
-        gt_imgs = gt_groups[c]
-        pred_imgs = pred_groups.get(c, {})
-        n_gt = sum(len(v) for v in gt_imgs.values())
-        scores, tables = [], [np.zeros((len(IOU_THRESHOLDS), 0), dtype=bool)]
-        for img in sorted(pred_imgs):
-            gt_boxes = [g.bbox for g in gt_imgs.get(img, [])]
-            s, f = _match_table(pred_imgs[img], gt_boxes, IOU_THRESHOLDS)
-            scores.extend(s)
-            tables.append(f)
-        order = np.argsort(-np.array(scores, dtype=np.float64), kind="stable")
-        aps = _ap_table(np.concatenate(tables, axis=1)[:, order], n_gt)
+    for c, a, b, ga, gb in zip(
+        classes.tolist(), p_lo.tolist(), p_hi.tolist(), g_lo.tolist(), g_hi.tolist()
+    ):
+        flags = _class_hits(p_img[a:b], p_box[a:b], g_img[ga:gb], g_box[ga:gb])
+        order = np.argsort(-p_score[a:b], kind="stable")
+        aps = _ap_table(flags[:, order], gb - ga)
         per_class[c] = sum(aps) / len(aps)
         map50_sum += aps[0]
-    n = len(classes)
+    n = len(per_class)
     return MapResult(
-        map=sum(per_class[c] for c in classes) / n,
+        map=sum(per_class.values()) / n,
         map50=map50_sum / n,
         per_class=per_class,
     )

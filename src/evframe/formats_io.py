@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, is_dataclass
@@ -287,6 +288,79 @@ class DetectionRecord:
             self.score = float(self.score)
             if not 0.0 <= self.score <= 1.0:
                 raise DomainError(f"score must be in [0, 1], got {self.score}")
+
+
+def _record(image_id, category_id, bbox, score) -> DetectionRecord:
+    """A DetectionRecord from one table row; a NaN score means none."""
+    return DetectionRecord(image_id, category_id, tuple(bbox), None if math.isnan(score) else score)
+
+
+class DetectionTable(Sequence):
+    """Read-only sequence of DetectionRecord over detection columns.
+
+    ``image_id`` and ``category_id`` are int64, ``bbox`` is (n, 4) float64
+    x, y, w, h and ``score`` is float64 with NaN for a record without one
+    (NaN is never a valid score). Records are built only while iterating or
+    indexing. Equal to another table with equal columns or to a list of
+    equal records.
+    """
+
+    __slots__ = ("image_id", "category_id", "bbox", "score")
+
+    def __init__(self, image_id, category_id, bbox, score):
+        self.image_id = _read_only(np.ascontiguousarray(image_id, dtype=np.int64))
+        self.category_id = _read_only(np.ascontiguousarray(category_id, dtype=np.int64))
+        self.bbox = _read_only(np.ascontiguousarray(bbox, dtype=np.float64).reshape(-1, 4))
+        self.score = _read_only(np.ascontiguousarray(score, dtype=np.float64))
+
+    @classmethod
+    def from_records(cls, records: Sequence) -> "DetectionTable":
+        """Columns of a sequence of DetectionRecord; ids must fit in int64."""
+        if isinstance(records, DetectionTable):
+            return records
+        records = list(records)
+        try:
+            ids = np.array([(r.image_id, r.category_id) for r in records]).reshape(-1, 2)
+        except OverflowError:
+            ids = None
+        if records and (ids is None or ids.dtype.kind not in "bi"):
+            raise DomainError("record image and category ids must be integers within int64")
+        return cls(
+            ids[:, 0],
+            ids[:, 1],
+            [r.bbox for r in records],
+            [math.nan if r.score is None else r.score for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DetectionTable(self.image_id[i], self.category_id[i], self.bbox[i], self.score[i])
+        return _record(
+            self.image_id[i].item(), self.category_id[i].item(), self.bbox[i].tolist(), self.score[i].item()
+        )
+
+    def __iter__(self):
+        columns = (self.image_id, self.category_id, self.bbox, self.score)
+        for row in zip(*(c.tolist() for c in columns)):
+            yield _record(*row)
+
+    def __eq__(self, other):
+        if isinstance(other, DetectionTable):
+            return (
+                np.array_equal(self.image_id, other.image_id)
+                and np.array_equal(self.category_id, other.category_id)
+                and np.array_equal(self.bbox, other.bbox)
+                and np.array_equal(self.score, other.score, equal_nan=True)
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DetectionTable({len(self)} records)"
 
 
 # ---------------------------------------------------------------------------
@@ -694,53 +768,128 @@ def encode_detections(records: Sequence[DetectionRecord]) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def _bad_number(doc: dict, lineno: int) -> ParseError:
-    """The error for a record whose ids or score do not convert."""
-    for key in ("image_id", "category_id"):
-        try:
-            int(doc[key])
-        except (TypeError, ValueError, OverflowError):
-            return ParseError(f"{key} must be an integer, got {doc[key]!r}", line=lineno)
-    return ParseError(f"score must be a number, got {doc.get('score')!r}", line=lineno)
-
-
-def decode_detections(data: bytes, categories=None) -> list:
-    """Parse newline-delimited detection records.
+def decode_detections(data: bytes, categories=None) -> DetectionTable:
+    """Parse newline-delimited detection records into a DetectionTable.
 
     When ``categories`` is given, every record's category_id must belong to it.
-    Ground-truth records legitimately omit ``score``. A record that
-    ``DetectionRecord`` refuses (a non-finite or non-positive box, a score
-    outside [0, 1]) is a ``DomainError`` naming its line; an id that is not
-    an integer or a score that is not a number is a ``ParseError`` naming it.
+    Ground-truth records legitimately omit ``score``. A line that is not
+    UTF-8 or not a JSON object, an id that is not an integer (a float of
+    integral value such as 1.0 counts as one), or a bbox entry or score that
+    is not a number (booleans are not numbers) is a ``ParseError`` naming its
+    line. An id outside int64, or a record that ``DetectionRecord`` refuses (a
+    non-finite or non-positive box, a score outside [0, 1]), is a
+    ``DomainError`` naming its line.
+    """
+    table = _parse_detection_table(data)
+    if table is None or not _detection_table_valid(table, categories):
+        table = DetectionTable.from_records(_scan_detection_lines(data, categories))
+    return table
+
+
+# A line as encode_detections writes it: json.dumps separators, keys in this
+# order, ids JSON integers and the other fields JSON numbers, the score
+# optional, LF-terminated. Optional parts are written as "(?:...|)" rather
+# than "(?:...)?", which re matches ~30 % faster.
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
+_DETECTION_LINE = re.compile(
+    (
+        r'\{"image_id": %(i)s, "category_id": %(i)s, '
+        r'"bbox": \[%(n)s, %(n)s, %(n)s, %(n)s\](?:, "score": %(n)s|)\}\n'
+        % {"i": _JSON_INT, "n": _JSON_NUMBER}
+    ).encode("ascii")
+)
+_SEPARATORS_TO_SPACE = bytes.maketrans(b":,", b"  ")
+
+
+def _parse_detection_table(data: bytes) -> Optional[DetectionTable]:
+    """Parse a body of lines in the form encode_detections writes, in one
+    pass; None for any other body or an id outside int64.
+
+    Numbers convert with Python int and float, as json.loads converts them.
+    """
+    # Deleting every such line leaves nothing only if the body is made of
+    # them. A fullmatch of "(?:line)*" would say the same, but it keeps a
+    # backtracking frame per number and peaks at ~20 MB for 10 000 lines.
+    if _DETECTION_LINE.sub(b"", data):
+        return None
+    # Each line becomes the 11 fields
+    # image_id I category_id C bbox X Y W H score S, with S nan when absent.
+    fields = data.replace(b"]}", b'], "score": nan}').translate(_SEPARATORS_TO_SPACE, b'{}[]"').split()
+    try:
+        image_id, category_id = (np.array(list(map(int, fields[k::11])), dtype=np.int64) for k in (1, 3))
+    except (OverflowError, ValueError):  # an id outside int64, or too long for int()
+        return None
+    values = np.array([list(map(float, fields[k::11])) for k in (5, 6, 7, 8, 10)])
+    return DetectionTable(image_id, category_id, values[:4].T, values[4])
+
+
+def _detection_table_valid(table: DetectionTable, categories) -> bool:
+    """The checks of DetectionRecord and of ``categories``, on the columns."""
+    box, score = table.bbox, table.score
+    if not (np.isfinite(box).all() and (box[:, 2:] > 0).all()):
+        return False
+    if ((score < 0.0) | (score > 1.0)).any():  # a NaN (absent) score compares False
+        return False
+    return categories is None or all(c in categories for c in np.unique(table.category_id).tolist())
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number; json.loads gives exactly int or float, and bool is not one."""
+    return type(value) in (int, float)
+
+
+def _record_id(doc: dict, key: str, lineno: int) -> int:
+    """A record's id: an int, or a float of integral value, within int64."""
+    value = doc[key]
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise ParseError(f"{key} must be an integer, got {value!r}", line=lineno)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise DomainError(f"line {lineno}: {key} {value!r} is outside the int64 range")
+    return int(value)
+
+
+def _scan_detection_lines(data: bytes, categories) -> list:
+    """Check a detection body line by line, raising the first line's error.
+
+    Runs only when the one-pass parse declines the body or its checks fail.
+    A body it accepts (e.g. other spacing, key order or line ends) is
+    returned as a list of DetectionRecord.
     """
     records = []
-    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        try:
+            raw = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"record is not valid UTF-8 ({exc.reason})", line=lineno) from None
         if raw.strip() == "":
             continue
         try:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON record: {exc.msg}", line=lineno) from None
+        except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
+            raise ParseError(f"invalid JSON record: {exc}", line=lineno) from None
+        if not isinstance(doc, dict):
+            raise ParseError("record must be a JSON object", line=lineno)
         for key in ("image_id", "category_id", "bbox"):
             if key not in doc:
                 raise ParseError(f"record is missing '{key}'", line=lineno)
         bbox = doc["bbox"]
         if not isinstance(bbox, list) or len(bbox) != 4:
             raise ParseError("bbox must be a 4-element array", line=lineno)
-        if not all(isinstance(v, (int, float)) for v in bbox):
+        if not all(map(_is_number, bbox)):
             raise ParseError("bbox entries must be numeric", line=lineno)
+        image_id = _record_id(doc, "image_id", lineno)
+        category_id = _record_id(doc, "category_id", lineno)
+        score = doc.get("score")
+        if score is not None and not _is_number(score):
+            raise ParseError(f"score must be a number, got {score!r}", line=lineno)
         try:
-            record = DetectionRecord(
-                image_id=int(doc["image_id"]),
-                category_id=int(doc["category_id"]),
-                bbox=tuple(bbox),
-                score=doc.get("score"),
-            )
+            record = DetectionRecord(image_id, category_id, tuple(bbox), score)
         except DomainError as exc:
             raise DomainError(f"line {lineno}: {exc}") from None
-        except (TypeError, ValueError, OverflowError):
-            raise _bad_number(doc, lineno) from None
-        if categories is not None and doc["category_id"] not in categories:
+        if categories is not None and category_id not in categories:
             raise DomainError(
                 f"line {lineno}: category_id {doc['category_id']} not in declared set"
             )

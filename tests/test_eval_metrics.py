@@ -10,6 +10,8 @@ from conftest import philox
 from evframe import (
     DetectionRecord,
     DomainError,
+    decode_detections,
+    encode_detections,
     MpcReport,
     ValidationError,
     average_precision,
@@ -426,6 +428,20 @@ def test_oracle_parity_map_coco(seed, score_decimals, max_detections):
     want = oracle_map_coco(preds, gts, max_detections)
     assert (got.map, got.map50, got.per_class) == want
     assert got.per_class[3] == 0.0  # ground truth only
+
+
+@pytest.mark.parametrize("seed, score_decimals, max_detections", [(21, 1, 100), (22, 1, 7), (23, 4, 25)])
+def test_map_coco_on_decoded_tables_equals_map_coco_on_records(seed, score_decimals, max_detections):
+    preds, gts = random_split(seed, score_decimals)
+    # input order decides score ties, so shuffle it the same way for both
+    order = philox(seed).permutation(len(preds)).tolist()
+    preds = [preds[i] for i in order]
+    tables = [decode_detections(encode_detections(r)) for r in (preds, gts)]
+    assert tables == [preds, gts]
+    got = map_coco(*tables, max_detections=max_detections)
+    want = map_coco(preds, gts, max_detections=max_detections)
+    assert (got.map, got.map50, got.per_class) == (want.map, want.map50, want.per_class)
+    assert (want.map, want.map50, want.per_class) == oracle_map_coco(preds, gts, max_detections)
 
 
 def test_match_exact_iou_tie_goes_to_the_first_ground_truth():

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from evframe import (
     CafrWeights,
     CameraRig,
     DetectionRecord,
+    DetectionTable,
     DomainError,
     Event,
+    EvframeError,
     EventStream,
     FormatError,
     FpnWeights,
@@ -39,6 +42,7 @@ from evframe import (
     save_weights,
     write_tensor_bundle,
 )
+from evframe import formats_io
 from evframe.formats_io import weight_arrays
 from evframe.fusion_cafr import LINEAR_NAMES
 from evframe.tensor_math import uniform_conv
@@ -434,3 +438,201 @@ def test_detections_name_the_line_of_a_non_numeric_field(field, value, message):
         decode_detections(good + good + bad)
     assert str(exc.value) == f"line 3: {message}"
     assert exc.value.line == 3
+
+
+# -- columnar detection decode --------------------------------------------------------
+
+
+def scanned(data: bytes, categories=None) -> DetectionTable:
+    """What the line scanner alone makes of a body."""
+    return DetectionTable.from_records(formats_io._scan_detection_lines(data, categories))
+
+
+def seeded_records(seed: int, n: int = 60) -> list:
+    """Predictions and ground truth whose JSON covers every number form
+    json.dumps writes: exponents both ways, negative coordinates, -0.0."""
+    rng = philox(seed)
+    records = []
+    for k in range(n):
+        xy = rng.uniform(-50.0, 400.0, size=2)
+        wh = rng.uniform(0.5, 90.0, size=2)
+        if k % 7 == 0:
+            xy = (-0.0, -(10.0 ** -int(rng.integers(5, 12))))
+            wh = (10.0 ** int(rng.integers(16, 22)), 1e-05)
+        score = None if k % 5 == 0 else float(rng.choice([0.0, 1.0, 1e-05, rng.random()]))
+        image = int(rng.integers(-3, 2**40)) if k % 11 == 0 else int(rng.integers(0, 4))
+        records.append(DetectionRecord(image, int(rng.integers(0, 3)), (*xy, *wh), score))
+    return records
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_detections_decode_to_the_scanner_columns(seed):
+    records = seeded_records(seed)
+    data = encode_detections(records)
+    for text in (b"1e-05", b"e+", b"-0.0"):
+        assert text in data
+    table = decode_detections(data)
+    assert isinstance(table, DetectionTable)
+    assert table == scanned(data)
+    assert table == records
+    assert encode_detections(table) == data
+
+
+def test_integer_bbox_entries_and_scores_decode_as_floats():
+    data = (
+        b'{"image_id": 0, "category_id": 1, "bbox": [1, -2, 3, 4], "score": 1}\n'
+        b'{"image_id": -0, "category_id": 2, "bbox": [0, 1E2, 2e0, 0.5E-3]}\n'
+    )
+    table = decode_detections(data)
+    assert table == scanned(data)
+    assert table.bbox.tolist() == [[1.0, -2.0, 3.0, 4.0], [0.0, 100.0, 2.0, 0.0005]]
+    assert table.score[0] == 1.0 and np.isnan(table.score[1])
+
+
+def test_canonical_detections_skip_the_line_scanner(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the line scanner ran")
+
+    monkeypatch.setattr(formats_io, "_scan_detection_lines", refuse)
+    for seed in range(4):
+        records = seeded_records(seed)
+        assert decode_detections(encode_detections(records)) == records
+    preds = [r for r in seeded_records(9) if r.score is not None]
+    data = encode_detections(preds)
+    assert decode_detections(data, categories=(0, 1, 2)) == preds
+    assert decode_detections(b"") == []
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"image_id": 0, "category_id": 0, "bbox": [1.0, 1.0, 2.0, 2.0]}',  # no final LF
+        b'{"image_id": 0, "category_id": 0, "bbox": [1.0, 1.0, 2.0, 2.0]}\r\n',
+        b'{"category_id": 0, "image_id": 0, "bbox": [1.0, 1.0, 2.0, 2.0]}\n',
+        b'{"image_id":0,"category_id":0,"bbox":[1.0,1.0,2.0,2.0]}\n\n',
+        b'{"image_id": 1.0, "category_id": 0, "bbox": [1.0, 1.0, 2.0, 2.0], "score": null}\n',
+    ],
+)
+def test_other_json_forms_decode_like_the_scanner(data):
+    table = decode_detections(data)
+    assert table == scanned(data)
+    image_id = json.loads(data.splitlines()[0])["image_id"]
+    assert table == [DetectionRecord(image_id, 0, (1.0, 1.0, 2.0, 2.0), None)]
+
+
+def test_detection_table_is_a_read_only_sequence_of_records():
+    records = seeded_records(5, n=6)
+    table = decode_detections(encode_detections(records))
+    assert len(table) == 6 and repr(table) == "DetectionTable(6 records)"
+    assert table[0] == records[0] and table[-1] == records[-1]
+    assert table[1:4] == records[1:4] and isinstance(table[1:4], DetectionTable)
+    assert list(table) == records and table == DetectionTable.from_records(records)
+    assert table != records[:-1] and table != DetectionTable.from_records(records[:-1])
+    assert table.image_id.dtype == table.category_id.dtype == np.int64
+    assert table.bbox.shape == (6, 4) and table.score.dtype == np.float64
+    for column in (table.image_id, table.category_id, table.bbox, table.score):
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
+def test_detection_table_refuses_ids_outside_int64():
+    with pytest.raises(DomainError, match="int64"):
+        DetectionTable.from_records([DetectionRecord(2**63, 0, (0, 0, 1, 1), None)])
+    with pytest.raises(DomainError, match="int64"):
+        DetectionTable.from_records([DetectionRecord(0.5, 0, (0, 0, 1, 1), None)])
+
+
+@pytest.mark.parametrize("line", [b"5", b"null", b'"x"', b"[1, 2]", b"true"])
+def test_a_line_that_is_not_an_object_names_its_line(line):
+    good = b'{"image_id": 0, "category_id": 0, "bbox": [1, 1, 2, 2]}\n'
+    with pytest.raises(ParseError) as exc:
+        decode_detections(good + line + b"\n")
+    assert str(exc.value) == "line 2: record must be a JSON object"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        pytest.param(
+            b'{"image_id": ' + b"1" * 5000 + b"}",
+            "Exceeds the limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+            ),
+        ),
+        (b"[" * 100_000, "recursion"),
+    ],
+)
+def test_json_python_cannot_hold_names_its_line(line, reason):
+    with pytest.raises(ParseError, match=f"^line 2: invalid JSON record: .*{reason}"):
+        decode_detections(b"\n" + line + b"\n")
+
+
+@pytest.mark.parametrize("data, line", [(b"\xff\xfe{}\n", 1), (b"\n\n{\"a\xc3\": 1}\n", 3)])
+def test_bytes_that_are_not_utf8_name_their_line(data, line):
+    with pytest.raises(ParseError, match=f"^line {line}: record is not valid UTF-8"):
+        decode_detections(data)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("image_id", "0.5", "image_id must be an integer, got 0.5"),
+        ("category_id", "-1.25", "category_id must be an integer, got -1.25"),
+        ("image_id", "true", "image_id must be an integer, got True"),
+        ("category_id", "false", "category_id must be an integer, got False"),
+        ("image_id", '"5"', "image_id must be an integer, got '5'"),
+        ("score", "true", "score must be a number, got True"),
+        ("score", '"0.5"', "score must be a number, got '0.5'"),
+        ("bbox", "[1, true, 2, 2]", "bbox entries must be numeric"),
+    ],
+)
+def test_booleans_and_non_integral_ids_are_parse_errors(field, value, message):
+    doc = {"image_id": "0", "category_id": "1", "bbox": "[1, 1, 2, 2]", "score": "0.5"}
+    doc[field] = value
+    bad = ("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}\n").encode()
+    with pytest.raises(ParseError) as exc:
+        decode_detections(b"\n" + bad)
+    assert str(exc.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 1e300])
+def test_ids_outside_int64_are_domain_errors(value):
+    data = b'{"image_id": 0, "category_id": %s, "bbox": [1, 1, 2, 2]}\n' % json.dumps(value).encode()
+    with pytest.raises(DomainError) as exc:
+        decode_detections(data)
+    assert str(exc.value) == f"line 1: category_id {value!r} is outside the int64 range"
+
+
+def test_integral_float_ids_and_the_int64_ends_decode():
+    data = (
+        b'{"image_id": 3.0, "category_id": -0.0, "bbox": [1, 1, 2, 2]}\n'
+        b'{"image_id": 9223372036854775807, "category_id": -9223372036854775808, "bbox": [1, 1, 2, 2]}\n'
+    )
+    table = decode_detections(data)
+    assert table.image_id.tolist() == [3, 2**63 - 1]
+    assert table.category_id.tolist() == [0, -(2**63)]
+
+
+def test_single_byte_mutations_decode_like_the_scanner_or_raise_a_typed_error():
+    rng = philox(2024)
+    records = seeded_records(17, n=8)
+    data = bytearray(encode_detections(records))
+    typed = 0
+    for case in range(400):
+        mutated = bytearray(data)
+        i = int(rng.integers(0, len(mutated)))
+        if case % 2:
+            del mutated[i]
+        else:
+            mutated[i] = int(rng.integers(0, 256))
+        mutated = bytes(mutated)
+        try:
+            table = decode_detections(mutated)
+        except EvframeError:
+            typed += 1
+            with pytest.raises(EvframeError):
+                scanned(mutated)
+            continue
+        assert table == scanned(mutated)
+    assert 100 < typed < 400
