@@ -50,31 +50,6 @@ class CorruptionType(Enum):
     JPEG_COMPRESSION = "jpeg_compression"
 
 
-NOISE_TYPES = (
-    CorruptionType.GAUSSIAN_NOISE,
-    CorruptionType.SHOT_NOISE,
-    CorruptionType.IMPULSE_NOISE,
-)
-BLUR_TYPES = (
-    CorruptionType.DEFOCUS_BLUR,
-    CorruptionType.GLASS_BLUR,
-    CorruptionType.MOTION_BLUR,
-    CorruptionType.ZOOM_BLUR,
-)
-WEATHER_TYPES = (
-    CorruptionType.FOG,
-    CorruptionType.SNOW,
-    CorruptionType.FROST,
-    CorruptionType.BRIGHTNESS,
-)
-DIGITAL_TYPES = (
-    CorruptionType.CONTRAST,
-    CorruptionType.ELASTIC,
-    CorruptionType.PIXELATE,
-    CorruptionType.JPEG_COMPRESSION,
-)
-
-
 @dataclass
 class CorruptionSpec:
     """One corruption instance: type, severity 1..5, RNG seed."""

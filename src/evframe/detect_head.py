@@ -408,6 +408,10 @@ def decode_head(
     cls = np.asarray(cls)
     reg = np.asarray(reg)
     anchors = np.asarray(anchors, dtype=np.float64)
+    if cls.ndim != 2 or reg.ndim != 2:
+        raise ShapeError(
+            f"expected rank-2 score/offset tensors, got {cls.shape} and {reg.shape}"
+        )
     if anchors.ndim != 2 or anchors.shape[1] != 4:
         raise ShapeError(f"anchors must be an (N, 4) array, got shape {anchors.shape}")
     if cls.shape[0] != len(anchors) or reg.shape != (len(anchors), 4):

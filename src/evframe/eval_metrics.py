@@ -16,6 +16,7 @@ scalar reference computation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -275,8 +276,15 @@ def map_coco(
 # -- corruption aggregates ------------------------------------------------------------
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_matrix(map_matrix, strict: bool):
-    rows = [list(r) for r in map_matrix]
+    try:
+        rows = [list(r) for r in map_matrix]
+    except TypeError:
+        raise DomainError("corruption matrix must be a sequence of rows") from None
     if not rows or not rows[0]:
         raise DomainError("corruption matrix must be non-empty")
     width = len(rows[0])
@@ -284,8 +292,8 @@ def _check_matrix(map_matrix, strict: bool):
         if len(r) != width:
             raise DomainError("corruption matrix has a missing entry")
         for v in r:
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"mAP entry {v} outside [0,1]")
+            if not (_is_real(v) and 0.0 <= v <= 1.0):
+                raise DomainError(f"mAP entry {v!r} is not a number in [0,1]")
     if strict and (len(rows), width) != (CORRUPTION_TYPE_COUNT, SEVERITY_COUNT):
         raise DomainError(
             f"expected {CORRUPTION_TYPE_COUNT}x{SEVERITY_COUNT} matrix, "
@@ -297,17 +305,21 @@ def _check_matrix(map_matrix, strict: bool):
 def mpc(map_matrix, strict: bool = True) -> float:
     """Mean over corruption types of the per-type mean over severities.
 
-    strict mode enforces the full 15x5 grid; strict=False admits any
-    rectangular matrix for small fixtures.
+    Entries are real numbers in [0, 1] (a bool is not one). strict mode
+    enforces the full 15x5 grid; strict=False admits any rectangular matrix
+    for small fixtures.
     """
     rows = _check_matrix(map_matrix, strict)
     return sum(sum(r) / len(r) for r in rows) / len(rows)
 
 
 def rpc(map_clean: float, map_matrix, strict: bool = True) -> tuple:
-    """Per-severity mean mAP over types, relative to the clean mAP."""
-    if map_clean <= 0:
-        raise DomainError(f"clean mAP must be positive, got {map_clean}")
+    """Per-severity mean mAP over types, relative to the clean mAP.
+
+    ``map_clean`` is a real number in (0, 1]; the matrix is checked as in ``mpc``.
+    """
+    if not (_is_real(map_clean) and 0.0 < map_clean <= 1.0):
+        raise DomainError(f"clean mAP must be a number in (0,1], got {map_clean!r}")
     rows = _check_matrix(map_matrix, strict)
     n_s = len(rows[0])
     return tuple(

@@ -37,9 +37,6 @@ from .errors import (
 TENSOR_MAGIC = b"FTNS"
 MAX_TENSOR_RANK = 4
 
-# Default category ids: 0 car, 1 pedestrian, 2 large vehicle.
-DEFAULT_CATEGORIES = (0, 1, 2)
-
 # Range of event fields: timestamps, coordinates and polarities are int64.
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -262,6 +259,8 @@ class CameraRig:
 class DetectionRecord:
     """One detection or ground-truth box in file convention.
 
+    The ids are integers within int64, stored as ``int``: a numpy integer or
+    a float of integral value such as 1.0 counts as one, a bool does not.
     ``bbox`` is (x, y, w, h) with (x, y) the top-left corner in pixels; its
     entries are finite and w, h positive. ``score`` is None for ground truth.
     """
@@ -272,6 +271,8 @@ class DetectionRecord:
     score: Optional[float] = None
 
     def __post_init__(self):
+        self.image_id = _int64_id("image_id", self.image_id)
+        self.category_id = _int64_id("category_id", self.category_id)
         try:
             self.bbox = tuple(float(v) for v in self.bbox)
         except OverflowError:
@@ -288,6 +289,16 @@ class DetectionRecord:
             self.score = float(self.score)
             if not 0.0 <= self.score <= 1.0:
                 raise DomainError(f"score must be in [0, 1], got {self.score}")
+
+
+def _int64_id(name: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer within int64, got {value!r}")
+    if not INT64_MIN <= int(value) <= INT64_MAX:
+        raise DomainError(f"{name} {value} is outside the int64 range")
+    return int(value)
 
 
 def _record(image_id, category_id, bbox, score) -> DetectionRecord:

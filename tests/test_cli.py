@@ -539,3 +539,175 @@ def test_pipeline_demo_smoke(capsys, tmp_path):
     )
     assert code2 == 0
     assert "map" in json.loads(out2)
+
+
+# -- config entries are flags ------------------------------------------------------
+
+
+def outcome(capsys, argv):
+    """Stdout of a successful run and the bytes of the file its payload names as "out"."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    target = json.loads(out).get("out")
+    return out, None if target is None else open(target, "rb").read()
+
+
+# kind, subcommand, config entry, the same entry as flags, an explicit override
+FLAG_KINDS = [
+    ("int", "cafr-gradcheck", {"probes": 3}, ["--probes", "3"], ["--probes", "2"]),
+    ("int-from-float", "cafr-gradcheck", {"probes": 3.0}, ["--probes", "3"], ["--probes", "2"]),
+    ("float", "cafr-gradcheck", {"step": 1e-4}, ["--step", "1e-4"], ["--step", "0.001"]),
+    ("str", "cafr-forward", {"out": "a.ftns"}, ["--out", "a.ftns"], ["--out", "b.ftns"]),
+    ("choices", "cafr-forward", {"branch": "event"}, ["--branch", "event"], ["--branch", "frame"]),
+    ("switch", "cafr-forward", {"skip_attention": False}, [], ["--skip-attention"]),
+    (
+        "nargs+",
+        "corrupt-dataset",
+        {"images": ["a.pgm", "b.pgm"]},
+        ["--images", "a.pgm", "b.pgm"],
+        ["--images", "a.pgm"],
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, sub, entry, flags, override", FLAG_KINDS, ids=[k[0] for k in FLAG_KINDS])
+def test_a_config_entry_acts_as_its_flag_and_explicit_flags_win(
+    capsys, tmp_path, monkeypatch, kind, sub, entry, flags, override
+):
+    monkeypatch.chdir(tmp_path)
+    rng = philox(11)
+    write_tensor("ff.ftns", rng.standard_normal((2, 3, 2)))
+    write_tensor("fe.ftns", rng.standard_normal((2, 3, 2)))
+    for name in ("a.pgm", "b.pgm"):
+        (tmp_path / name).write_bytes(encode_image(gray_image(rng, 6, 5)))
+    base = {
+        "cafr-gradcheck": {"--channels": "2", "--height": "2", "--width": "2"},
+        "cafr-forward": {"--frame-features": "ff.ftns", "--event-features": "fe.ftns", "--out": "o.ftns"},
+        "corrupt-dataset": {"--images": "a.pgm", "--out-dir": "out"},
+    }[sub]
+    tested = "--" + next(iter(entry)).replace("_", "-")
+    argv = [sub] + [a for flag, value in base.items() if flag != tested for a in (flag, value)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    from_config = outcome(capsys, argv + ["--config", str(cfg)])
+    assert from_config == outcome(capsys, argv + flags)
+    overridden = outcome(capsys, argv + override)
+    assert overridden != from_config
+    assert outcome(capsys, argv + ["--config", str(cfg)] + override) == overridden
+
+
+@pytest.mark.parametrize(
+    "sub, config",
+    [
+        ("evt2grid", {"binz": 4}),
+        ("evt2grid", {"bin": 4}),
+        ("evt2grid", {"config": "other.json"}),
+        ("evt2grid", {"help": True}),
+        ("evt2grid", {"bins": None}),
+        ("evt2grid", {"bins": {"n": 4}}),
+        ("evt2grid", {"bins": [4]}),
+        ("evt2grid", {"bins": True}),
+        ("evt2grid", {"out": None}),
+        ("evt2grid", {"bins": 2.7}),
+        ("evt2grid", {"bins": float("inf")}),
+        ("cafr-forward", {"skip_refine": 1}),
+        ("cafr-forward", {"skip_refine": "true"}),
+        ("cafr-forward", {"skip_refine": None}),
+    ],
+)
+def test_refused_config_values_are_usage_errors_naming_the_key(capsys, tmp_path, sub, config):
+    out_file = tmp_path / "out.ftns"
+    required = {
+        "evt2grid": {"input": str(write_events_csv(tmp_path / "e.csv")), "bins": 4},
+        "cafr-forward": {"frame_features": "f.ftns", "event_features": "e.ftns"},
+    }[sub]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**required, "out": str(out_file), **config}))
+    code, out, err = run(capsys, sub, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert repr(list(config)[0]) in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"\xff\xfe{}", b"{", b"[1]"], ids=["missing", "not-utf8", "not-json", "not-object"]
+)
+def test_an_unusable_config_file_is_a_usage_error(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, out, err = run(capsys, "evt2grid", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "config file" in err
+
+
+def test_cafr_gradcheck_over_tolerance_still_prints_its_payload(capsys):
+    code, out, err = run(
+        capsys, "cafr-gradcheck", "--channels", "2", "--height", "2", "--width", "2",
+        "--probes", "3", "--tolerance", "1e-30",
+    )
+    assert code == 1
+    assert json.loads(out)["probes"] == 3
+    assert err.startswith("error: max relative error")
+
+
+# -- eval-mpc inputs the library refuses --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"map_clean": "abc"}, "clean mAP must be a number in (0,1], got 'abc'"),
+        ({"map_clean": [1]}, "clean mAP must be a number in (0,1], got [1.0]"),
+        ({"map_clean": 1.5}, "clean mAP must be a number in (0,1], got 1.5"),
+        ({"map_clean": True}, "clean mAP must be a number in (0,1], got True"),
+        ({"fog": [0.4, 0.4, True, 0.4, 0.4]}, "mAP entry True is not a number in [0,1]"),
+        ({"fog": [0.4, 0.4, "x", 0.4, 0.4]}, "mAP entry 'x' is not a number in [0,1]"),
+    ],
+)
+def test_eval_mpc_bad_values_exit_1_without_a_traceback(capsys, tmp_path, patch, message):
+    from evframe import CorruptionType
+
+    per_type = {c.value: [0.4] * 5 for c in CorruptionType}
+    doc = {"per_type": per_type, "map_clean": 0.5}
+    if "fog" in patch:
+        per_type["fog"] = patch["fog"]
+    else:
+        doc.update(patch)
+    src = tmp_path / "mpc.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval-mpc", "--input", str(src))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_eval_mpc_non_utf8_input_is_a_schema_error(capsys, tmp_path):
+    src = tmp_path / "mpc.json"
+    src.write_bytes(b'{"per_type": {"\xff": []}}')
+    code, out, err = run(capsys, "eval-mpc", "--input", str(src))
+    assert (code, out) == (1, "")
+    assert "UTF-8" in err
+
+
+def test_eval_mpc_integer_entries_are_reported_as_floats(capsys, tmp_path):
+    from evframe import CorruptionType
+
+    per_type = {c.value: [1, 0, 0, 0, 0] for c in CorruptionType}
+    src = tmp_path / "mpc.json"
+    src.write_text(json.dumps({"per_type": per_type, "map_clean": 1}))
+    code, out, err = run(capsys, "eval-mpc", "--input", str(src))
+    assert code == 0, err
+    assert '"map_clean": 1.0' in out and "      1.0,\n      0.0," in out
+
+
+def test_head_decode_rank_check_comes_from_the_library(capsys, tmp_path):
+    clsf, regf = tmp_path / "cls.ftns", tmp_path / "reg.ftns"
+    write_tensor(clsf, np.ones((4, 2, 1)))
+    write_tensor(regf, np.zeros((4, 4)))
+    code, out, err = run(
+        capsys, "head-decode", "--cls", str(clsf), "--reg", str(regf),
+        "--levels", "1x1,1x1,1x1,1x1,1x1", "--out", str(tmp_path / "d.jsonl"),
+    )
+    assert (code, out) == (1, "")
+    assert "error: expected rank-2 score/offset tensors, got (4, 2, 1) and (4, 4)" in err

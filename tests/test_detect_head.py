@@ -707,3 +707,13 @@ def test_decode_head_rejects_a_top_k_below_one(top_k):
     anchors, cls, reg = small_case(6, n=10)
     with pytest.raises(DomainError, match="pre_nms_top_k"):
         decode_head(cls, reg, anchors, 0, pre_nms_top_k=top_k)
+
+
+@pytest.mark.parametrize("cls_shape", [(2,), (2, 1, 1)])
+def test_decode_head_refuses_scores_that_are_not_rank_2(cls_shape):
+    anchors = np.array([[10.0, 10.0, 4.0, 4.0], [20.0, 10.0, 4.0, 4.0]])
+    with pytest.raises(ShapeError) as exc:
+        decode_head(np.full(cls_shape, 0.9), np.zeros((2, 4)), anchors, image_id=0)
+    assert str(exc.value) == (
+        f"expected rank-2 score/offset tensors, got {cls_shape} and (2, 4)"
+    )

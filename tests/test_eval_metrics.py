@@ -613,3 +613,25 @@ def test_report_rejects_out_of_range_entries():
             mpc=1.2,
             rpc_per_severity=(2.4,),
         )
+
+
+@pytest.mark.parametrize("entry", ["x", None, True, np.bool_(True), [0.5]])
+def test_matrix_entries_must_be_real_numbers(entry):
+    m = full_matrix()
+    m[3][2] = entry
+    for call in (lambda: mpc(m), lambda: rpc(0.5, m), lambda: build_mpc_report(0.5, m)):
+        with pytest.raises(DomainError, match=r"mAP entry .* is not a number in \[0,1\]"):
+            call()
+
+
+@pytest.mark.parametrize("clean", [float("nan"), True, 1.5, "0.5", None])
+def test_rpc_refuses_a_clean_map_outside_the_unit_interval(clean):
+    for call in (lambda: rpc(clean, full_matrix()), lambda: build_mpc_report(clean, full_matrix())):
+        with pytest.raises(DomainError, match=r"clean mAP must be a number in \(0,1\]"):
+            call()
+
+
+def test_integer_and_numpy_entries_are_numbers():
+    m = [[1, np.float32(0.5), np.int64(0), 0.25, 1.0] for _ in range(15)]
+    assert mpc(m) == pytest.approx(0.55, abs=1e-12)
+    assert rpc(1, m)[0] == 1.0

@@ -636,3 +636,28 @@ def test_single_byte_mutations_decode_like_the_scanner_or_raise_a_typed_error():
             continue
         assert table == scanned(mutated)
     assert 100 < typed < 400
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("image_id", 0.5, "image_id must be an integer within int64, got 0.5"),
+        ("category_id", True, "category_id must be an integer within int64, got True"),
+        ("image_id", "3", "image_id must be an integer within int64, got '3'"),
+        ("image_id", 2**63, "image_id 9223372036854775808 is outside the int64 range"),
+        ("category_id", np.uint64(2**64 - 1), "category_id 18446744073709551615 is outside the int64 range"),
+    ],
+)
+def test_detection_record_refuses_ids_that_are_not_int64_integers(field, value, message):
+    ids = {"image_id": 0, "category_id": 0, field: value}
+    with pytest.raises(DomainError) as exc:
+        DetectionRecord(ids["image_id"], ids["category_id"], (0, 0, 1, 1), None)
+    assert str(exc.value) == message
+
+
+def test_detection_record_stores_numpy_and_integral_float_ids_as_int():
+    rec = DetectionRecord(np.int64(3), 2.0, (0, 0, 1, 1), 0.5)
+    assert type(rec.image_id) is int and type(rec.category_id) is int
+    data = encode_detections([rec])
+    assert data == b'{"image_id": 3, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5}\n'
+    assert decode_detections(data) == [rec]
