@@ -28,7 +28,6 @@ from .formats_io import (
     decode_events,
     decode_image,
     decode_tensor,
-    encode_calibration,
     encode_detections,
     encode_events,
     encode_image,
@@ -36,10 +35,8 @@ from .formats_io import (
     load_weights,
     parse_calibration,
     read_tensor,
-    read_tensor_bundle,
     save_weights,
     write_tensor,
-    write_tensor_bundle,
 )
 from .event_core import (
     SimConfig,
@@ -54,14 +51,12 @@ from .geometry_align import (
     compose_homography,
     warp_bbox,
     warp_image,
-    warp_point,
     warp_points,
 )
 from .fusion_cafr import (
     CafrGradients,
     CafrWeights,
     FeaturePair,
-    bci_activate,
     bci_enhance,
     cafr_backward,
     cafr_forward,
@@ -88,7 +83,6 @@ from .detect_head import (
     init_fpn_weights,
     init_head_weights,
     level_anchors,
-    nms,
 )
 from .eval_metrics import (
     MapResult,
@@ -97,7 +91,6 @@ from .eval_metrics import (
     build_mpc_report,
     iou_tlwh,
     map_coco,
-    match_detections,
     mpc,
     rpc,
 )
@@ -114,94 +107,10 @@ from .demo import PipelineResult, run_pipeline_demo
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Anchor",
-    "BBox",
-    "CafrGradients",
-    "CafrWeights",
-    "CameraRig",
-    "CorruptionSpec",
-    "CorruptionType",
-    "DetectionRecord",
-    "DetectionTable",
-    "DomainError",
-    "Event",
-    "EventStream",
-    "EvframeError",
-    "FeaturePair",
-    "FeaturePyramid",
-    "FormatError",
-    "FpnWeights",
-    "HeadConfig",
-    "HeadWeights",
-    "Homography",
-    "ImagePNM",
-    "MapResult",
-    "MpcReport",
-    "OffsetVector",
-    "ParseError",
-    "PipelineResult",
-    "SchemaError",
-    "ShapeError",
-    "SimConfig",
-    "StateError",
-    "ValidationError",
-    "VoxelGrid",
-    "apply_corruption",
-    "average_precision",
-    "bci_activate",
-    "bci_enhance",
-    "build_fpn",
-    "build_mpc_report",
-    "build_voxel_grid",
-    "cafr_backward",
-    "cafr_forward",
-    "cafr_gradcheck",
-    "compose_homography",
-    "corrupt_dataset",
-    "corruption_seed",
-    "cross_self_attention",
-    "decode_detections",
-    "decode_events",
-    "decode_head",
-    "decode_image",
-    "decode_offsets",
-    "decode_tensor",
-    "encode_calibration",
-    "encode_detections",
-    "encode_events",
-    "encode_image",
-    "encode_offsets",
-    "encode_tensor",
-    "gen_anchors",
-    "gen_pyramid_anchors",
-    "head_forward",
-    "init_cafr_weights",
-    "init_fpn_weights",
-    "init_head_weights",
-    "level_anchors",
-    "iou_tlwh",
-    "load_weights",
-    "map_coco",
-    "match_detections",
-    "modality_dropout",
-    "mpc",
-    "normalize_timestamps",
-    "nms",
-    "parse_calibration",
-    "psnr",
-    "read_tensor",
-    "read_tensor_bundle",
-    "rpc",
-    "run_pipeline_demo",
-    "save_weights",
-    "severity_params",
-    "simulate_events",
-    "tafr_refine",
-    "warp_bbox",
-    "warp_image",
-    "warp_point",
-    "warp_points",
-    "write_tensor",
-    "write_tensor_bundle",
-]
+# Every public class and function imported above; submodules and dunders are
+# not exports.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith(__name__ + ".")
+)

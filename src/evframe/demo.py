@@ -24,7 +24,7 @@ from .detect_head import (
     init_fpn_weights,
     init_head_weights,
 )
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .eval_metrics import _iou_matrix, map_coco
 from .event_core import SimConfig, build_voxel_grid, modality_dropout, simulate_events
 from .formats_io import (
@@ -37,6 +37,9 @@ from .fusion_cafr import FeaturePair, cafr_forward, init_cafr_weights
 from .tensor_math import conv2d, philox, uniform_conv
 
 SCENE_CATEGORY = 0
+# Smallest scene that fits the block, its 4 px slide and the margins around it.
+MIN_SCENE_WIDTH = 17
+MIN_SCENE_HEIGHT = 13
 
 
 @dataclass
@@ -69,6 +72,10 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
     Returns (frame_a, frame_b, gts) where gts hold the block's position in
     frame_b as a top-left-form detection record.
     """
+    if width < MIN_SCENE_WIDTH:
+        raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
+    if height < MIN_SCENE_HEIGHT:
+        raise DomainError(f"height must be >= {MIN_SCENE_HEIGHT}, got {height}")
     rng = philox(seed)
     base = np.full((height, width), 200, dtype=np.float64)
     base += rng.uniform(-8.0, 8.0, size=base.shape)
@@ -117,11 +124,11 @@ def run_pipeline_demo(
     dropout_p: float = 0.0,
 ) -> PipelineResult:
     """Run the full synthetic pipeline, writing frames, grid, and detections."""
+    frame_a, frame_b, gts = make_scene(width, height, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     channels = 8
 
-    frame_a, frame_b, gts = make_scene(width, height, seed)
     (out / "frame_a.pnm").write_bytes(encode_image(frame_a))
     (out / "frame_b.pnm").write_bytes(encode_image(frame_b))
 

@@ -9,9 +9,9 @@ then anchor index, so row n of the head output corresponds to row n of the
 
 The back end works on arrays: ``decode_head`` decodes the selected rows as
 columns with the float operations of ``decode_offsets`` in their order, and
-one suppression core, shared with ``nms``, gives each kept box one IoU column
-against its group's boxes still alive. ``Anchor``, ``BBox``, ``OffsetVector``
-and the offset codec stay as the scalar form for single boxes.
+its suppression core gives each kept box one IoU column against its group's
+boxes still alive. ``Anchor``, ``BBox``, ``OffsetVector`` and the offset
+codec stay as the scalar form for single boxes.
 """
 
 from __future__ import annotations
@@ -302,11 +302,6 @@ def decode_offsets(anchor: Anchor, t: OffsetVector) -> BBox:
 
 # -- non-maximum suppression -----------------------------------------------------------
 
-def _check_iou_threshold(iou_threshold: float) -> None:
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
-
-
 def _nms_keep(
     boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray, iou_threshold: float
 ) -> np.ndarray:
@@ -332,27 +327,6 @@ def _nms_keep(
                 ious = _iou_matrix(boxes[idx], boxes[kept:kept + 1])[:, 0]
                 idx = idx[~(ious > iou_threshold)]
     return order[keep[order]]
-
-
-def nms(dets: Sequence[DetectionRecord], iou_threshold: float) -> List[DetectionRecord]:
-    """Greedy suppression per (image, class).
-
-    Candidates are visited by descending score (ties keep input order) and
-    dropped when their IoU with an already kept same-group box exceeds the
-    threshold. Output is sorted the same way.
-    """
-    _check_iou_threshold(iou_threshold)
-    for d in dets:
-        if d.score is None:
-            raise DomainError("nms needs scored detections")
-    labels: dict = {}
-    groups = np.array(
-        [labels.setdefault((d.image_id, d.category_id), len(labels)) for d in dets],
-        dtype=np.intp,
-    )
-    boxes = np.array([d.bbox for d in dets], dtype=np.float64).reshape(-1, 4)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    return [dets[i] for i in _nms_keep(boxes, scores, groups, iou_threshold).tolist()]
 
 
 def _top_k_stable(keys: np.ndarray, k: int) -> np.ndarray:
@@ -451,7 +425,8 @@ def decode_head(
     )
     if bad.any():
         raise _first_bad_candidate(int(np.argmax(bad)), t, w, h, boxes, scores)
-    _check_iou_threshold(iou_threshold)
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
 
     labels: dict = {}
     cat_groups = np.array([labels.setdefault(c, len(labels)) for c in cat_ids], dtype=np.intp)

@@ -110,38 +110,6 @@ def _hits(boxes: np.ndarray, gt_boxes: np.ndarray, thresholds) -> np.ndarray:
     return _greedy_flags(_iou_matrix(boxes, gt_boxes), thresholds)
 
 
-@dataclass
-class MatchResult:
-    """Per-detection TP flags in descending-score order, plus GT accounting."""
-
-    flags: tuple
-    scores: tuple
-    n_gt: int
-    unmatched_gt: int
-
-
-def match_detections(
-    preds: Sequence[DetectionRecord],
-    gts: Sequence[Sequence[float]],
-    iou_threshold: float,
-) -> MatchResult:
-    """Greedy one-to-one matching for a single image/class partition.
-
-    Detections are visited by descending score (ties keep input order); each
-    claims the unmatched ground-truth box of highest IoU when that IoU meets
-    the threshold, else counts as a false positive.
-    """
-    for p in preds:
-        if p.score is None:
-            raise DomainError("matching needs scored detections")
-    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-    boxes = np.array([preds[i].bbox for i in order], dtype=np.float64).reshape(-1, 4)
-    gt_boxes = np.array(gts, dtype=np.float64).reshape(-1, 4)
-    hits = _hits(boxes, gt_boxes, (iou_threshold,))[0].tolist()
-    scores = tuple(preds[i].score for i in order)
-    return MatchResult(tuple(hits), scores, len(gts), len(gts) - sum(hits))
-
-
 def _ap_table(flags: np.ndarray, n_gt: int) -> List[float]:
     """101-point AP of each row of a (T, n) descending-score TP table; n_gt > 0."""
     n = flags.shape[1]

@@ -5,7 +5,7 @@ Formats:
   * images          - binary PNM (P5 grayscale / P6 color), maxval 255
   * tensors         - "FTNS" container: u32-LE rank and dims, f32-LE payload
   * weight bundles  - a directory of tensors plus a JSON manifest naming them
-  * calibration     - JSON with five 3x3 row-major matrices
+  * calibration     - hand-written JSON with five 3x3 row-major matrices; read only
   * detections      - newline-delimited JSON records (COCO-style tlwh boxes)
 
 All codecs are pure value transformations. Decoding rejects invalid input
@@ -599,48 +599,15 @@ def write_tensor(path, arr: np.ndarray) -> None:
         f.write(encode_tensor(arr))
 
 
+# Weight bundles: a directory with one tensor file per parameter array of a
+# weight dataclass and a JSON manifest whose "members" table maps each member
+# name to its file. An array field is member ``name``, a nested dataclass
+# field prefixes its members with ``name.`` (a ConvWeights gives
+# ``name.kernel`` and ``name.bias``), and a ``Tuple[T, ...]`` field gives
+# ``name1`` .. ``nameN``. ``name`` is the field's ``member`` metadata when it
+# has one, else the field name.
+
 BUNDLE_MANIFEST = "manifest.json"
-
-
-def write_tensor_bundle(directory, arrays: dict, extra: Optional[dict] = None) -> None:
-    """Write named arrays as .ftns members plus a JSON manifest naming them."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    members = {}
-    for name, arr in arrays.items():
-        fname = name.replace(".", "_") + ".ftns"
-        write_tensor(d / fname, arr)
-        members[name] = fname
-    manifest = dict(extra or {})
-    manifest["members"] = members
-    (d / BUNDLE_MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def read_tensor_bundle(directory):
-    """Read a bundle directory back as ({name: array}, manifest)."""
-    d = Path(directory)
-    try:
-        manifest = json.loads((d / BUNDLE_MANIFEST).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"bundle manifest is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise SchemaError("bundle manifest must be a JSON object")
-    members = manifest.get("members")
-    if not isinstance(members, dict):
-        raise SchemaError("bundle manifest has no 'members' table")
-    arrays = {}
-    for name, fname in members.items():
-        if not isinstance(fname, str):
-            raise SchemaError(f"bundle member '{name}' must name a file, got {fname!r}")
-        arrays[name] = read_tensor(d / fname)
-    return arrays, manifest
-
-
-# Weight bundles: a weight dataclass's parameters as bundle members. An array
-# field is member ``name``, a nested dataclass field prefixes its members
-# with ``name.`` (a ConvWeights gives ``name.kernel`` and ``name.bias``), and
-# a ``Tuple[T, ...]`` field gives ``name1`` .. ``nameN``. ``name`` is the
-# field's ``member`` metadata when it has one, else the field name.
 
 
 def _member_name(prefix: str, f) -> str:
@@ -667,8 +634,16 @@ def weight_arrays(w) -> dict:
 
 
 def save_weights(w, directory) -> None:
-    """Write a weight dataclass as a tensor bundle, one member per array."""
-    write_tensor_bundle(directory, weight_arrays(w))
+    """Write a weight dataclass as a bundle: one .ftns file per array plus a
+    JSON manifest mapping each member name to its file."""
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    members = {}
+    for name, arr in weight_arrays(w).items():
+        fname = name.replace(".", "_") + ".ftns"
+        write_tensor(d / fname, arr)
+        members[name] = fname
+    (d / BUNDLE_MANIFEST).write_text(json.dumps({"members": members}, indent=2, sort_keys=True))
 
 
 def _unflatten(hint, name: str, arrays: dict):
@@ -699,7 +674,21 @@ def load_weights(cls, directory):
     A missing member, or a member ``cls`` has no field for (such as a gap in
     a tower's numbering), is a ``SchemaError`` naming it.
     """
-    arrays, _ = read_tensor_bundle(directory)
+    d = Path(directory)
+    try:
+        manifest = json.loads((d / BUNDLE_MANIFEST).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"bundle manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError("bundle manifest must be a JSON object")
+    members = manifest.get("members")
+    if not isinstance(members, dict):
+        raise SchemaError("bundle manifest has no 'members' table")
+    arrays = {}
+    for name, fname in members.items():
+        if not isinstance(fname, str):
+            raise SchemaError(f"bundle member '{name}' must name a file, got {fname!r}")
+        arrays[name] = read_tensor(d / fname)
     w = _unflatten(cls, "", arrays)
     extra = sorted(set(arrays) - set(weight_arrays(w)))
     if extra:
@@ -748,17 +737,6 @@ def parse_calibration(data: bytes) -> CameraRig:
         r_event=matrices["R_event"],
         r_event_rgb=matrices["R_event_rgb"],
     )
-
-
-def encode_calibration(rig: CameraRig) -> bytes:
-    doc = {
-        "K_rgb": list(rig.k_rgb.reshape(-1)),
-        "K_event": list(rig.k_event.reshape(-1)),
-        "R_rgb": list(rig.r_rgb.reshape(-1)),
-        "R_event": list(rig.r_event.reshape(-1)),
-        "R_event_rgb": list(rig.r_event_rgb.reshape(-1)),
-    }
-    return json.dumps(doc, indent=2).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

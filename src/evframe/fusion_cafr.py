@@ -120,16 +120,12 @@ def _untokens(t: np.ndarray, shape: tuple) -> np.ndarray:
 # -- stage 1: activation ---------------------------------------------------------
 
 def _activate(pair: FeaturePair, w: CafrWeights):
+    """Per-stream 1x1 convolution; returns the pair and both conv caches."""
     if pair.channels != w.channels:
         raise ShapeError(f"pair has {pair.channels} channels, weights expect {w.channels}")
     af, cache_f = conv2d_forward(pair.frame, w.conv1x1_f)
     ae, cache_e = conv2d_forward(pair.event, w.conv1x1_e)
     return FeaturePair(af, ae), (cache_f, cache_e)
-
-
-def bci_activate(pair: FeaturePair, w: CafrWeights) -> FeaturePair:
-    """Per-stream 1x1 convolution."""
-    return _activate(pair, w)[0]
 
 
 # -- stage 2: mutual enhancement ---------------------------------------------------

@@ -16,6 +16,13 @@ from .formats_io import CameraRig, ImagePNM
 
 SINGULARITY_TOL = 1e-12
 
+# Most bytes warp_image may allocate. Its arrays are output-sized: about 20
+# float64 sampling values per output pixel (the pixel grid, its homogeneous
+# coordinates and their mapping, source positions, bilinear weights) plus two
+# per channel (the output and one tap's term). A 346 x 260 RGB warp needs
+# ~19 MB.
+WARP_MAX_BYTES = 1 << 30
+
 
 @dataclass
 class Homography:
@@ -47,15 +54,6 @@ def compose_homography(rig: CameraRig) -> Homography:
     return Homography(rig.k_event @ rig.r_rgb @ rig.r_event_rgb @ rig.r_event.T @ k_rgb_inv)
 
 
-def warp_point(h: Homography, point) -> tuple:
-    """Map (u, v) through the homography and dehomogenize."""
-    u, v = float(point[0]), float(point[1])
-    x = h.matrix @ np.array([u, v, 1.0])
-    if abs(x[2]) <= SINGULARITY_TOL:
-        raise DomainError(f"point ({u}, {v}) maps to infinity")
-    return (x[0] / x[2], x[1] / x[2])
-
-
 def warp_points(h: Homography, points: np.ndarray) -> np.ndarray:
     """Vectorized warp of an (N, 2) point array."""
     pts = np.asarray(points, dtype=np.float64)
@@ -84,6 +82,12 @@ def warp_image(
         raise DomainError(f"output dims must be positive, got {out_w}x{out_h}")
     if interpolation not in ("bilinear", "nearest"):
         raise DomainError(f"unknown interpolation '{interpolation}'")
+    need = int(out_w) * int(out_h) * 8 * (20 + 2 * src.channels)
+    if need > WARP_MAX_BYTES:
+        raise DomainError(
+            f"a {out_w}x{out_h} warp needs an estimated {need} bytes, "
+            f"over the {WARP_MAX_BYTES}-byte budget"
+        )
     hinv = h.inverse().matrix
 
     us, vs = np.meshgrid(np.arange(out_w), np.arange(out_h))
@@ -127,8 +131,12 @@ def warp_image(
 def warp_bbox(h: Homography, box, clip_w: float, clip_h: float):
     """Warp a (x, y, w, h) top-left box: corner hull, then clip.
 
-    Returns None when the clipped box has zero area.
+    The clip window (0, 0, clip_w, clip_h) must be finite with a positive
+    size. Returns None when the clipped box has zero area.
     """
+    cw, ch = float(clip_w), float(clip_h)
+    if not (0.0 < cw < np.inf and 0.0 < ch < np.inf):
+        raise DomainError(f"clip window must be finite and positive, got {cw}x{ch}")
     x, y, w, hgt = (float(v) for v in box)
     if w <= 0 or hgt <= 0:
         raise DomainError(f"box dims must be positive, got w={w}, h={hgt}")
@@ -139,7 +147,7 @@ def warp_bbox(h: Homography, box, clip_w: float, clip_h: float):
     x0, y0 = warped.min(axis=0)
     x1, y1 = warped.max(axis=0)
     x0c, y0c = max(x0, 0.0), max(y0, 0.0)
-    x1c, y1c = min(x1, float(clip_w)), min(y1, float(clip_h))
+    x1c, y1c = min(x1, cw), min(y1, ch)
     if x1c <= x0c or y1c <= y0c:
         return None
     return (x0c, y0c, x1c - x0c, y1c - y0c)

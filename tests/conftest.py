@@ -1,5 +1,7 @@
 """Shared helpers: seeded generators and synthetic fixture builders."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ def small_rig(angle_rgb=0.01, angle_event=-0.015, angle_between=0.02) -> CameraR
         r_event=rot_z(angle_event),
         r_event_rgb=rot_z(angle_between),
     )
+
+
+def calibration_json(rig: CameraRig) -> bytes:
+    """The rig as a calibration file: five 9-element row-major matrices."""
+    doc = {
+        "K_rgb": rig.k_rgb.ravel().tolist(),
+        "K_event": rig.k_event.ravel().tolist(),
+        "R_rgb": rig.r_rgb.ravel().tolist(),
+        "R_event": rig.r_event.ravel().tolist(),
+        "R_event_rgb": rig.r_event_rgb.ravel().tolist(),
+    }
+    return json.dumps(doc, indent=2).encode("utf-8")
 
 
 @pytest.fixture

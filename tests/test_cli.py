@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from evframe import (
-    encode_calibration,
     encode_detections,
     encode_image,
     CafrWeights,
@@ -20,7 +19,7 @@ from evframe import (
     write_tensor,
 )
 from evframe.cli import main
-from conftest import philox, rgb_image, gray_image, small_rig
+from conftest import calibration_json, philox, rgb_image, gray_image, small_rig
 
 
 def run(capsys, *argv):
@@ -48,7 +47,7 @@ def identity_calib(tmp_path):
     k = np.array([[100.0, 0.0, 32.0], [0.0, 100.0, 24.0], [0.0, 0.0, 1.0]])
     rig = CameraRig(k, k.copy(), np.eye(3), np.eye(3), np.eye(3))
     p = tmp_path / "calib.json"
-    p.write_bytes(encode_calibration(rig))
+    p.write_bytes(calibration_json(rig))
     return p
 
 
@@ -232,6 +231,37 @@ def test_warp_labels_identity_keeps_boxes(capsys, tmp_path, identity_calib):
     back = decode_detections(out.read_bytes())
     assert len(back) == 2
     assert back[0].bbox == pytest.approx(recs[0].bbox, abs=1e-9)
+
+
+def test_warp_over_the_memory_budget_exits_1_without_allocating(capsys, tmp_path, identity_calib):
+    src = tmp_path / "in.ppm"
+    src.write_bytes(encode_image(rgb_image(philox(2), 20, 15)))
+    dst = tmp_path / "out.ppm"
+    code, out, err = run(
+        capsys, "warp", "--image", str(src), "--calib", str(identity_calib),
+        "--out", str(dst), "--out-width", "100000000",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a 100000000x15 warp needs an estimated") and "budget" in err
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize(
+    "clip",
+    [["nan", "48"], ["-5", "48"], ["64", "0"], ["64", "inf"]],
+    ids=["nan-width", "negative-width", "zero-height", "inf-height"],
+)
+def test_warp_labels_refuses_a_bad_clip_window(capsys, tmp_path, identity_calib, clip):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes(encode_detections([DetectionRecord(0, 0, (5.0, 5.0, 10.0, 8.0), None)]))
+    out = tmp_path / "warped.jsonl"
+    code, stdout, err = run(
+        capsys, "warp-labels", "--labels", str(labels), "--calib", str(identity_calib),
+        "--clip-width", clip[0], "--clip-height", clip[1], "--out", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: clip window must be finite and positive")
+    assert not out.exists()
 
 
 # -- corrupt ----------------------------------------------------------------------
@@ -539,6 +569,29 @@ def test_pipeline_demo_smoke(capsys, tmp_path):
     )
     assert code2 == 0
     assert "map" in json.loads(out2)
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (["--width", "0"], "width must be >= 17, got 0"),
+        (["--width", "-5"], "width must be >= 17, got -5"),
+        (["--width", "16"], "width must be >= 17, got 16"),
+        (["--height", "12"], "height must be >= 13, got 12"),
+    ],
+)
+def test_pipeline_demo_refuses_a_scene_too_small_for_its_block(capsys, tmp_path, size, message):
+    out_dir = tmp_path / "demo"
+    code, out, err = run(capsys, "pipeline-demo", "--out-dir", str(out_dir), *size)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_pipeline_demo_runs_the_smallest_scene(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "pipeline-demo", "--out-dir", str(tmp_path), "--width", "17", "--height", "13"
+    )
+    assert code == 0, err
 
 
 # -- config entries are flags ------------------------------------------------------

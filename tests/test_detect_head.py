@@ -24,9 +24,8 @@ from evframe import (
     head_forward,
     init_fpn_weights,
     level_anchors,
-    nms,
 )
-from evframe.detect_head import BBOX_XFORM_CLIP, HeadWeights, FpnWeights
+from evframe.detect_head import BBOX_XFORM_CLIP, HeadWeights, FpnWeights, _nms_keep
 from evframe.tensor_math import ConvWeights
 
 
@@ -278,6 +277,18 @@ def test_offset_decode_overflow_is_rejected():
 # -- suppression -----------------------------------------------------------------
 
 
+def nms(dets, iou_threshold):
+    """The records ``_nms_keep`` keeps when grouped by (image, class)."""
+    labels = {}
+    groups = np.array(
+        [labels.setdefault((d.image_id, d.category_id), len(labels)) for d in dets],
+        dtype=np.intp,
+    )
+    boxes = np.array([d.bbox for d in dets], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    return [dets[i] for i in _nms_keep(boxes, scores, groups, iou_threshold).tolist()]
+
+
 def test_nms_drops_overlap_above_threshold():
     kept = nms([det(0.9), det(0.8, box=(1.0, 0.0, 10.0, 10.0))], 0.5)
     assert len(kept) == 1 and kept[0].score == 0.9
@@ -313,11 +324,11 @@ def test_nms_output_is_score_sorted():
     assert [d.score for d in nms(dets, 0.5)] == [0.9, 0.5, 0.1]
 
 
-def test_nms_rejects_unscored_and_bad_threshold():
-    with pytest.raises(DomainError):
-        nms([DetectionRecord(0, 0, (0, 0, 1, 1), None)], 0.5)
-    with pytest.raises(DomainError):
-        nms([], 1.5)
+@pytest.mark.parametrize("thr", [1.5, -0.1, math.nan])
+def test_decode_head_rejects_an_iou_threshold_outside_the_unit_interval(thr):
+    anchors, cls, reg = small_case(5, n=20)
+    with pytest.raises(DomainError, match=r"iou_threshold must be in \[0,1\]"):
+        decode_head(cls, reg, anchors, 0, iou_threshold=thr)
 
 
 # -- full decode ------------------------------------------------------------------
@@ -671,23 +682,6 @@ def test_decode_head_builds_records_only_for_kept_boxes(monkeypatch, bench_ancho
     cls, reg = bench_head(rows, seed=3)
     out = decode_head(cls, reg, rows, image_id=0, score_threshold=0.3)
     assert len(made) == len(out) < 1000
-
-
-def test_nms_shares_the_decode_suppression_core(monkeypatch):
-    from evframe import detect_head
-
-    calls = []
-    real = detect_head._nms_keep
-
-    def spy(*args):
-        calls.append(len(args[0]))
-        return real(*args)
-
-    monkeypatch.setattr(detect_head, "_nms_keep", spy)
-    nms([det(0.9), det(0.8)], 0.5)
-    anchors, cls, reg = small_case(5, n=20)
-    decode_head(cls, reg, anchors, 0)
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("k", [1, 7, 33, 50, 99])

@@ -18,7 +18,6 @@ from evframe import (
     build_mpc_report,
     iou_tlwh,
     map_coco,
-    match_detections,
     mpc,
     rpc,
 )
@@ -54,51 +53,46 @@ def test_iou_contained_box():
 # -- matching --------------------------------------------------------------------
 
 
+def hits(boxes, gts, iou_threshold):
+    """``_hits`` flags of boxes listed in rank order at one threshold."""
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    gts = np.array(gts, dtype=np.float64).reshape(-1, 4)
+    return tuple(eval_metrics._hits(boxes, gts, (iou_threshold,))[0].tolist())
+
+
 def test_match_visits_by_descending_score():
-    gt = [(0.0, 0.0, 10.0, 10.0)]
+    gt = [det(None, (0.0, 0.0, 10.0, 10.0))]
     low_first = [det(0.2, (0, 0, 10, 10)), det(0.9, (1, 0, 10, 10))]
-    res = match_detections(low_first, gt, 0.5)
-    # the 0.9 det claims the box first despite appearing second
-    assert res.scores == (0.9, 0.2)
-    assert res.flags == (True, False)
+    # the 0.9 det claims the box first despite appearing second, so the
+    # ranked flags are (True, False) and AP50 is 1; the other way it is 0.5
+    assert map_coco(low_first, gt).map50 == 1.0
 
 
 def test_match_is_one_to_one():
     gt = [(0.0, 0.0, 10.0, 10.0)]
-    res = match_detections([det(0.9, (0, 0, 10, 10)), det(0.8, (0, 0, 10, 10))], gt, 0.5)
-    assert res.flags == (True, False)
-    assert res.unmatched_gt == 0
+    assert hits([(0, 0, 10, 10), (0, 0, 10, 10)], gt, 0.5) == (True, False)
 
 
 def test_match_prefers_highest_iou_ground_truth():
     gts = [(0.0, 0.0, 10.0, 10.0), (2.0, 0.0, 10.0, 10.0)]
-    res = match_detections([det(0.9, (2, 0, 10, 10))], gts, 0.5)
-    assert res.flags == (True,)
-    assert res.unmatched_gt == 1
+    assert hits([(2, 0, 10, 10)], gts, 0.5) == (True,)
     # the exact-overlap box was taken, leaving the shifted one
-    res2 = match_detections(
-        [det(0.9, (2, 0, 10, 10)), det(0.8, (2, 0, 10, 10))], gts, 0.6
-    )
-    assert res2.flags == (True, True)
+    assert hits([(2, 0, 10, 10), (2, 0, 10, 10)], gts, 0.6) == (True, True)
 
 
 def test_match_threshold_is_inclusive():
     gt = [(0.0, 0.0, 10.0, 10.0)]
-    res = match_detections([det(0.9, (5, 0, 10, 10))], gt, 1 / 3)
-    assert res.flags == (True,)
+    assert hits([(5, 0, 10, 10)], gt, 1 / 3) == (True,)
 
 
 def test_match_score_ties_keep_input_order():
-    gt = [(0.0, 0.0, 10.0, 10.0)]
+    gt = [det(None, (0.0, 0.0, 10.0, 10.0))]
     a = det(0.5, (0, 0, 10, 10))
-    b = det(0.5, (1, 0, 10, 10))
-    res = match_detections([a, b], gt, 0.5)
-    assert res.flags == (True, False)
-
-
-def test_match_rejects_unscored():
-    with pytest.raises(DomainError):
-        match_detections([DetectionRecord(0, 0, (0, 0, 1, 1), None)], [], 0.5)
+    b = det(0.5, (1, 0, 10, 10))  # IoU 90/110 with the ground truth
+    # whichever comes first takes the box; b misses at the three thresholds
+    # above 0.818, where a coming second is a hit at precision 1/2
+    assert map_coco([a, b], gt).map == 1.0
+    assert map_coco([b, a], gt).map == (7 * 1.0 + 3 * 0.5) / 10
 
 
 # -- average precision ----------------------------------------------------------------
@@ -406,10 +400,11 @@ def test_oracle_parity_match_detections():
         preds, gts = random_split(1_000 + seed, score_decimals=1, n_images=3)
         boxes = [g.bbox for g in gts if g.image_id == 2 and g.category_id == 0]
         mine = [p for p in preds if p.image_id == 2 and p.category_id == 0]
+        ranked = [p.bbox for p in sorted(mine, key=lambda p: -p.score)]
         for t in (0.0, 0.3, 0.5, 0.75, 0.95):
-            res = match_detections(mine, boxes, t)
-            want = oracle_match_detections(mine, boxes, t)
-            assert (res.flags, res.scores, res.n_gt, res.unmatched_gt) == want
+            flags, _, n_gt, unmatched = oracle_match_detections(mine, boxes, t)
+            assert hits(ranked, boxes, t) == flags
+            assert n_gt - sum(flags) == unmatched
 
 
 @pytest.mark.parametrize(
@@ -450,8 +445,7 @@ def test_match_exact_iou_tie_goes_to_the_first_ground_truth():
     assert iou_tlwh(tied.bbox, gts[0]) == iou_tlwh(tied.bbox, gts[1])
     # the runner-up overlaps box 1 by 90/110 and box 0 by 70/130: it can
     # clear 0.8 only if the tied detection took box 0
-    res = match_detections([tied, det(0.8, (3, 0, 10, 10))], gts, 0.8)
-    assert res.flags == (True, True)
+    assert hits([tied.bbox, (3, 0, 10, 10)], gts, 0.8) == (True, True)
 
 
 def test_map_computes_each_iou_matrix_once(monkeypatch):
@@ -502,7 +496,7 @@ def test_iou_of_two_zero_area_boxes_is_a_domain_error():
     with pytest.raises(DomainError, match="union is 0"):
         map_coco([det(0.9, tiny)], [det(None, tiny)])
     with pytest.raises(DomainError, match="union is 0"):
-        match_detections([det(0.9, tiny)], [tiny], 0.5)
+        hits([tiny], [tiny], 0.5)
     # one such box against an ordinary one is well defined
     assert iou_tlwh(tiny, (0.0, 0.0, 10.0, 10.0)) == 0.0
     assert map_coco([det(0.9, tiny)], [det(None, (0.0, 0.0, 10.0, 10.0))]).map == 0.0
@@ -531,14 +525,14 @@ def test_iou_matrix_names_the_first_pair_whose_union_overflows():
 
 
 def test_map_and_nms_refuse_boxes_whose_union_overflows():
-    from evframe import nms
+    from evframe.detect_head import _nms_keep
 
     huge = (0.0, 0.0, 1e200, 1e200)
     with pytest.raises(DomainError, match="not finite"):
         map_coco([det(0.9, huge)], [det(None, huge)])
     # two identical boxes: the scalar loop's nan IoU kept both
     with pytest.raises(DomainError, match="not finite"):
-        nms([det(0.9, huge), det(0.8, huge)], 0.5)
+        _nms_keep(np.array([huge, huge]), np.array([0.9, 0.8]), np.zeros(2, np.intp), 0.5)
 
 
 # -- corruption aggregates ------------------------------------------------------------

@@ -28,7 +28,6 @@ from evframe import (
     decode_events,
     decode_image,
     decode_tensor,
-    encode_calibration,
     encode_detections,
     encode_events,
     encode_image,
@@ -38,15 +37,13 @@ from evframe import (
     init_head_weights,
     load_weights,
     parse_calibration,
-    read_tensor_bundle,
     save_weights,
-    write_tensor_bundle,
 )
 from evframe import formats_io
 from evframe.formats_io import weight_arrays
 from evframe.fusion_cafr import LINEAR_NAMES
 from evframe.tensor_math import uniform_conv
-from conftest import philox, rgb_image, small_rig
+from conftest import calibration_json, philox, rgb_image, small_rig
 
 
 # -- event CSV ---------------------------------------------------------------------
@@ -197,20 +194,10 @@ def test_tensor_rejects_rank_zero():
         encode_tensor(np.float32(1.0))
 
 
-def test_tensor_bundle_roundtrip(tmp_path):
-    rng = philox(4)
-    arrays = {"a.b": rng.standard_normal((2, 3)).astype(np.float32), "c": np.ones(4, np.float32)}
-    write_tensor_bundle(tmp_path, arrays, extra={"note": 7})
-    back, manifest = read_tensor_bundle(tmp_path)
-    assert set(back) == {"a.b", "c"}
-    assert np.array_equal(back["a.b"], arrays["a.b"])
-    assert manifest["note"] == 7
-
-
 def test_tensor_bundle_requires_member_table(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"oops": 1}))
-    with pytest.raises(SchemaError):
-        read_tensor_bundle(tmp_path)
+    with pytest.raises(SchemaError, match="no 'members' table"):
+        load_weights(CafrWeights, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +212,7 @@ def test_tensor_bundle_requires_member_table(tmp_path):
 def test_broken_bundle_manifest_is_a_schema_error(tmp_path, manifest, fault):
     (tmp_path / "manifest.json").write_bytes(manifest)
     with pytest.raises(SchemaError, match=fault):
-        read_tensor_bundle(tmp_path)
+        load_weights(CafrWeights, tmp_path)
 
 
 # -- weight bundles -------------------------------------------------------------------
@@ -317,14 +304,14 @@ def test_weight_bundle_faults_name_the_member(tmp_path, cls, make, drop, named):
 
 def test_calibration_roundtrip():
     rig = small_rig()
-    back = parse_calibration(encode_calibration(rig))
+    back = parse_calibration(calibration_json(rig))
     for name in ("k_rgb", "k_event", "r_rgb", "r_event", "r_event_rgb"):
         assert np.allclose(getattr(back, name), getattr(rig, name), atol=1e-12)
 
 
 def test_calibration_rejects_missing_key():
     rig = small_rig()
-    data = json.loads(encode_calibration(rig))
+    data = json.loads(calibration_json(rig))
     del data["R_event"]
     with pytest.raises(SchemaError):
         parse_calibration(json.dumps(data).encode())

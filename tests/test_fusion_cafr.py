@@ -13,7 +13,6 @@ from evframe import (
     SchemaError,
     ShapeError,
     StateError,
-    bci_activate,
     bci_enhance,
     cafr_backward,
     cafr_forward,
@@ -98,7 +97,7 @@ def test_weight_load_rejects_missing_member(tmp_path):
 
 def test_identity_activation_passes_features_through(rng):
     pair = random_pair(rng)
-    out = bci_activate(pair, identity_weights(4))
+    out, _ = fusion_cafr._activate(pair, identity_weights(4))
     assert np.allclose(out.frame, pair.frame, atol=1e-15)
     assert np.allclose(out.event, pair.event, atol=1e-15)
 

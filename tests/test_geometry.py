@@ -15,9 +15,9 @@ from evframe import (
     encode_image,
     warp_bbox,
     warp_image,
-    warp_point,
     warp_points,
 )
+from evframe import geometry_align
 from conftest import philox, rgb_image, rot_z, small_rig
 
 
@@ -71,14 +71,20 @@ def test_homography_must_be_3x3():
 # -- point warping ---------------------------------------------------------------
 
 
+def oracle_warp_point(h: Homography, point) -> tuple:
+    """Map one (u, v) through the homography and dehomogenize."""
+    x = h.matrix @ np.array([float(point[0]), float(point[1]), 1.0])
+    return (x[0] / x[2], x[1] / x[2])
+
+
 def test_identity_maps_points_to_themselves():
     hom = Homography(np.eye(3))
-    assert warp_point(hom, (10.0, 20.0)) == (10.0, 20.0)
+    assert warp_points(hom, [(10.0, 20.0)]).tolist() == [[10.0, 20.0]]
 
 
 def test_translation_moves_points():
     hom = translation(3.0, -2.0)
-    assert warp_point(hom, (1.0, 1.0)) == pytest.approx((4.0, -1.0))
+    assert warp_points(hom, [(1.0, 1.0)])[0] == pytest.approx((4.0, -1.0))
 
 
 def test_batch_warp_matches_single_point_warp():
@@ -87,13 +93,13 @@ def test_batch_warp_matches_single_point_warp():
     pts = rng.uniform(0, 64, size=(50, 2))
     batch = warp_points(hom, pts)
     for i in range(len(pts)):
-        assert batch[i] == pytest.approx(warp_point(hom, pts[i]), abs=1e-12)
+        assert batch[i] == pytest.approx(oracle_warp_point(hom, pts[i]), abs=1e-12)
 
 
 def test_point_mapping_to_infinity_is_a_domain_error():
     hom = Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 1.0]]))
-    with pytest.raises(DomainError):
-        warp_point(hom, (0.0, 1.0))  # w' = 1 - 1 = 0
+    with pytest.raises(DomainError, match="maps to infinity"):
+        warp_points(hom, [(5.0, 5.0), (0.0, 1.0)])  # w' = 1 - 1 = 0 for the second
 
 
 def test_warp_then_inverse_recovers_points():
@@ -144,6 +150,24 @@ def test_warp_image_rejects_non_positive_output_dims(rng):
         warp_image(Homography(np.eye(3)), img, 0, 4)
 
 
+def test_warp_image_refuses_a_warp_over_its_memory_budget(rng):
+    img = rgb_image(rng, 20, 15)
+    # ~11 GiB of sampling grid alone: refused before anything is allocated
+    with pytest.raises(DomainError) as exc:
+        warp_image(Homography(np.eye(3)), img, 100_000_000, 15)
+    assert f"over the {geometry_align.WARP_MAX_BYTES}-byte budget" in str(exc.value)
+    assert "100000000x15 warp needs an estimated 312000000000 bytes" in str(exc.value)
+
+
+def test_warp_image_budget_is_the_module_constant(rng, monkeypatch):
+    img = rgb_image(rng, 10, 8)
+    # 8 bytes x (20 sampling values + 2 x 3 channels) for each of the 80 pixels
+    monkeypatch.setattr(geometry_align, "WARP_MAX_BYTES", 80 * 8 * 26)
+    assert warp_image(Homography(np.eye(3)), img, 10, 8).pixels.shape == (8, 10, 3)
+    with pytest.raises(DomainError, match="budget"):
+        warp_image(Homography(np.eye(3)), img, 11, 8)
+
+
 # -- box warping ------------------------------------------------------------------
 
 
@@ -177,3 +201,12 @@ def test_rotation_warps_box_to_corner_hull():
     out = warp_bbox(rot90, (2.0, 3.0, 4.0, 5.0), clip_w=100, clip_h=100)
     # corners map to x in [-8,-3], y in [2,6]; clipped at x=0 -> no area
     assert out is None
+
+
+@pytest.mark.parametrize(
+    "clip_w, clip_h",
+    [(np.nan, 64), (64, np.nan), (np.inf, 64), (64, -np.inf), (-5, 64), (64, -5), (0, 64), (64, 0.0)],
+)
+def test_box_clip_window_must_be_finite_and_positive(clip_w, clip_h):
+    with pytest.raises(DomainError, match="clip window must be finite and positive"):
+        warp_bbox(Homography(np.eye(3)), (2.0, 3.0, 4.0, 5.0), clip_w, clip_h)
