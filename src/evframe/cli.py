@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -229,8 +230,12 @@ def _cmd_cafr_forward(ns) -> dict:
 
 
 def _cmd_cafr_gradcheck(ns) -> dict:
-    rng = philox(ns.seed)
     shape = (ns.channels, ns.height, ns.width)
+    if min(shape) < 1:
+        raise DomainError(f"--channels, --height and --width must be >= 1, got {shape}")
+    if ns.tolerance is not None and math.isnan(ns.tolerance):
+        raise DomainError("--tolerance must be a number, got nan")
+    rng = philox(ns.seed)
     pair = FeaturePair(rng.standard_normal(shape), rng.standard_normal(shape))
     weights = init_cafr_weights(ns.channels, seed=ns.seed + 1)
     worst = cafr_gradcheck(pair, weights, probes=ns.probes, step=ns.step, seed=ns.seed + 2)

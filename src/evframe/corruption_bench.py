@@ -114,24 +114,16 @@ def severity_params(ctype: CorruptionType, severity: int) -> dict:
 # -- noise family -----------------------------------------------------------------
 
 def corrupt_gaussian_noise(arr: np.ndarray, rng, sigma: float) -> np.ndarray:
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
     return arr + rng.standard_normal(arr.shape) * sigma
 
 
 def corrupt_shot_noise(arr: np.ndarray, rng, photons: float) -> np.ndarray:
     """Photon-count noise; fewer photons per unit intensity is noisier."""
-    if math.isinf(photons):
-        return arr.copy()
-    if photons <= 0:
-        raise DomainError(f"photons must be positive, got {photons}")
     return rng.poisson(arr * photons) / photons
 
 
 def corrupt_impulse_noise(arr: np.ndarray, rng, rate: float) -> np.ndarray:
     """Salt-and-pepper: each pixel flips to 0 or 1 with the given rate."""
-    if not 0.0 <= rate <= 1.0:
-        raise DomainError(f"rate must be in [0,1], got {rate}")
     h, w = arr.shape[:2]
     hit = rng.random((h, w)) < rate
     salt = rng.random((h, w)) < 0.5
@@ -154,10 +146,7 @@ def _gaussian_channels(arr: np.ndarray, sigma: float) -> np.ndarray:
     return ndi.gaussian_filter(arr, sigma=(sigma, sigma, 0.0), mode="nearest")
 
 
-def _disk_kernel(radius: int) -> np.ndarray:
-    r = int(radius)
-    if r < 1:
-        raise DomainError(f"radius must be >= 1, got {radius}")
+def _disk_kernel(r: int) -> np.ndarray:
     yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
     k = (xx * xx + yy * yy <= r * r).astype(np.float64)
     return k / k.sum()
@@ -174,7 +163,7 @@ def _line_kernel(length: int, angle: float) -> np.ndarray:
     return k / k.sum()
 
 
-def corrupt_defocus_blur(arr: np.ndarray, radius: int) -> np.ndarray:
+def corrupt_defocus_blur(arr: np.ndarray, rng, radius: int) -> np.ndarray:
     return _convolve_channels(arr, _disk_kernel(radius))
 
 
@@ -196,15 +185,13 @@ def corrupt_motion_blur(arr: np.ndarray, rng, length: int) -> np.ndarray:
     return _convolve_channels(arr, _line_kernel(length, angle))
 
 
-def corrupt_zoom_blur(arr: np.ndarray, max_zoom: float) -> np.ndarray:
+def corrupt_zoom_blur(arr: np.ndarray, rng, max_zoom: float) -> np.ndarray:
     """Average of progressively zoomed-and-cropped copies.
 
     Channels are zoomed one plane at a time: a unit zoom factor on the
     channel axis only ever weighs a sample by 1 and its neighbour by 0, so a
     3-D zoom gives the same values for twice the work.
     """
-    if max_zoom < 1.0:
-        raise DomainError(f"max_zoom must be >= 1, got {max_zoom}")
     h, w = arr.shape[:2]
     acc = arr.copy()
     count = 1
@@ -297,8 +284,6 @@ def corrupt_snow(arr: np.ndarray, rng, density: float, length: int, opacity: flo
 
 def corrupt_frost(arr: np.ndarray, rng, coverage: float, opacity: float) -> np.ndarray:
     """Icy overlay along the level-set veins of a plasma field."""
-    if not 0.0 < coverage <= 1.0:
-        raise DomainError(f"coverage must be in (0,1], got {coverage}")
     p = _plasma(rng, arr.shape[0], arr.shape[1], 0.7)
     ridges = 1.0 - np.abs(2.0 * p - 1.0)
     m = np.clip((ridges - (1.0 - coverage)) / coverage, 0.0, 1.0)
@@ -306,16 +291,14 @@ def corrupt_frost(arr: np.ndarray, rng, coverage: float, opacity: float) -> np.n
     return arr * (1.0 - m) + 0.92 * m
 
 
-def corrupt_brightness(arr: np.ndarray, lift: float) -> np.ndarray:
+def corrupt_brightness(arr: np.ndarray, rng, lift: float) -> np.ndarray:
     return arr + lift
 
 
 # -- digital family -----------------------------------------------------------------
 
-def corrupt_contrast(arr: np.ndarray, factor: float) -> np.ndarray:
+def corrupt_contrast(arr: np.ndarray, rng, factor: float) -> np.ndarray:
     """Scale deviations about the per-channel mean."""
-    if factor < 0:
-        raise DomainError(f"factor must be >= 0, got {factor}")
     m = arr.mean(axis=(0, 1), keepdims=True)
     return m + (arr - m) * factor
 
@@ -335,13 +318,9 @@ def corrupt_elastic(arr: np.ndarray, rng, alpha: float, sigma: float) -> np.ndar
     return out
 
 
-def corrupt_pixelate(arr: np.ndarray, factor: int) -> np.ndarray:
+def corrupt_pixelate(arr: np.ndarray, rng, factor: int) -> np.ndarray:
     """Box-average downscale by an integer factor, then nearest upscale."""
-    k = int(factor)
-    if k < 1:
-        raise DomainError(f"factor must be >= 1, got {factor}")
-    if k == 1:
-        return arr.copy()
+    k = factor
     h, w, c = arr.shape
     padded = np.pad(arr, ((0, (-h) % k), (0, (-w) % k), (0, 0)), mode="edge")
     hh, ww = padded.shape[:2]
@@ -390,8 +369,7 @@ def _dct_matrix() -> np.ndarray:
 _DCT8 = _dct_matrix()
 
 
-def _quality_table(base: np.ndarray, quality: int) -> np.ndarray:
-    q = min(100, max(1, int(quality)))
+def _quality_table(base: np.ndarray, q: int) -> np.ndarray:
     scale = 5000.0 / q if q < 50 else 200.0 - 2.0 * q
     return np.clip(np.floor((base * scale + 50.0) / 100.0), 1.0, 255.0)
 
@@ -409,7 +387,7 @@ def _jpeg_channel(ch: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out[:h, :w]
 
 
-def corrupt_jpeg_compression(arr: np.ndarray, quality: int) -> np.ndarray:
+def corrupt_jpeg_compression(arr: np.ndarray, rng, quality: int) -> np.ndarray:
     """Baseline 8x8-DCT quantization roundtrip (full-resolution chroma)."""
     x = arr * 255.0
     luma_table = _quality_table(_Q_LUMA, quality)
@@ -431,26 +409,23 @@ def corrupt_jpeg_compression(arr: np.ndarray, quality: int) -> np.ndarray:
 
 # -- dispatch ---------------------------------------------------------------------
 
-_APPLY = {
-    CorruptionType.GAUSSIAN_NOISE: lambda a, p, rng: corrupt_gaussian_noise(a, rng, p["sigma"]),
-    CorruptionType.SHOT_NOISE: lambda a, p, rng: corrupt_shot_noise(a, rng, p["photons"]),
-    CorruptionType.IMPULSE_NOISE: lambda a, p, rng: corrupt_impulse_noise(a, rng, p["rate"]),
-    CorruptionType.DEFOCUS_BLUR: lambda a, p, rng: corrupt_defocus_blur(a, p["radius"]),
-    CorruptionType.GLASS_BLUR: lambda a, p, rng: corrupt_glass_blur(
-        a, rng, p["sigma"], p["max_delta"], p["iterations"]
-    ),
-    CorruptionType.MOTION_BLUR: lambda a, p, rng: corrupt_motion_blur(a, rng, p["length"]),
-    CorruptionType.ZOOM_BLUR: lambda a, p, rng: corrupt_zoom_blur(a, p["max_zoom"]),
-    CorruptionType.FOG: lambda a, p, rng: corrupt_fog(a, rng, p["strength"], p["roughness"]),
-    CorruptionType.SNOW: lambda a, p, rng: corrupt_snow(
-        a, rng, p["density"], p["length"], p["opacity"]
-    ),
-    CorruptionType.FROST: lambda a, p, rng: corrupt_frost(a, rng, p["coverage"], p["opacity"]),
-    CorruptionType.BRIGHTNESS: lambda a, p, rng: corrupt_brightness(a, p["lift"]),
-    CorruptionType.CONTRAST: lambda a, p, rng: corrupt_contrast(a, p["factor"]),
-    CorruptionType.ELASTIC: lambda a, p, rng: corrupt_elastic(a, rng, p["alpha"], p["sigma"]),
-    CorruptionType.PIXELATE: lambda a, p, rng: corrupt_pixelate(a, p["factor"]),
-    CorruptionType.JPEG_COMPRESSION: lambda a, p, rng: corrupt_jpeg_compression(a, p["quality"]),
+# Each is called as fn(arr, rng, **severity_params(ctype, severity)).
+_CORRUPT = {
+    CorruptionType.GAUSSIAN_NOISE: corrupt_gaussian_noise,
+    CorruptionType.SHOT_NOISE: corrupt_shot_noise,
+    CorruptionType.IMPULSE_NOISE: corrupt_impulse_noise,
+    CorruptionType.DEFOCUS_BLUR: corrupt_defocus_blur,
+    CorruptionType.GLASS_BLUR: corrupt_glass_blur,
+    CorruptionType.MOTION_BLUR: corrupt_motion_blur,
+    CorruptionType.ZOOM_BLUR: corrupt_zoom_blur,
+    CorruptionType.FOG: corrupt_fog,
+    CorruptionType.SNOW: corrupt_snow,
+    CorruptionType.FROST: corrupt_frost,
+    CorruptionType.BRIGHTNESS: corrupt_brightness,
+    CorruptionType.CONTRAST: corrupt_contrast,
+    CorruptionType.ELASTIC: corrupt_elastic,
+    CorruptionType.PIXELATE: corrupt_pixelate,
+    CorruptionType.JPEG_COMPRESSION: corrupt_jpeg_compression,
 }
 
 
@@ -458,7 +433,7 @@ def apply_corruption(img: ImagePNM, spec: CorruptionSpec) -> ImagePNM:
     """Apply one corruption; output has the same dims/channels, clamped bytes."""
     params = severity_params(spec.ctype, spec.severity)
     arr = img.to_float01()
-    out = np.asarray(_APPLY[spec.ctype](arr, params, philox(spec.seed)), dtype=np.float64)
+    out = np.asarray(_CORRUPT[spec.ctype](arr, philox(spec.seed), **params), dtype=np.float64)
     if out.shape != arr.shape:
         raise ShapeError(f"corruption changed shape {arr.shape} -> {out.shape}")
     return ImagePNM.from_float01(np.clip(out, 0.0, 1.0))
@@ -501,7 +476,9 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
     Returns the manifest rows: {src, dst, type, severity, seed} per output.
     The manifest order is image, then type, then severity, independent of
     how many workers render the variants. ``workers`` above MAX_WORKERS is
-    rejected before any image is read.
+    rejected before any image is read. A variant that fails does not stop
+    the others: once every one has been tried, the first failure is raised
+    and no manifest is written.
     """
     paths = [Path(p) for p in image_paths]
     if not paths:
@@ -528,14 +505,10 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
                         "seed": seed,
                     }
                 )
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        for task in tasks:
-            _corrupt_one(task)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # list() propagates the first worker exception, if any
-            list(pool.map(_corrupt_one, tasks))
+    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = [pool.submit(_corrupt_one, task) for task in tasks]
+    for future in futures:
+        future.result()
     manifest = out / MANIFEST_NAME
     manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     return rows

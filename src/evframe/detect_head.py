@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class BBox:
     def __post_init__(self):
         if not (self.w > 0 and self.h > 0):
             raise DomainError(f"box dims must be positive, got w={self.w}, h={self.h}")
-
-    def to_tlwh(self) -> tuple:
-        return (self.x - self.w / 2.0, self.y - self.h / 2.0, self.w, self.h)
 
 
 @dataclass
@@ -362,7 +359,6 @@ def decode_head(
     image_id: int,
     score_threshold: float = DEFAULT_SCORE_THRESHOLD,
     iou_threshold: float = DEFAULT_NMS_IOU,
-    categories: Optional[Sequence[int]] = None,
     pre_nms_top_k: int = 1000,
 ) -> List[DetectionRecord]:
     """Turn head outputs into suppressed detection records for one image.
@@ -371,13 +367,14 @@ def decode_head(
     Candidates over the score threshold are trimmed to the pre_nms_top_k
     best before suppression, which bounds NMS cost on dense outputs. Their
     log size offsets are clipped to +-BBOX_XFORM_CLIP, and the selected rows
-    are decoded as columns with the operations of ``decode_offsets`` and
-    ``BBox.to_tlwh`` in their order (``math.exp`` for the sizes, and the
-    centre arithmetic in the offsets' dtype). Every selected row is checked,
-    kept or not: a non-finite offset, a non-positive size, a non-finite box
-    or a score outside [0, 1] is a ``DomainError`` for the first such row.
-    Suppression is ``_nms_keep`` per category id, and records are built for
-    the kept boxes only.
+    are decoded as columns with the operations of ``decode_offsets`` in
+    their order (``math.exp`` for the sizes, and the centre arithmetic in
+    the offsets' dtype), then shifted to top-left corners. Every selected
+    row is checked, kept or not: a non-finite offset, a non-positive size, a
+    non-finite box or a score outside [0, 1] is a ``DomainError`` for the
+    first such row. A box's category id is its column of ``cls``;
+    suppression is ``_nms_keep`` per category id, and records are built for
+    the kept boxes only. A NaN score threshold is a ``DomainError``.
     """
     cls = np.asarray(cls)
     reg = np.asarray(reg)
@@ -392,11 +389,8 @@ def decode_head(
         raise ShapeError(
             f"head outputs {cls.shape}/{reg.shape} do not cover {len(anchors)} anchors"
         )
-    if categories is None:
-        categories = list(range(cls.shape[1]))
-    elif len(categories) != cls.shape[1]:
-        raise ShapeError(f"{len(categories)} categories for {cls.shape[1]} classes")
-    cat_ids = [int(c) for c in categories]
+    if math.isnan(score_threshold):
+        raise DomainError("score_threshold must be a number, got nan")
     if pre_nms_top_k < 1:
         raise DomainError(f"pre_nms_top_k must be >= 1, got {pre_nms_top_k}")
 
@@ -428,11 +422,9 @@ def decode_head(
     if not 0.0 <= iou_threshold <= 1.0:
         raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
 
-    labels: dict = {}
-    cat_groups = np.array([labels.setdefault(c, len(labels)) for c in cat_ids], dtype=np.intp)
-    kept = _nms_keep(boxes, scores, cat_groups[cols], iou_threshold)
+    kept = _nms_keep(boxes, scores, cols, iou_threshold)
     return [
-        DetectionRecord(image_id=image_id, category_id=cat_ids[k], bbox=tuple(b), score=s)
+        DetectionRecord(image_id=image_id, category_id=k, bbox=tuple(b), score=s)
         for k, b, s in zip(
             cols[kept].tolist(), boxes[kept].tolist(), scores[kept].tolist()
         )

@@ -248,50 +248,44 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_matrix(map_matrix, strict: bool):
+def _check_matrix(map_matrix):
+    """The rows of a 15x5 matrix of real numbers in [0, 1]."""
     try:
         rows = [list(r) for r in map_matrix]
     except TypeError:
         raise DomainError("corruption matrix must be a sequence of rows") from None
-    if not rows or not rows[0]:
-        raise DomainError("corruption matrix must be non-empty")
-    width = len(rows[0])
+    lengths = [len(r) for r in rows]
+    if lengths != [SEVERITY_COUNT] * CORRUPTION_TYPE_COUNT:
+        raise DomainError(
+            f"expected a {CORRUPTION_TYPE_COUNT}x{SEVERITY_COUNT} matrix, got row lengths {lengths}"
+        )
     for r in rows:
-        if len(r) != width:
-            raise DomainError("corruption matrix has a missing entry")
         for v in r:
             if not (_is_real(v) and 0.0 <= v <= 1.0):
                 raise DomainError(f"mAP entry {v!r} is not a number in [0,1]")
-    if strict and (len(rows), width) != (CORRUPTION_TYPE_COUNT, SEVERITY_COUNT):
-        raise DomainError(
-            f"expected {CORRUPTION_TYPE_COUNT}x{SEVERITY_COUNT} matrix, "
-            f"got {len(rows)}x{width}"
-        )
     return rows
 
 
-def mpc(map_matrix, strict: bool = True) -> float:
+def mpc(map_matrix) -> float:
     """Mean over corruption types of the per-type mean over severities.
 
-    Entries are real numbers in [0, 1] (a bool is not one). strict mode
-    enforces the full 15x5 grid; strict=False admits any rectangular matrix
-    for small fixtures.
+    The matrix is the full 15x5 type-by-severity grid of real numbers in
+    [0, 1] (a bool is not one).
     """
-    rows = _check_matrix(map_matrix, strict)
+    rows = _check_matrix(map_matrix)
     return sum(sum(r) / len(r) for r in rows) / len(rows)
 
 
-def rpc(map_clean: float, map_matrix, strict: bool = True) -> tuple:
+def rpc(map_clean: float, map_matrix) -> tuple:
     """Per-severity mean mAP over types, relative to the clean mAP.
 
     ``map_clean`` is a real number in (0, 1]; the matrix is checked as in ``mpc``.
     """
     if not (_is_real(map_clean) and 0.0 < map_clean <= 1.0):
         raise DomainError(f"clean mAP must be a number in (0,1], got {map_clean!r}")
-    rows = _check_matrix(map_matrix, strict)
-    n_s = len(rows[0])
+    rows = _check_matrix(map_matrix)
     return tuple(
-        sum(r[s] for r in rows) / len(rows) / map_clean for s in range(n_s)
+        sum(r[s] for r in rows) / len(rows) / map_clean for s in range(SEVERITY_COUNT)
     )
 
 
@@ -321,11 +315,11 @@ class MpcReport:
         }
 
 
-def build_mpc_report(map_clean: float, map_matrix, strict: bool = True) -> MpcReport:
-    rows = _check_matrix(map_matrix, strict)
+def build_mpc_report(map_clean: float, map_matrix) -> MpcReport:
+    rows = _check_matrix(map_matrix)
     return MpcReport(
         map_clean=map_clean,
         map_matrix=tuple(tuple(r) for r in rows),
-        mpc=mpc(rows, strict=strict),
-        rpc_per_severity=rpc(map_clean, rows, strict=strict),
+        mpc=mpc(rows),
+        rpc_per_severity=rpc(map_clean, rows),
     )

@@ -128,6 +128,8 @@ def normalize_timestamps(stream: EventStream, bins: int) -> np.ndarray:
     """Rescale timestamps onto [0, B-1].
 
     A degenerate span (all timestamps equal) or B = 1 maps everything to 0.
+    Events at the last timestamp map to exactly B-1: (B-1) * span / span
+    can round past it once the span exceeds 2**53.
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
@@ -137,7 +139,9 @@ def normalize_timestamps(stream: EventStream, bins: int) -> np.ndarray:
     span = t[-1] - t[0]
     if span == 0 or bins == 1:
         return np.zeros(len(t), dtype=np.float64)
-    return (bins - 1) * (t - t[0]) / span
+    ts = (bins - 1) * (t - t[0]) / span
+    ts[t == t[-1]] = bins - 1
+    return ts
 
 
 def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
@@ -161,8 +165,7 @@ def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
     pixel = ys * w + xs
     for tb, wt in ((t0, 1.0 - ft), (t0 + 1, ft)):
         mass = ps * wt
-        # ts leaves [0, B-1] for an unsorted stream, and steps past B-1 by
-        # rounding when the span exceeds 2**53
+        # ts leaves [0, B-1] only for an unsorted stream
         ok = (mass != 0) & (tb >= 0) & (tb < bins)
         np.add.at(grid.reshape(-1), tb[ok] * (h * w) + pixel[ok], mass[ok])
     return VoxelGrid(bins=bins, height=h, width=w, data=grid)

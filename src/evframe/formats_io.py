@@ -104,10 +104,11 @@ class EventStream:
     the CSV's t, x, y, p, non-decreasing in t; ``t``, ``x``, ``y`` and ``p``
     are its read-only column views. The constructor takes a sequence of
     Event; ``from_table`` wraps a table as it is. ``events`` views the table
-    as a read-only sequence of Event.
+    as a read-only sequence of Event. Both refuse sensor dims below 1.
     """
 
     def __init__(self, sensor_width: int, sensor_height: int, events: Sequence):
+        _check_sensor_dims(sensor_width, sensor_height)
         self.sensor_width = sensor_width
         self.sensor_height = sensor_height
         self.table = _read_only(_event_table(events))
@@ -115,6 +116,7 @@ class EventStream:
     @classmethod
     def from_table(cls, sensor_width: int, sensor_height: int, table: np.ndarray) -> "EventStream":
         """Wrap an (n, 4) int64 t, x, y, p table without copying it."""
+        _check_sensor_dims(sensor_width, sensor_height)
         table = np.asarray(table)
         if table.dtype != np.int64 or table.ndim != 2 or table.shape[1] != 4:
             raise ValidationError(f"event table must be (n, 4) int64, got {table.dtype} {table.shape}")
@@ -156,6 +158,11 @@ class EventStream:
             f"EventStream({self.sensor_width}x{self.sensor_height}, "
             f"{len(self.table)} events)"
         )
+
+
+def _check_sensor_dims(sensor_width: int, sensor_height: int) -> None:
+    if not (sensor_width >= 1 and sensor_height >= 1):
+        raise DomainError(f"sensor dims must be at least 1x1, got {sensor_width}x{sensor_height}")
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -392,10 +399,13 @@ def decode_events(
     """Parse an event CSV file; validates ordering, bounds, and polarity.
 
     When the sensor dims are omitted they are inferred as max coordinate + 1,
-    which requires at least one event. Every field must fit in int64.
+    which requires at least one event; given dims must be at least 1x1.
+    Every field must fit in int64.
     """
     if (sensor_width is None) != (sensor_height is None):
         raise DomainError("sensor_width and sensor_height must be given together")
+    if sensor_width is not None:
+        _check_sensor_dims(sensor_width, sensor_height)
     head, _, body = data.partition(b"\n")
     if head.decode("ascii", errors="replace").strip() != "t,x,y,p":
         raise ParseError("missing or malformed header, expected 't,x,y,p'", line=1)
@@ -757,10 +767,9 @@ def encode_detections(records: Sequence[DetectionRecord]) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
-def decode_detections(data: bytes, categories=None) -> DetectionTable:
+def decode_detections(data: bytes) -> DetectionTable:
     """Parse newline-delimited detection records into a DetectionTable.
 
-    When ``categories`` is given, every record's category_id must belong to it.
     Ground-truth records legitimately omit ``score``. A line that is not
     UTF-8 or not a JSON object, an id that is not an integer (a float of
     integral value such as 1.0 counts as one), or a bbox entry or score that
@@ -770,8 +779,8 @@ def decode_detections(data: bytes, categories=None) -> DetectionTable:
     ``DomainError`` naming its line.
     """
     table = _parse_detection_table(data)
-    if table is None or not _detection_table_valid(table, categories):
-        table = DetectionTable.from_records(_scan_detection_lines(data, categories))
+    if table is None or not _detection_table_valid(table):
+        table = DetectionTable.from_records(_scan_detection_lines(data))
     return table
 
 
@@ -813,14 +822,12 @@ def _parse_detection_table(data: bytes) -> Optional[DetectionTable]:
     return DetectionTable(image_id, category_id, values[:4].T, values[4])
 
 
-def _detection_table_valid(table: DetectionTable, categories) -> bool:
-    """The checks of DetectionRecord and of ``categories``, on the columns."""
+def _detection_table_valid(table: DetectionTable) -> bool:
+    """The checks of DetectionRecord, on the columns."""
     box, score = table.bbox, table.score
     if not (np.isfinite(box).all() and (box[:, 2:] > 0).all()):
         return False
-    if ((score < 0.0) | (score > 1.0)).any():  # a NaN (absent) score compares False
-        return False
-    return categories is None or all(c in categories for c in np.unique(table.category_id).tolist())
+    return not ((score < 0.0) | (score > 1.0)).any()  # a NaN (absent) score compares False
 
 
 def _is_number(value) -> bool:
@@ -838,7 +845,7 @@ def _record_id(doc: dict, key: str, lineno: int) -> int:
     return int(value)
 
 
-def _scan_detection_lines(data: bytes, categories) -> list:
+def _scan_detection_lines(data: bytes) -> list:
     """Check a detection body line by line, raising the first line's error.
 
     Runs only when the one-pass parse declines the body or its checks fail.
@@ -878,9 +885,5 @@ def _scan_detection_lines(data: bytes, categories) -> list:
             record = DetectionRecord(image_id, category_id, tuple(bbox), score)
         except DomainError as exc:
             raise DomainError(f"line {lineno}: {exc}") from None
-        if categories is not None and category_id not in categories:
-            raise DomainError(
-                f"line {lineno}: category_id {doc['category_id']} not in declared set"
-            )
         records.append(record)
     return records

@@ -207,18 +207,18 @@ def softmax_rows_vjp(s: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 # -- per-channel statistics ------------------------------------------------------
 
-def channel_stats(x: np.ndarray, eps: float = CHANNEL_STATS_EPS):
+def channel_stats(x: np.ndarray):
     """Per-channel mean and epsilon-floored std over the spatial axes.
 
-    sigma_c = sqrt(population_variance_c + eps), so a constant channel still has
-    a usable positive scale.
+    sigma_c = sqrt(population_variance_c + CHANNEL_STATS_EPS), so a constant
+    channel still has a usable positive scale.
     """
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1] * x.shape[2] < 1:
         raise ShapeError(f"channel_stats needs [C,H,W] with H*W >= 1, got {x.shape}")
     mu = x.mean(axis=(1, 2))
     var = x.var(axis=(1, 2))
-    return mu, np.sqrt(var + eps)
+    return mu, np.sqrt(var + CHANNEL_STATS_EPS)
 
 
 def channel_stats_vjp(x: np.ndarray, sigma: np.ndarray, gmu: np.ndarray, gsigma: np.ndarray) -> np.ndarray:

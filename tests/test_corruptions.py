@@ -1,6 +1,7 @@
 """Corruption battery: determinism, output contracts, per-type oracles, the runner."""
 
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -268,6 +269,20 @@ def test_dataset_outputs_do_not_depend_on_worker_count(tmp_path):
         assert Path(rs["dst"]).read_bytes() == Path(rp["dst"]).read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_variant_does_not_stop_the_others(tmp_path, monkeypatch, workers):
+    def broken(arr, rng, **params):
+        raise DomainError("broken fog")
+
+    monkeypatch.setitem(corruption_bench._CORRUPT, CorruptionType.FOG, broken)
+    out = tmp_path / "out"
+    with pytest.raises(DomainError, match="broken fog"):
+        corrupt_dataset(write_corpus(tmp_path, n=1), out, workers=workers)
+    written = [p.name for p in out.glob("*.pnm")]
+    assert len(written) == 70 and not any("_fog_" in name for name in written)
+    assert not (out / "manifest.jsonl").exists()
+
+
 def test_dataset_input_validation(tmp_path):
     with pytest.raises(DomainError):
         corrupt_dataset([], tmp_path / "x")
@@ -362,7 +377,7 @@ def scalar_zoom_blur(arr, max_zoom):
 def test_zoom_blur_matches_the_3d_zoom_oracle_byte_for_byte(channels, severity):
     arr = philox(severity).random((37, 50, channels))
     max_zoom = severity_params(CorruptionType.ZOOM_BLUR, severity)["max_zoom"]
-    got = corruption_bench.corrupt_zoom_blur(arr, max_zoom)
+    got = corruption_bench.corrupt_zoom_blur(arr, None, max_zoom)  # it draws nothing
     assert got.tobytes() == scalar_zoom_blur(arr, max_zoom).tobytes()
 
 
@@ -384,8 +399,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
 
     monkeypatch.setattr(corruption_bench, "ThreadPoolExecutor", SerialExecutor)
     return sizes

@@ -331,6 +331,13 @@ def test_decode_head_rejects_an_iou_threshold_outside_the_unit_interval(thr):
         decode_head(cls, reg, anchors, 0, iou_threshold=thr)
 
 
+def test_decode_head_rejects_a_nan_score_threshold():
+    # every score compares False against NaN, so it would keep no box at all
+    anchors, cls, reg = small_case(5, n=20)
+    with pytest.raises(DomainError, match="score_threshold"):
+        decode_head(cls, reg, anchors, 0, score_threshold=math.nan)
+
+
 # -- full decode ------------------------------------------------------------------
 
 
@@ -358,14 +365,12 @@ def test_decode_head_trims_to_top_k():
     assert [round(d.score, 2) for d in out] == [0.9, 0.76, 0.62]
 
 
-def test_decode_head_maps_category_ids():
+def test_decode_head_category_id_is_the_class_column():
     anchors = np.array([[10.0, 10.0, 4.0, 4.0]])
-    cls = np.array([[0.7, 0.8]])
+    cls = np.array([[0.7, 0.8, 0.0]])
     reg = np.zeros((1, 4))
-    out = decode_head(cls, reg, anchors, image_id=0, categories=[17, 42])
-    assert sorted(d.category_id for d in out) == [17, 42]
-    with pytest.raises(ShapeError):
-        decode_head(cls, reg, anchors, image_id=0, categories=[17])
+    out = decode_head(cls, reg, anchors, image_id=0)
+    assert sorted(d.category_id for d in out) == [0, 1]
 
 
 @pytest.mark.parametrize("wild", [800.0, -800.0])
@@ -457,10 +462,13 @@ def oracle_nms(dets, iou_threshold):
     return kept
 
 
+def tlwh(box):
+    """Top-left (x, y, w, h) of a centre-form BBox."""
+    return (box.x - box.w / 2.0, box.y - box.h / 2.0, box.w, box.h)
+
+
 def oracle_decode(cls, reg, anchors, image_id, score_threshold=0.05, iou_threshold=0.5,
-                  categories=None, pre_nms_top_k=1000):
-    if categories is None:
-        categories = list(range(cls.shape[1]))
+                  pre_nms_top_k=1000):
     rows, cols = np.nonzero(cls > score_threshold)
     if len(rows) > pre_nms_top_k:
         best = np.argsort(-cls[rows, cols], kind="stable")[:pre_nms_top_k]
@@ -471,7 +479,7 @@ def oracle_decode(cls, reg, anchors, image_id, score_threshold=0.05, iou_thresho
         for n, k, (t_w, t_h) in zip(rows, cols, sizes):
             box = decode_offsets(anchors[n], OffsetVector(reg[n, 0], reg[n, 1], t_w, t_h))
             candidates.append(
-                DetectionRecord(image_id, int(categories[k]), box.to_tlwh(), float(cls[n, k]))
+                DetectionRecord(image_id, int(k), tlwh(box), float(cls[n, k]))
             )
     return oracle_nms(candidates, iou_threshold)
 
@@ -566,14 +574,6 @@ def test_small_decode_equals_the_object_decode(seed, dtype):
         got = decode_head(cls, reg, anchors, 0, pre_nms_top_k=top_k)
         want = oracle_decode(cls, reg, objects_of(anchors), 0, pre_nms_top_k=top_k)
         assert_same_detections(got, want)
-
-
-def test_decode_groups_by_category_id_not_class_index():
-    anchors, cls, reg = small_case(4)
-    cats = [7, 7, 9]
-    got = decode_head(cls, reg, anchors, 0, categories=cats)
-    want = oracle_decode(cls, reg, objects_of(anchors), 0, categories=cats)
-    assert_same_detections(got, want)
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["at-threshold", "one-ulp-below"])

@@ -542,10 +542,15 @@ def full_matrix(value=0.4):
     return [[value] * 5 for _ in range(15)]
 
 
+def graded_matrix():
+    """A 15x5 matrix whose row r, column s holds (5r + s) / 100."""
+    return [[(5 * r + s) / 100 for s in range(5)] for r in range(15)]
+
+
 def test_mpc_nested_equals_flat_mean():
-    m = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
-    flat = sum(v for r in m for v in r) / 6
-    assert abs(mpc(m, strict=False) - flat) < 1e-12
+    m = graded_matrix()
+    flat = sum(v for r in m for v in r) / 75
+    assert abs(mpc(m) - flat) < 1e-12
 
 
 def test_mpc_strict_enforces_full_grid():
@@ -557,18 +562,22 @@ def test_mpc_strict_enforces_full_grid():
 
 
 def test_matrix_validation():
-    with pytest.raises(DomainError):
-        mpc([], strict=False)
-    with pytest.raises(DomainError):
-        mpc([[0.1, 0.2], [0.3]], strict=False)
-    with pytest.raises(DomainError):
-        mpc([[0.5, 1.5]], strict=False)
+    with pytest.raises(DomainError, match=r"15x5 matrix, got row lengths \[\]"):
+        mpc([])
+    ragged = full_matrix()
+    ragged[7] = ragged[7][:4]
+    with pytest.raises(DomainError, match="15x5"):
+        mpc(ragged)
+    out_of_range = full_matrix()
+    out_of_range[3][2] = 1.5
+    with pytest.raises(DomainError, match=r"mAP entry 1.5 is not a number in \[0,1\]"):
+        mpc(out_of_range)
 
 
 def test_rpc_relative_to_clean():
-    m = [[0.2, 0.1], [0.4, 0.3]]
-    out = rpc(0.5, m, strict=False)
-    assert out == pytest.approx((0.6, 0.4), abs=1e-12)
+    # column s averages to (35 + s) / 100 over the 15 rows
+    out = rpc(0.5, graded_matrix())
+    assert out == pytest.approx(tuple((35 + s) / 50 for s in range(5)), abs=1e-12)
 
 
 def test_rpc_identity_when_nothing_degrades():

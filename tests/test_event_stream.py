@@ -119,6 +119,7 @@ def oracle_grid(events, width, height, bins):
         ts = np.zeros(len(t), dtype=np.float64)
     else:
         ts = (bins - 1) * (t - t[0]) / span
+        ts[t == t[-1]] = bins - 1  # the last timestamp is the last bin, unrounded
     flat = grid.reshape(-1)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
@@ -206,14 +207,16 @@ def test_more_events_than_microseconds_repeat_timestamps_like_the_oracle():
     assert len(np.unique(stream.t)) == 3 < len(stream.t)
 
 
-def test_time_rounding_past_the_last_bin_is_dropped_like_the_oracle():
-    # (bins - 1) * span / span rounds to 3.0000000000000004 for this span,
-    # so the last event's upper temporal neighbour is bin 4 of 4
+def test_time_rounding_past_the_last_bin_keeps_the_mass():
+    # (bins - 1) * span / span rounds to 3.0000000000000004 for this span;
+    # the last event is snapped to bin 3 instead of leaking a sliver to bin 4
     span = 3876385069984879616
+    assert 3 * float(span) / float(span) > 3.0
     stream = EventStream(3, 2, [Event(0, 0, 0, 1), Event(2, 1, span, -1)])
     grid = build_voxel_grid(stream, bins=4).data
     assert grid.tobytes() == oracle_grid(list(stream.events), 3, 2, 4).tobytes()
-    assert -1.0 < grid[3, 1, 2] < -1.0 + 1e-15  # the sliver past bin 3 is lost
+    assert grid[3, 1, 2] == -1.0 and grid[0, 0, 0] == 1.0
+    assert grid.sum() == 0.0
 
 
 def test_unsorted_stream_grids_like_the_oracle():
@@ -463,3 +466,18 @@ def test_from_table_refuses_a_wrong_table():
         EventStream.from_table(4, 4, np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValidationError):
         EventStream.from_table(4, 4, np.zeros((2, 4), dtype=np.float64))
+
+
+@pytest.mark.parametrize(
+    "dims", [(0, 3), (4, 0), (-1, -1)], ids=["no-width", "no-height", "negative"]
+)
+def test_sensor_dims_below_one_are_refused_by_every_constructor(dims):
+    empty = np.empty((0, 4), dtype=np.int64)
+    for build in (
+        lambda: EventStream(*dims, []),
+        lambda: EventStream.from_table(*dims, empty),
+        lambda: decode_events(b"t,x,y,p\n", *dims),
+        lambda: decode_events(b"t,x,y,p\n0,0,0,1\n", *dims),
+    ):
+        with pytest.raises(DomainError, match=r"sensor dims must be at least 1x1, got -?\d+x-?\d+"):
+            build()

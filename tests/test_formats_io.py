@@ -430,9 +430,9 @@ def test_detections_name_the_line_of_a_non_numeric_field(field, value, message):
 # -- columnar detection decode --------------------------------------------------------
 
 
-def scanned(data: bytes, categories=None) -> DetectionTable:
+def scanned(data: bytes) -> DetectionTable:
     """What the line scanner alone makes of a body."""
-    return DetectionTable.from_records(formats_io._scan_detection_lines(data, categories))
+    return DetectionTable.from_records(formats_io._scan_detection_lines(data))
 
 
 def seeded_records(seed: int, n: int = 60) -> list:
@@ -486,7 +486,7 @@ def test_canonical_detections_skip_the_line_scanner(monkeypatch):
         assert decode_detections(encode_detections(records)) == records
     preds = [r for r in seeded_records(9) if r.score is not None]
     data = encode_detections(preds)
-    assert decode_detections(data, categories=(0, 1, 2)) == preds
+    assert decode_detections(data) == preds
     assert decode_detections(b"") == []
 
 

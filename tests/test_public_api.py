@@ -1,7 +1,10 @@
-"""The package's export list: each name once, and none that only tests call."""
+"""The package's export list: each name once, and none that only tests call;
+and no defaulted parameter that only tests pass."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +17,11 @@ PACKAGE = ROOT / "src" / "evframe"
 UNCALLED_EXPORTS = {
     "save_weights": "the only writer of the bundles `cafr-forward --weights` reads",
     "iou_tlwh": "the scalar IoU contract that `_iou_matrix` is defined against",
+}
+
+# Defaulted parameters kept although no program code passes them.
+UNPASSED_PARAMETERS = {
+    ("main", "argv"): "the console script calls main() on sys.argv; in-process callers pass a list",
 }
 
 
@@ -46,36 +54,85 @@ def test_the_export_list_names_each_public_class_and_function_once():
     assert {n: spelled[n] for n in names if spelled[n] != 1} == {}
 
 
-def _references(path: Path, outside_own_definition: bool) -> set:
-    """Names a file reads, as bare names or attributes (``ef.decode_head``).
-
-    Import statements are not references. With ``outside_own_definition``, a
-    name used only inside the function or class that defines it is not one.
-    """
-    found = set()
+def _nodes(path: Path, outside_own_definition: bool):
+    """Every node of a file, with the names of the functions and classes it
+    is defined in (none unless ``outside_own_definition``)."""
 
     def visit(node, defining):
         if outside_own_definition and isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             defining = defining | {node.name}
+        yield node, defining
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, defining)
+
+    return visit(ast.parse(path.read_text()), frozenset())
+
+
+def _program_files():
+    """(path, outside_own_definition) for every file of program code: a use
+    inside the definition of what it uses does not count in the package."""
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            yield path, True
+    for path in [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        yield path, False
+
+
+def _references(path: Path, outside_own_definition: bool) -> set:
+    """Names a file reads, as bare names or attributes (``ef.decode_head``).
+
+    Import statements are not references.
+    """
+    found = set()
+    for node, defining in _nodes(path, outside_own_definition):
         if isinstance(node, ast.Name) and node.id not in defining:
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in defining:
             found.add(node.attr)
-        for child in ast.iter_child_nodes(node):
-            visit(child, defining)
+    return found
 
-    visit(ast.parse(path.read_text()), frozenset())
+
+def _passed(path: Path, outside_own_definition: bool) -> set:
+    """(callee name, parameter) pairs a file's calls pass: the parameter is a
+    keyword's name or a positional argument's index."""
+    found = set()
+    for node, defining in _nodes(path, outside_own_definition):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee not in defining:
+                found.update((callee, k.arg) for k in node.keywords)
+                found.update((callee, i) for i in range(len(node.args)))
     return found
 
 
 def test_every_export_is_called_outside_the_unit_tests():
     used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            used |= _references(path, outside_own_definition=True)
-    for path in [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
-        used |= _references(path, outside_own_definition=False)
+    for path, outside_own_definition in _program_files():
+        used |= _references(path, outside_own_definition)
     uncalled = set(evframe.__all__) - used
     assert uncalled == set(UNCALLED_EXPORTS)
+
+
+def _public_functions():
+    """(name, function) for every public function of every evframe module."""
+    for info in pkgutil.iter_modules(evframe.__path__):
+        module = importlib.import_module(f"evframe.{info.name}")
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and value.__module__ == module.__name__:
+                if not name.startswith("_"):
+                    yield name, value
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
+    passed = set()
+    for path, outside_own_definition in _program_files():
+        passed |= _passed(path, outside_own_definition)
+    unpassed = set()
+    for name, fn in _public_functions():
+        for i, (param, p) in enumerate(inspect.signature(fn).parameters.items()):
+            by_position = p.kind != p.KEYWORD_ONLY and (name, i) in passed
+            if p.default is not p.empty and (name, param) not in passed and not by_position:
+                unpassed.add((name, param))
+    assert unpassed == set(UNPASSED_PARAMETERS)

@@ -12,6 +12,7 @@ import pytest
 
 from evframe import DomainError, ShapeError, StateError, tensor_math
 from evframe.tensor_math import (
+    CHANNEL_STATS_EPS,
     ConvWeights,
     channel_stats,
     channel_stats_vjp,
@@ -276,15 +277,15 @@ def test_softmax_backward_matches_finite_differences(rng):
 
 def test_channel_stats_match_numpy_population_moments(rng):
     x = rng.standard_normal((5, 4, 3))
-    mu, sigma = channel_stats(x, eps=0.0)
+    mu, sigma = channel_stats(x)
     assert np.allclose(mu, x.mean(axis=(1, 2)), atol=1e-12)
-    assert np.allclose(sigma, x.std(axis=(1, 2)), atol=1e-12)
+    assert np.allclose(sigma, np.sqrt(x.var(axis=(1, 2)) + CHANNEL_STATS_EPS), atol=1e-12)
 
 
 def test_channel_stats_epsilon_floors_constant_channels():
     x = np.ones((2, 3, 3))
-    _, sigma = channel_stats(x, eps=1e-5)
-    assert np.allclose(sigma, np.sqrt(1e-5))
+    _, sigma = channel_stats(x)
+    assert np.allclose(sigma, np.sqrt(CHANNEL_STATS_EPS))
 
 
 def test_channel_stats_backward_matches_finite_differences(rng):
