@@ -168,10 +168,8 @@ def run_pipeline_demo(
     _check(cls.shape[0] == len(anchors), "head rows must cover every anchor")
     dets = decode_head(cls, reg, anchors, image_id=0, score_threshold=0.3, iou_threshold=0.5)
     _check(len(dets) > 0, "decode produced no detections")
-    boxes = np.array([d.bbox for d in dets])
-    cats = np.array([d.category_id for d in dets])
-    for c in np.unique(cats):
-        same = boxes[cats == c]
+    for c in np.unique(dets.category_id):
+        same = dets.bbox[dets.category_id == c]
         ious = _iou_matrix(same, same)
         np.fill_diagonal(ious, 0.0)
         _check(bool(np.all(ious <= 0.5)), "NMS left overlapping boxes")

@@ -10,21 +10,22 @@ then anchor index, so row n of the head output corresponds to row n of the
 The back end works on arrays: ``decode_head`` decodes the selected rows as
 columns with the float operations of ``decode_offsets`` in their order, and
 its suppression core gives each kept box one IoU column against its group's
-boxes still alive. ``Anchor``, ``BBox``, ``OffsetVector`` and the offset
-codec stay as the scalar form for single boxes.
+boxes still alive; the kept boxes leave as a ``DetectionTable``. ``Anchor``,
+``BBox``, ``OffsetVector`` and the offset codec stay as the scalar form for
+single boxes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .eval_metrics import _iou_matrix
-from .formats_io import DetectionRecord
+from .formats_io import DetectionTable, _int64_id
 from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
 DEFAULT_SCALES = (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
@@ -360,8 +361,8 @@ def decode_head(
     score_threshold: float = DEFAULT_SCORE_THRESHOLD,
     iou_threshold: float = DEFAULT_NMS_IOU,
     pre_nms_top_k: int = 1000,
-) -> List[DetectionRecord]:
-    """Turn head outputs into suppressed detection records for one image.
+) -> DetectionTable:
+    """Turn head outputs into the suppressed detections of one image.
 
     ``anchors`` is the (N, 4) (cx, cy, w, h) array of ``gen_pyramid_anchors``.
     Candidates over the score threshold are trimmed to the pre_nms_top_k
@@ -373,9 +374,12 @@ def decode_head(
     row is checked, kept or not: a non-finite offset, a non-positive size, a
     non-finite box or a score outside [0, 1] is a ``DomainError`` for the
     first such row. A box's category id is its column of ``cls``;
-    suppression is ``_nms_keep`` per category id, and records are built for
-    the kept boxes only. A NaN score threshold is a ``DomainError``.
+    suppression is ``_nms_keep`` per category id, and the kept boxes are
+    returned as the columns of a DetectionTable, with no per-box record. An
+    ``image_id`` that is not an integer within int64 or a NaN score
+    threshold is a ``DomainError``, raised before any work.
     """
+    image_id = _int64_id("image_id", image_id)
     cls = np.asarray(cls)
     reg = np.asarray(reg)
     anchors = np.asarray(anchors, dtype=np.float64)
@@ -423,9 +427,4 @@ def decode_head(
         raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
 
     kept = _nms_keep(boxes, scores, cols, iou_threshold)
-    return [
-        DetectionRecord(image_id=image_id, category_id=k, bbox=tuple(b), score=s)
-        for k, b, s in zip(
-            cols[kept].tolist(), boxes[kept].tolist(), scores[kept].tolist()
-        )
-    ]
+    return DetectionTable(np.full(len(kept), image_id), cols[kept], boxes[kept], scores[kept])

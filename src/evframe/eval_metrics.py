@@ -193,8 +193,8 @@ def map_coco(
     mean over the 10 thresholds of the 101-point AP. Within a class, the
     detections of all images are ranked by descending score, ties in image
     order and then in per-image match order. ``preds`` and ``gts`` are
-    DetectionTables, such as decode_detections returns, or sequences of
-    DetectionRecord, whose ids must then fit in int64.
+    DetectionTables, such as decode_detections and decode_head return, or
+    sequences of DetectionRecord, read as the columns of one.
     """
     if (
         not isinstance(max_detections, int)

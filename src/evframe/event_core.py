@@ -19,6 +19,8 @@ from .tensor_math import philox
 DEFAULT_LOG_EPS = 1.0 / 255.0
 # Most events one simulate_events call may emit; checked before any is built.
 MAX_EVENTS = 2**24
+# Most bytes one build_voxel_grid call may allocate; checked before the grid is.
+GRID_MAX_BYTES = 1 << 30
 
 
 @dataclass
@@ -26,17 +28,17 @@ class SimConfig:
     """Event-trigger model: threshold in log-intensity units.
 
     ``log_eps`` is added to the [0, 1] intensity before the log so black
-    pixels stay finite.
+    pixels stay finite. Both must be finite and positive.
     """
 
     threshold: float
     log_eps: float = DEFAULT_LOG_EPS
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise DomainError(f"threshold must be positive, got {self.threshold}")
-        if self.log_eps <= 0:
-            raise DomainError(f"log_eps must be positive, got {self.log_eps}")
+        for name in ("threshold", "log_eps"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -128,19 +130,22 @@ def normalize_timestamps(stream: EventStream, bins: int) -> np.ndarray:
     """Rescale timestamps onto [0, B-1].
 
     A degenerate span (all timestamps equal) or B = 1 maps everything to 0.
-    Events at the last timestamp map to exactly B-1: (B-1) * span / span
-    can round past it once the span exceeds 2**53.
+    An event whose float offset from the first timestamp equals the span
+    (the last, or one just before it whose offset rounds up) maps to exactly
+    B-1, since (B-1) * span / span can round past it once the span exceeds
+    2**53; any smaller offset maps into [0, B-1].
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     t = stream.t.astype(np.float64)
     if not len(t):
         return t
-    span = t[-1] - t[0]
+    offset = t - t[0]
+    span = offset[-1]
     if span == 0 or bins == 1:
         return np.zeros(len(t), dtype=np.float64)
-    ts = (bins - 1) * (t - t[0]) / span
-    ts[t == t[-1]] = bins - 1
+    ts = (bins - 1) * offset / span
+    ts[offset == span] = bins - 1
     return ts
 
 
@@ -148,25 +153,26 @@ def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
     """Accumulate polarity mass into a (B, H, W) grid.
 
     Each event lands on its pixel; the temporal kernel max(0, 1 - |a|)
-    splits its mass linearly across the two adjacent bins.
+    splits its mass linearly across the two adjacent bins. A grid of more
+    than GRID_MAX_BYTES is refused before it is allocated.
     """
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    ts = normalize_timestamps(stream, bins)  # refuses bins < 1
     h, w = stream.sensor_height, stream.sensor_width
+    need = bins * h * w * 8
+    if need > GRID_MAX_BYTES:
+        raise DomainError(
+            f"a {bins}x{h}x{w} voxel grid needs {need} bytes, "
+            f"over the {GRID_MAX_BYTES}-byte budget"
+        )
     grid = np.zeros((bins, h, w), dtype=np.float64)
-    xs, ys = stream.x, stream.y
-    if np.any(xs < 0) or np.any(xs > w - 1) or np.any(ys < 0) or np.any(ys > h - 1):
-        raise DomainError("event coordinates outside sensor bounds")
-    ts = normalize_timestamps(stream, bins)
     ps = stream.p.astype(np.float64)
 
     t0 = np.floor(ts).astype(np.int64)
     ft = ts - t0
-    pixel = ys * w + xs
+    pixel = stream.y * w + stream.x
     for tb, wt in ((t0, 1.0 - ft), (t0 + 1, ft)):
         mass = ps * wt
-        # ts leaves [0, B-1] only for an unsorted stream
-        ok = (mass != 0) & (tb >= 0) & (tb < bins)
+        ok = mass != 0  # bin B is reached only with zero weight
         np.add.at(grid.reshape(-1), tb[ok] * (h * w) + pixel[ok], mass[ok])
     return VoxelGrid(bins=bins, height=h, width=w, data=grid)
 

@@ -101,29 +101,42 @@ class EventStream:
     """Events plus the sensor geometry they were captured on.
 
     The events live in ``table``, an (n, 4) int64 array whose columns are
-    the CSV's t, x, y, p, non-decreasing in t; ``t``, ``x``, ``y`` and ``p``
-    are its read-only column views. The constructor takes a sequence of
-    Event; ``from_table`` wraps a table as it is. ``events`` views the table
-    as a read-only sequence of Event. Both refuse sensor dims below 1.
+    the CSV's t, x, y, p; ``t``, ``x``, ``y`` and ``p`` are its read-only
+    column views. The constructor takes a sequence of Event; ``from_table``
+    wraps a table without copying it. ``events`` views the table as a
+    read-only sequence of Event. Both refuse sensor dims below 1, and both
+    check every event: polarity -1 or +1 and 0 <= x < width, 0 <= y < height
+    (else a ``DomainError``), timestamps non-decreasing (else a
+    ``ValidationError``). The error names the first bad event.
     """
 
     def __init__(self, sensor_width: int, sensor_height: int, events: Sequence):
         _check_sensor_dims(sensor_width, sensor_height)
         self.sensor_width = sensor_width
         self.sensor_height = sensor_height
-        self.table = _read_only(_event_table(events))
+        table = _event_table(events)
+        t, x, y, p = table.T
+        bad = (p != 1) & (p != -1) | (x < 0) | (y < 0) | (x >= sensor_width) | (y >= sensor_height)
+        bad[1:] |= t[1:] < t[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            t, x, y, p = table[i].tolist()
+            if p not in (-1, 1):
+                raise DomainError(f"event {i}: polarity must be -1 or +1, got {p}")
+            if not (0 <= x < sensor_width and 0 <= y < sensor_height):
+                raise DomainError(
+                    f"event {i}: coordinates ({x}, {y}) outside sensor {sensor_width}x{sensor_height}"
+                )
+            raise ValidationError(f"event {i}: timestamps must be non-decreasing ({t} < {table[i - 1, 0]})")
+        self.table = _read_only(table)
 
     @classmethod
     def from_table(cls, sensor_width: int, sensor_height: int, table: np.ndarray) -> "EventStream":
         """Wrap an (n, 4) int64 t, x, y, p table without copying it."""
-        _check_sensor_dims(sensor_width, sensor_height)
         table = np.asarray(table)
         if table.dtype != np.int64 or table.ndim != 2 or table.shape[1] != 4:
             raise ValidationError(f"event table must be (n, 4) int64, got {table.dtype} {table.shape}")
-        stream = cls.__new__(cls)
-        stream.sensor_width, stream.sensor_height = sensor_width, sensor_height
-        stream.table = _read_only(table)
-        return stream
+        return cls(sensor_width, sensor_height, EventView(table))
 
     @property
     def events(self) -> EventView:
@@ -286,16 +299,9 @@ class DetectionRecord:
             raise DomainError(f"bbox entries must be finite, got {self.bbox}") from None
         if len(self.bbox) != 4:
             raise ValidationError(f"bbox must have 4 entries, got {len(self.bbox)}")
-        if not all(map(math.isfinite, self.bbox)):
-            raise DomainError(f"bbox entries must be finite, got {self.bbox}")
-        if self.bbox[2] <= 0 or self.bbox[3] <= 0:
-            raise DomainError(
-                f"bbox width/height must be positive, got w={self.bbox[2]}, h={self.bbox[3]}"
-            )
         if self.score is not None:
             self.score = float(self.score)
-            if not 0.0 <= self.score <= 1.0:
-                raise DomainError(f"score must be in [0, 1], got {self.score}")
+        _check_detections(np.array([self.bbox]), np.array([0.0 if self.score is None else self.score]), "")
 
 
 def _int64_id(name: str, value) -> int:
@@ -308,6 +314,34 @@ def _int64_id(name: str, value) -> int:
     return int(value)
 
 
+def _id_column(name: str, values) -> np.ndarray:
+    """A read-only int64 column of ids; a column of another dtype is checked
+    entry by entry as DetectionRecord checks an id, never cast blindly."""
+    column = np.asarray(values)
+    if column.dtype != np.int64:
+        for i, value in enumerate(column.tolist()):
+            _int64_id(f"row {i}: {name}", value)
+    return _read_only(np.ascontiguousarray(column, dtype=np.int64))
+
+
+def _check_detections(bbox: np.ndarray, score: np.ndarray, where: str) -> None:
+    """Raise the DomainError of the first row whose (n, 4) box is not finite
+    with w, h > 0 or whose score is not in [0, 1]; ``where`` formats the
+    row's index into the message's prefix."""
+    finite = np.isfinite(bbox).all(axis=1)
+    bad = ~(finite & (bbox[:, 2] > 0) & (bbox[:, 3] > 0) & (score >= 0.0) & (score <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        box = tuple(bbox[i].tolist())
+        if not finite[i]:
+            why = f"bbox entries must be finite, got {box}"
+        elif not (box[2] > 0 and box[3] > 0):
+            why = f"bbox width/height must be positive, got w={box[2]}, h={box[3]}"
+        else:
+            why = f"score must be in [0, 1], got {score[i].item()}"
+        raise DomainError(where.format(i) + why)
+
+
 def _record(image_id, category_id, bbox, score) -> DetectionRecord:
     """A DetectionRecord from one table row; a NaN score means none."""
     return DetectionRecord(image_id, category_id, tuple(bbox), None if math.isnan(score) else score)
@@ -318,34 +352,31 @@ class DetectionTable(Sequence):
 
     ``image_id`` and ``category_id`` are int64, ``bbox`` is (n, 4) float64
     x, y, w, h and ``score`` is float64 with NaN for a record without one
-    (NaN is never a valid score). Records are built only while iterating or
-    indexing. Equal to another table with equal columns or to a list of
-    equal records.
+    (NaN is never a valid score). The constructor checks every row as
+    DetectionRecord checks a record: integer ids within int64, a finite box
+    with w, h > 0 and a score in [0, 1] or NaN; the ``DomainError`` names
+    the first bad row. Records are built only while iterating or indexing.
+    Equal to another table with equal columns or to a list of equal records.
     """
 
     __slots__ = ("image_id", "category_id", "bbox", "score")
 
     def __init__(self, image_id, category_id, bbox, score):
-        self.image_id = _read_only(np.ascontiguousarray(image_id, dtype=np.int64))
-        self.category_id = _read_only(np.ascontiguousarray(category_id, dtype=np.int64))
+        self.image_id = _id_column("image_id", image_id)
+        self.category_id = _id_column("category_id", category_id)
         self.bbox = _read_only(np.ascontiguousarray(bbox, dtype=np.float64).reshape(-1, 4))
         self.score = _read_only(np.ascontiguousarray(score, dtype=np.float64))
+        _check_detections(self.bbox, np.where(np.isnan(self.score), 0.0, self.score), "row {}: ")
 
     @classmethod
     def from_records(cls, records: Sequence) -> "DetectionTable":
-        """Columns of a sequence of DetectionRecord; ids must fit in int64."""
+        """Columns of a sequence of DetectionRecord."""
         if isinstance(records, DetectionTable):
             return records
         records = list(records)
-        try:
-            ids = np.array([(r.image_id, r.category_id) for r in records]).reshape(-1, 2)
-        except OverflowError:
-            ids = None
-        if records and (ids is None or ids.dtype.kind not in "bi"):
-            raise DomainError("record image and category ids must be integers within int64")
         return cls(
-            ids[:, 0],
-            ids[:, 1],
+            [r.image_id for r in records],
+            [r.category_id for r in records],
             [r.bbox for r in records],
             [math.nan if r.score is None else r.score for r in records],
         )
@@ -410,14 +441,18 @@ def decode_events(
     if head.decode("ascii", errors="replace").strip() != "t,x,y,p":
         raise ParseError("missing or malformed header, expected 't,x,y,p'", line=1)
     table = _parse_event_table(body)
-    if table is None or not _event_table_valid(table, sensor_width, sensor_height):
+    if table is None:
         table = _scan_event_lines(body, sensor_width, sensor_height)
-    if sensor_width is None:
+    width, height = sensor_width, sensor_height
+    if width is None:
         if not len(table):
             raise DomainError("cannot infer sensor dims from an empty stream")
-        sensor_width = int(table[:, 1].max()) + 1
-        sensor_height = int(table[:, 2].max()) + 1
-    return EventStream.from_table(sensor_width, sensor_height, table)
+        width, height = int(table[:, 1].max()) + 1, int(table[:, 2].max()) + 1
+    try:
+        return EventStream.from_table(width, height, table)
+    except (DomainError, ValidationError):
+        _scan_event_lines(body, sensor_width, sensor_height)  # raises the first bad line's error
+        raise
 
 
 # Bytes of a plain body: optionally signed decimal fields, commas, LF or
@@ -449,19 +484,12 @@ def _parse_event_table(body: bytes) -> Optional[np.ndarray]:
     return table if table.shape[1] == 4 else None
 
 
-def _event_table_valid(table: np.ndarray, sensor_width, sensor_height) -> bool:
-    t, x, y, p = table.T
-    bad = ((p != 1) & (p != -1)) | (x < 0) | (y < 0)
-    if sensor_width is not None:
-        bad |= (x >= sensor_width) | (y >= sensor_height)
-    return not bad.any() and not np.any(t[1:] < t[:-1])
-
-
 def _scan_event_lines(body: bytes, sensor_width, sensor_height) -> np.ndarray:
     """Check a CSV body line by line, raising the first line's error.
 
-    Runs only when the one-pass parse declines the body or its checks fail.
-    A body it accepts (e.g. fields like '+5' or ' 5') is returned as a table.
+    Runs only when the one-pass parse declines the body or EventStream
+    refuses its table. A body it accepts (e.g. fields like '+5' or ' 5') is
+    returned as a table.
     """
     rows = []
     prev_t = None
@@ -754,17 +782,16 @@ def parse_calibration(data: bytes) -> CameraRig:
 
 
 def encode_detections(records: Sequence[DetectionRecord]) -> bytes:
-    lines = []
-    for r in records:
-        doc = {
-            "image_id": r.image_id,
-            "category_id": r.category_id,
-            "bbox": list(r.bbox),
-        }
-        if r.score is not None:
-            doc["score"] = r.score
-        lines.append(json.dumps(doc))
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    """One JSON object per line, from the columns of a DetectionTable or a
+    sequence of DetectionRecord, with the bytes ``json.dumps`` writes: its
+    separators and the ``repr`` of every float; ``score`` only when present."""
+    table = DetectionTable.from_records(records)
+    scores = ("" if math.isnan(s) else ', "score": %r' % s for s in table.score.tolist())
+    rows = zip(table.image_id.tolist(), table.category_id.tolist(), table.bbox.tolist(), scores)
+    return "".join(
+        '{"image_id": %d, "category_id": %d, "bbox": [%r, %r, %r, %r]%s}\n' % (i, c, *b, s)
+        for i, c, b, s in rows
+    ).encode("utf-8")
 
 
 def decode_detections(data: bytes) -> DetectionTable:
@@ -779,7 +806,7 @@ def decode_detections(data: bytes) -> DetectionTable:
     ``DomainError`` naming its line.
     """
     table = _parse_detection_table(data)
-    if table is None or not _detection_table_valid(table):
+    if table is None:
         table = DetectionTable.from_records(_scan_detection_lines(data))
     return table
 
@@ -802,7 +829,7 @@ _SEPARATORS_TO_SPACE = bytes.maketrans(b":,", b"  ")
 
 def _parse_detection_table(data: bytes) -> Optional[DetectionTable]:
     """Parse a body of lines in the form encode_detections writes, in one
-    pass; None for any other body or an id outside int64.
+    pass; None for any other body or one whose table DetectionTable refuses.
 
     Numbers convert with Python int and float, as json.loads converts them.
     """
@@ -816,18 +843,12 @@ def _parse_detection_table(data: bytes) -> Optional[DetectionTable]:
     fields = data.replace(b"]}", b'], "score": nan}').translate(_SEPARATORS_TO_SPACE, b'{}[]"').split()
     try:
         image_id, category_id = (np.array(list(map(int, fields[k::11])), dtype=np.int64) for k in (1, 3))
-    except (OverflowError, ValueError):  # an id outside int64, or too long for int()
+        values = np.array([list(map(float, fields[k::11])) for k in (5, 6, 7, 8, 10)])
+        return DetectionTable(image_id, category_id, values[:4].T, values[4])
+    except (OverflowError, ValueError, DomainError):
+        # an id outside int64 or too long for int(), or a row the table
+        # refuses: the line scanner names the line
         return None
-    values = np.array([list(map(float, fields[k::11])) for k in (5, 6, 7, 8, 10)])
-    return DetectionTable(image_id, category_id, values[:4].T, values[4])
-
-
-def _detection_table_valid(table: DetectionTable) -> bool:
-    """The checks of DetectionRecord, on the columns."""
-    box, score = table.bbox, table.score
-    if not (np.isfinite(box).all() and (box[:, 2:] > 0).all()):
-        return False
-    return not ((score < 0.0) | (score > 1.0)).any()  # a NaN (absent) score compares False
 
 
 def _is_number(value) -> bool:
@@ -848,8 +869,8 @@ def _record_id(doc: dict, key: str, lineno: int) -> int:
 def _scan_detection_lines(data: bytes) -> list:
     """Check a detection body line by line, raising the first line's error.
 
-    Runs only when the one-pass parse declines the body or its checks fail.
-    A body it accepts (e.g. other spacing, key order or line ends) is
+    Runs only when the one-pass parse declines the body or its table. A
+    body it accepts (e.g. other spacing, key order or line ends) is
     returned as a list of DetectionRecord.
     """
     records = []

@@ -464,8 +464,8 @@ def cafr_gradcheck(
     """
     if probes < 1:
         raise DomainError(f"probes must be positive, got {probes}")
-    if step <= 0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"step must be finite and positive, got {step}")
     rng = philox(seed)
     out, cache = cafr_forward(pair, w)
     r = rng.standard_normal(out.shape)

@@ -2,11 +2,13 @@
 
 Each case runs ``cli.main`` in-process on tiny fixtures and must end in a
 result (exit 0), a typed error (exit 1) or a usage error (exit 2), never in
-a traceback. Huge values are left out: not every allocating stage estimates
-its memory before it allocates, so they could really allocate.
+a traceback. Huge values are swept only for evt2grid's grid dims, whose
+stage estimates its memory before it allocates; not every allocating stage
+does, so elsewhere they could really allocate.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +169,28 @@ def test_boundary_values_end_in_an_exit_code_not_a_traceback(capsys, tmp_path, i
             "evt2grid-empty", ["--width=-1", "--height=-1"], "sensor dims", id="dims-negative"
         ),
         pytest.param("evt2grid-empty", ["--width=0", "--height=0"], "sensor dims", id="dims-zero"),
+        pytest.param(
+            "simulate-events", ["--threshold=nan"], "threshold must be finite and positive", id="threshold-nan"
+        ),
+        pytest.param(
+            "simulate-events", ["--threshold=inf"], "threshold must be finite and positive", id="threshold-inf"
+        ),
+        pytest.param(
+            "simulate-events", ["--log-eps=nan"], "log_eps must be finite and positive", id="log-eps-nan"
+        ),
+        pytest.param(
+            "simulate-events", ["--log-eps=inf"], "log_eps must be finite and positive", id="log-eps-inf"
+        ),
+        pytest.param(
+            "cafr-gradcheck", ["--step=nan"], "step must be finite and positive", id="gradcheck-step-nan"
+        ),
+        pytest.param(
+            "cafr-gradcheck", ["--step=inf"], "step must be finite and positive", id="gradcheck-step-inf"
+        ),
+        pytest.param(
+            "head-decode", ["--image-id=9223372036854775808", "--score-threshold=1"], "image_id",
+            id="image-id-no-box-kept",
+        ),
     ],
 )
 def test_inputs_that_once_crashed_or_passed_silently_exit_1(
@@ -177,3 +201,18 @@ def test_inputs_that_once_crashed_or_passed_silently_exit_1(
     assert (code, out) == (1, "")
     assert err.startswith("error:") and message in err
     assert not list(tmp_path.iterdir())  # nothing was written
+
+
+@pytest.mark.parametrize("flag", ["--bins", "--width", "--height"])
+def test_a_huge_grid_dim_exits_1_before_the_grid_is_allocated(capsys, tmp_path, inputs, flag):
+    tracemalloc.start()
+    try:
+        code = run_case("evt2grid", [f"{flag}=1000000000000"], inputs, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "voxel grid needs" in err and "budget" in err
+    assert peak < 4 * 1024 * 1024  # every grid asked for is over 70 TB
+    assert not list(tmp_path.iterdir())

@@ -9,6 +9,7 @@ from evframe import (
     Anchor,
     BBox,
     DetectionRecord,
+    DetectionTable,
     DomainError,
     FeaturePyramid,
     HeadConfig,
@@ -546,6 +547,7 @@ def test_bench_decode_equals_the_object_decode(bench_anchors, ties):
     # the cut and suppression are exercised, not a trivial pass-through
     assert 50 < len(want) < 1000
     assert_same_detections(got, want)
+    assert isinstance(got, DetectionTable) and got == want
 
 
 def small_case(seed, n=150, dtype=np.float64):
@@ -662,26 +664,30 @@ def test_nms_equals_the_scalar_loop_across_images_and_classes():
         assert nms(dets, thr) == oracle_nms(dets, thr)
 
 
-def test_decode_head_builds_records_only_for_kept_boxes(monkeypatch, bench_anchors):
-    from evframe import detect_head
-
-    made = []
-
-    class CountingRecord(DetectionRecord):
-        def __post_init__(self):
-            made.append(self)
-            super().__post_init__()
+def test_decode_head_builds_no_per_box_object(monkeypatch, bench_anchors):
+    from evframe import detect_head, formats_io
 
     def refuse(*args, **kwargs):
-        raise AssertionError("decode_head built a per-candidate object")
+        raise AssertionError("decode_head built a per-box object")
 
-    monkeypatch.setattr(detect_head, "DetectionRecord", CountingRecord)
+    monkeypatch.setattr(formats_io, "DetectionRecord", refuse)
     for name in ("Anchor", "BBox", "OffsetVector"):
         monkeypatch.setattr(detect_head, name, refuse)
     _, _, rows = bench_anchors
     cls, reg = bench_head(rows, seed=3)
     out = decode_head(cls, reg, rows, image_id=0, score_threshold=0.3)
-    assert len(made) == len(out) < 1000
+    assert isinstance(out, DetectionTable) and 0 < len(out) < 1000
+    encode_detections(out)  # the writer reads the columns, not records
+
+
+@pytest.mark.parametrize("image_id", [2**63, -(2**63) - 1, 0.5, True])
+@pytest.mark.parametrize("threshold", [0.05, 1.0], ids=["boxes-kept", "no-box-kept"])
+def test_decode_head_checks_the_image_id_before_any_work(image_id, threshold):
+    anchors, cls, reg = small_case(7, n=10)
+    with pytest.raises(DomainError, match="^image_id "):
+        decode_head(cls, reg, anchors, image_id, score_threshold=threshold)
+    with pytest.raises(DomainError, match="^image_id "):
+        decode_head(np.zeros(3), reg, anchors, image_id)  # before the shape checks
 
 
 @pytest.mark.parametrize("k", [1, 7, 33, 50, 99])

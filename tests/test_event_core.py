@@ -14,6 +14,7 @@ from evframe import (
     ShapeError,
     SimConfig,
     build_voxel_grid,
+    decode_events,
     modality_dropout,
     normalize_timestamps,
     simulate_events,
@@ -189,10 +190,35 @@ def test_grid_mass_equals_polarity_sum():
     assert abs(grid.data.sum() - total_p) < 1e-9
 
 
-def test_grid_rejects_out_of_bounds_events():
-    stream = EventStream(4, 4, [Event(4, 0, 0, 1)])
-    with pytest.raises(DomainError):
-        build_voxel_grid(stream, bins=2)
+def test_out_of_bounds_events_are_refused_before_they_reach_the_grid():
+    with pytest.raises(DomainError, match=r"^event 0: coordinates \(4, 0\) outside sensor 4x4$"):
+        EventStream(4, 4, [Event(4, 0, 0, 1)])
+
+
+def test_a_grid_over_the_byte_budget_is_refused(monkeypatch):
+    stream = EventStream(5, 3, [Event(4, 2, 0, 1)])
+    monkeypatch.setattr(event_core, "GRID_MAX_BYTES", 4 * 3 * 5 * 8)
+    assert build_voxel_grid(stream, bins=4).data.nbytes == event_core.GRID_MAX_BYTES
+    with pytest.raises(DomainError, match=r"^a 5x3x5 voxel grid needs 600 bytes, over the 480-byte budget$"):
+        build_voxel_grid(stream, bins=5)
+
+
+@pytest.mark.parametrize("dims, bins", [((10**12, 3), 2), ((4, 10**12), 2), ((4, 3), 10**12)])
+def test_a_huge_grid_is_refused_before_it_is_allocated(dims, bins):
+    # dims inferred from one event at x = 10**12 ask for the same grid
+    streams = [EventStream(*dims, [Event(0, 0, 0, 1)])]
+    if dims[0] == 10**12:
+        streams.append(decode_events(b"t,x,y,p\n0,999999999999,2,1\n"))
+        assert (streams[1].sensor_width, streams[1].sensor_height) == dims
+    for stream in streams:
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="budget"):
+                build_voxel_grid(stream, bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_empty_stream_gives_zero_grid():

@@ -119,7 +119,7 @@ def oracle_grid(events, width, height, bins):
         ts = np.zeros(len(t), dtype=np.float64)
     else:
         ts = (bins - 1) * (t - t[0]) / span
-        ts[t == t[-1]] = bins - 1  # the last timestamp is the last bin, unrounded
+        ts[t - t[0] == span] = bins - 1  # an offset of the span is the last bin, unrounded
     flat = grid.reshape(-1)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
@@ -219,12 +219,29 @@ def test_time_rounding_past_the_last_bin_keeps_the_mass():
     assert grid.sum() == 0.0
 
 
-def test_unsorted_stream_grids_like_the_oracle():
-    # the constructor does not sort: events before the first timestamp fall
-    # before bin 0 and events after the last one past bin B-1
+def test_an_offset_that_rounds_to_the_span_keeps_the_mass():
+    # the middle event is 1053 us before the last, but its float offset from
+    # the first rounds to the span, and 3 * span / span to 3.0000000000000004
+    ts = [-2617108004074853645, 4015749864110207065, 4015749864110208118]
+    t = np.array(ts, dtype=np.float64)
+    assert t[1] < t[2] and t[1] - t[0] == t[2] - t[0]
+    assert 3 * (t[1] - t[0]) / (t[2] - t[0]) > 3.0
+    stream = EventStream(3, 2, [Event(0, 0, ts[0], 1), Event(1, 1, ts[1], -1), Event(2, 1, ts[2], 1)])
+    grid = build_voxel_grid(stream, bins=4).data
+    assert grid.tobytes() == oracle_grid(list(stream.events), 3, 2, 4).tobytes()
+    assert grid[3, 1, 1] == -1.0 and grid[3, 1, 2] == 1.0 and grid.sum() == 1.0
+
+
+def test_an_unsorted_stream_is_refused_before_it_can_be_gridded():
+    # the constructors do not sort: they refuse, so the grid never sees
+    # events before the first timestamp or after the last
     events = [Event(0, 0, 10, 1), Event(1, 0, 0, -1), Event(2, 1, 30, 1), Event(1, 1, 20, 1)]
-    grid = build_voxel_grid(EventStream(3, 2, events), bins=3).data
-    assert grid.tobytes() == oracle_grid(events, 3, 2, 3).tobytes()
+    table = np.array([(e.t, e.x, e.y, e.p) for e in events], dtype=np.int64)
+    message = r"^event 1: timestamps must be non-decreasing \(0 < 10\)$"
+    with pytest.raises(ValidationError, match=message):
+        EventStream(3, 2, events)
+    with pytest.raises(ValidationError, match=message):
+        EventStream.from_table(3, 2, table)
 
 
 def test_random_tables_encode_like_the_oracle():
@@ -466,6 +483,37 @@ def test_from_table_refuses_a_wrong_table():
         EventStream.from_table(4, 4, np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValidationError):
         EventStream.from_table(4, 4, np.zeros((2, 4), dtype=np.float64))
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ((12, 1, 1, 0), DomainError, r"polarity must be -1 or \+1, got 0"),
+        ((12, -1, 1, 1), DomainError, r"coordinates \(-1, 1\) outside sensor 4x3"),
+        ((12, 1, -1, 1), DomainError, r"coordinates \(1, -1\) outside sensor 4x3"),
+        ((12, 4, 1, 1), DomainError, r"coordinates \(4, 1\) outside sensor 4x3"),
+        ((12, 1, 3, -1), DomainError, r"coordinates \(1, 3\) outside sensor 4x3"),
+        ((9, 1, 1, 1), ValidationError, r"timestamps must be non-decreasing \(9 < 10\)"),
+    ],
+    ids=["polarity", "negative-x", "negative-y", "x-past-width", "y-past-height", "decreasing-t"],
+)
+def test_every_constructor_names_the_first_bad_event(bad, error, message):
+    # rows 2 and 4 break the rule, and row 4 the time order as well
+    rows = [(10, 0, 0, 1), (10, 3, 2, -1), bad, (12, 0, 0, 1), (bad[0] - 1,) + bad[1:], (13, 0, 0, 1)]
+    table = np.array(rows, dtype=np.int64)
+    for build in (
+        lambda: EventStream(4, 3, [Event(x, y, t, p) for t, x, y, p in rows]),
+        lambda: EventStream.from_table(4, 3, table),
+    ):
+        with pytest.raises(error, match=f"^event 2: {message}$"):
+            build()
+
+
+def test_a_valid_table_is_wrapped_without_a_copy():
+    table = np.array([(0, 0, 0, 1), (0, 3, 2, -1), (5, 1, 1, 1)], dtype=np.int64)
+    stream = EventStream.from_table(4, 3, table)
+    assert np.shares_memory(stream.table, table)
+    assert EventStream(4, 3, stream.events) == stream
 
 
 @pytest.mark.parametrize(

@@ -522,6 +522,112 @@ def test_detection_table_is_a_read_only_sequence_of_records():
             column[0] = 1
 
 
+def oracle_encode_detections(records) -> bytes:
+    """The reference writer: one json.dumps line per record."""
+    lines = []
+    for r in records:
+        doc = {"image_id": r.image_id, "category_id": r.category_id, "bbox": list(r.bbox)}
+        if r.score is not None:
+            doc["score"] = r.score
+        lines.append(json.dumps(doc) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_records_and_their_table_encode_like_json_dumps():
+    corners = [-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1e-05, 1e16, 0.1 + 0.2, 2.5]
+    sizes = [5e-324, 1e308, 1e-05, 1e16, 0.1 + 0.2, 123456789.125]
+    scores = [None, 0.0, -0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0]
+    ids = [-(2**63), 2**63 - 1, 0, -1, 2**53 + 1]
+    rng = philox(31)
+    records = [
+        DetectionRecord(
+            *(ids[i] for i in rng.integers(0, len(ids), size=2)),
+            (*(corners[i] for i in rng.integers(0, len(corners), size=2)),
+             *(sizes[i] for i in rng.integers(0, len(sizes), size=2))),
+            scores[int(rng.integers(0, len(scores)))],
+        )
+        for _ in range(300)
+    ]
+    data = oracle_encode_detections(records)
+    for text in (b"-0.0", b"5e-324", b"1e+308", b"-9223372036854775808", b"9223372036854775807"):
+        assert text in data
+    assert b"score" in data and data.count(b"score") < len(records)
+    assert encode_detections(records) == data
+    assert encode_detections(DetectionTable.from_records(records)) == data
+    assert decode_detections(data) == records
+    assert encode_detections([]) == encode_detections(DetectionTable([], [], [], [])) == b""
+
+
+GOOD_BOX = (1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        pytest.param(
+            "image_id", np.array([0.0, 0.5, 2.0, 0.5]),
+            "row 1: image_id must be an integer within int64, got 0.5", id="float-id",
+        ),
+        pytest.param(
+            "category_id", np.array([False, True, False, True]),
+            "row 0: category_id must be an integer within int64, got False", id="bool-id",
+        ),
+        pytest.param(
+            "image_id", np.array([0, 2**63, 2, 2**64 - 1], dtype=np.uint64),
+            "row 1: image_id 9223372036854775808 is outside the int64 range", id="uint64-id",
+        ),
+        pytest.param(
+            "category_id", [0, 2**64, 2, 3],
+            "row 1: category_id 18446744073709551616 is outside the int64 range", id="python-id",
+        ),
+        pytest.param(
+            "bbox", [GOOD_BOX, (1.0, np.nan, 3.0, 4.0), GOOD_BOX, (np.inf,) * 4],
+            "row 1: bbox entries must be finite, got (1.0, nan, 3.0, 4.0)", id="non-finite-box",
+        ),
+        pytest.param(
+            "bbox", [GOOD_BOX, (1.0, 2.0, 0.0, 4.0), GOOD_BOX, (1.0, 2.0, 3.0, -4.0)],
+            "row 1: bbox width/height must be positive, got w=0.0, h=4.0", id="zero-width",
+        ),
+        pytest.param(
+            "bbox", [GOOD_BOX, (1.0, 2.0, 3.0, -4.0), GOOD_BOX, (1.0, 2.0, 0.0, 4.0)],
+            "row 1: bbox width/height must be positive, got w=3.0, h=-4.0", id="negative-height",
+        ),
+        pytest.param(
+            "score", [0.5, -0.25, np.nan, 2.0],
+            "row 1: score must be in [0, 1], got -0.25", id="negative-score",
+        ),
+        pytest.param(
+            "score", [0.5, np.inf, np.nan, -1.0],
+            "row 1: score must be in [0, 1], got inf", id="infinite-score",
+        ),
+    ],
+)
+def test_detection_table_names_the_first_bad_row(column, values, message):
+    columns = {
+        "image_id": [0, 1, 2, 3],
+        "category_id": [4, 5, 6, 7],
+        "bbox": [GOOD_BOX] * 4,
+        "score": [0.5, np.nan, 1.0, 0.0],
+    }
+    columns[column] = values
+    with pytest.raises(DomainError) as exc:
+        DetectionTable(**columns)
+    assert str(exc.value) == message
+
+
+def test_detection_table_takes_integral_ids_of_any_dtype_and_nan_scores():
+    table = DetectionTable(
+        np.array([3.0, -0.0]), np.array([2**63 - 1, 0], dtype=np.uint64), [GOOD_BOX] * 2, [np.nan, 1.0]
+    )
+    assert table.image_id.tolist() == [3, 0] and table.category_id.tolist() == [2**63 - 1, 0]
+    assert table == [DetectionRecord(3, 2**63 - 1, GOOD_BOX, None), DetectionRecord(0, 0, GOOD_BOX, 1.0)]
+
+
+def test_detection_record_refuses_a_nan_score():
+    with pytest.raises(DomainError, match=r"^score must be in \[0, 1\], got nan$"):
+        DetectionRecord(0, 0, GOOD_BOX, float("nan"))
+
+
 def test_detection_table_refuses_ids_outside_int64():
     with pytest.raises(DomainError, match="int64"):
         DetectionTable.from_records([DetectionRecord(2**63, 0, (0, 0, 1, 1), None)])
