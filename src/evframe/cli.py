@@ -220,11 +220,12 @@ def _cmd_cafr_forward(ns) -> dict:
     fused, _ = cafr_forward(
         pair,
         weights,
-        branch=ns.branch,
         use_mul_add=not ns.skip_enhance,
         use_cross_att=not ns.skip_attention,
         use_fr=not ns.skip_refine,
     )
+    c = pair.channels
+    fused = {"dual": fused, "frame": fused[:c], "event": fused[c:]}[ns.branch]
     write_tensor(ns.out, fused)
     return {"shape": list(fused.shape), "branch": ns.branch, "out": str(ns.out)}
 
@@ -451,7 +452,7 @@ def _build_parser() -> tuple:
         "--branch",
         choices=("dual", "frame", "event"),
         default="dual",
-        help="which fused half to emit",
+        help="emit the dual output or its frame or event half",
     )
     for stage, what in (
         ("enhance", "mutual enhancement"),

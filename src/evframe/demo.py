@@ -40,6 +40,11 @@ SCENE_CATEGORY = 0
 # Smallest scene that fits the block, its 4 px slide and the margins around it.
 MIN_SCENE_WIDTH = 17
 MIN_SCENE_HEIGHT = 13
+# Most bytes one float64 scene frame may take, checked before anything is
+# drawn. make_scene holds about five such arrays at once (the background, a
+# rendered copy and its 8-bit conversion's temporaries), so a scene at the
+# budget peaks under 1 GiB; the default 64 x 48 frame takes 24 KiB.
+SCENE_MAX_BYTES = 1 << 27
 
 
 @dataclass
@@ -76,6 +81,12 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
         raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
     if height < MIN_SCENE_HEIGHT:
         raise DomainError(f"height must be >= {MIN_SCENE_HEIGHT}, got {height}")
+    need = width * height * 8
+    if need > SCENE_MAX_BYTES:
+        raise DomainError(
+            f"a {width}x{height} scene needs {need} bytes per frame, "
+            f"over the {SCENE_MAX_BYTES}-byte budget"
+        )
     rng = philox(seed)
     base = np.full((height, width), 200, dtype=np.float64)
     base += rng.uniform(-8.0, 8.0, size=base.shape)

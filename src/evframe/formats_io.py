@@ -352,20 +352,33 @@ class DetectionTable(Sequence):
 
     ``image_id`` and ``category_id`` are int64, ``bbox`` is (n, 4) float64
     x, y, w, h and ``score`` is float64 with NaN for a record without one
-    (NaN is never a valid score). The constructor checks every row as
-    DetectionRecord checks a record: integer ids within int64, a finite box
-    with w, h > 0 and a score in [0, 1] or NaN; the ``DomainError`` names
-    the first bad row. Records are built only while iterating or indexing.
-    Equal to another table with equal columns or to a list of equal records.
+    (NaN is never a valid score). The constructor first checks that the
+    columns share one length n (a ``ValidationError`` naming every shape),
+    then checks every row as DetectionRecord checks a record: integer ids
+    within int64, a finite box with w, h > 0 and a score in [0, 1] or NaN;
+    the ``DomainError`` names the first bad row. Records are built only
+    while iterating or indexing. Equal to another table with equal columns
+    or to a list of equal records.
     """
 
     __slots__ = ("image_id", "category_id", "bbox", "score")
 
     def __init__(self, image_id, category_id, bbox, score):
+        image_id, category_id = np.asarray(image_id), np.asarray(category_id)
+        bbox, score = np.asarray(bbox, dtype=np.float64), np.asarray(score, dtype=np.float64)
+        if not bbox.size:
+            bbox = bbox.reshape(0, 4)
+        n = score.shape[:1]
+        if score.ndim != 1 or not (image_id.shape == category_id.shape == n and bbox.shape == n + (4,)):
+            raise ValidationError(
+                "detection columns must be n ids, n ids, (n, 4) boxes and n scores, got "
+                f"image_id {image_id.shape}, category_id {category_id.shape}, "
+                f"bbox {bbox.shape}, score {score.shape}"
+            )
         self.image_id = _id_column("image_id", image_id)
         self.category_id = _id_column("category_id", category_id)
-        self.bbox = _read_only(np.ascontiguousarray(bbox, dtype=np.float64).reshape(-1, 4))
-        self.score = _read_only(np.ascontiguousarray(score, dtype=np.float64))
+        self.bbox = _read_only(np.ascontiguousarray(bbox))
+        self.score = _read_only(np.ascontiguousarray(score))
         _check_detections(self.bbox, np.where(np.isnan(self.score), 0.0, self.score), "row {}: ")
 
     @classmethod

@@ -5,16 +5,15 @@ through four stages: per-stream 1x1 activation, multiplicative mutual
 enhancement, swapped-query attention over spatial tokens (each stream
 attends with the other stream's query/key projections), and a
 statistics-aligned refinement that concatenates both streams to 2C channels.
-Enhancement, attention and refinement can each be bypassed, and either
-single-stream half emitted alone, for the paper's ablations; the whole
-composition has a hand-derived backward checked against finite differences.
+Enhancement, attention and refinement can each be bypassed for the paper's
+ablations. The full module, every stage on, has one hand-derived backward,
+checked against finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .tensor_math import (
     uniform_conv,
 )
 
-BRANCHES = ("dual", "frame", "event")
 LINEAR_NAMES = ("wq_f", "wk_f", "wv_f", "wq_e", "wk_e", "wv_e", "wf", "we")
 
 
@@ -333,54 +331,34 @@ class CafrCache:
     conv_caches: tuple
     activated: FeaturePair
     enhanced: FeaturePair
-    attn: Optional[_AttnCache]
-    attended: FeaturePair
-    refine: Optional[_RefineCache]
-    channels: int
-    branch: str
-    use_mul_add: bool
-    use_cross_att: bool
-    use_fr: bool
+    attn: _AttnCache
+    refine: _RefineCache
 
 
 def cafr_forward(
     pair: FeaturePair,
     w: CafrWeights,
-    branch: str = "dual",
     use_mul_add: bool = True,
     use_cross_att: bool = True,
     use_fr: bool = True,
 ):
     """Run activation -> enhancement -> attention -> refinement.
 
-    Returns (fused, cache). ``branch`` picks 'dual' ([2C,H,W]) or one
-    C-channel half; the use_* flags identity-bypass single stages for
-    ablations. The cache feeds cafr_backward.
+    Returns (fused, cache) with fused the dual [2C,H,W] map: frame half, then
+    event half. The use_* flags identity-bypass single stages for ablations;
+    a run with a bypassed stage returns None as its cache, since cafr_backward
+    differentiates the full module only.
     """
-    if branch not in BRANCHES:
-        raise DomainError(f"branch must be one of {BRANCHES}, got '{branch}'")
     activated, conv_caches = _activate(pair, w)
     enhanced = bci_enhance(activated) if use_mul_add else activated
-    if use_cross_att:
-        attended, attn = _attention(enhanced, w)
-    else:
-        attended, attn = enhanced, None
+    attended, attn = _attention(enhanced, w) if use_cross_att else (enhanced, None)
     if use_fr:
         out, refine = _refine(attended, enhanced, w)
     else:
-        out = np.concatenate([attended.frame, attended.event], axis=0)
-        refine = None
-
-    c = pair.channels
-    if branch == "frame":
-        out = out[:c]
-    elif branch == "event":
-        out = out[c:]
-    cache = CafrCache(
-        w, conv_caches, activated, enhanced, attn, attended, refine,
-        c, branch, use_mul_add, use_cross_att, use_fr,
-    )
-    return out, cache
+        out, refine = np.concatenate([attended.frame, attended.event], axis=0), None
+    if not (use_mul_add and use_cross_att and use_fr):
+        return out, None
+    return out, CafrCache(w, conv_caches, activated, enhanced, attn, refine)
 
 
 @dataclass
@@ -393,47 +371,27 @@ class CafrGradients:
 
 
 def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
-    """Analytic gradients of sum(cafr_forward(...) * gout)."""
-    if cache is None:
-        raise StateError("cafr_backward needs the cache from cafr_forward")
-    c = cache.channels
-    shape = cache.enhanced.frame.shape
-    gout = np.asarray(gout, dtype=np.float64)
+    """Analytic gradients of sum(cafr_forward(...)[0] * gout).
 
-    halves = 2 if cache.branch == "dual" else 1
-    if gout.shape != (halves * c,) + shape[1:]:
+    ``gout`` matches the dual [2C,H,W] output; the gradient of one half alone
+    is this with zeros on the other half.
+    """
+    if cache is None:
+        raise StateError("cafr_backward needs the cache of a cafr_forward run with every stage on")
+    shape = cache.enhanced.frame.shape
+    c = shape[0]
+    gout = np.asarray(gout, dtype=np.float64)
+    if gout.shape != (2 * c,) + shape[1:]:
         raise ShapeError(f"upstream gradient shape {gout.shape} does not match output")
-    if cache.branch == "dual":
-        gf_out, ge_out = gout[:c], gout[c:]
-    elif cache.branch == "frame":
-        gf_out, ge_out = gout, np.zeros(shape)
-    else:
-        gf_out, ge_out = np.zeros(shape), gout
 
     w = cache.weights
-    if cache.use_fr:
-        g_att_f, g_att_e, g_enh_f, g_enh_e, dwf, dwe = _refine_vjp(
-            cache.refine, cache.enhanced, w, gf_out, ge_out
-        )
-    else:
-        g_att_f, g_att_e = gf_out, ge_out
-        g_enh_f, g_enh_e = np.zeros(shape), np.zeros(shape)
-        dwf, dwe = np.zeros((c, c)), np.zeros((c, c))
-
-    if cache.use_cross_att:
-        dtf, dte, dws = _attention_vjp(cache.attn, w, _tokens(g_att_f), _tokens(g_att_e))
-        g_enh_f = g_enh_f + _untokens(dtf, shape)
-        g_enh_e = g_enh_e + _untokens(dte, shape)
-    else:
-        dws = {name: np.zeros((c, c)) for name in LINEAR_NAMES if name not in ("wf", "we")}
-        g_enh_f = g_enh_f + g_att_f
-        g_enh_e = g_enh_e + g_att_e
-
-    if cache.use_mul_add:
-        g_act_f, g_act_e = _enhance_vjp(cache.activated, g_enh_f, g_enh_e)
-    else:
-        g_act_f, g_act_e = g_enh_f, g_enh_e
-
+    g_att_f, g_att_e, g_enh_f, g_enh_e, dwf, dwe = _refine_vjp(
+        cache.refine, cache.enhanced, w, gout[:c], gout[c:]
+    )
+    dtf, dte, dws = _attention_vjp(cache.attn, w, _tokens(g_att_f), _tokens(g_att_e))
+    g_act_f, g_act_e = _enhance_vjp(
+        cache.activated, g_enh_f + _untokens(dtf, shape), g_enh_e + _untokens(dte, shape)
+    )
     gframe, dk_f, db_f = conv2d_vjp(cache.conv_caches[0], g_act_f)
     gevent, dk_e, db_e = conv2d_vjp(cache.conv_caches[1], g_act_e)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evframe import (
+    CorruptionType,
     encode_detections,
     encode_image,
     CafrWeights,
@@ -233,6 +234,24 @@ def test_warp_labels_identity_keeps_boxes(capsys, tmp_path, identity_calib):
     assert back[0].bbox == pytest.approx(recs[0].bbox, abs=1e-9)
 
 
+def test_warp_labels_drops_a_box_outside_the_clip_window(capsys, tmp_path, identity_calib):
+    labels = tmp_path / "labels.jsonl"
+    inside = DetectionRecord(0, 0, (5.0, 5.0, 10.0, 8.0), 0.5)
+    labels.write_bytes(encode_detections([inside, DetectionRecord(0, 1, (70.0, 5.0, 4.0, 4.0), 0.9)]))
+    out = tmp_path / "warped.jsonl"
+    code, stdout, err = run(
+        capsys, "warp-labels", "--labels", str(labels), "--calib", str(identity_calib),
+        "--clip-width", "64", "--clip-height", "48", "--out", str(out),
+    )
+    assert code == 0, err
+    assert json.loads(stdout) == {"kept": 1, "dropped": 1, "out": str(out)}
+    from evframe import decode_detections
+
+    (kept,) = decode_detections(out.read_bytes())
+    assert (kept.image_id, kept.category_id, kept.score) == (0, 0, 0.5)
+    assert kept.bbox == pytest.approx(inside.bbox, abs=1e-9)
+
+
 def test_warp_over_the_memory_budget_exits_1_without_allocating(capsys, tmp_path, identity_calib):
     src = tmp_path / "in.ppm"
     src.write_bytes(encode_image(rgb_image(philox(2), 20, 15)))
@@ -323,6 +342,16 @@ def test_bad_thread_env_is_a_runtime_error(capsys, tmp_path, monkeypatch):
     assert "EVFRAME_THREADS" in err
 
 
+def test_zero_thread_env_is_refused_before_any_work(capsys, tmp_path, monkeypatch):
+    src = tmp_path / "img.ppm"
+    src.write_bytes(encode_image(rgb_image(philox(4), 8, 8)))
+    monkeypatch.setenv("EVFRAME_THREADS", "0")
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, "corrupt-dataset", "--images", str(src), "--out-dir", str(out_dir))
+    assert (code, out, err) == (1, "", "error: EVFRAME_THREADS must be >= 1, got 0\n")
+    assert not out_dir.exists()
+
+
 def test_absurd_thread_env_is_refused_before_any_work(capsys, tmp_path, monkeypatch):
     src = tmp_path / "img.ppm"
     src.write_bytes(encode_image(rgb_image(philox(4), 8, 8)))
@@ -337,48 +366,56 @@ def test_absurd_thread_env_is_refused_before_any_work(capsys, tmp_path, monkeypa
 # -- fusion subcommands ----------------------------------------------------------------
 
 
-def test_cafr_forward_writes_fused_features(capsys, tmp_path):
-    rng = philox(5)
+def feature_pair_files(tmp_path, seed, shape):
+    rng = philox(seed)
     ff, fe = tmp_path / "ff.ftns", tmp_path / "fe.ftns"
-    write_tensor(ff, rng.standard_normal((4, 3, 2)))
-    write_tensor(fe, rng.standard_normal((4, 3, 2)))
+    write_tensor(ff, rng.standard_normal(shape))
+    write_tensor(fe, rng.standard_normal(shape))
+    return ["--frame-features", str(ff), "--event-features", str(fe)]
+
+
+def test_cafr_forward_writes_fused_features(capsys, tmp_path):
+    inputs = feature_pair_files(tmp_path, 5, (4, 3, 2))
     out = tmp_path / "fused.ftns"
-    code, _, err = run(
-        capsys, "cafr-forward", "--frame-features", str(ff), "--event-features", str(fe),
-        "--seed", "9", "--out", str(out),
-    )
+    code, _, err = run(capsys, "cafr-forward", *inputs, "--seed", "9", "--out", str(out))
     assert code == 0, err
     assert read_tensor(out).shape == (8, 3, 2)
 
 
-def test_cafr_forward_single_branch(capsys, tmp_path):
-    rng = philox(6)
-    ff, fe = tmp_path / "ff.ftns", tmp_path / "fe.ftns"
-    write_tensor(ff, rng.standard_normal((3, 2, 2)))
-    write_tensor(fe, rng.standard_normal((3, 2, 2)))
+@pytest.mark.parametrize("skip", [[], ["--skip-attention"], ["--skip-enhance", "--skip-refine"]])
+def test_cafr_forward_branch_slices_the_dual_output(capsys, tmp_path, skip):
+    inputs = feature_pair_files(tmp_path, 6, (3, 2, 2))
+
+    def fuse(branch, channels):
+        out = tmp_path / f"{branch}.ftns"
+        argv = ["cafr-forward", *inputs, "--branch", branch, *skip, "--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(stdout) == {"branch": branch, "out": str(out), "shape": [channels, 2, 2]}
+        return read_tensor(out)
+
+    dual = fuse("dual", 6)
+    assert fuse("frame", 3).tobytes() == dual[:3].tobytes()
+    assert fuse("event", 3).tobytes() == dual[3:].tobytes()
+
+
+def test_cafr_forward_unknown_branch_is_a_usage_error(capsys, tmp_path):
     out = tmp_path / "fused.ftns"
-    code, _, _ = run(
-        capsys, "cafr-forward", "--frame-features", str(ff), "--event-features", str(fe),
-        "--branch", "frame", "--out", str(out),
-    )
-    assert code == 0
-    assert read_tensor(out).shape == (3, 2, 2)
+    inputs = feature_pair_files(tmp_path, 6, (3, 2, 2))
+    code, stdout, err = run(capsys, "cafr-forward", *inputs, "--branch", "both", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "invalid choice: 'both'" in err
+    assert not out.exists()
 
 
 def test_cafr_forward_reads_a_weight_bundle(capsys, tmp_path):
-    rng = philox(7)
-    ff, fe = tmp_path / "ff.ftns", tmp_path / "fe.ftns"
-    write_tensor(ff, rng.standard_normal((4, 3, 2)))
-    write_tensor(fe, rng.standard_normal((4, 3, 2)))
+    inputs = feature_pair_files(tmp_path, 7, (4, 3, 2))
     bundle = tmp_path / "weights"
     save_weights(init_cafr_weights(4, seed=2), bundle)
     out = tmp_path / "fused.ftns"
-    code, _, err = run(
-        capsys, "cafr-forward", "--frame-features", str(ff), "--event-features", str(fe),
-        "--weights", str(bundle), "--out", str(out),
-    )
+    code, _, err = run(capsys, "cafr-forward", *inputs, "--weights", str(bundle), "--out", str(out))
     assert code == 0, err
-    pair = FeaturePair(read_tensor(ff), read_tensor(fe))
+    pair = FeaturePair(read_tensor(inputs[1]), read_tensor(inputs[3]))
     want, _ = cafr_forward(pair, load_weights(CafrWeights, bundle))
     assert np.array_equal(read_tensor(out), want.astype(np.float32))
 
@@ -464,6 +501,28 @@ def test_head_decode_full_grid(capsys, tmp_path):
     assert any(abs(d.score - float(cls[5, 0])) < 1e-6 for d in dets)
 
 
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ("2x2,1x1,axb,1x1,1x1", "bad level shape 'axb', expected HxW"),
+        ("2x2,1x1,1x1x1,1x1,1x1", "bad level shape '1x1x1', expected HxW"),
+        ("2x2,0x1,1x1,1x1,1x1", "level dims must be positive, got '0x1'"),
+        ("2x2,1x1,1x1,1x1", "--levels needs exactly 5 entries, got 4"),
+    ],
+    ids=["malformed", "three-dims", "zero-dim", "four-entries"],
+)
+def test_head_decode_refuses_bad_levels(capsys, tmp_path, levels, message):
+    clsf, regf = tmp_path / "cls.ftns", tmp_path / "reg.ftns"
+    write_tensor(clsf, np.full((72, 1), 0.9))
+    write_tensor(regf, np.zeros((72, 4)))
+    out = tmp_path / "dets.jsonl"
+    code, stdout, err = run(
+        capsys, "head-decode", "--cls", str(clsf), "--reg", str(regf), "--levels", levels, "--out", str(out)
+    )
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_eval_map_matches_module_value(capsys, tmp_path):
     gts = [
         DetectionRecord(0, 0, (10.0, 10.0, 20.0, 20.0), None),
@@ -482,6 +541,20 @@ def test_eval_map_matches_module_value(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["map"] == pytest.approx(0.575, abs=1e-9)
     assert doc["map50"] == pytest.approx(0.75, abs=1e-9)
+
+
+def test_eval_map_out_writes_the_printed_report(capsys, tmp_path):
+    gts = [DetectionRecord(0, 0, (10.0, 10.0, 20.0, 20.0), None)]
+    gt_path, pred_path = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    gt_path.write_bytes(encode_detections(gts))
+    pred_path.write_bytes(encode_detections([DetectionRecord(0, 0, (10.0, 10.0, 20.0, 20.0), 0.9)]))
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "eval-map", "--pred", str(pred_path), "--gt", str(gt_path), "--out", str(report)
+    )
+    assert code == 0, err
+    assert report.read_text() == out
+    assert json.loads(out) == {"map": 1.0, "map50": 1.0, "per_class": {"0": 1.0}}
 
 
 @pytest.mark.parametrize("case", ["gt-as-pred", "negative-cap", "zero-cap", "zero-union"])
@@ -537,6 +610,38 @@ def test_eval_mpc_full_grid(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["mpc"] == pytest.approx(0.3, abs=1e-12)
     assert doc["rpc_per_severity"][0] == pytest.approx(0.8, abs=1e-12)
+
+
+def test_eval_mpc_without_map_clean_reports_mpc_and_writes_out(capsys, tmp_path):
+    per_type = {c.value: [1, 0.5, 0.5, 0.5, 0] for c in CorruptionType}
+    src, report = tmp_path / "mpc.json", tmp_path / "report.json"
+    src.write_text(json.dumps({"per_type": per_type}))
+    code, out, err = run(capsys, "eval-mpc", "--input", str(src), "--out", str(report))
+    assert code == 0, err
+    assert json.loads(out) == {"mpc": 0.5, "map_matrix": [[1.0, 0.5, 0.5, 0.5, 0.0]] * 15}
+    assert report.read_text() == out
+
+
+EVERY_TYPE = {c.value: [0.5] * 5 for c in CorruptionType}
+NOT_A_TABLE = "input must be a JSON object with a 'per_type' table of corruption type names to severity lists"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], NOT_A_TABLE),
+        ({"per_type": []}, NOT_A_TABLE),
+        ({"per_type": {**EVERY_TYPE, "vignette": [0.5] * 5}}, "unknown corruption type 'vignette'"),
+        ({"per_type": {**EVERY_TYPE, "fog": [0.5] * 4}}, "type 'fog' needs exactly 5 severity entries"),
+    ],
+    ids=["array", "per-type-array", "unknown-type", "short-row"],
+)
+def test_eval_mpc_refuses_a_malformed_document(capsys, tmp_path, doc, message):
+    src, report = tmp_path / "mpc.json", tmp_path / "report.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval-mpc", "--input", str(src), "--out", str(report))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not report.exists()
 
 
 def test_eval_mpc_missing_type_is_named(capsys, tmp_path):

@@ -2,9 +2,10 @@
 
 Each case runs ``cli.main`` in-process on tiny fixtures and must end in a
 result (exit 0), a typed error (exit 1) or a usage error (exit 2), never in
-a traceback. Huge values are swept only for evt2grid's grid dims, whose
-stage estimates its memory before it allocates; not every allocating stage
-does, so elsewhere they could really allocate.
+a traceback. Huge values are swept only for evt2grid's grid dims and
+pipeline-demo's scene dims, whose stages estimate their memory before they
+allocate; not every allocating stage does, so elsewhere they could really
+allocate.
 """
 
 import json
@@ -215,4 +216,19 @@ def test_a_huge_grid_dim_exits_1_before_the_grid_is_allocated(capsys, tmp_path, 
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "voxel grid needs" in err and "budget" in err
     assert peak < 4 * 1024 * 1024  # every grid asked for is over 70 TB
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--width", "--height"])
+def test_a_huge_scene_dim_exits_1_before_the_scene_is_drawn(capsys, tmp_path, inputs, flag):
+    tracemalloc.start()
+    try:
+        code = run_case("pipeline-demo", [f"{flag}=1000000000000"], inputs, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a ") and "scene needs" in err and "134217728-byte budget" in err
+    assert peak < 4 * 1024 * 1024  # every frame asked for is over 100 TB
     assert not list(tmp_path.iterdir())

@@ -1,8 +1,10 @@
 """Synthetic end-to-end demo: scene construction and full-run determinism."""
 
 import numpy as np
+import pytest
 
-from evframe import decode_detections, run_pipeline_demo
+from evframe import DomainError, decode_detections, run_pipeline_demo
+from evframe import demo
 from evframe.demo import make_scene
 
 
@@ -12,6 +14,14 @@ def test_scene_is_seed_deterministic():
     assert np.array_equal(a1.pixels, a2.pixels)
     assert np.array_equal(b1.pixels, b2.pixels)
     assert g1[0].bbox == g2[0].bbox
+
+
+def test_scene_budget_is_checked_per_frame_before_any_draw(monkeypatch):
+    monkeypatch.setattr(demo, "SCENE_MAX_BYTES", 64 * 48 * 8)
+    make_scene(64, 48)  # exactly at the budget
+    with pytest.raises(DomainError) as exc:
+        make_scene(65, 48)
+    assert str(exc.value) == "a 65x48 scene needs 24960 bytes per frame, over the 24576-byte budget"
 
 
 def test_scene_block_moves_right():

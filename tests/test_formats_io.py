@@ -142,6 +142,24 @@ def test_pnm_rejects_truncated_payload():
         decode_image(b"P5\n2 2\n255\nab")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n2 ", "truncated PNM header"),  # a token is missing
+        (b"P5\n2 1 255", "truncated PNM header"),  # no byte ends maxval
+        (b"P5\n# only a comment", "truncated PNM header"),
+        (b"P6\n2 x\n255\nAB", "non-numeric PNM header field"),
+        (b"P5\n0 1\n255\n", "invalid dimensions 0x1"),
+        (b"P5\n2 -1\n255\n", "invalid dimensions 2x-1"),
+    ],
+    ids=["missing-token", "maxval-unterminated", "comment-only", "non-numeric", "zero-width", "negative-height"],
+)
+def test_pnm_refuses_a_bad_header(data, message):
+    with pytest.raises(FormatError) as exc:
+        decode_image(data)
+    assert str(exc.value) == message
+
+
 def test_pnm_skips_header_comments():
     img = decode_image(b"P5\n# a comment\n2 1\n255\nAB")
     assert img.pixels[0, 0, 0] == ord("A")
@@ -164,6 +182,18 @@ def test_image_float_conversion_roundtrip():
 def test_image_rejects_mismatched_buffer():
     with pytest.raises(ValidationError):
         ImagePNM(width=4, height=4, channels=1, pixels=np.zeros((4, 5, 1), np.uint8))
+
+
+def test_image_refuses_two_channels():
+    with pytest.raises(ValidationError) as exc:
+        ImagePNM(width=2, height=2, channels=2, pixels=np.zeros((2, 2, 2), np.uint8))
+    assert str(exc.value) == "channels must be 1 or 3, got 2"
+
+
+def test_image_from_float01_refuses_a_four_dimensional_array():
+    with pytest.raises(ValidationError) as exc:
+        ImagePNM.from_float01(np.zeros((2, 2, 1, 1)))
+    assert str(exc.value) == "expected (H, W, 1|3) array, got shape (2, 2, 1, 1)"
 
 
 # -- tensor container ----------------------------------------------------------------
@@ -192,6 +222,21 @@ def test_tensor_rejects_payload_size_mismatch():
 def test_tensor_rejects_rank_zero():
     with pytest.raises(DomainError):
         encode_tensor(np.float32(1.0))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"FTNS" + (0).to_bytes(4, "little"), "tensor rank must be 1..4, got 0"),
+        (b"FTNS" + (5).to_bytes(4, "little") + bytes(20), "tensor rank must be 1..4, got 5"),
+        (b"FTNS" + (3).to_bytes(4, "little") + bytes(8), "truncated tensor header"),
+    ],
+    ids=["rank-0", "rank-5", "truncated-dims"],
+)
+def test_tensor_decode_refuses_a_bad_header(data, message):
+    with pytest.raises(FormatError) as exc:
+        decode_tensor(data)
+    assert str(exc.value) == message
 
 
 def test_tensor_bundle_requires_member_table(tmp_path):
@@ -315,6 +360,31 @@ def test_calibration_rejects_missing_key():
     del data["R_event"]
     with pytest.raises(SchemaError):
         parse_calibration(json.dumps(data).encode())
+
+
+def test_calibration_that_is_not_json_is_a_parse_error():
+    for data in (b"{", b"\xff{}"):
+        with pytest.raises(ParseError, match="^calibration is not valid JSON: "):
+            parse_calibration(data)
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ([1, 2], "calibration root must be a JSON object"),
+        ({"K_rgb": [1, 0, 0, 0, 1, 0, 0, 0]}, "'K_rgb' must be a 9-element row-major array"),
+        ({"R_event": "identity"}, "'R_event' must be a 9-element row-major array"),
+        ({"K_event": [1, 0, 0, 0, 1, 0, 0, 0, "x"]}, "'K_event' contains a non-numeric entry"),
+        ({"R_rgb": [1, 0, 0, 0, 1, 0, 0, 0, None]}, "'R_rgb' contains a non-numeric entry"),
+    ],
+    ids=["array-root", "eight-entries", "string-matrix", "string-entry", "null-entry"],
+)
+def test_calibration_refuses_a_malformed_document(patch, message):
+    doc = json.loads(calibration_json(small_rig()))
+    doc = patch if isinstance(patch, list) else {**doc, **patch}
+    with pytest.raises(SchemaError) as exc:
+        parse_calibration(json.dumps(doc).encode())
+    assert str(exc.value) == message
 
 
 def test_rig_rejects_non_orthonormal_rotation():
@@ -613,6 +683,39 @@ def test_detection_table_names_the_first_bad_row(column, values, message):
     with pytest.raises(DomainError) as exc:
         DetectionTable(**columns)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "columns, shapes",
+    [
+        pytest.param(
+            ([0, 1], [0, 1], [GOOD_BOX] * 2, [0.5]),
+            "image_id (2,), category_id (2,), bbox (2, 4), score (1,)", id="short-score",
+        ),
+        pytest.param(
+            ([0, 1, 2], [0, 1], [GOOD_BOX] * 2, [0.5, 0.5]),
+            "image_id (3,), category_id (2,), bbox (2, 4), score (2,)", id="long-image-id",
+        ),
+        pytest.param(
+            ([0], [0], GOOD_BOX * 2, [0.5]),
+            "image_id (1,), category_id (1,), bbox (8,), score (1,)", id="flat-bbox",
+        ),
+        pytest.param(
+            ([0, 1], [0, 1], [GOOD_BOX] * 2, [0.5, 0.5, 0.5]),
+            "image_id (2,), category_id (2,), bbox (2, 4), score (3,)", id="long-score",
+        ),
+        pytest.param(
+            (0, 0, GOOD_BOX, 0.5),
+            "image_id (), category_id (), bbox (4,), score ()", id="scalars",
+        ),
+    ],
+)
+def test_detection_table_refuses_columns_of_different_lengths(columns, shapes):
+    with pytest.raises(ValidationError) as exc:
+        DetectionTable(*columns)
+    assert str(exc.value) == (
+        f"detection columns must be n ids, n ids, (n, 4) boxes and n scores, got {shapes}"
+    )
 
 
 def test_detection_table_takes_integral_ids_of_any_dtype_and_nan_scores():

@@ -337,24 +337,6 @@ def test_refinement_rejects_shape_mismatch(rng):
 # -- full module ---------------------------------------------------------------------
 
 
-def test_forward_output_shapes_by_branch(rng):
-    pair = random_pair(rng, c=4, h=3, w=2)
-    w = init_cafr_weights(4, seed=2)
-    out_dual, _ = cafr_forward(pair, w, branch="dual")
-    out_f, _ = cafr_forward(pair, w, branch="frame")
-    out_e, _ = cafr_forward(pair, w, branch="event")
-    assert out_dual.shape == (8, 3, 2)
-    assert out_f.shape == out_e.shape == (4, 3, 2)
-    assert np.array_equal(out_dual[:4], out_f)
-    assert np.array_equal(out_dual[4:], out_e)
-
-
-def test_forward_rejects_unknown_branch(rng):
-    pair = random_pair(rng)
-    with pytest.raises(DomainError):
-        cafr_forward(pair, init_cafr_weights(4), branch="both")
-
-
 def test_bypassing_every_stage_concatenates_the_activations(rng):
     pair = random_pair(rng, c=3)
     w = identity_weights(3)
@@ -379,6 +361,16 @@ def test_backward_requires_forward_cache():
         cafr_backward(None, np.zeros((8, 3, 2)))
 
 
+@pytest.mark.parametrize("flag", ["use_mul_add", "use_cross_att", "use_fr"])
+def test_a_bypassed_run_has_no_cache_and_no_backward(rng, flag):
+    pair = random_pair(rng, c=4, h=3, w=2)
+    out, cache = cafr_forward(pair, init_cafr_weights(4, seed=3), **{flag: False})
+    assert out.shape == (8, 3, 2)
+    assert cache is None
+    with pytest.raises(StateError, match="every stage on"):
+        cafr_backward(cache, np.zeros(out.shape))
+
+
 def test_backward_rejects_wrong_upstream_shape(rng):
     pair = random_pair(rng, c=4, h=3, w=2)
     w = init_cafr_weights(4, seed=1)
@@ -395,26 +387,24 @@ def test_gradcheck_on_default_configuration():
     assert worst < 1e-5
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"branch": "frame"},
-        {"branch": "event"},
-        {"use_mul_add": False},
-        {"use_cross_att": False},
-        {"use_fr": False},
-    ],
-)
-def test_gradients_hold_under_every_ablation(kwargs):
+# each stream's half of a 3-channel module's dual output
+HALVES = {"frame": slice(None, 3), "event": slice(3, None)}
+
+
+@pytest.mark.parametrize("half", sorted(HALVES))
+def test_one_half_gradient_is_the_dual_backward_with_a_zero_half(half):
     rng = philox(61)
     pair = FeaturePair(rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2, 2)))
     w = init_cafr_weights(3, seed=61)
-    out, cache = cafr_forward(pair, w, **kwargs)
-    r = rng.standard_normal(out.shape)
-    grads = cafr_backward(cache, r)
+    _, cache = cafr_forward(pair, w)
+    r = rng.standard_normal((3, 2, 2))
+    used = HALVES[half]
+    upstream = np.zeros((6, 2, 2))
+    upstream[used] = r
+    grads = cafr_backward(cache, upstream)
 
     def loss(arr):
-        return float(np.sum(cafr_forward(pair, w, **kwargs)[0] * r))
+        return float(np.sum(cafr_forward(pair, w)[0][used] * r))
 
     from evframe.tensor_math import relative_error
 
@@ -424,7 +414,7 @@ def test_gradients_hold_under_every_ablation(kwargs):
             relative_error(float(a), float(n))
             for a, n in zip(analytic.ravel(), numeric.ravel())
         )
-        assert worst < 1e-5, f"{kwargs}: worst {worst:.3e}"
+        assert worst < 1e-5, f"{half}: worst {worst:.3e}"
 
 
 def test_unused_value_path_has_zero_gradient():
@@ -432,8 +422,9 @@ def test_unused_value_path_has_zero_gradient():
     rng = philox(62)
     pair = FeaturePair(rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 2, 2)))
     w = init_cafr_weights(3, seed=62)
-    out, cache = cafr_forward(pair, w, branch="frame")
-    grads = cafr_backward(cache, rng.standard_normal(out.shape))
+    _, cache = cafr_forward(pair, w)
+    upstream = np.concatenate([rng.standard_normal((3, 2, 2)), np.zeros((3, 2, 2))])
+    grads = cafr_backward(cache, upstream)
     for name in ("wq_f", "wk_f", "wv_e", "we"):
         assert not grads.weights[name].any(), name
     for name in ("wq_e", "wk_e", "wv_f", "wf"):
