@@ -30,7 +30,7 @@ from .corruption_bench import (
 )
 from .demo import run_pipeline_demo
 from .detect_head import HeadConfig, decode_head, level_anchors
-from .errors import DomainError, EvframeError, SchemaError
+from .errors import DomainError, EvframeError, SchemaError, ShapeError
 from .eval_metrics import SEVERITY_COUNT, build_mpc_report, map_coco, mpc
 from .event_core import SimConfig, build_voxel_grid, simulate_events
 from .formats_io import (
@@ -268,8 +268,14 @@ def _parse_levels(text: str) -> list:
 def _cmd_head_decode(ns) -> dict:
     cls = read_tensor(ns.cls)
     reg = read_tensor(ns.reg)
+    levels = _parse_levels(ns.levels)
     # the anchor layout depends on the scales and ratios, not on the class count
-    anchors = level_anchors(_parse_levels(ns.levels), ns.base_stride, HeadConfig(num_classes=1))
+    cfg = HeadConfig(num_classes=1)
+    n = sum(h * w for h, w in levels) * cfg.anchors_per_position
+    # counted before the anchors are built, which huge levels could not afford
+    if cls.shape[:1] != (n,) or reg.shape[:1] != (n,):
+        raise ShapeError(f"head outputs {cls.shape}/{reg.shape} do not cover {n} anchors")
+    anchors = level_anchors(levels, ns.base_stride, cfg)
     dets = decode_head(
         cls,
         reg,

@@ -40,11 +40,11 @@ SCENE_CATEGORY = 0
 # Smallest scene that fits the block, its 4 px slide and the margins around it.
 MIN_SCENE_WIDTH = 17
 MIN_SCENE_HEIGHT = 13
-# Most bytes one float64 scene frame may take, checked before anything is
-# drawn. make_scene holds about five such arrays at once (the background, a
-# rendered copy and its 8-bit conversion's temporaries), so a scene at the
-# budget peaks under 1 GiB; the default 64 x 48 frame takes 24 KiB.
-SCENE_MAX_BYTES = 1 << 27
+# Most pixels a scene may have, one DSEC frame, checked before anything is
+# drawn. The budget bounds work as well as memory: fusion attends over
+# (W/4)*(H/4) tokens at O(tokens^2) cost, and a 640 x 480 run already takes
+# ~6 s on two cores, while a float64 frame at the budget takes only 2.4 MB.
+SCENE_MAX_PIXELS = 640 * 480
 
 
 @dataclass
@@ -81,11 +81,10 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
         raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
     if height < MIN_SCENE_HEIGHT:
         raise DomainError(f"height must be >= {MIN_SCENE_HEIGHT}, got {height}")
-    need = width * height * 8
-    if need > SCENE_MAX_BYTES:
+    if width * height > SCENE_MAX_PIXELS:
         raise DomainError(
-            f"a {width}x{height} scene needs {need} bytes per frame, "
-            f"over the {SCENE_MAX_BYTES}-byte budget"
+            f"a {width}x{height} scene has {width * height} pixels, "
+            f"over the {SCENE_MAX_PIXELS}-pixel budget"
         )
     rng = philox(seed)
     base = np.full((height, width), 200, dtype=np.float64)

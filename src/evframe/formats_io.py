@@ -297,10 +297,15 @@ class DetectionRecord:
             self.bbox = tuple(float(v) for v in self.bbox)
         except OverflowError:
             raise DomainError(f"bbox entries must be finite, got {self.bbox}") from None
+        except (TypeError, ValueError):
+            raise DomainError(f"bbox entries must be numbers, got {self.bbox!r}") from None
         if len(self.bbox) != 4:
             raise ValidationError(f"bbox must have 4 entries, got {len(self.bbox)}")
         if self.score is not None:
-            self.score = float(self.score)
+            try:
+                self.score = float(self.score)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"score must be a number in [0, 1], got {self.score!r}") from None
         _check_detections(np.array([self.bbox]), np.array([0.0 if self.score is None else self.score]), "")
 
 
@@ -322,6 +327,28 @@ def _id_column(name: str, values) -> np.ndarray:
         for i, value in enumerate(column.tolist()):
             _int64_id(f"row {i}: {name}", value)
     return _read_only(np.ascontiguousarray(column, dtype=np.int64))
+
+
+def _column(name: str, values, dtype=None) -> np.ndarray:
+    """``np.asarray(values, dtype)``; only when numpy refuses are the entries
+    looked at, for a typed error: a ValidationError for a ragged column, a
+    DomainError for the first entry float() refuses or that overflows."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    try:
+        cells = np.atleast_1d(values).astype(object)
+    except ValueError:
+        raise ValidationError(f"{name} column is ragged: its entries differ in shape") from None
+    for index, v in np.ndenumerate(cells):
+        try:
+            float(v)
+        except OverflowError:
+            raise DomainError(f"row {index[0]}: {name} entries must be finite, got {v}") from None
+        except (TypeError, ValueError):
+            raise DomainError(f"row {index[0]}: {name} entry {v!r} is not a number") from None
+    raise ValidationError(f"{name} column cannot be read as numbers")
 
 
 def _check_detections(bbox: np.ndarray, score: np.ndarray, where: str) -> None:
@@ -352,9 +379,11 @@ class DetectionTable(Sequence):
 
     ``image_id`` and ``category_id`` are int64, ``bbox`` is (n, 4) float64
     x, y, w, h and ``score`` is float64 with NaN for a record without one
-    (NaN is never a valid score). The constructor first checks that the
-    columns share one length n (a ``ValidationError`` naming every shape),
-    then checks every row as DetectionRecord checks a record: integer ids
+    (NaN is never a valid score). The constructor reads each column as an
+    array (a ragged column is a ``ValidationError``, an entry that is not a
+    float64 number a ``DomainError``, each naming the column), checks that
+    the columns share one length n (a ``ValidationError`` naming every
+    shape), then checks every row as DetectionRecord checks a record: integer ids
     within int64, a finite box with w, h > 0 and a score in [0, 1] or NaN;
     the ``DomainError`` names the first bad row. Records are built only
     while iterating or indexing. Equal to another table with equal columns
@@ -364,8 +393,8 @@ class DetectionTable(Sequence):
     __slots__ = ("image_id", "category_id", "bbox", "score")
 
     def __init__(self, image_id, category_id, bbox, score):
-        image_id, category_id = np.asarray(image_id), np.asarray(category_id)
-        bbox, score = np.asarray(bbox, dtype=np.float64), np.asarray(score, dtype=np.float64)
+        image_id, category_id = _column("image_id", image_id), _column("category_id", category_id)
+        bbox, score = _column("bbox", bbox, np.float64), _column("score", score, np.float64)
         if not bbox.size:
             bbox = bbox.reshape(0, 4)
         n = score.shape[:1]

@@ -23,8 +23,7 @@ from .tensor_math import (
     ConvWeights,
     channel_stats,
     channel_stats_vjp,
-    conv2d_forward,
-    conv2d_vjp,
+    conv2d,
     linear,
     linear_vjp,
     philox,
@@ -117,13 +116,19 @@ def _untokens(t: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- stage 1: activation ---------------------------------------------------------
 
-def _activate(pair: FeaturePair, w: CafrWeights):
-    """Per-stream 1x1 convolution; returns the pair and both conv caches."""
+def _activate(pair: FeaturePair, w: CafrWeights) -> FeaturePair:
+    """Per-stream 1x1 convolution."""
     if pair.channels != w.channels:
         raise ShapeError(f"pair has {pair.channels} channels, weights expect {w.channels}")
-    af, cache_f = conv2d_forward(pair.frame, w.conv1x1_f)
-    ae, cache_e = conv2d_forward(pair.event, w.conv1x1_e)
-    return FeaturePair(af, ae), (cache_f, cache_e)
+    return FeaturePair(conv2d(pair.frame, w.conv1x1_f), conv2d(pair.event, w.conv1x1_e))
+
+
+def _activate_vjp(x: np.ndarray, conv: ConvWeights, g: np.ndarray):
+    """(dx, dkernel, dbias) of one stream's 1x1 conv, per pixel a C x C matmul."""
+    c = x.shape[0]
+    g = g.reshape(c, -1)
+    dk = (g @ x.reshape(c, -1).T).reshape(conv.kernel.shape)
+    return (conv.kernel.reshape(c, c).T @ g).reshape(x.shape), dk, g.sum(axis=1)
 
 
 # -- stage 2: mutual enhancement ---------------------------------------------------
@@ -328,7 +333,7 @@ def _refine_vjp(cache: _RefineCache, enhanced: FeaturePair, w: CafrWeights, gf, 
 @dataclass
 class CafrCache:
     weights: CafrWeights
-    conv_caches: tuple
+    pair: FeaturePair
     activated: FeaturePair
     enhanced: FeaturePair
     attn: _AttnCache
@@ -349,7 +354,7 @@ def cafr_forward(
     a run with a bypassed stage returns None as its cache, since cafr_backward
     differentiates the full module only.
     """
-    activated, conv_caches = _activate(pair, w)
+    activated = _activate(pair, w)
     enhanced = bci_enhance(activated) if use_mul_add else activated
     attended, attn = _attention(enhanced, w) if use_cross_att else (enhanced, None)
     if use_fr:
@@ -358,7 +363,7 @@ def cafr_forward(
         out, refine = np.concatenate([attended.frame, attended.event], axis=0), None
     if not (use_mul_add and use_cross_att and use_fr):
         return out, None
-    return out, CafrCache(w, conv_caches, activated, enhanced, attn, refine)
+    return out, CafrCache(w, pair, activated, enhanced, attn, refine)
 
 
 @dataclass
@@ -392,8 +397,8 @@ def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
     g_act_f, g_act_e = _enhance_vjp(
         cache.activated, g_enh_f + _untokens(dtf, shape), g_enh_e + _untokens(dte, shape)
     )
-    gframe, dk_f, db_f = conv2d_vjp(cache.conv_caches[0], g_act_f)
-    gevent, dk_e, db_e = conv2d_vjp(cache.conv_caches[1], g_act_e)
+    gframe, dk_f, db_f = _activate_vjp(cache.pair.frame, w.conv1x1_f, g_act_f)
+    gevent, dk_e, db_e = _activate_vjp(cache.pair.event, w.conv1x1_e, g_act_e)
 
     grads = {
         "conv1x1_f.kernel": dk_f,

@@ -1,10 +1,11 @@
-"""Dense tensor kernels with hand-derived backward passes.
+"""Dense tensor kernels, with the vector-Jacobian products fusion needs.
 
-Forward ops work on plain numpy arrays (row-major, rank <= 4). Each op has a
-``*_forward`` variant returning an activation cache and a ``*_vjp`` computing
-vector-Jacobian products from that cache, so gradients of any composition can
-be assembled by chaining. Compute in float64 for verification; float32 is
-accepted for throughput.
+Forward ops work on plain numpy arrays (row-major, rank <= 4). The ops the
+fusion backward differentiates (linear, softmax_rows, channel_stats) each
+have a ``*_vjp`` taking the arrays its forward used or returned, so the
+fusion module chains them by hand. ``conv2d`` runs forward only: the one
+differentiated conv, fusion's 1x1 activation, is a plain matrix product.
+Compute in float64 for verification; float32 is accepted for throughput.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, StateError
+from .errors import DomainError, ShapeError
 
 CHANNEL_STATS_EPS = 1e-5
 
@@ -70,22 +71,7 @@ def uniform_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int) -> C
     return ConvWeights(kernel, bias)
 
 
-def _require_cache(cache, op: str):
-    if cache is None:
-        raise StateError(f"{op}_vjp needs the cache from {op}_forward")
-
-
 # -- convolution --------------------------------------------------------------
-
-@dataclass
-class ConvCache:
-    xp: np.ndarray  # padded input; the backward rebuilds its im2col from it
-    kernel: np.ndarray
-    x_shape: tuple
-    stride: int
-    pad: int
-    out_shape: tuple
-
 
 def _conv_out_dims(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple:
     oh = (h + 2 * pad - kh) // stride + 1
@@ -110,8 +96,8 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
 CONV_BLOCK_BYTES = 4 << 20
 
 
-def conv2d_forward(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0):
-    """2-D cross-correlation with bias; returns (output, cache).
+def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """2-D cross-correlation with bias.
 
     Output rows are computed in bands whose im2col copy fits
     ``CONV_BLOCK_BYTES`` (at least one row per band).
@@ -134,33 +120,7 @@ def conv2d_forward(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0)
         rows = xp[:, r * stride:(r + n - 1) * stride + w.k_h]
         y[:, r:r + n] = (k @ _im2col(rows, w.k_h, w.k_w, stride, n, ow)).reshape(w.out_ch, n, ow)
     y += w.bias[:, None, None]
-    cache = ConvCache(xp, w.kernel, x.shape, stride, pad, y.shape)
-    return y, cache
-
-
-def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.ndarray:
-    return conv2d_forward(x, w, stride, pad)[0]
-
-
-def conv2d_vjp(cache: ConvCache, gy: np.ndarray):
-    """Gradients (dx, dkernel, dbias) for conv2d."""
-    _require_cache(cache, "conv2d")
-    o, oh, ow = cache.out_shape
-    gy_flat = np.asarray(gy).reshape(o, oh * ow)
-    gb = gy_flat.sum(axis=1)
-    c, h, wid = cache.x_shape
-    kh, kw = cache.kernel.shape[2], cache.kernel.shape[3]
-    s, p = cache.stride, cache.pad
-    cols = _im2col(cache.xp, kh, kw, s, oh, ow)
-    gk = (gy_flat @ cols.T).reshape(cache.kernel.shape)
-    gcols = cache.kernel.reshape(o, -1).T @ gy_flat
-    gxp = np.zeros((c, h + 2 * p, wid + 2 * p), dtype=gcols.dtype)
-    g = gcols.reshape(c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, i:i + s * oh:s, j:j + s * ow:s] += g[:, i, j]
-    gx = gxp[:, p:p + h, p:p + wid] if p else gxp
-    return gx, gk, gb
+    return y
 
 
 # -- linear projection ---------------------------------------------------------
@@ -200,7 +160,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def softmax_rows_vjp(s: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Gradient through softmax given its output ``s``."""
-    _require_cache(s, "softmax_rows")
     inner = (gy * s).sum(axis=1, keepdims=True)
     return s * (gy - inner)
 
@@ -226,7 +185,6 @@ def channel_stats_vjp(x: np.ndarray, sigma: np.ndarray, gmu: np.ndarray, gsigma:
 
     d mu_c / d x_i = 1/N; d sigma_c / d x_i = (x_i - mu_c) / (N * sigma_c).
     """
-    _require_cache(x, "channel_stats")
     n = x.shape[1] * x.shape[2]
     mu = x.mean(axis=(1, 2))
     gx = np.broadcast_to((gmu / n)[:, None, None], x.shape).copy()

@@ -508,8 +508,9 @@ def test_head_decode_full_grid(capsys, tmp_path):
         ("2x2,1x1,1x1x1,1x1,1x1", "bad level shape '1x1x1', expected HxW"),
         ("2x2,0x1,1x1,1x1,1x1", "level dims must be positive, got '0x1'"),
         ("2x2,1x1,1x1,1x1", "--levels needs exactly 5 entries, got 4"),
+        ("2x2,1x1,1x1,1x1,2x1", "head outputs (72, 1)/(72, 4) do not cover 81 anchors"),
     ],
-    ids=["malformed", "three-dims", "zero-dim", "four-entries"],
+    ids=["malformed", "three-dims", "zero-dim", "four-entries", "more-anchors-than-rows"],
 )
 def test_head_decode_refuses_bad_levels(capsys, tmp_path, levels, message):
     clsf, regf = tmp_path / "cls.ftns", tmp_path / "reg.ftns"
@@ -861,11 +862,12 @@ def test_eval_mpc_integer_entries_are_reported_as_floats(capsys, tmp_path):
 
 def test_head_decode_rank_check_comes_from_the_library(capsys, tmp_path):
     clsf, regf = tmp_path / "cls.ftns", tmp_path / "reg.ftns"
-    write_tensor(clsf, np.ones((4, 2, 1)))
-    write_tensor(regf, np.zeros((4, 4)))
+    # one row per anchor of the five 1x1 levels, so only the rank is wrong
+    write_tensor(clsf, np.ones((45, 2, 1)))
+    write_tensor(regf, np.zeros((45, 4)))
     code, out, err = run(
         capsys, "head-decode", "--cls", str(clsf), "--reg", str(regf),
         "--levels", "1x1,1x1,1x1,1x1,1x1", "--out", str(tmp_path / "d.jsonl"),
     )
     assert (code, out) == (1, "")
-    assert "error: expected rank-2 score/offset tensors, got (4, 2, 1) and (4, 4)" in err
+    assert "error: expected rank-2 score/offset tensors, got (45, 2, 1) and (45, 4)" in err

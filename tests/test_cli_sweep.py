@@ -2,10 +2,10 @@
 
 Each case runs ``cli.main`` in-process on tiny fixtures and must end in a
 result (exit 0), a typed error (exit 1) or a usage error (exit 2), never in
-a traceback. Huge values are swept only for evt2grid's grid dims and
-pipeline-demo's scene dims, whose stages estimate their memory before they
-allocate; not every allocating stage does, so elsewhere they could really
-allocate.
+a traceback. Huge values are swept only for evt2grid's grid dims,
+pipeline-demo's scene dims, warp's output dims and head-decode's levels,
+whose stages check their size before they allocate; not every allocating
+stage does, so elsewhere they could really allocate.
 """
 
 import json
@@ -229,6 +229,33 @@ def test_a_huge_scene_dim_exits_1_before_the_scene_is_drawn(capsys, tmp_path, in
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err.startswith("error: a ") and "scene needs" in err and "134217728-byte budget" in err
+    assert err.startswith("error: a ") and "scene has" in err and "307200-pixel budget" in err
     assert peak < 4 * 1024 * 1024  # every frame asked for is over 100 TB
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "case, extra, message",
+    [
+        pytest.param("warp", ["--out-width=1000000000000"], "warp needs an estimated", id="warp-out-width"),
+        pytest.param("warp", ["--out-height=1000000000000"], "warp needs an estimated", id="warp-out-height"),
+        pytest.param(
+            "head-decode", ["--levels=1000000000000x1000000000000,1x1,1x1,1x1,1x1"],
+            "do not cover 9000000000000000000000036 anchors", id="head-decode-levels",
+        ),
+    ],
+)
+def test_a_huge_output_size_exits_1_before_the_output_is_allocated(
+    capsys, tmp_path, inputs, case, extra, message
+):
+    tracemalloc.start()
+    try:
+        code = run_case(case, extra, inputs, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert peak < 4 * 1024 * 1024  # every image or anchor set asked for is over 1 PB
     assert not list(tmp_path.iterdir())

@@ -17,11 +17,17 @@ def test_scene_is_seed_deterministic():
 
 
 def test_scene_budget_is_checked_per_frame_before_any_draw(monkeypatch):
-    monkeypatch.setattr(demo, "SCENE_MAX_BYTES", 64 * 48 * 8)
+    monkeypatch.setattr(demo, "SCENE_MAX_PIXELS", 64 * 48)
     make_scene(64, 48)  # exactly at the budget
     with pytest.raises(DomainError) as exc:
         make_scene(65, 48)
-    assert str(exc.value) == "a 65x48 scene needs 24960 bytes per frame, over the 24576-byte budget"
+    assert str(exc.value) == "a 65x48 scene has 3120 pixels, over the 3072-pixel budget"
+
+
+def test_the_scene_budget_is_one_dsec_frame():
+    make_scene(640, 480)
+    with pytest.raises(DomainError, match="^a 641x480 scene has 307680 pixels, over the 307200-pixel budget$"):
+        make_scene(641, 480)
 
 
 def test_scene_block_moves_right():

@@ -670,6 +670,17 @@ GOOD_BOX = (1.0, 2.0, 3.0, 4.0)
             "score", [0.5, np.inf, np.nan, -1.0],
             "row 1: score must be in [0, 1], got inf", id="infinite-score",
         ),
+        pytest.param(
+            "bbox", [GOOD_BOX, (1.0, 2.0, "x", 4.0), GOOD_BOX, (1.0, "y", 3.0, 4.0)],
+            "row 1: bbox entry 'x' is not a number", id="non-numeric-box",
+        ),
+        pytest.param(
+            "score", [0.5, "x", np.nan, "y"], "row 1: score entry 'x' is not a number", id="non-numeric-score",
+        ),
+        pytest.param(
+            "bbox", [GOOD_BOX, (10**400, 2.0, 3.0, 4.0), GOOD_BOX, GOOD_BOX],
+            f"row 1: bbox entries must be finite, got {10**400}", id="box-beyond-float64",
+        ),
     ],
 )
 def test_detection_table_names_the_first_bad_row(column, values, message):
@@ -718,12 +729,56 @@ def test_detection_table_refuses_columns_of_different_lengths(columns, shapes):
     )
 
 
+@pytest.mark.parametrize(
+    "column, values",
+    [
+        pytest.param("image_id", [0, [1, 2], 2, 3], id="image-id"),
+        pytest.param("category_id", [4, 5, [6], 7], id="category-id"),
+        pytest.param("bbox", [GOOD_BOX, (1.0, 2.0, 3.0), GOOD_BOX, GOOD_BOX], id="bbox"),
+        pytest.param("score", [0.5, [0.5, 0.25], 1.0, 0.0], id="score"),
+    ],
+)
+def test_detection_table_refuses_a_ragged_column(column, values):
+    columns = {
+        "image_id": [0, 1, 2, 3],
+        "category_id": [4, 5, 6, 7],
+        "bbox": [GOOD_BOX] * 4,
+        "score": [0.5, np.nan, 1.0, 0.0],
+    }
+    columns[column] = values
+    with pytest.raises(ValidationError) as exc:
+        DetectionTable(**columns)
+    assert str(exc.value) == f"{column} column is ragged: its entries differ in shape"
+
+
 def test_detection_table_takes_integral_ids_of_any_dtype_and_nan_scores():
     table = DetectionTable(
         np.array([3.0, -0.0]), np.array([2**63 - 1, 0], dtype=np.uint64), [GOOD_BOX] * 2, [np.nan, 1.0]
     )
     assert table.image_id.tolist() == [3, 0] and table.category_id.tolist() == [2**63 - 1, 0]
     assert table == [DetectionRecord(3, 2**63 - 1, GOOD_BOX, None), DetectionRecord(0, 0, GOOD_BOX, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "bbox, score, message",
+    [
+        pytest.param(
+            (1.0, 2.0, "x", 4.0), 0.5, "bbox entries must be numbers, got (1.0, 2.0, 'x', 4.0)", id="str-box",
+        ),
+        pytest.param(
+            (None, 2.0, 3.0, 4.0), 0.5, "bbox entries must be numbers, got (None, 2.0, 3.0, 4.0)", id="none-box",
+        ),
+        pytest.param(GOOD_BOX, "x", "score must be a number in [0, 1], got 'x'", id="str-score"),
+        pytest.param(GOOD_BOX, [0.5], "score must be a number in [0, 1], got [0.5]", id="list-score"),
+        pytest.param(
+            GOOD_BOX, 10**400, f"score must be a number in [0, 1], got {10**400}", id="score-beyond-float64",
+        ),
+    ],
+)
+def test_detection_record_refuses_entries_that_are_not_numbers(bbox, score, message):
+    with pytest.raises(DomainError) as exc:
+        DetectionRecord(0, 0, bbox, score)
+    assert str(exc.value) == message
 
 
 def test_detection_record_refuses_a_nan_score():

@@ -26,7 +26,7 @@ from evframe import (
 from evframe import fusion_cafr
 from evframe.formats_io import weight_arrays
 from evframe.fusion_cafr import LINEAR_NAMES
-from evframe.tensor_math import ConvWeights, softmax_rows
+from evframe.tensor_math import ConvWeights, relative_error, softmax_rows
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
 from conftest import numeric_grad, philox
 
@@ -97,7 +97,7 @@ def test_weight_load_rejects_missing_member(tmp_path):
 
 def test_identity_activation_passes_features_through(rng):
     pair = random_pair(rng)
-    out, _ = fusion_cafr._activate(pair, identity_weights(4))
+    out = fusion_cafr._activate(pair, identity_weights(4))
     assert np.allclose(out.frame, pair.frame, atol=1e-15)
     assert np.allclose(out.event, pair.event, atol=1e-15)
 
@@ -387,6 +387,29 @@ def test_gradcheck_on_default_configuration():
     assert worst < 1e-5
 
 
+def test_activation_gradients_match_finite_differences_at_every_coordinate():
+    # the 1x1 activation is the one conv the backward differentiates: check
+    # both kernels, both biases and both inputs entry by entry
+    rng = philox(63)
+    pair = FeaturePair(rng.standard_normal((3, 2, 3)), rng.standard_normal((3, 2, 3)))
+    w = init_cafr_weights(3, seed=63)
+    out, cache = cafr_forward(pair, w)
+    r = rng.standard_normal(out.shape)
+    grads = cafr_backward(cache, r)
+    arrays = weight_arrays(w)
+    targets = {"frame": (pair.frame, grads.frame), "event": (pair.event, grads.event)}
+    for name in ("conv1x1_f.kernel", "conv1x1_f.bias", "conv1x1_e.kernel", "conv1x1_e.bias"):
+        targets[name] = (arrays[name], grads.weights[name])
+
+    def loss(_):
+        return float(np.sum(cafr_forward(pair, w)[0] * r))
+
+    for name, (target, analytic) in targets.items():
+        numeric = numeric_grad(loss, target)
+        worst = max(relative_error(float(a), float(n)) for a, n in zip(analytic.ravel(), numeric.ravel()))
+        assert worst < 1e-5, f"{name}: worst {worst:.3e}"
+
+
 # each stream's half of a 3-channel module's dual output
 HALVES = {"frame": slice(None, 3), "event": slice(3, None)}
 
@@ -405,8 +428,6 @@ def test_one_half_gradient_is_the_dual_backward_with_a_zero_half(half):
 
     def loss(arr):
         return float(np.sum(cafr_forward(pair, w)[0][used] * r))
-
-    from evframe.tensor_math import relative_error
 
     for target, analytic in ((pair.frame, grads.frame), (pair.event, grads.event)):
         numeric = numeric_grad(loss, target)

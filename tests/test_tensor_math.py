@@ -10,15 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evframe import DomainError, ShapeError, StateError, tensor_math
+from evframe import DomainError, ShapeError, tensor_math
 from evframe.tensor_math import (
     CHANNEL_STATS_EPS,
     ConvWeights,
     channel_stats,
     channel_stats_vjp,
     conv2d,
-    conv2d_forward,
-    conv2d_vjp,
     linear,
     linear_vjp,
     relative_error,
@@ -104,25 +102,6 @@ def test_conv_float32_path_tracks_float64(rng):
     assert np.abs(out32.astype(np.float64) - out64).max() < 1e-3
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 1)])
-def test_conv_backward_matches_finite_differences(stride, pad):
-    rng = philox(50 + stride + pad)
-    x = rng.standard_normal((2, 5, 4))
-    w = ConvWeights(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
-    out, cache = conv2d_forward(x, w, stride=stride, pad=pad)
-    r = rng.standard_normal(out.shape)
-    dx, dk, db = conv2d_vjp(cache, r)
-
-    check_grad(dx, numeric_grad(lambda _: float(np.sum(conv2d(x, w, stride, pad) * r)), x))
-    check_grad(dk, numeric_grad(lambda _: float(np.sum(conv2d(x, w, stride, pad) * r)), w.kernel))
-    check_grad(db, numeric_grad(lambda _: float(np.sum(conv2d(x, w, stride, pad) * r)), w.bias))
-
-
-def test_conv_backward_requires_cache():
-    with pytest.raises(StateError):
-        conv2d_vjp(None, np.zeros((1, 1, 1)))
-
-
 # -- banded conv forward ----------------------------------------------------------------
 
 
@@ -179,27 +158,6 @@ def test_band_smaller_than_one_row_still_takes_a_row(monkeypatch, rng):
     assert np.abs(got - naive_conv(x, w.kernel, w.bias, 1, 1)).max() < 1e-12
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
-def test_banded_backward_matches_finite_differences(monkeypatch, stride, pad):
-    rng = philox(71 + stride)
-    x = rng.standard_normal((2, 7, 5))
-    w = ConvWeights(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
-    out, cache = conv2d_forward(x, w, stride=stride, pad=pad)
-    r = rng.standard_normal(out.shape)
-    whole = conv2d_vjp(cache, r)
-
-    set_band_rows(monkeypatch, 2, out.shape[2], 1)
-    seen = spy_band_rows(monkeypatch)
-    banded_out, banded_cache = conv2d_forward(x, w, stride=stride, pad=pad)
-    assert seen == [1] * out.shape[1]
-    assert np.abs(banded_out - out).max() < 1e-12
-    banded = conv2d_vjp(banded_cache, r)
-    for got, want in zip(banded, whole):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
-    check_grad(banded[0], numeric_grad(lambda _: float(np.sum(conv2d(x, w, stride, pad) * r)), x))
-    check_grad(banded[1], numeric_grad(lambda _: float(np.sum(conv2d(x, w, stride, pad) * r)), w.kernel))
-
-
 def test_conv_memory_stays_within_one_band():
     # the detector head's first-level conv: 64 -> 64 channels, 3x3, on the
     # 65x87 map of a 346x260 frame; its whole im2col copy alone is ~26 MiB
@@ -208,12 +166,11 @@ def test_conv_memory_stays_within_one_band():
     w = ConvWeights(rng.standard_normal((64, 64, 3, 3)), rng.standard_normal(64))
     tracemalloc.start()
     try:
-        out, cache = conv2d_forward(x, w, stride=1, pad=1)
+        conv2d(x, w, stride=1, pad=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert cache.xp.shape == (64, 67, 89)
 
 
 def test_conv_weights_reject_non_finite():
