@@ -49,6 +49,7 @@ from .formats_io import (
 from .fusion_cafr import (
     CafrWeights,
     FeaturePair,
+    _check_tokens,
     cafr_forward,
     cafr_gradcheck,
     init_cafr_weights,
@@ -236,6 +237,7 @@ def _cmd_cafr_gradcheck(ns) -> dict:
         raise DomainError(f"--channels, --height and --width must be >= 1, got {shape}")
     if ns.tolerance is not None and math.isnan(ns.tolerance):
         raise DomainError("--tolerance must be a number, got nan")
+    _check_tokens(ns.height, ns.width)
     rng = philox(ns.seed)
     pair = FeaturePair(rng.standard_normal(shape), rng.standard_normal(shape))
     weights = init_cafr_weights(ns.channels, seed=ns.seed + 1)

@@ -116,10 +116,13 @@ def simulate_events(
     n = counts[ys, xs]
     per_event = np.repeat(n, n)
     k = np.arange(1, len(per_event) + 1) - np.repeat(np.cumsum(n) - n, n)
-    t = t_a + (k * (span // per_event) - (-k * (span % per_event) // per_event))
+    offset = k * (span // per_event) - (-k * (span % per_event) // per_event)
+    t = t_a + offset
     # pixels are already in row-major order, so a stable sort on t alone
-    # gives the (t, y, x) order
-    order = np.argsort(t, kind="stable")
+    # gives the (t, y, x) order; the offset in [1, span] sorts like t and fits
+    # the narrowest type that holds the span, where the stable sort of numpy
+    # is a radix sort up to 16 bits
+    order = np.argsort(offset.astype(np.min_scalar_type(span)), kind="stable")
     columns = (t, np.repeat(xs, n), np.repeat(ys, n), np.repeat(polarity[ys, xs], n))
     for col, values in enumerate(columns):
         table[:, col] = values[order]

@@ -459,9 +459,46 @@ class DetectionTable(Sequence):
 
 
 def encode_events(stream: EventStream) -> bytes:
-    """Serialize a stream to CSV with header ``t,x,y,p``."""
-    body = ("{},{},{},{}\n" * len(stream.table)).format(*stream.table.ravel().tolist())
-    return ("t,x,y,p\n" + body).encode("ascii")
+    """Serialize a stream to CSV with header ``t,x,y,p``.
+
+    Each column becomes a block of zero-padded ASCII characters, one row per
+    character position; the blocks are stacked, read back row-major (event
+    by event) and the zero padding is dropped.
+    """
+    if not len(stream.table):
+        return b"t,x,y,p\n"
+    seps = b",,,\n"
+    chars = np.concatenate([_digit_rows(stream.table[:, c], seps[c]) for c in range(4)])
+    return b"t,x,y,p\n" + chars.T.tobytes().translate(None, b"\0")
+
+
+# 10**1 .. 10**19: a magnitude has one digit more than the powers it reaches.
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _digit_rows(column: np.ndarray, sep: int) -> np.ndarray:
+    """(width + 1, n) uint8 characters of one non-empty int64 column.
+
+    Row j holds the j-th character of every field: right-aligned decimal
+    digits, ``-`` in the first row for a negative value and ``sep`` in the
+    last row; every other position is 0, so once the zeros are dropped the
+    sign sits just before the leading digit.
+    """
+    neg = column < 0
+    # two's complement: |INT64_MIN| wraps to itself and reads as 2**63
+    mag = np.abs(column).view(np.uint64)
+    top = int(mag.max())
+    mag = mag.astype(np.min_scalar_type(top))  # narrow division is faster
+    digits = np.searchsorted(_POW10[_POW10 <= top].astype(mag.dtype), mag, side="right") + 1
+    places = len(str(top))
+    width = places + bool(neg.any())
+    rows = np.zeros((width + 1, len(column)), dtype=np.uint8)
+    rows[width] = sep
+    for d in range(places):
+        mag, r = np.divmod(mag, 10)
+        np.add(r, ord("0"), out=rows[width - 1 - d], where=digits > d, casting="unsafe")
+    rows[0, neg] = ord("-")
+    return rows
 
 
 def decode_events(

@@ -157,6 +157,19 @@ def _enhance_vjp(activated: FeaturePair, gf, ge):
 # changes no math; results match the dense form to rounding.
 ATTN_BLOCK_BYTES = 4 << 20
 
+# Most H*W tokens one fusion may attend over: one DSEC frame (640x480) at
+# stride 4. The blocks bound attention's memory, but its time is O(tokens^2).
+_MAX_TOKENS = 160 * 120
+
+
+def _check_tokens(height: int, width: int) -> None:
+    """Refuse a fusion over more than _MAX_TOKENS tokens, before any work."""
+    if height * width > _MAX_TOKENS:
+        raise DomainError(
+            f"CAFR fusion over {height}x{width} features attends over {height * width} "
+            f"tokens, over the {_MAX_TOKENS}-token budget"
+        )
+
 
 def _score_blocks(q: np.ndarray, k: np.ndarray, scale: float):
     """Yield (rows, q[rows] @ k.T * scale) block by block.
@@ -352,8 +365,10 @@ def cafr_forward(
     Returns (fused, cache) with fused the dual [2C,H,W] map: frame half, then
     event half. The use_* flags identity-bypass single stages for ablations;
     a run with a bypassed stage returns None as its cache, since cafr_backward
-    differentiates the full module only.
+    differentiates the full module only. More than 160x120 = 19 200 tokens
+    (H*W) are refused before the activation runs.
     """
+    _check_tokens(*pair.frame.shape[1:])
     activated = _activate(pair, w)
     enhanced = bci_enhance(activated) if use_mul_add else activated
     attended, attn = _attention(enhanced, w) if use_cross_att else (enhanced, None)

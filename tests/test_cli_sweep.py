@@ -3,9 +3,10 @@
 Each case runs ``cli.main`` in-process on tiny fixtures and must end in a
 result (exit 0), a typed error (exit 1) or a usage error (exit 2), never in
 a traceback. Huge values are swept only for evt2grid's grid dims,
-pipeline-demo's scene dims, warp's output dims and head-decode's levels,
-whose stages check their size before they allocate; not every allocating
-stage does, so elsewhere they could really allocate.
+pipeline-demo's scene dims, warp's output dims, head-decode's levels and the
+CAFR feature dims of cafr-gradcheck and cafr-forward, whose stages check
+their size before they allocate; not every allocating stage does, so
+elsewhere they could really allocate.
 """
 
 import json
@@ -259,3 +260,52 @@ def test_a_huge_output_size_exits_1_before_the_output_is_allocated(
     assert err.startswith("error:") and message in err
     assert peak < 4 * 1024 * 1024  # every image or anchor set asked for is over 1 PB
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "extra, tokens",
+    [
+        pytest.param(["--height=1000000000000"], 2 * 10**12, id="huge-height"),
+        pytest.param(["--width=1000000000000"], 2 * 10**12, id="huge-width"),
+        pytest.param(["--height=200", "--width=200"], 40_000, id="200x200"),
+    ],
+)
+def test_cafr_gradcheck_over_the_token_budget_exits_1_before_the_pair_is_drawn(
+    capsys, tmp_path, inputs, extra, tokens
+):
+    tracemalloc.start()
+    try:
+        code = run_case("cafr-gradcheck", extra, inputs, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: CAFR fusion") and f"attends over {tokens} tokens" in err
+    assert "over the 19200-token budget" in err
+    assert peak < 1024 * 1024  # the 200x200 pair alone would take 1.3 MB, a huge one TBs
+
+
+def test_cafr_forward_over_the_token_budget_exits_1_before_the_activation(capsys, tmp_path):
+    # one token over the budget; the two 1x1x19201 inputs take 77 KB each on disk
+    rng = philox(5)
+    write_tensor(tmp_path / "frame.ftns", rng.standard_normal((1, 1, 19_201)))
+    write_tensor(tmp_path / "event.ftns", rng.standard_normal((1, 1, 19_201)))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["cafr-forward", "--frame-features", str(tmp_path / "frame.ftns"),
+            "--event-features", str(tmp_path / "event.ftns"), "--out", str(out_dir / "f.ftns")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: CAFR fusion over 1x19201 features attends over 19201 tokens, "
+        "over the 19200-token budget\n"
+    )
+    assert peak < 2 * 1024 * 1024  # the inputs as float64 pairs take ~0.6 MB
+    assert not list(out_dir.iterdir())

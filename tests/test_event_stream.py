@@ -257,6 +257,66 @@ def test_random_tables_encode_like_the_oracle():
     assert decode_events(csv, 2**40, 7) == stream
 
 
+def random_table(rng, n, t_low, t_high, coord_high):
+    """n sorted rows with t in [t_low, t_high] and x, y in [0, coord_high)."""
+    t = np.sort(rng.integers(t_low, t_high, size=n, dtype=np.int64, endpoint=True))
+    xy = rng.integers(0, coord_high, size=(n, 2), dtype=np.int64)
+    return np.column_stack([t, xy, rng.choice([-1, 1], n)])
+
+
+@pytest.mark.parametrize(
+    "t_low, t_high, coord_high",
+    [
+        (-(2**63), INT64_MAX, 10),  # 1-digit x, y; every timestamp width and sign
+        (-99, 0, 100),  # negative and zero t; 1- and 2-digit x, y
+        (0, 0, 2),  # every field a single digit, t all zero
+        (-5, 5, 2**62),  # x, y up to 19 digits
+        (10**9, 10**9 + 50_000, 346),  # a bench-like window: 10-digit t
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_seeded_tables_encode_byte_for_byte_like_the_oracle(t_low, t_high, coord_high, seed):
+    rng = philox(720 + seed)
+    table = random_table(rng, int(rng.integers(1, 400)), t_low, t_high, coord_high)
+    stream = EventStream.from_table(coord_high, coord_high, table)
+    assert encode_events(stream) == oracle_encode(stream.events)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(-(2**63), 0, 0, 1)],
+        [(INT64_MAX, 9, 10, -1)],
+        [(0, 0, 0, -1)],
+        [(-(2**63), 0, 0, 1), (-1, 1, 1, -1), (0, 10, 99, 1), (INT64_MAX, 123456, 7, -1)],
+    ],
+    ids=["int64-min", "int64-max", "zero", "extremes"],
+)
+def test_single_rows_and_int64_extremes_encode_like_the_oracle(rows):
+    table = np.array(rows, dtype=np.int64)
+    stream = EventStream.from_table(123457, 100, table)
+    assert encode_events(stream) == oracle_encode(stream.events)
+
+
+def test_encode_of_the_empty_stream_is_the_header():
+    stream = EventStream.from_table(3, 2, np.empty((0, 4), dtype=np.int64))
+    assert encode_events(stream) == oracle_encode([]) == b"t,x,y,p\n"
+
+
+def test_encode_peak_memory_stays_under_four_times_the_output():
+    # ~20k events of a bench-like window; the per-field str.format encoder
+    # peaked at 7.6x the output bytes, the digit rows at 3.3x
+    rng = philox(730)
+    stream = EventStream.from_table(346, 260, random_table(rng, 20_000, 0, 50_000, 260))
+    tracemalloc.start()
+    try:
+        csv = encode_events(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(csv)
+
+
 # -- int64 time domain ---------------------------------------------------------------
 
 
@@ -273,6 +333,21 @@ def test_timestamps_are_exact_across_the_int64_range(t_a, t_b):
     span = t_b - t_a
     assert stream.t.tolist() == [t_a + -((-k * span) // n) for k in range(1, n + 1)]
     assert list(stream.events) == oracle_simulate(a, b, t_a, t_b, cfg)
+
+
+@pytest.mark.parametrize(
+    "t_a, span",
+    [(-3, 255), (0, 256), (7, 65_535), (-(2**40), 65_536), (1, 2**32), (-(2**62), INT64_MAX - 5)],
+)
+def test_the_narrow_sort_key_keeps_the_oracle_order_at_every_key_width(t_a, span):
+    # spans on both sides of the uint8, uint16 and uint32 key types; pixels
+    # with the same event count tie at every timestamp they share
+    rng = philox(740)
+    a, b = gray_image(rng, 12, 9), gray_image(rng, 12, 9)
+    cfg = SimConfig(threshold=0.05)
+    stream = simulate_events(a, b, t_a, t_a + span, cfg)
+    assert list(stream.events) == oracle_simulate(a, b, t_a, t_a + span, cfg)
+    assert len(np.unique(stream.t)) < len(stream.t)
 
 
 @pytest.mark.parametrize(
