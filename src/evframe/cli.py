@@ -30,7 +30,7 @@ from .corruption_bench import (
 )
 from .demo import run_pipeline_demo
 from .detect_head import HeadConfig, decode_head, level_anchors
-from .errors import DomainError, EvframeError, SchemaError, ShapeError
+from .errors import MAX_BYTES, DomainError, EvframeError, SchemaError, ShapeError, check_budget
 from .eval_metrics import SEVERITY_COUNT, build_mpc_report, map_coco, mpc
 from .event_core import SimConfig, build_voxel_grid, simulate_events
 from .formats_io import (
@@ -238,9 +238,11 @@ def _cmd_cafr_gradcheck(ns) -> dict:
     if ns.tolerance is not None and math.isnan(ns.tolerance):
         raise DomainError("--tolerance must be a number, got nan")
     _check_tokens(ns.height, ns.width)
+    c, h, w = shape
+    check_budget(f"a {c}x{h}x{w} feature pair", 16 * c * h * w, "byte", MAX_BYTES)
+    weights = init_cafr_weights(ns.channels, seed=ns.seed + 1)
     rng = philox(ns.seed)
     pair = FeaturePair(rng.standard_normal(shape), rng.standard_normal(shape))
-    weights = init_cafr_weights(ns.channels, seed=ns.seed + 1)
     worst = cafr_gradcheck(pair, weights, probes=ns.probes, step=ns.step, seed=ns.seed + 2)
     payload = {"max_rel_error": worst, "probes": ns.probes, "step": ns.step, "shape": list(shape)}
     if ns.tolerance is not None and worst > ns.tolerance:

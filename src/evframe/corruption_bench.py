@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.ndimage as ndi
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, EvframeError, ShapeError
 from .formats_io import ImagePNM, decode_image, encode_image
 from .tensor_math import philox
 
@@ -476,9 +476,10 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
     Returns the manifest rows: {src, dst, type, severity, seed} per output.
     The manifest order is image, then type, then severity, independent of
     how many workers render the variants. ``workers`` above MAX_WORKERS is
-    rejected before any image is read. A variant that fails does not stop
-    the others: once every one has been tried, the first failure is raised
-    and no manifest is written.
+    rejected before any image is read, and an image that does not decode is
+    refused, naming its path, before anything is written. A variant that
+    fails does not stop the others: once every one has been tried, the first
+    failure is raised and no manifest is written.
     """
     paths = [Path(p) for p in image_paths]
     if not paths:
@@ -486,11 +487,13 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
     if not 1 <= workers <= MAX_WORKERS:
         raise DomainError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = []
     rows = []
     for i, src in enumerate(paths):
-        img = decode_image(src.read_bytes())
+        try:
+            img = decode_image(src.read_bytes())
+        except EvframeError as exc:
+            raise type(exc)(f"{src}: {exc}") from None
         for ti, ctype in enumerate(CorruptionType):
             for severity in range(1, 6):
                 seed = corruption_seed(base_seed, i, ti, severity)
@@ -505,6 +508,7 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
                         "seed": seed,
                     }
                 )
+    out.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(_corrupt_one, task) for task in tasks]
     for future in futures:

@@ -24,7 +24,7 @@ from .detect_head import (
     init_fpn_weights,
     init_head_weights,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_budget
 from .eval_metrics import _iou_matrix, map_coco
 from .event_core import SimConfig, build_voxel_grid, modality_dropout, simulate_events
 from .formats_io import (
@@ -33,18 +33,13 @@ from .formats_io import (
     encode_detections,
     encode_image,
 )
-from .fusion_cafr import FeaturePair, cafr_forward, init_cafr_weights
+from .fusion_cafr import MAX_TOKENS, FeaturePair, cafr_forward, init_cafr_weights
 from .tensor_math import conv2d, philox, uniform_conv
 
 SCENE_CATEGORY = 0
 # Smallest scene that fits the block, its 4 px slide and the margins around it.
 MIN_SCENE_WIDTH = 17
 MIN_SCENE_HEIGHT = 13
-# Most pixels a scene may have, one DSEC frame, checked before anything is
-# drawn. The budget bounds work as well as memory: fusion attends over
-# (W/4)*(H/4) tokens at O(tokens^2) cost, and a 640 x 480 run already takes
-# ~6 s on two cores, while a float64 frame at the budget takes only 2.4 MB.
-SCENE_MAX_PIXELS = 640 * 480
 
 
 @dataclass
@@ -75,17 +70,15 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
     """Two grayscale frames of a dark block sliding over a bright background.
 
     Returns (frame_a, frame_b, gts) where gts hold the block's position in
-    frame_b as a top-left-form detection record.
+    frame_b as a top-left-form detection record. A scene whose stride-4
+    features, ceil(W/4) x ceil(H/4), exceed MAX_TOKENS is refused before any draw.
     """
     if width < MIN_SCENE_WIDTH:
         raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
     if height < MIN_SCENE_HEIGHT:
         raise DomainError(f"height must be >= {MIN_SCENE_HEIGHT}, got {height}")
-    if width * height > SCENE_MAX_PIXELS:
-        raise DomainError(
-            f"a {width}x{height} scene has {width * height} pixels, "
-            f"over the {SCENE_MAX_PIXELS}-pixel budget"
-        )
+    tokens = -(-width // 4) * -(-height // 4)
+    check_budget(f"CAFR fusion of a {width}x{height} scene", tokens, "token", MAX_TOKENS)
     rng = philox(seed)
     base = np.full((height, width), 200, dtype=np.float64)
     base += rng.uniform(-8.0, 8.0, size=base.shape)

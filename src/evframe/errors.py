@@ -41,3 +41,19 @@ class ValidationError(EvframeError):
 
 class StateError(EvframeError):
     """Operation invoked before its prerequisite state exists."""
+
+
+# Most bytes one stage may allocate: the voxel grid, a warp's sampling arrays,
+# the CAFR weights and cafr-gradcheck's drawn pair are each checked against it.
+MAX_BYTES = 1 << 30
+
+
+def check_budget(what: str, need, unit: str, budget: int) -> None:
+    """Refuse a stage whose estimate ``need`` exceeds ``budget``, before any work.
+
+    A NaN or infinite estimate is refused too. The one refusal form is
+    "<what> needs <need> <unit>s, over the <budget>-<unit> budget".
+    """
+    if not need <= budget:
+        shown = f"{need:.6g}" if isinstance(need, float) else need
+        raise DomainError(f"{what} needs {shown} {unit}s, over the {budget}-{unit} budget")

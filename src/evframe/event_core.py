@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import MAX_BYTES, DomainError, ShapeError, check_budget
 from .formats_io import INT64_MAX, INT64_MIN, EventStream, ImagePNM
 from .tensor_math import philox
 
 DEFAULT_LOG_EPS = 1.0 / 255.0
 # Most events one simulate_events call may emit; checked before any is built.
 MAX_EVENTS = 2**24
-# Most bytes one build_voxel_grid call may allocate; checked before the grid is.
-GRID_MAX_BYTES = 1 << 30
 
 
 @dataclass
@@ -98,11 +96,7 @@ def simulate_events(
     total = counts.sum()
     # a non-finite count makes the sum non-finite; checking it before the
     # int64 cast keeps an overflowing count from wrapping negative
-    if not total <= MAX_EVENTS:
-        raise DomainError(
-            f"threshold {cfg.threshold} asks for {total:.6g} events, more than "
-            f"the cap of {MAX_EVENTS}"
-        )
+    check_budget(f"an event simulation at threshold {cfg.threshold}", total, "event", MAX_EVENTS)
     # The output is allocated before the temporaries below: taken after them
     # it sat between their freed blocks and split the malloc heap, and a
     # detect-346 process then more often grew its peak RSS by ~20 MB.
@@ -157,16 +151,11 @@ def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
 
     Each event lands on its pixel; the temporal kernel max(0, 1 - |a|)
     splits its mass linearly across the two adjacent bins. A grid of more
-    than GRID_MAX_BYTES is refused before it is allocated.
+    than MAX_BYTES (1 GiB) is refused before it is allocated.
     """
     ts = normalize_timestamps(stream, bins)  # refuses bins < 1
     h, w = stream.sensor_height, stream.sensor_width
-    need = bins * h * w * 8
-    if need > GRID_MAX_BYTES:
-        raise DomainError(
-            f"a {bins}x{h}x{w} voxel grid needs {need} bytes, "
-            f"over the {GRID_MAX_BYTES}-byte budget"
-        )
+    check_budget(f"a {bins}x{h}x{w} voxel grid", bins * h * w * 8, "byte", MAX_BYTES)
     grid = np.zeros((bins, h, w), dtype=np.float64)
     ps = stream.p.astype(np.float64)
 

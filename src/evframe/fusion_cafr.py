@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, StateError
+from .errors import MAX_BYTES, DomainError, ShapeError, StateError, check_budget
 from .formats_io import weight_arrays
 from .tensor_math import (
     ConvWeights,
@@ -97,6 +97,8 @@ def init_cafr_weights(channels: int, seed: int = 0) -> CafrWeights:
     """Deterministic uniform [-1/sqrt(C), +1/sqrt(C)] init, fixed draw order."""
     if channels < 1:
         raise DomainError(f"channels must be positive, got {channels}")
+    # ten C x C float64 matrices: two 1x1 conv kernels and the eight linear maps
+    check_budget(f"a CAFR weight set for {channels} channels", 80 * channels**2, "byte", MAX_BYTES)
     rng = philox(seed)
     conv_f = uniform_conv(rng, channels, channels, 1)
     conv_e = uniform_conv(rng, channels, channels, 1)
@@ -159,16 +161,12 @@ ATTN_BLOCK_BYTES = 4 << 20
 
 # Most H*W tokens one fusion may attend over: one DSEC frame (640x480) at
 # stride 4. The blocks bound attention's memory, but its time is O(tokens^2).
-_MAX_TOKENS = 160 * 120
+MAX_TOKENS = 160 * 120
 
 
 def _check_tokens(height: int, width: int) -> None:
-    """Refuse a fusion over more than _MAX_TOKENS tokens, before any work."""
-    if height * width > _MAX_TOKENS:
-        raise DomainError(
-            f"CAFR fusion over {height}x{width} features attends over {height * width} "
-            f"tokens, over the {_MAX_TOKENS}-token budget"
-        )
+    """Refuse a fusion over more than MAX_TOKENS tokens, before any work."""
+    check_budget(f"CAFR fusion over {height}x{width} features", height * width, "token", MAX_TOKENS)
 
 
 def _score_blocks(q: np.ndarray, k: np.ndarray, scale: float):

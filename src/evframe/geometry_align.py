@@ -11,17 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import MAX_BYTES, DomainError, ShapeError, ValidationError, check_budget
 from .formats_io import CameraRig, ImagePNM
 
 SINGULARITY_TOL = 1e-12
-
-# Most bytes warp_image may allocate. Its arrays are output-sized: about 20
-# float64 sampling values per output pixel (the pixel grid, its homogeneous
-# coordinates and their mapping, source positions, bilinear weights) plus two
-# per channel (the output and one tap's term). A 346 x 260 RGB warp needs
-# ~19 MB.
-WARP_MAX_BYTES = 1 << 30
 
 
 @dataclass
@@ -82,12 +75,12 @@ def warp_image(
         raise DomainError(f"output dims must be positive, got {out_w}x{out_h}")
     if interpolation not in ("bilinear", "nearest"):
         raise DomainError(f"unknown interpolation '{interpolation}'")
+    # The arrays are output-sized: about 20 float64 sampling values per output
+    # pixel (the pixel grid, its homogeneous coordinates and their mapping,
+    # source positions, bilinear weights) plus two per channel (the output and
+    # one tap's term). A 346 x 260 RGB warp needs ~19 MB.
     need = int(out_w) * int(out_h) * 8 * (20 + 2 * src.channels)
-    if need > WARP_MAX_BYTES:
-        raise DomainError(
-            f"a {out_w}x{out_h} warp needs an estimated {need} bytes, "
-            f"over the {WARP_MAX_BYTES}-byte budget"
-        )
+    check_budget(f"a {out_w}x{out_h} warp", need, "byte", MAX_BYTES)
     hinv = h.inverse().matrix
 
     us, vs = np.meshgrid(np.arange(out_w), np.arange(out_h))

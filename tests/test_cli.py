@@ -261,7 +261,7 @@ def test_warp_over_the_memory_budget_exits_1_without_allocating(capsys, tmp_path
         "--out", str(dst), "--out-width", "100000000",
     )
     assert (code, out) == (1, "")
-    assert err.startswith("error: a 100000000x15 warp needs an estimated") and "budget" in err
+    assert err == "error: a 100000000x15 warp needs 312000000000 bytes, over the 1073741824-byte budget\n"
     assert not dst.exists()
 
 
@@ -360,6 +360,18 @@ def test_absurd_thread_env_is_refused_before_any_work(capsys, tmp_path, monkeypa
     code, _, err = run(capsys, "corrupt-dataset", "--images", str(src), "--out-dir", str(out_dir))
     assert code == 1
     assert "workers" in err
+    assert not out_dir.exists()
+
+
+def test_corrupt_dataset_names_an_undecodable_image_and_writes_nothing(capsys, tmp_path):
+    good, bad = tmp_path / "good.ppm", tmp_path / "bad.ppm"
+    good.write_bytes(encode_image(rgb_image(philox(4), 8, 8)))
+    bad.write_bytes(good.read_bytes()[:5])
+    out_dir = tmp_path / "o"
+    code, out, err = run(
+        capsys, "corrupt-dataset", "--images", str(good), str(bad), "--out-dir", str(out_dir)
+    )
+    assert (code, out, err) == (1, "", f"error: {bad}: truncated PNM header\n")
     assert not out_dir.exists()
 
 

@@ -4,9 +4,9 @@ Each case runs ``cli.main`` in-process on tiny fixtures and must end in a
 result (exit 0), a typed error (exit 1) or a usage error (exit 2), never in
 a traceback. Huge values are swept only for evt2grid's grid dims,
 pipeline-demo's scene dims, warp's output dims, head-decode's levels and the
-CAFR feature dims of cafr-gradcheck and cafr-forward, whose stages check
-their size before they allocate; not every allocating stage does, so
-elsewhere they could really allocate.
+CAFR feature dims and channels of cafr-gradcheck and cafr-forward, whose
+stages check their size before they allocate; not every allocating stage
+does, so elsewhere they could really allocate.
 """
 
 import json
@@ -220,26 +220,47 @@ def test_a_huge_grid_dim_exits_1_before_the_grid_is_allocated(capsys, tmp_path, 
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag", ["--width", "--height"])
-def test_a_huge_scene_dim_exits_1_before_the_scene_is_drawn(capsys, tmp_path, inputs, flag):
+@pytest.mark.parametrize(
+    "extra, scene, tokens",
+    [
+        pytest.param(["--width=1000000000000"], "1000000000000x13", 10**12, id="huge-width"),
+        pytest.param(["--height=1000000000000"], "17x1000000000000", 5 * 25 * 10**10, id="huge-height"),
+        # 307 020 pixels, inside one DSEC frame, but 5 x 4515 stride-4 tokens
+        pytest.param(["--width=17", "--height=18060"], "17x18060", 22_575, id="odd-aspect"),
+    ],
+)
+def test_a_scene_over_the_fusion_budget_exits_1_before_the_scene_is_drawn(
+    capsys, tmp_path, inputs, extra, scene, tokens
+):
     tracemalloc.start()
     try:
-        code = run_case("pipeline-demo", [f"{flag}=1000000000000"], inputs, tmp_path)
+        code = run_case("pipeline-demo", extra, inputs, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
-    assert err.startswith("error: a ") and "scene has" in err and "307200-pixel budget" in err
-    assert peak < 4 * 1024 * 1024  # every frame asked for is over 100 TB
+    assert err == (
+        f"error: CAFR fusion of a {scene} scene needs {tokens} tokens, "
+        "over the 19200-token budget\n"
+    )
+    assert peak < 4 * 1024 * 1024  # every frame asked for is over 100 TB, or 2.5 MB
     assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
     "case, extra, message",
     [
-        pytest.param("warp", ["--out-width=1000000000000"], "warp needs an estimated", id="warp-out-width"),
-        pytest.param("warp", ["--out-height=1000000000000"], "warp needs an estimated", id="warp-out-height"),
+        pytest.param(
+            "warp", ["--out-width=1000000000000"],
+            "a 1000000000000x6 warp needs 1248000000000000 bytes, over the 1073741824-byte budget",
+            id="warp-out-width",
+        ),
+        pytest.param(
+            "warp", ["--out-height=1000000000000"],
+            "a 8x1000000000000 warp needs 1664000000000000 bytes, over the 1073741824-byte budget",
+            id="warp-out-height",
+        ),
         pytest.param(
             "head-decode", ["--levels=1000000000000x1000000000000,1x1,1x1,1x1,1x1"],
             "do not cover 9000000000000000000000036 anchors", id="head-decode-levels",
@@ -263,15 +284,41 @@ def test_a_huge_output_size_exits_1_before_the_output_is_allocated(
 
 
 @pytest.mark.parametrize(
-    "extra, tokens",
+    "extra, message",
     [
-        pytest.param(["--height=1000000000000"], 2 * 10**12, id="huge-height"),
-        pytest.param(["--width=1000000000000"], 2 * 10**12, id="huge-width"),
-        pytest.param(["--height=200", "--width=200"], 40_000, id="200x200"),
+        pytest.param(
+            ["--height=1000000000000"],
+            "CAFR fusion over 1000000000000x2 features needs 2000000000000 tokens, "
+            "over the 19200-token budget",
+            id="huge-height",
+        ),
+        pytest.param(
+            ["--width=1000000000000"],
+            "CAFR fusion over 2x1000000000000 features needs 2000000000000 tokens, "
+            "over the 19200-token budget",
+            id="huge-width",
+        ),
+        pytest.param(
+            ["--height=200", "--width=200"],
+            "CAFR fusion over 200x200 features needs 40000 tokens, over the 19200-token budget",
+            id="200x200",
+        ),
+        pytest.param(
+            ["--channels=1000000", "--height=1", "--width=1"],
+            "a CAFR weight set for 1000000 channels needs 80000000000000 bytes, "
+            "over the 1073741824-byte budget",
+            id="huge-channels",
+        ),
+        # 3600 channels pass the weight budget (1.04 GB), but not their pair
+        pytest.param(
+            ["--channels=3600", "--height=120", "--width=160"],
+            "a 3600x120x160 feature pair needs 1105920000 bytes, over the 1073741824-byte budget",
+            id="pair-over-budget",
+        ),
     ],
 )
-def test_cafr_gradcheck_over_the_token_budget_exits_1_before_the_pair_is_drawn(
-    capsys, tmp_path, inputs, extra, tokens
+def test_cafr_gradcheck_over_a_budget_exits_1_before_the_pair_is_drawn(
+    capsys, tmp_path, inputs, extra, message
 ):
     tracemalloc.start()
     try:
@@ -280,17 +327,42 @@ def test_cafr_gradcheck_over_the_token_budget_exits_1_before_the_pair_is_drawn(
     finally:
         tracemalloc.stop()
     out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert err.startswith("error: CAFR fusion") and f"attends over {tokens} tokens" in err
-    assert "over the 19200-token budget" in err
+    assert (code, out, err) == (1, "", f"error: {message}\n")
     assert peak < 1024 * 1024  # the 200x200 pair alone would take 1.3 MB, a huge one TBs
+    assert not list(tmp_path.iterdir())
 
 
-def test_cafr_forward_over_the_token_budget_exits_1_before_the_activation(capsys, tmp_path):
-    # one token over the budget; the two 1x1x19201 inputs take 77 KB each on disk
+@pytest.mark.parametrize(
+    "channels, tokens, message, peak_bound",
+    [
+        # one token over the budget; the two 1x1x19201 inputs take 77 KB each on disk
+        pytest.param(
+            1, 19_201,
+            "CAFR fusion over 1x19201 features needs 19201 tokens, over the 19200-token budget",
+            2 * 1024 * 1024, id="19201-tokens",
+        ),
+        # the fewest channels whose ten C x C matrices exceed 1 GiB
+        pytest.param(
+            3664, 1,
+            "a CAFR weight set for 3664 channels needs 1073991680 bytes, "
+            "over the 1073741824-byte budget",
+            2 * 1024 * 1024, id="3664-channels",
+        ),
+        # reading the two 400 KB inputs and widening them to float64 take 2.4 MB
+        pytest.param(
+            100_000, 1,
+            "a CAFR weight set for 100000 channels needs 800000000000 bytes, "
+            "over the 1073741824-byte budget",
+            4 * 1024 * 1024, id="100000-channels",
+        ),
+    ],
+)
+def test_cafr_forward_over_a_budget_exits_1_before_the_fusion(
+    capsys, tmp_path, channels, tokens, message, peak_bound
+):
     rng = philox(5)
-    write_tensor(tmp_path / "frame.ftns", rng.standard_normal((1, 1, 19_201)))
-    write_tensor(tmp_path / "event.ftns", rng.standard_normal((1, 1, 19_201)))
+    write_tensor(tmp_path / "frame.ftns", rng.standard_normal((channels, 1, tokens)))
+    write_tensor(tmp_path / "event.ftns", rng.standard_normal((channels, 1, tokens)))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = ["cafr-forward", "--frame-features", str(tmp_path / "frame.ftns"),
@@ -302,10 +374,6 @@ def test_cafr_forward_over_the_token_budget_exits_1_before_the_activation(capsys
     finally:
         tracemalloc.stop()
     out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: CAFR fusion over 1x19201 features attends over 19201 tokens, "
-        "over the 19200-token budget\n"
-    )
-    assert peak < 2 * 1024 * 1024  # the inputs as float64 pairs take ~0.6 MB
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert peak < peak_bound
     assert not list(out_dir.iterdir())

@@ -11,6 +11,7 @@ from evframe import (
     CorruptionSpec,
     CorruptionType,
     DomainError,
+    FormatError,
     ImagePNM,
     ShapeError,
     apply_corruption,
@@ -288,6 +289,16 @@ def test_dataset_input_validation(tmp_path):
         corrupt_dataset([], tmp_path / "x")
     with pytest.raises(DomainError):
         corrupt_dataset([tmp_path / "missing.pnm"], tmp_path / "x", workers=0)
+
+
+def test_an_undecodable_image_keeps_its_error_class_and_gains_its_path(tmp_path):
+    good, bad = write_corpus(tmp_path, n=2)
+    bad.write_bytes(bad.read_bytes()[:5])
+    out = tmp_path / "out"
+    with pytest.raises(FormatError) as exc:
+        corrupt_dataset([good, bad], out)
+    assert str(exc.value) == f"{bad}: truncated PNM header"
+    assert not out.exists()
 
 
 # -- level-at-a-time plasma and per-channel zoom against their scalar forms ----------

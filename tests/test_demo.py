@@ -16,17 +16,18 @@ def test_scene_is_seed_deterministic():
     assert g1[0].bbox == g2[0].bbox
 
 
-def test_scene_budget_is_checked_per_frame_before_any_draw(monkeypatch):
-    monkeypatch.setattr(demo, "SCENE_MAX_PIXELS", 64 * 48)
-    make_scene(64, 48)  # exactly at the budget
+def test_scene_budget_is_the_fusion_budget_checked_before_any_draw(monkeypatch):
+    monkeypatch.setattr(demo, "MAX_TOKENS", 16 * 12)
+    make_scene(64, 48)  # exactly at the budget: a 16x12 stride-4 feature map
     with pytest.raises(DomainError) as exc:
         make_scene(65, 48)
-    assert str(exc.value) == "a 65x48 scene has 3120 pixels, over the 3072-pixel budget"
+    assert str(exc.value) == "CAFR fusion of a 65x48 scene needs 204 tokens, over the 192-token budget"
 
 
 def test_the_scene_budget_is_one_dsec_frame():
     make_scene(640, 480)
-    with pytest.raises(DomainError, match="^a 641x480 scene has 307680 pixels, over the 307200-pixel budget$"):
+    message = "^CAFR fusion of a 641x480 scene needs 19320 tokens, over the 19200-token budget$"
+    with pytest.raises(DomainError, match=message):
         make_scene(641, 480)
 
 

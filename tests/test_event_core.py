@@ -108,7 +108,11 @@ def test_event_count_above_the_cap_is_refused_before_any_event_is_built(threshol
     b.pixels[1, 1, 0] = 255
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="events"):
+        message = (
+            rf"^an event simulation at threshold {threshold} needs 5\.54518e\+(09|300) events, "
+            r"over the 16777216-event budget$"
+        )
+        with pytest.raises(DomainError, match=message):
             simulate_events(a, b, 0, 1000, SimConfig(threshold=threshold))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -125,7 +129,8 @@ def test_event_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(event_core, "MAX_EVENTS", n)
     assert len(simulate_events(a, b, 0, 1000, cfg).events) == n
     monkeypatch.setattr(event_core, "MAX_EVENTS", n - 1)
-    with pytest.raises(DomainError):
+    message = f"^an event simulation at threshold 0.05 needs {n} events, over the {n - 1}-event budget$"
+    with pytest.raises(DomainError, match=message):
         simulate_events(a, b, 0, 1000, cfg)
 
 
@@ -197,8 +202,8 @@ def test_out_of_bounds_events_are_refused_before_they_reach_the_grid():
 
 def test_a_grid_over_the_byte_budget_is_refused(monkeypatch):
     stream = EventStream(5, 3, [Event(4, 2, 0, 1)])
-    monkeypatch.setattr(event_core, "GRID_MAX_BYTES", 4 * 3 * 5 * 8)
-    assert build_voxel_grid(stream, bins=4).data.nbytes == event_core.GRID_MAX_BYTES
+    monkeypatch.setattr(event_core, "MAX_BYTES", 4 * 3 * 5 * 8)
+    assert build_voxel_grid(stream, bins=4).data.nbytes == event_core.MAX_BYTES
     with pytest.raises(DomainError, match=r"^a 5x3x5 voxel grid needs 600 bytes, over the 480-byte budget$"):
         build_voxel_grid(stream, bins=5)
 

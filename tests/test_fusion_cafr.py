@@ -450,3 +450,12 @@ def test_unused_value_path_has_zero_gradient():
         assert not grads.weights[name].any(), name
     for name in ("wq_e", "wk_e", "wv_f", "wf"):
         assert grads.weights[name].any(), name
+
+
+def test_weight_init_over_the_byte_budget_is_refused_before_any_draw(monkeypatch):
+    # ten 4 x 4 float64 matrices: two 1x1 conv kernels and eight linear maps
+    monkeypatch.setattr(fusion_cafr, "MAX_BYTES", 10 * 4 * 4 * 8)
+    init_cafr_weights(4)  # exactly at the budget
+    message = "^a CAFR weight set for 5 channels needs 2000 bytes, over the 1280-byte budget$"
+    with pytest.raises(DomainError, match=message):
+        init_cafr_weights(5)

@@ -1,5 +1,6 @@
 """The package's export list: each name once, and none that only tests call;
-and no defaulted parameter that only tests pass."""
+no defaulted parameter that only tests pass; and one home for the budget
+refusal."""
 
 import ast
 import importlib
@@ -8,7 +9,10 @@ import pkgutil
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import evframe
+from evframe.errors import DomainError, check_budget
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "evframe"
@@ -136,3 +140,25 @@ def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
             if p.default is not p.empty and (name, param) not in passed and not by_position:
                 unpassed.add((name, param))
     assert unpassed == set(UNPASSED_PARAMETERS)
+
+
+def test_only_the_budget_helper_raises_a_budget_refusal():
+    raising = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                if any(
+                    isinstance(part, ast.Constant) and "budget" in str(part.value)
+                    for part in ast.walk(node.exc)
+                ):
+                    raising.add(f"{path.name}:{node.lineno}")
+    assert raising == set()
+
+
+@pytest.mark.parametrize("need", [float("nan"), float("inf"), 11])
+def test_the_budget_helper_refuses_what_is_not_within_the_budget(need):
+    with pytest.raises(DomainError, match=rf"^a test stage needs {need} bytes, over the 10-byte budget$"):
+        check_budget("a test stage", need, "byte", 10)
+    check_budget("a test stage", 10, "byte", 10)
