@@ -32,10 +32,8 @@ from .formats_io import (
     encode_events,
     encode_image,
     encode_tensor,
-    load_weights,
     parse_calibration,
     read_tensor,
-    save_weights,
     write_tensor,
 )
 from .event_core import (
@@ -63,6 +61,8 @@ from .fusion_cafr import (
     cafr_gradcheck,
     cross_self_attention,
     init_cafr_weights,
+    load_weights,
+    save_weights,
     tafr_refine,
 )
 from .detect_head import (

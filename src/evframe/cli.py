@@ -41,18 +41,17 @@ from .formats_io import (
     encode_detections,
     encode_events,
     encode_image,
-    load_weights,
     parse_calibration,
     read_tensor,
     write_tensor,
 )
 from .fusion_cafr import (
-    CafrWeights,
     FeaturePair,
     _check_tokens,
     cafr_forward,
     cafr_gradcheck,
     init_cafr_weights,
+    load_weights,
 )
 from .geometry_align import compose_homography, warp_bbox, warp_image
 from .tensor_math import philox
@@ -213,11 +212,13 @@ def _cmd_corrupt_dataset(ns) -> dict:
 def _cmd_cafr_forward(ns) -> dict:
     frame = read_tensor(ns.frame_features)
     event = read_tensor(ns.event_features)
-    pair = FeaturePair(frame, event)
+    # weights before the pair, so the weight budget is checked before both
+    # inputs are widened to float64
     if ns.weights is not None:
-        weights = load_weights(CafrWeights, ns.weights)
+        weights = load_weights(ns.weights)
     else:
-        weights = init_cafr_weights(pair.channels, seed=ns.seed)
+        weights = init_cafr_weights(frame.shape[0], seed=ns.seed)
+    pair = FeaturePair(frame, event)
     fused, _ = cafr_forward(
         pair,
         weights,

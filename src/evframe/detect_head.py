@@ -18,7 +18,7 @@ single boxes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -124,8 +124,8 @@ class FeaturePyramid:
 class FpnWeights:
     """Four lateral 1x1 convs, four 3x3 smoothing convs, one stride-2 extra conv."""
 
-    laterals: Tuple[ConvWeights, ...] = field(metadata={"member": "lateral"})
-    smooths: Tuple[ConvWeights, ...] = field(metadata={"member": "smooth"})
+    laterals: Tuple[ConvWeights, ...]
+    smooths: Tuple[ConvWeights, ...]
     extra: ConvWeights
 
     def __post_init__(self):

@@ -4,7 +4,6 @@ Formats:
   * event files     - CSV with header ``t,x,y,p``, microsecond timestamps
   * images          - binary PNM (P5 grayscale / P6 color), maxval 255
   * tensors         - "FTNS" container: u32-LE rank and dims, f32-LE payload
-  * weight bundles  - a directory of tensors plus a JSON manifest naming them
   * calibration     - hand-written JSON with five 3x3 row-major matrices; read only
   * detections      - newline-delimited JSON records (COCO-style tlwh boxes)
 
@@ -20,9 +19,8 @@ import math
 import re
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, is_dataclass
-from pathlib import Path
-from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -714,106 +712,6 @@ def read_tensor(path) -> np.ndarray:
 def write_tensor(path, arr: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(encode_tensor(arr))
-
-
-# Weight bundles: a directory with one tensor file per parameter array of a
-# weight dataclass and a JSON manifest whose "members" table maps each member
-# name to its file. An array field is member ``name``, a nested dataclass
-# field prefixes its members with ``name.`` (a ConvWeights gives
-# ``name.kernel`` and ``name.bias``), and a ``Tuple[T, ...]`` field gives
-# ``name1`` .. ``nameN``. ``name`` is the field's ``member`` metadata when it
-# has one, else the field name.
-
-BUNDLE_MANIFEST = "manifest.json"
-
-
-def _member_name(prefix: str, f) -> str:
-    name = f.metadata.get("member", f.name)
-    return f"{prefix}.{name}" if prefix else name
-
-
-def _flatten(value, name: str, out: dict) -> None:
-    if isinstance(value, tuple):
-        for i, item in enumerate(value, start=1):
-            _flatten(item, f"{name}{i}", out)
-    elif is_dataclass(value):
-        for f in fields(value):
-            _flatten(getattr(value, f.name), _member_name(name, f), out)
-    else:
-        out[name] = value
-
-
-def weight_arrays(w) -> dict:
-    """Live parameter arrays of a weight dataclass keyed by member name."""
-    out = {}
-    _flatten(w, "", out)
-    return out
-
-
-def save_weights(w, directory) -> None:
-    """Write a weight dataclass as a bundle: one .ftns file per array plus a
-    JSON manifest mapping each member name to its file."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    members = {}
-    for name, arr in weight_arrays(w).items():
-        fname = name.replace(".", "_") + ".ftns"
-        write_tensor(d / fname, arr)
-        members[name] = fname
-    (d / BUNDLE_MANIFEST).write_text(json.dumps({"members": members}, indent=2, sort_keys=True))
-
-
-def _unflatten(hint, name: str, arrays: dict):
-    if get_origin(hint) is tuple:
-        item_type = get_args(hint)[0]
-        items = []
-        while True:
-            item = f"{name}{len(items) + 1}"
-            if not any(k == item or k.startswith(item + ".") for k in arrays):
-                return tuple(items)
-            items.append(_unflatten(item_type, item, arrays))
-    if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        return hint(
-            **{
-                f.name: _unflatten(hints[f.name], _member_name(name, f), arrays)
-                for f in fields(hint)
-            }
-        )
-    if name not in arrays:
-        raise SchemaError(f"weight bundle is missing member '{name}'")
-    return arrays[name]
-
-
-def load_weights(cls, directory):
-    """Inverse of save_weights; values round through 32-bit storage.
-
-    A missing member, or a member ``cls`` has no field for (such as a gap in
-    a tower's numbering), is a ``SchemaError`` naming it.
-    """
-    d = Path(directory)
-    try:
-        manifest = json.loads((d / BUNDLE_MANIFEST).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"bundle manifest is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise SchemaError("bundle manifest must be a JSON object")
-    members = manifest.get("members")
-    if not isinstance(members, dict):
-        raise SchemaError("bundle manifest has no 'members' table")
-    arrays = {}
-    for name, fname in members.items():
-        if not isinstance(fname, str):
-            raise SchemaError(f"bundle member '{name}' must name a file, got {fname!r}")
-        arrays[name] = read_tensor(d / fname)
-    w = _unflatten(cls, "", arrays)
-    extra = sorted(set(arrays) - set(weight_arrays(w)))
-    if extra:
-        raise SchemaError(
-            f"weight bundle member '{extra[0]}' is not read by {cls.__name__}: "
-            "an unknown name or a gap in its numbering"
-        )
-    return w
 
 
 # ---------------------------------------------------------------------------

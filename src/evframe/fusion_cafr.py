@@ -7,18 +7,22 @@ attends with the other stream's query/key projections), and a
 statistics-aligned refinement that concatenates both streams to 2C channels.
 Enhancement, attention and refinement can each be bypassed for the paper's
 ablations. The full module, every stage on, has one hand-derived backward,
-checked against finite differences.
+checked against finite differences. A weight set is saved to and loaded from
+a bundle directory of one tensor file per member.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
-from .errors import MAX_BYTES, DomainError, ShapeError, StateError, check_budget
-from .formats_io import weight_arrays
+from .errors import MAX_BYTES, DomainError, SchemaError, ShapeError, StateError, check_budget
+from .formats_io import read_tensor, write_tensor
 from .tensor_math import (
     ConvWeights,
     channel_stats,
@@ -105,6 +109,65 @@ def init_cafr_weights(channels: int, seed: int = 0) -> CafrWeights:
     bound = 1.0 / math.sqrt(channels)
     mats = [rng.uniform(-bound, bound, size=(channels, channels)) for _ in LINEAR_NAMES]
     return CafrWeights(conv_f, conv_e, *mats)
+
+
+# Weight bundles: a directory with one .ftns file per member and a JSON
+# manifest whose "members" table maps each member name to its file (the name
+# with "." replaced by "_", plus ".ftns"). Members in CafrWeights field order:
+BUNDLE_MEMBERS = (
+    "conv1x1_f.kernel", "conv1x1_f.bias", "conv1x1_e.kernel", "conv1x1_e.bias",
+) + LINEAR_NAMES
+BUNDLE_MANIFEST = "manifest.json"
+
+
+def weight_arrays(w: CafrWeights) -> dict:
+    """Live parameter arrays of a weight set keyed by bundle member name."""
+    return {name: attrgetter(name)(w) for name in BUNDLE_MEMBERS}
+
+
+def save_weights(w: CafrWeights, directory) -> None:
+    """Write a weight set as a bundle: one .ftns file per array plus a JSON
+    manifest mapping each member name to its file."""
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    members = {}
+    for name, arr in weight_arrays(w).items():
+        fname = name.replace(".", "_") + ".ftns"
+        write_tensor(d / fname, arr)
+        members[name] = fname
+    (d / BUNDLE_MANIFEST).write_text(json.dumps({"members": members}, indent=2, sort_keys=True))
+
+
+def load_weights(directory) -> CafrWeights:
+    """Inverse of save_weights; values round through 32-bit storage.
+
+    The first member missing in field order, or a member CafrWeights has no
+    field for, is a ``SchemaError`` naming it.
+    """
+    d = Path(directory)
+    try:
+        manifest = json.loads((d / BUNDLE_MANIFEST).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"bundle manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError("bundle manifest must be a JSON object")
+    members = manifest.get("members")
+    if not isinstance(members, dict):
+        raise SchemaError("bundle manifest has no 'members' table")
+    arrays = {}
+    for name, fname in members.items():
+        if not isinstance(fname, str):
+            raise SchemaError(f"bundle member '{name}' must name a file, got {fname!r}")
+        arrays[name] = read_tensor(d / fname)
+    missing = [name for name in BUNDLE_MEMBERS if name not in arrays]
+    if missing:
+        raise SchemaError(f"weight bundle is missing member '{missing[0]}'")
+    k_f, b_f, k_e, b_e, *mats = (arrays[name] for name in BUNDLE_MEMBERS)
+    w = CafrWeights(ConvWeights(k_f, b_f), ConvWeights(k_e, b_e), *mats)
+    extra = sorted(set(arrays) - set(BUNDLE_MEMBERS))
+    if extra:
+        raise SchemaError(f"weight bundle member '{extra[0]}' is not read by CafrWeights")
+    return w
 
 
 def _tokens(x: np.ndarray) -> np.ndarray:

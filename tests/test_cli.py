@@ -9,14 +9,15 @@ from evframe import (
     CorruptionType,
     encode_detections,
     encode_image,
-    CafrWeights,
     DetectionRecord,
     FeaturePair,
     cafr_forward,
+    compose_homography,
     init_cafr_weights,
     load_weights,
     read_tensor,
     save_weights,
+    warp_image,
     write_tensor,
 )
 from evframe.cli import main
@@ -119,6 +120,27 @@ def test_evt2grid_explicit_dims(capsys, tmp_path):
     assert read_tensor(out).shape == (3, 8, 10)
 
 
+@pytest.mark.parametrize(
+    "body, code, err",
+    [
+        (b"t,x,y,p\n1,0,0,1\n2,0,0,0\n", 1, "error: line 3: polarity must be -1 or +1, got 0\n"),
+        (b"t,x,y,p\n+1, 0,0,1\n", 0, ""),
+    ],
+    ids=["zero-polarity", "signed-and-padded-fields"],
+)
+def test_evt2grid_reads_outside_csv(capsys, tmp_path, body, code, err):
+    csv = tmp_path / "e.csv"
+    csv.write_bytes(body)
+    out = tmp_path / "g.ftns"
+    got_code, stdout, got_err = run(capsys, "evt2grid", "--input", str(csv), "--bins", "2", "--out", str(out))
+    assert (got_code, got_err) == (code, err)
+    if code:
+        assert stdout == ""
+        assert not out.exists()
+    else:
+        assert json.loads(stdout)["events"] == 1
+
+
 # -- config file ------------------------------------------------------------------
 
 
@@ -212,6 +234,21 @@ def test_warp_identity_rig_is_byte_lossless(capsys, tmp_path, identity_calib):
     code, _, err = run(capsys, "warp", "--image", str(src), "--calib", str(identity_calib), "--out", str(dst))
     assert code == 0, err
     assert dst.read_bytes() == src.read_bytes()
+
+
+def test_warp_nearest_writes_the_library_warp(capsys, tmp_path):
+    img = rgb_image(philox(4), 20, 15)
+    src = tmp_path / "in.ppm"
+    src.write_bytes(encode_image(img))
+    calib = tmp_path / "calib.json"
+    calib.write_bytes(calibration_json(small_rig()))
+    dst = tmp_path / "out.ppm"
+    code, _, err = run(
+        capsys, "warp", "--image", str(src), "--calib", str(calib), "--interp", "nearest", "--out", str(dst)
+    )
+    assert code == 0, err
+    want = warp_image(compose_homography(small_rig()), img, 20, 15, interpolation="nearest")
+    assert dst.read_bytes() == encode_image(want)
 
 
 def test_warp_labels_identity_keeps_boxes(capsys, tmp_path, identity_calib):
@@ -428,7 +465,7 @@ def test_cafr_forward_reads_a_weight_bundle(capsys, tmp_path):
     code, _, err = run(capsys, "cafr-forward", *inputs, "--weights", str(bundle), "--out", str(out))
     assert code == 0, err
     pair = FeaturePair(read_tensor(inputs[1]), read_tensor(inputs[3]))
-    want, _ = cafr_forward(pair, load_weights(CafrWeights, bundle))
+    want, _ = cafr_forward(pair, load_weights(bundle))
     assert np.array_equal(read_tensor(out), want.astype(np.float32))
 
 

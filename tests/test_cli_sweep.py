@@ -348,12 +348,11 @@ def test_cafr_gradcheck_over_a_budget_exits_1_before_the_pair_is_drawn(
             "over the 1073741824-byte budget",
             2 * 1024 * 1024, id="3664-channels",
         ),
-        # reading the two 400 KB inputs and widening them to float64 take 2.4 MB
         pytest.param(
             100_000, 1,
             "a CAFR weight set for 100000 channels needs 800000000000 bytes, "
             "over the 1073741824-byte budget",
-            4 * 1024 * 1024, id="100000-channels",
+            2 * 1024 * 1024, id="100000-channels",
         ),
     ],
 )

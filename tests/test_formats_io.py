@@ -1,6 +1,5 @@
 """Codec roundtrips and malformed-input rejection for every file format."""
 
-import functools
 import json
 import sys
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from evframe import (
-    CafrWeights,
     CameraRig,
     DetectionRecord,
     DetectionTable,
@@ -17,9 +15,6 @@ from evframe import (
     EvframeError,
     EventStream,
     FormatError,
-    FpnWeights,
-    HeadConfig,
-    HeadWeights,
     ImagePNM,
     ParseError,
     SchemaError,
@@ -32,17 +27,9 @@ from evframe import (
     encode_events,
     encode_image,
     encode_tensor,
-    init_cafr_weights,
-    init_fpn_weights,
-    init_head_weights,
-    load_weights,
     parse_calibration,
-    save_weights,
 )
 from evframe import formats_io
-from evframe.formats_io import weight_arrays
-from evframe.fusion_cafr import LINEAR_NAMES
-from evframe.tensor_math import uniform_conv
 from conftest import calibration_json, philox, rgb_image, small_rig
 
 
@@ -237,111 +224,6 @@ def test_tensor_decode_refuses_a_bad_header(data, message):
     with pytest.raises(FormatError) as exc:
         decode_tensor(data)
     assert str(exc.value) == message
-
-
-def test_tensor_bundle_requires_member_table(tmp_path):
-    (tmp_path / "manifest.json").write_text(json.dumps({"oops": 1}))
-    with pytest.raises(SchemaError, match="no 'members' table"):
-        load_weights(CafrWeights, tmp_path)
-
-
-@pytest.mark.parametrize(
-    "manifest, fault",
-    [
-        (b"{not json", "not valid JSON"),
-        (b"\xff{}", "not valid JSON"),
-        (b"[]", "must be a JSON object"),
-        (b'{"members": {"wq_f": 5}}', "member 'wq_f' must name a file"),
-    ],
-)
-def test_broken_bundle_manifest_is_a_schema_error(tmp_path, manifest, fault):
-    (tmp_path / "manifest.json").write_bytes(manifest)
-    with pytest.raises(SchemaError, match=fault):
-        load_weights(CafrWeights, tmp_path)
-
-
-# -- weight bundles -------------------------------------------------------------------
-
-
-def cafr_weights() -> CafrWeights:
-    return init_cafr_weights(5, seed=3)
-
-
-def fpn_weights() -> FpnWeights:
-    return init_fpn_weights([3, 5, 4, 2], width=6, seed=7)
-
-
-def conv_members(*names) -> set:
-    return {f"{n}.{leaf}" for n in names for leaf in ("kernel", "bias")}
-
-
-def head_weights(layers: int) -> HeadWeights:
-    """Head weights whose two towers have ``layers`` distinct convs each."""
-    rng = philox(8)
-    w = init_head_weights(HeadConfig(num_classes=2, width=4), seed=3)
-    cls_tower = tuple(uniform_conv(rng, 4, 4, 3) for _ in range(layers))
-    reg_tower = tuple(uniform_conv(rng, 4, 4, 3) for _ in range(layers))
-    return HeadWeights(cls_tower, w.cls_out, reg_tower, w.reg_out)
-
-
-def head_members(layers: int) -> set:
-    towers = [f"{t}{i}" for t in ("cls_tower", "reg_tower") for i in range(1, layers + 1)]
-    return conv_members("cls_out", "reg_out", *towers)
-
-
-head_weights4 = functools.partial(head_weights, 4)
-
-FPN_MEMBERS = ["extra"] + [f"{n}{i}" for n in ("lateral", "smooth") for i in range(1, 5)]
-
-
-@pytest.mark.parametrize(
-    "make, members",
-    [
-        pytest.param(cafr_weights, conv_members("conv1x1_f", "conv1x1_e") | set(LINEAR_NAMES), id="cafr"),
-        pytest.param(fpn_weights, conv_members(*FPN_MEMBERS), id="fpn"),
-    ]
-    + [
-        pytest.param(functools.partial(head_weights, n), head_members(n), id=f"head-{n}")
-        for n in (0, 4, 5)
-    ],
-)
-def test_weight_bundle_round_trip(tmp_path, make, members):
-    w = make()
-    save_weights(w, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # member names and file names are part of the bundle format
-    assert manifest["members"] == {m: m.replace(".", "_") + ".ftns" for m in members}
-    back = weight_arrays(load_weights(type(w), tmp_path))
-    arrays = weight_arrays(w)
-    assert list(back) == list(arrays)
-    for name, arr in arrays.items():
-        # storage is 32-bit, so the round trip is exact at float32
-        assert np.array_equal(back[name], arr.astype(np.float32)), name
-
-
-@pytest.mark.parametrize(
-    "cls, make, drop, named",
-    [
-        (FpnWeights, fpn_weights, ["smooth2.bias"], "missing member 'smooth2.bias'"),
-        (HeadWeights, head_weights4, ["cls_out.kernel"], "missing member 'cls_out.kernel'"),
-        (
-            HeadWeights,
-            head_weights4,
-            ["reg_tower2.kernel", "reg_tower2.bias"],
-            "member 'reg_tower3.bias' is not read by HeadWeights",
-        ),
-        (FpnWeights, cafr_weights, [], "missing member 'extra.kernel'"),
-    ],
-    ids=["fpn-member", "head-member", "head-tower-gap", "cafr-bundle-as-fpn"],
-)
-def test_weight_bundle_faults_name_the_member(tmp_path, cls, make, drop, named):
-    save_weights(make(), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    for name in drop:
-        del manifest["members"][name]
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(SchemaError, match=named):
-        load_weights(cls, tmp_path)
 
 
 # -- calibration ----------------------------------------------------------------------

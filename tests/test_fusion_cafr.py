@@ -1,6 +1,8 @@
 """Fusion module: stage contracts, ablation bypasses, analytic gradients."""
 
 import dataclasses
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,8 +26,7 @@ from evframe import (
     tafr_refine,
 )
 from evframe import fusion_cafr
-from evframe.formats_io import weight_arrays
-from evframe.fusion_cafr import LINEAR_NAMES
+from evframe.fusion_cafr import BUNDLE_MEMBERS, LINEAR_NAMES, weight_arrays
 from evframe.tensor_math import ConvWeights, relative_error, softmax_rows
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
 from conftest import numeric_grad, philox
@@ -79,17 +80,90 @@ def test_weight_init_respects_fan_in_bound():
         assert np.abs(arr).max() <= bound
 
 
+# -- weight bundles ------------------------------------------------------------------
+
+
+def test_weight_bundle_round_trip(tmp_path):
+    w = init_cafr_weights(5, seed=3)
+    save_weights(w, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # member names and file names are part of the bundle format
+    assert manifest["members"] == {m: m.replace(".", "_") + ".ftns" for m in BUNDLE_MEMBERS}
+    back = weight_arrays(load_weights(tmp_path))
+    arrays = weight_arrays(w)
+    assert list(back) == list(arrays) == list(BUNDLE_MEMBERS)
+    for name, arr in arrays.items():
+        # storage is 32-bit, so the round trip is exact at float32
+        assert np.array_equal(back[name], arr.astype(np.float32)), name
+
+
+def test_weight_bundle_bytes_are_pinned(tmp_path):
+    save_weights(init_cafr_weights(4, seed=2), tmp_path)
+    files = sorted(tmp_path.iterdir())
+    assert [p.name for p in files] == sorted(
+        ["manifest.json"] + [m.replace(".", "_") + ".ftns" for m in BUNDLE_MEMBERS]
+    )
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == "986efb3988c26389ebc3cf14aeb1f9d53cb64a757e5375a836940d9a9a878485"
+
+
+def test_tensor_bundle_requires_member_table(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({"oops": 1}))
+    with pytest.raises(SchemaError, match="no 'members' table"):
+        load_weights(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "manifest, fault",
+    [
+        (b"{not json", "not valid JSON"),
+        (b"\xff{}", "not valid JSON"),
+        (b"[]", "must be a JSON object"),
+        (b'{"members": {"wq_f": 5}}', "member 'wq_f' must name a file"),
+    ],
+)
+def test_broken_bundle_manifest_is_a_schema_error(tmp_path, manifest, fault):
+    (tmp_path / "manifest.json").write_bytes(manifest)
+    with pytest.raises(SchemaError, match=fault):
+        load_weights(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        (
+            ["conv1x1_e.bias", "wq_f"], [],
+            "weight bundle is missing member 'conv1x1_e.bias'",
+        ),
+        ([], ["wz"], "weight bundle member 'wz' is not read by CafrWeights"),
+    ],
+    ids=["missing-member", "extra-member"],
+)
+def test_weight_bundle_faults_name_the_member(tmp_path, drop, add, message):
+    save_weights(init_cafr_weights(3, seed=1), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for name in drop:
+        del manifest["members"][name]
+    for name in add:
+        (tmp_path / f"{name}.ftns").write_bytes((tmp_path / "wq_f.ftns").read_bytes())
+        manifest["members"][name] = f"{name}.ftns"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError) as exc:
+        load_weights(tmp_path)
+    assert str(exc.value) == message
+
+
 def test_weight_load_rejects_missing_member(tmp_path):
     w = init_cafr_weights(3, seed=1)
     save_weights(w, tmp_path)
     (tmp_path / "wq_f.ftns").unlink()
-    import json
-
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     del manifest["members"]["wq_f"]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SchemaError):
-        load_weights(CafrWeights, tmp_path)
+        load_weights(tmp_path)
 
 
 # -- stage 1+2: activation and enhancement ----------------------------------------------
