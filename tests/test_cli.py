@@ -483,6 +483,16 @@ def test_cafr_forward_broken_bundle_exits_1(capsys, tmp_path):
     assert "error: bundle manifest must be a JSON object" in err
 
 
+def test_cafr_forward_bundle_for_other_channels_exits_1(capsys, tmp_path):
+    inputs = feature_pair_files(tmp_path, 7, (4, 3, 2))
+    bundle = tmp_path / "weights"
+    save_weights(init_cafr_weights(3, seed=2), bundle)
+    out = tmp_path / "fused.ftns"
+    code, stdout, err = run(capsys, "cafr-forward", *inputs, "--weights", str(bundle), "--out", str(out))
+    assert (code, stdout, err) == (1, "", "error: pair has 4 channels, weights expect 3\n")
+    assert not out.exists()
+
+
 def test_cafr_gradcheck_reports_worst_error(capsys):
     code, out, err = run(
         capsys, "cafr-gradcheck", "--channels", "3", "--height", "2", "--width", "2",

@@ -138,8 +138,10 @@ def test_broken_bundle_manifest_is_a_schema_error(tmp_path, manifest, fault):
             "weight bundle is missing member 'conv1x1_e.bias'",
         ),
         ([], ["wz"], "weight bundle member 'wz' is not read by CafrWeights"),
+        (list(BUNDLE_MEMBERS), [], "weight bundle is missing member 'conv1x1_f.kernel'"),
+        (["we"], ["wz"], "weight bundle is missing member 'we'"),
     ],
-    ids=["missing-member", "extra-member"],
+    ids=["missing-member", "extra-member", "no-members", "missing-before-extra"],
 )
 def test_weight_bundle_faults_name_the_member(tmp_path, drop, add, message):
     save_weights(init_cafr_weights(3, seed=1), tmp_path)
