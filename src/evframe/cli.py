@@ -274,7 +274,7 @@ def _cmd_head_decode(ns) -> dict:
     cls = read_tensor(ns.cls)
     reg = read_tensor(ns.reg)
     levels = _parse_levels(ns.levels)
-    # the anchor layout depends on the scales and ratios, not on the class count
+    # the anchor table is fixed; the class count does not change it
     cfg = HeadConfig(num_classes=1)
     n = sum(h * w for h, w in levels) * cfg.anchors_per_position
     # counted before the anchors are built, which huge levels could not afford

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .eval_metrics import _iou_matrix
 from .formats_io import DetectionTable, _int64_id
 from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
-DEFAULT_SCALES = (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
-DEFAULT_RATIOS = (0.5, 1.0, 2.0)
 DEFAULT_SCORE_THRESHOLD = 0.05
 DEFAULT_NMS_IOU = 0.5
 # decode_head clips log size offsets here, so one wild row cannot overflow
@@ -54,9 +52,7 @@ class BBox:
 
 @dataclass
 class Anchor(BBox):
-    """A BBox pinned to a pyramid level."""
-
-    level: int = 0
+    """A BBox used as the reference box of the offset codec."""
 
 
 @dataclass
@@ -76,18 +72,16 @@ class OffsetVector:
 
 @dataclass
 class HeadConfig:
-    """Class count plus anchor layout; anchors per position is |scales|*|ratios|."""
+    """Class count and subnet width; the anchor table is fixed, 3 scales by 3 ratios."""
 
     num_classes: int
     width: int = 256
-    scales: tuple = DEFAULT_SCALES
-    ratios: tuple = DEFAULT_RATIOS
+    scales: ClassVar[tuple] = (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
+    ratios: ClassVar[tuple] = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
         if self.num_classes < 1 or self.width < 1:
             raise DomainError("num_classes and width must be positive")
-        if not self.scales or not self.ratios:
-            raise DomainError("scales and ratios must be non-empty")
 
     @property
     def anchors_per_position(self) -> int:
@@ -96,13 +90,13 @@ class HeadConfig:
 
 @dataclass
 class FeaturePyramid:
-    """Five same-channel levels with ceil-halving spatial dims and doubling strides."""
+    """Five same-channel levels with ceil-halving dims; level i has stride base_stride * 2**i."""
 
     levels: tuple
-    strides: tuple
+    base_stride: int
 
     def __post_init__(self):
-        if len(self.levels) != 5 or len(self.strides) != 5:
+        if len(self.levels) != 5:
             raise ShapeError("pyramid must have exactly 5 levels")
         chans = {lvl.shape[0] for lvl in self.levels}
         if len(chans) != 1:
@@ -114,8 +108,6 @@ class FeaturePyramid:
                 raise ShapeError(
                     f"level {i + 2} dims {(hn, wn)} are not the ceil-half of {(h, w)}"
                 )
-            if self.strides[i + 1] != 2 * self.strides[i]:
-                raise ShapeError("strides must double per level")
 
 
 # -- weights ----------------------------------------------------------------------
@@ -191,8 +183,7 @@ def build_fpn(backbone_feats: Sequence[np.ndarray], w: FpnWeights, base_stride: 
         merged[i] = laterals[i] + _upsample2x_to(merged[i + 1], h, wd)
     smoothed = [conv2d(m, sw, stride=1, pad=1) for m, sw in zip(merged, w.smooths)]
     p5 = conv2d(smoothed[3], w.extra, stride=2, pad=1)
-    strides = tuple(base_stride * 2 ** i for i in range(5))
-    return FeaturePyramid(tuple(smoothed) + (p5,), strides)
+    return FeaturePyramid(tuple(smoothed) + (p5,), base_stride)
 
 
 # -- anchors ----------------------------------------------------------------------
@@ -201,16 +192,16 @@ def _anchor_shapes(stride: int, cfg: HeadConfig) -> np.ndarray:
     """(A, 2) anchor widths and heights, ratio-major, computed in Python floats."""
     if stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-    base = 4.0 * stride
-    shapes = [
+    # clamped, so an int stride beyond the float range overflows to inf, not an OverflowError
+    base = 4.0 * min(stride, 2**1023)
+    shapes = np.array([
         (base * s * math.sqrt(r), base * s / math.sqrt(r))
         for r in cfg.ratios
         for s in cfg.scales
-    ]
-    for w, h in shapes:
-        if not (w > 0 and h > 0):
-            raise DomainError(f"box dims must be positive, got w={w}, h={h}")
-    return np.array(shapes, dtype=np.float64)
+    ])
+    if not np.isfinite(shapes).all():
+        raise DomainError(f"stride {stride} is too large: its anchor sizes overflow float64")
+    return shapes
 
 
 def gen_anchors(height: int, width: int, stride: int, cfg: HeadConfig) -> np.ndarray:
@@ -238,7 +229,7 @@ def level_anchors(shapes: Sequence[tuple], base_stride: int, cfg: HeadConfig) ->
 
 def gen_pyramid_anchors(pyr: FeaturePyramid, cfg: HeadConfig) -> np.ndarray:
     """Anchors for every level, concatenated in level order."""
-    return level_anchors([lvl.shape[1:] for lvl in pyr.levels], pyr.strides[0], cfg)
+    return level_anchors([lvl.shape[1:] for lvl in pyr.levels], pyr.base_stride, cfg)
 
 
 # -- head -------------------------------------------------------------------------

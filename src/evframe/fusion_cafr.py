@@ -139,7 +139,7 @@ def save_weights(w: CafrWeights, directory) -> None:
 
 
 def load_weights(directory) -> CafrWeights:
-    """Inverse of save_weights; values round through 32-bit storage.
+    """Inverse of save_weights; values round through 32-bit storage, load as float64.
 
     The first member missing in field order, or a member CafrWeights has no
     field for, is a ``SchemaError`` naming it.

@@ -5,7 +5,7 @@ fusion backward differentiates (linear, softmax_rows, channel_stats) each
 have a ``*_vjp`` taking the arrays its forward used or returned, so the
 fusion module chains them by hand. ``conv2d`` runs forward only: the one
 differentiated conv, fusion's 1x1 activation, is a plain matrix product.
-Compute in float64 for verification; float32 is accepted for throughput.
+Conv weights are held, and convolutions computed, in float64.
 """
 
 from __future__ import annotations
@@ -22,16 +22,14 @@ CHANNEL_STATS_EPS = 1e-5
 
 @dataclass
 class ConvWeights:
-    """Cross-correlation kernel (out_ch, in_ch, k_h, k_w) plus per-output bias."""
+    """Cross-correlation kernel (out_ch, in_ch, k_h, k_w) plus per-output bias, as float64."""
 
     kernel: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kernel)
-        if k.dtype != np.float32:
-            k = k.astype(np.float64, copy=False)
-        b = np.asarray(self.bias).astype(k.dtype, copy=False)
+        k = np.asarray(self.kernel, dtype=np.float64)
+        b = np.asarray(self.bias, dtype=np.float64)
         if k.ndim != 4:
             raise ShapeError(f"kernel must be rank 4, got rank {k.ndim}")
         if b.shape != (k.shape[0],):
@@ -113,7 +111,7 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.n
     oh, ow = _conv_out_dims(h, wid, w.k_h, w.k_w, stride, pad)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     k = w.kernel.reshape(w.out_ch, -1)
-    y = np.empty((w.out_ch, oh, ow), dtype=np.result_type(k, xp))
+    y = np.empty((w.out_ch, oh, ow))
     band = max(1, CONV_BLOCK_BYTES // (k.shape[1] * ow * y.itemsize))
     for r in range(0, oh, band):
         n = min(band, oh - r)

@@ -223,6 +223,18 @@ def test_simulate_events_writes_a_parsable_stream(capsys, tmp_path):
     assert len(lines) > 1
 
 
+def test_simulate_events_refuses_frames_of_different_dims(capsys, tmp_path):
+    pa, pb = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    pa.write_bytes(encode_image(gray_image(philox(1), 4, 3)))
+    pb.write_bytes(encode_image(gray_image(philox(2), 5, 3)))
+    out = tmp_path / "events.csv"
+    code, stdout, err = run(
+        capsys, "simulate-events", "--frame-a", str(pa), "--frame-b", str(pb), "--out", str(out)
+    )
+    assert (code, stdout, err) == (1, "", "error: frame dims differ: 4x3 vs 5x3\n")
+    assert not out.exists()
+
+
 # -- warp ------------------------------------------------------------------------
 
 
@@ -249,6 +261,19 @@ def test_warp_nearest_writes_the_library_warp(capsys, tmp_path):
     assert code == 0, err
     want = warp_image(compose_homography(small_rig()), img, 20, 15, interpolation="nearest")
     assert dst.read_bytes() == encode_image(want)
+
+
+def test_warp_refuses_a_singular_rgb_intrinsic_matrix(capsys, tmp_path):
+    src = tmp_path / "in.ppm"
+    src.write_bytes(encode_image(rgb_image(philox(2), 20, 15)))
+    calib = tmp_path / "calib.json"
+    doc = json.loads(calibration_json(small_rig()))
+    doc["K_rgb"] = np.diag([1e-5] * 3).ravel().tolist()
+    calib.write_text(json.dumps(doc))
+    dst = tmp_path / "out.ppm"
+    code, out, err = run(capsys, "warp", "--image", str(src), "--calib", str(calib), "--out", str(dst))
+    assert (code, out, err) == (1, "", "error: K_rgb is singular, cannot invert\n")
+    assert not dst.exists()
 
 
 def test_warp_labels_identity_keeps_boxes(capsys, tmp_path, identity_calib):
@@ -493,6 +518,39 @@ def test_cafr_forward_bundle_for_other_channels_exits_1(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "member, value, message",
+    [
+        ("wq_f", np.zeros((4, 3)), "wq_f must be 4x4, got (4, 3)"),
+        ("wq_f", np.full((4, 4), np.nan), "wq_f must be finite"),
+        ("conv1x1_f.kernel", np.zeros((4, 4)), "kernel must be rank 4, got rank 2"),
+        ("conv1x1_f.bias", np.zeros(3), "bias shape (3,) does not match 4 outputs"),
+        (
+            "conv1x1_f.kernel", np.zeros((4, 4, 3, 3)),
+            "activation conv must be 4x4x1x1, got (4, 4, 3, 3)",
+        ),
+    ],
+    ids=["linear-shape", "linear-nan", "kernel-rank", "bias-length", "kernel-3x3"],
+)
+def test_cafr_forward_refuses_a_malformed_bundle_member(capsys, tmp_path, member, value, message):
+    inputs = feature_pair_files(tmp_path, 7, (4, 3, 2))
+    bundle = tmp_path / "weights"
+    save_weights(init_cafr_weights(4, seed=2), bundle)
+    write_tensor(bundle / (member.replace(".", "_") + ".ftns"), value)
+    out = tmp_path / "fused.ftns"
+    code, stdout, err = run(capsys, "cafr-forward", *inputs, "--weights", str(bundle), "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_cafr_forward_refuses_a_pair_without_channels(capsys, tmp_path):
+    inputs = feature_pair_files(tmp_path, 7, (0, 3, 2))
+    out = tmp_path / "fused.ftns"
+    code, stdout, err = run(capsys, "cafr-forward", *inputs, "--out", str(out))
+    assert (code, stdout, err) == (1, "", "error: channels must be positive, got 0\n")
+    assert not out.exists()
+
+
 def test_cafr_gradcheck_reports_worst_error(capsys):
     code, out, err = run(
         capsys, "cafr-gradcheck", "--channels", "3", "--height", "2", "--width", "2",
@@ -657,6 +715,18 @@ def test_eval_map_non_numeric_field_exits_1_naming_the_line(capsys, tmp_path):
     assert err.startswith("error:")
     assert "line 2: score must be a number" in err
     assert out == ""
+
+
+def test_eval_map_refuses_a_bbox_of_three_entries(capsys, tmp_path):
+    gt_path, pred_path = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    gt_path.write_bytes(encode_detections([DetectionRecord(0, 0, (10.0, 10.0, 20.0, 20.0), None)]))
+    pred_path.write_text('{"image_id": 0, "category_id": 0, "bbox": [1, 1, 2], "score": 0.9}\n')
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "eval-map", "--pred", str(pred_path), "--gt", str(gt_path), "--out", str(report)
+    )
+    assert (code, out, err) == (1, "", "error: line 1: bbox must be a 4-element array\n")
+    assert not report.exists()
 
 
 def test_eval_mpc_full_grid(capsys, tmp_path):

@@ -3,10 +3,10 @@
 Each case runs ``cli.main`` in-process on tiny fixtures and must end in a
 result (exit 0), a typed error (exit 1) or a usage error (exit 2), never in
 a traceback. Huge values are swept only for evt2grid's grid dims,
-pipeline-demo's scene dims, warp's output dims, head-decode's levels and the
-CAFR feature dims and channels of cafr-gradcheck and cafr-forward, whose
-stages check their size before they allocate; not every allocating stage
-does, so elsewhere they could really allocate.
+pipeline-demo's scene dims, warp's output dims, head-decode's levels and base
+stride, and the CAFR feature dims and channels of cafr-gradcheck and
+cafr-forward, whose stages check their size before they allocate; not every
+allocating stage does, so elsewhere they could really allocate.
 """
 
 import json
@@ -265,6 +265,11 @@ def test_a_scene_over_the_fusion_budget_exits_1_before_the_scene_is_drawn(
             "head-decode", ["--levels=1000000000000x1000000000000,1x1,1x1,1x1,1x1"],
             "do not cover 9000000000000000000000036 anchors", id="head-decode-levels",
         ),
+        # 10**400 is beyond the float range, so its anchor sizes are too
+        pytest.param(
+            "head-decode", [f"--base-stride={10**400}"], f"stride {10**400} is too large",
+            id="head-decode-base-stride",
+        ),
     ],
 )
 def test_a_huge_output_size_exits_1_before_the_output_is_allocated(
@@ -279,7 +284,8 @@ def test_a_huge_output_size_exits_1_before_the_output_is_allocated(
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err.startswith("error:") and message in err
-    assert peak < 4 * 1024 * 1024  # every image or anchor set asked for is over 1 PB
+    # every image or anchor set asked for is over 1 PB, or has sizes beyond float64
+    assert peak < 4 * 1024 * 1024
     assert not list(tmp_path.iterdir())
 
 

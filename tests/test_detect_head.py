@@ -1,6 +1,7 @@
 """Detection head: anchors, pyramid assembly, subnets, offset codec, suppression."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,10 +60,10 @@ def test_offsets_reject_non_finite():
 def test_config_counts_anchor_layout():
     cfg = HeadConfig(num_classes=7)
     assert cfg.anchors_per_position == 9
+    # the anchor table is fixed: only the class count and width are fields
+    assert [f.name for f in fields(HeadConfig)] == ["num_classes", "width"]
     with pytest.raises(DomainError):
         HeadConfig(num_classes=0)
-    with pytest.raises(DomainError):
-        HeadConfig(num_classes=2, scales=())
 
 
 # -- anchors ---------------------------------------------------------------------
@@ -79,12 +80,13 @@ def test_anchor_grid_count_and_centers():
 
 
 def test_anchor_shapes_encode_scale_and_ratio():
-    cfg = HeadConfig(num_classes=1, scales=(1.0, 2.0), ratios=(0.5, 1.0, 2.0))
+    cfg = HeadConfig(num_classes=1)
     anchors = gen_anchors(1, 1, 4, cfg)
+    assert anchors.shape == (9, 4)
     base = 16.0
     idx = 0
-    for r in cfg.ratios:
-        for s in cfg.scales:
+    for r in (0.5, 1.0, 2.0):
+        for s in (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0)):
             _, _, w, h = anchors[idx]
             assert w / h == pytest.approx(r, rel=1e-12)
             assert w * h == pytest.approx((base * s) ** 2, rel=1e-12)
@@ -104,32 +106,27 @@ def tiny_pyramid(c=3):
         np.zeros((c, 1, 1)),
         np.zeros((c, 1, 1)),
     )
-    return FeaturePyramid(levels, (4, 8, 16, 32, 64))
+    return FeaturePyramid(levels, 4)
 
 
 def test_pyramid_anchor_levels_and_counts():
-    cfg = HeadConfig(num_classes=2, scales=(1.0,), ratios=(1.0,))
+    cfg = HeadConfig(num_classes=2)
     anchors = gen_pyramid_anchors(tiny_pyramid(), cfg)
-    assert anchors.shape == (48 + 12 + 4 + 1 + 1, 4)
-    # rows run level by level: 48 of level 1, ..., the last 1 of level 5
-    starts = np.cumsum([0, 48, 12, 4, 1, 1])
+    assert anchors.shape == ((48 + 12 + 4 + 1 + 1) * 9, 4)
+    # rows run level by level: 48 positions of level 1, ..., the last 1 of level 5
+    starts = np.cumsum([0, 48, 12, 4, 1, 1]) * 9
     for (h, w), stride, lo, hi in zip(
         [(8, 6), (4, 3), (2, 2), (1, 1), (1, 1)], (4, 8, 16, 32, 64), starts, starts[1:]
     ):
         assert np.array_equal(anchors[lo:hi], gen_anchors(h, w, stride, cfg))
-    assert anchors[-1, 2] == 4.0 * 64
+    # the last position's first anchor: scale 1, ratio 0.5, at stride 64
+    assert anchors[-9, 2] == 4.0 * 64 * math.sqrt(0.5)
 
 
 def test_pyramid_validates_ceil_halving():
     levels = [np.zeros((2, 8, 8))] + [np.zeros((2, 4, 4))] * 4
     with pytest.raises(ShapeError):
-        FeaturePyramid(tuple(levels), (4, 8, 16, 32, 64))
-
-
-def test_pyramid_validates_stride_doubling():
-    p = tiny_pyramid()
-    with pytest.raises(ShapeError):
-        FeaturePyramid(p.levels, (4, 8, 16, 32, 128))
+        FeaturePyramid(tuple(levels), 4)
 
 
 def test_pyramid_requires_uniform_channels():
@@ -141,7 +138,7 @@ def test_pyramid_requires_uniform_channels():
         np.zeros((2, 1, 1)),
     )
     with pytest.raises(ShapeError):
-        FeaturePyramid(levels, (4, 8, 16, 32, 64))
+        FeaturePyramid(levels, 4)
 
 
 # -- pyramid assembly ----------------------------------------------------------------
@@ -176,7 +173,7 @@ def test_fpn_merges_top_down_with_nearest_upsampling(rng):
         assert np.allclose(got, want, atol=1e-12)
     # fifth level: stride-2 center tap picks even coordinates of level four
     assert np.allclose(pyr.levels[4], want3[:, ::2, ::2], atol=1e-12)
-    assert pyr.strides == (4, 8, 16, 32, 64)
+    assert pyr.base_stride == 4
 
 
 def test_fpn_requires_four_maps(rng):
@@ -199,8 +196,8 @@ def test_fpn_init_shapes_follow_backbone_channels():
 
 
 def test_head_rows_follow_position_then_anchor_order(rng):
-    c, a, k = 2, 2, 3
-    cfg = HeadConfig(num_classes=k, width=c, scales=(1.0,), ratios=(0.5, 2.0))
+    c, a, k = 2, 9, 3
+    cfg = HeadConfig(num_classes=k, width=c)
     assert cfg.anchors_per_position == a
 
     levels = (
@@ -210,7 +207,7 @@ def test_head_rows_follow_position_then_anchor_order(rng):
         rng.standard_normal((c, 1, 1)),
         rng.standard_normal((c, 1, 1)),
     )
-    pyr = FeaturePyramid(levels, (4, 8, 16, 32, 64))
+    pyr = FeaturePyramid(levels, 4)
 
     # empty towers; output convs copy input channel 0 plus a per-channel bias,
     # so each head row is fully predictable
@@ -403,9 +400,13 @@ def test_decode_head_rejects_anchors_that_are_not_rows_of_four():
         decode_head(np.zeros((2, 1)), np.zeros((2, 4)), np.zeros((2, 3)), image_id=0)
 
 
-def test_anchor_shapes_must_be_positive():
-    with pytest.raises(DomainError, match="box dims must be positive"):
-        gen_anchors(2, 2, 4, HeadConfig(num_classes=1, scales=(0.0,)))
+@pytest.mark.parametrize("stride", [2**1021, 10**400], ids=["sizes-overflow", "beyond-float"])
+def test_a_stride_whose_anchor_sizes_overflow_is_refused(stride):
+    cfg = HeadConfig(num_classes=1)
+    # at stride 2**1018 the largest anchor, 2**1020 * 2**(2/3) * sqrt(2), is still finite
+    assert np.isfinite(gen_anchors(1, 1, 2**1018, cfg)).all()
+    with pytest.raises(DomainError, match=rf"^stride {stride} is too large"):
+        gen_anchors(1, 1, stride, cfg)
 
 
 # -- array back end against the object back end ---------------------------------------
@@ -421,7 +422,7 @@ BENCH_LEVELS = ((65, 87), (33, 44), (17, 22), (9, 11), (5, 6))
 def oracle_anchors(shapes, base_stride, cfg):
     out = []
     stride = base_stride
-    for level, (height, width) in enumerate(shapes, start=1):
+    for height, width in shapes:
         base = 4.0 * stride
         sizes = [
             (base * s * math.sqrt(r), base * s / math.sqrt(r))
@@ -432,7 +433,7 @@ def oracle_anchors(shapes, base_stride, cfg):
             cy = (i + 0.5) * stride
             for j in range(width):
                 cx = (j + 0.5) * stride
-                out.extend(Anchor(cx, cy, aw, ah, level) for aw, ah in sizes)
+                out.extend(Anchor(cx, cy, aw, ah) for aw, ah in sizes)
         stride *= 2
     return out
 
@@ -531,11 +532,11 @@ def test_bench_anchors_equal_the_object_loop(bench_anchors):
     got = level_anchors(BENCH_LEVELS, 4, cfg)
     assert got.shape == (68_490, 4)
     assert np.array_equal(got, rows)
-    # per-level row counts, in level order
-    levels = np.array([a.level for a in objects])
+    # per-level row counts, in level order: level i starts at its first centre
     counts = [h * w * cfg.anchors_per_position for h, w in BENCH_LEVELS]
-    assert [int(np.sum(levels == i)) for i in range(1, 6)] == counts
-    assert np.all(np.diff(levels) >= 0)
+    assert sum(counts) == len(got)
+    for i, start in enumerate(np.cumsum([0] + counts[:-1])):
+        assert tuple(got[start, :2]) == (2.0 * 2**i, 2.0 * 2**i)
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied-scores"])

@@ -97,6 +97,19 @@ def test_weight_bundle_round_trip(tmp_path):
         assert np.array_equal(back[name], arr.astype(np.float32)), name
 
 
+def test_a_loaded_bundle_is_float64_and_passes_gradcheck(tmp_path):
+    save_weights(init_cafr_weights(4, seed=1), tmp_path)
+    loaded = load_weights(tmp_path)
+    assert {name: arr.dtype for name, arr in weight_arrays(loaded).items()} == {
+        name: np.float64 for name in BUNDLE_MEMBERS
+    }
+    # the check perturbs every member in place by +-1e-5, which a float32
+    # member would round away
+    rng = philox(0)
+    pair = FeaturePair(rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 2)))
+    assert cafr_gradcheck(pair, loaded, probes=400, seed=2) < 1e-6
+
+
 def test_weight_bundle_bytes_are_pinned(tmp_path):
     save_weights(init_cafr_weights(4, seed=2), tmp_path)
     files = sorted(tmp_path.iterdir())

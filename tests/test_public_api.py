@@ -1,8 +1,9 @@
 """The package's export list: each name once, and none that only tests call;
-no defaulted parameter that only tests pass; and one home for the budget
-refusal."""
+no defaulted parameter, and no defaulted dataclass field, that only tests
+pass; and one home for the budget refusal."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -27,6 +28,9 @@ UNCALLED_EXPORTS = {
 UNPASSED_PARAMETERS = {
     ("main", "argv"): "the console script calls main() on sys.argv; in-process callers pass a list",
 }
+
+# Defaulted dataclass fields kept although no program code sets them.
+UNSET_FIELDS = {}
 
 
 def _is_export(value) -> bool:
@@ -119,27 +123,46 @@ def test_every_export_is_called_outside_the_unit_tests():
     assert uncalled == set(UNCALLED_EXPORTS)
 
 
-def _public_functions():
-    """(name, function) for every public function of every evframe module."""
+def _public_definitions(kind):
+    """(name, value) for every public function or class of every evframe
+    module that ``kind`` accepts."""
     for info in pkgutil.iter_modules(evframe.__path__):
         module = importlib.import_module(f"evframe.{info.name}")
         for name, value in vars(module).items():
-            if inspect.isfunction(value) and value.__module__ == module.__name__:
+            if kind(value) and value.__module__ == module.__name__:
                 if not name.startswith("_"):
                     yield name, value
 
 
-def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
+def _program_passes() -> set:
     passed = set()
     for path, outside_own_definition in _program_files():
         passed |= _passed(path, outside_own_definition)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
+    passed = _program_passes()
     unpassed = set()
-    for name, fn in _public_functions():
+    for name, fn in _public_definitions(inspect.isfunction):
         for i, (param, p) in enumerate(inspect.signature(fn).parameters.items()):
             by_position = p.kind != p.KEYWORD_ONLY and (name, i) in passed
             if p.default is not p.empty and (name, param) not in passed and not by_position:
                 unpassed.add((name, param))
     assert unpassed == set(UNPASSED_PARAMETERS)
+
+
+def test_every_defaulted_field_is_set_outside_the_unit_tests():
+    passed = _program_passes()
+    unset = set()
+    for name, cls in _public_definitions(lambda v: inspect.isclass(v) and dataclasses.is_dataclass(v)):
+        init_fields = [f for f in dataclasses.fields(cls) if f.init]
+        for i, f in enumerate(init_fields):
+            defaulted = not (f.default is f.default_factory is dataclasses.MISSING)
+            by_position = not f.kw_only and (name, i) in passed
+            if defaulted and (name, f.name) not in passed and not by_position:
+                unset.add((name, f.name))
+    assert unset == set(UNSET_FIELDS)
 
 
 def test_only_the_budget_helper_raises_a_budget_refusal():

@@ -87,19 +87,19 @@ def test_conv_rejects_channel_mismatch(rng):
         conv2d(x, w)
 
 
-def test_conv_float32_path_tracks_float64(rng):
-    x64 = rng.standard_normal((2, 9, 9))
-    k64 = rng.standard_normal((3, 2, 3, 3))
-    b64 = rng.standard_normal(3)
-    out64 = conv2d(x64, ConvWeights(k64, b64), stride=1, pad=1)
-    out32 = conv2d(
-        x64.astype(np.float32),
-        ConvWeights(k64.astype(np.float32), b64.astype(np.float32)),
-        stride=1,
-        pad=1,
-    )
-    assert out32.dtype == np.float32
-    assert np.abs(out32.astype(np.float64) - out64).max() < 1e-3
+def test_float32_weights_give_the_float64_output_bit_for_bit(rng):
+    x = rng.standard_normal((2, 9, 9))
+    k32 = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+    b32 = rng.standard_normal(3).astype(np.float32)
+    w = ConvWeights(k32, b32)
+    assert (w.kernel.dtype, w.bias.dtype) == (np.float64, np.float64)
+    want = conv2d(x, ConvWeights(k32.astype(np.float64), b32.astype(np.float64)), pad=1)
+    got = conv2d(x, w, pad=1)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    # a float32 input is computed, and returned, in float64 too
+    got32 = conv2d(x.astype(np.float32), w, pad=1)
+    assert got32.dtype == np.float64
+    assert got32.tobytes() == conv2d(x.astype(np.float32).astype(np.float64), w, pad=1).tobytes()
 
 
 # -- banded conv forward ----------------------------------------------------------------
