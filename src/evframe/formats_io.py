@@ -730,7 +730,7 @@ def parse_calibration(data: bytes) -> CameraRig:
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise ParseError(f"calibration is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("calibration root must be a JSON object")
@@ -745,6 +745,8 @@ def parse_calibration(data: bytes) -> CameraRig:
             matrices[key] = np.array([float(v) for v in raw], dtype=np.float64).reshape(3, 3)
         except (TypeError, ValueError):
             raise SchemaError(f"'{key}' contains a non-numeric entry") from None
+        except OverflowError:  # a JSON integer beyond the float64 range
+            raise SchemaError(f"'{key}' contains an entry beyond the float64 range") from None
     return CameraRig(
         k_rgb=matrices["K_rgb"],
         k_event=matrices["K_event"],

@@ -6,9 +6,11 @@ enhancement, swapped-query attention over spatial tokens (each stream
 attends with the other stream's query/key projections), and a
 statistics-aligned refinement that concatenates both streams to 2C channels.
 Enhancement, attention and refinement can each be bypassed for the paper's
-ablations. The full module, every stage on, has one hand-derived backward,
-checked against finite differences. A weight set is saved to and loaded from
-a bundle directory of one tensor file per member.
+ablations. The forward calls the public stages in order. The one hand-derived
+backward, for the full module and checked against finite differences, keeps
+only the stage outputs and recomputes the attention projections and channel
+statistics from them with the forward's ops. A weight set is saved to and
+loaded from a bundle directory of one tensor file per member.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def load_weights(directory) -> CafrWeights:
     d = Path(directory)
     try:
         manifest = json.loads((d / BUNDLE_MANIFEST).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise SchemaError(f"bundle manifest is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise SchemaError("bundle manifest must be a JSON object")
@@ -271,114 +273,88 @@ def _attend_vjp(q, k, v, scale: float, g: np.ndarray):
     return dq, dk, dv
 
 
-@dataclass
-class _AttnCache:
-    """Tokens and projections only: O(N*C), no attention matrix."""
-
-    tf: np.ndarray
-    te: np.ndarray
-    qe: np.ndarray
-    ke: np.ndarray
-    vf: np.ndarray
-    qf: np.ndarray
-    kf: np.ndarray
-    ve: np.ndarray
-    scale: float
-
-
-def _attention(pair: FeaturePair, w: CafrWeights):
-    shape = pair.frame.shape
-    tf = _tokens(pair.frame)
-    te = _tokens(pair.event)
+def _projections(enhanced: FeaturePair, w: CafrWeights):
+    """(tf, te, scale, (qe, ke, vf), (qf, kf, ve)): both streams' tokens, the
+    score scale, and the (query, key, value) triple of each output stream."""
+    tf = _tokens(enhanced.frame)
+    te = _tokens(enhanced.event)
     if not len(tf):
-        raise ShapeError(f"attention needs at least one token, got {shape}")
-    scale = 1.0 / math.sqrt(pair.channels)
+        raise ShapeError(f"attention needs at least one token, got {enhanced.frame.shape}")
+    scale = 1.0 / math.sqrt(enhanced.channels)
     # each stream's values are mixed under weights derived from the other
     # stream's own query/key pair
-    qe, ke, vf = linear(te, w.wq_e), linear(te, w.wk_e), linear(tf, w.wv_f)
-    qf, kf, ve = linear(tf, w.wq_f), linear(tf, w.wk_f), linear(te, w.wv_e)
-    out = FeaturePair(
-        _untokens(_attend(qe, ke, vf, scale), shape),
-        _untokens(_attend(qf, kf, ve, scale), shape),
-    )
-    return out, _AttnCache(tf, te, qe, ke, vf, qf, kf, ve, scale)
+    qkv_f = (linear(te, w.wq_e), linear(te, w.wk_e), linear(tf, w.wv_f))
+    qkv_e = (linear(tf, w.wq_f), linear(tf, w.wk_f), linear(te, w.wv_e))
+    return tf, te, scale, qkv_f, qkv_e
 
 
 def cross_self_attention(enhanced: FeaturePair, w: CafrWeights) -> FeaturePair:
     """Token attention over spatial positions with swapped stream pairing."""
-    return _attention(enhanced, w)[0]
+    _, _, scale, qkv_f, qkv_e = _projections(enhanced, w)
+    shape = enhanced.frame.shape
+    return FeaturePair(
+        _untokens(_attend(*qkv_f, scale), shape), _untokens(_attend(*qkv_e, scale), shape)
+    )
 
 
-def _attention_vjp(cache: _AttnCache, w: CafrWeights, g_caf: np.ndarray, g_cae: np.ndarray):
-    """Token-space grads in, (dtf, dte, weight grads) out."""
-    dqe, dke, dvf = _attend_vjp(cache.qe, cache.ke, cache.vf, cache.scale, g_caf)
-    dqf, dkf, dve = _attend_vjp(cache.qf, cache.kf, cache.ve, cache.scale, g_cae)
+def _attention_vjp(enhanced: FeaturePair, w: CafrWeights, g_caf: np.ndarray, g_cae: np.ndarray):
+    """Token-space grads in, (dtf, dte, weight grads) out; the tokens and
+    projections are rebuilt from the attention's input."""
+    tf, te, scale, qkv_f, qkv_e = _projections(enhanced, w)
+    dqe, dke, dvf = _attend_vjp(*qkv_f, scale, g_caf)
+    dqf, dkf, dve = _attend_vjp(*qkv_e, scale, g_cae)
 
     dws = {}
-    dtf, dws["wv_f"] = linear_vjp(cache.tf, w.wv_f, dvf)
-    d, dws["wq_f"] = linear_vjp(cache.tf, w.wq_f, dqf)
+    dtf, dws["wv_f"] = linear_vjp(tf, w.wv_f, dvf)
+    d, dws["wq_f"] = linear_vjp(tf, w.wq_f, dqf)
     dtf = dtf + d
-    d, dws["wk_f"] = linear_vjp(cache.tf, w.wk_f, dkf)
+    d, dws["wk_f"] = linear_vjp(tf, w.wk_f, dkf)
     dtf = dtf + d
-    dte, dws["wq_e"] = linear_vjp(cache.te, w.wq_e, dqe)
-    d, dws["wk_e"] = linear_vjp(cache.te, w.wk_e, dke)
+    dte, dws["wq_e"] = linear_vjp(te, w.wq_e, dqe)
+    d, dws["wk_e"] = linear_vjp(te, w.wk_e, dke)
     dte = dte + d
-    d, dws["wv_e"] = linear_vjp(cache.te, w.wv_e, dve)
+    d, dws["wv_e"] = linear_vjp(te, w.wv_e, dve)
     dte = dte + d
     return dtf, dte, dws
 
 
 # -- stage 4: statistics-aligned refinement -------------------------------------------
 
-@dataclass
-class _RefineCache:
-    t_caf: np.ndarray
-    t_cae: np.ndarray
-    xhat_f: np.ndarray
-    xhat_e: np.ndarray
-    sg_wf: np.ndarray
-    sg_we: np.ndarray
-    sg_ef: np.ndarray
-    sg_ee: np.ndarray
-
-
-def _refine(attended: FeaturePair, enhanced: FeaturePair, w: CafrWeights):
-    if attended.frame.shape != enhanced.frame.shape:
-        raise ShapeError(
-            f"attended {attended.frame.shape} vs enhanced {enhanced.frame.shape}"
-        )
-    shape = attended.frame.shape
-    t_caf = _tokens(attended.frame)
-    t_cae = _tokens(attended.event)
-    wf_map = _untokens(linear(t_caf, w.wf), shape)
-    we_map = _untokens(linear(t_cae, w.we), shape)
-
-    mu_wf, sg_wf = channel_stats(wf_map)
-    mu_we, sg_we = channel_stats(we_map)
-    mu_ef, sg_ef = channel_stats(enhanced.frame)
-    mu_ee, sg_ee = channel_stats(enhanced.event)
-
-    xhat_f = (wf_map - mu_wf[:, None, None]) / sg_wf[:, None, None]
-    xhat_e = (we_map - mu_we[:, None, None]) / sg_we[:, None, None]
-    out_f = sg_ef[:, None, None] * xhat_f + mu_ef[:, None, None]
-    out_e = sg_ee[:, None, None] * xhat_e + mu_ee[:, None, None]
-    out = np.concatenate([out_f, out_e], axis=0)
-    cache = _RefineCache(t_caf, t_cae, xhat_f, xhat_e, sg_wf, sg_we, sg_ef, sg_ee)
-    return out, cache
+def _normalized(att: np.ndarray, enh: np.ndarray, wmat: np.ndarray):
+    """(t_ca, xhat, sg_w, mu_e, sg_e) of one stream: its attended tokens, its
+    projection x normalized per channel to xhat = (x - mu_x)/sg_x, sg_x, and
+    the enhanced stream's mean and scale."""
+    t_ca = _tokens(att)
+    w_map = _untokens(linear(t_ca, wmat), att.shape)
+    mu_w, sg_w = channel_stats(w_map)
+    mu_e, sg_e = channel_stats(enh)
+    xhat = (w_map - mu_w[:, None, None]) / sg_w[:, None, None]
+    return t_ca, xhat, sg_w, mu_e, sg_e
 
 
 def tafr_refine(attended: FeaturePair, enhanced: FeaturePair, w: CafrWeights) -> np.ndarray:
     """Project each attended stream, renormalize it per channel to the
     enhanced stream's mean and scale, and concatenate to [2C,H,W]."""
-    return _refine(attended, enhanced, w)[0]
+    if attended.frame.shape != enhanced.frame.shape:
+        raise ShapeError(
+            f"attended {attended.frame.shape} vs enhanced {enhanced.frame.shape}"
+        )
+    halves = []
+    for att, enh, wmat in (
+        (attended.frame, enhanced.frame, w.wf), (attended.event, enhanced.event, w.we)
+    ):
+        _, xhat, _, mu_e, sg_e = _normalized(att, enh, wmat)
+        halves.append(sg_e[:, None, None] * xhat + mu_e[:, None, None])
+    return np.concatenate(halves, axis=0)
 
 
-def _half_refine_vjp(g, xhat, sg_w, sg_e, enh, t_ca, wmat):
-    """Backward for one stream of _refine.
+def _half_refine_vjp(g, att, enh, wmat):
+    """Backward for one stream of tafr_refine, from that stream's inputs.
 
     out = sg_e * xhat + mu_e with xhat = (x - mu_x)/sg_x. The x path is the
     usual instance-norm gradient; the enhanced stream gets the mu/sigma path.
     """
+    t_ca, xhat, sg_w, _, sg_e = _normalized(att, enh, wmat)
     g_xhat = g * sg_e[:, None, None]
     mean_g = g_xhat.mean(axis=(1, 2))
     mean_gx = (g_xhat * xhat).mean(axis=(1, 2))
@@ -392,16 +368,6 @@ def _half_refine_vjp(g, xhat, sg_w, sg_e, enh, t_ca, wmat):
     return _untokens(g_tca, g.shape), g_enh, dwmat
 
 
-def _refine_vjp(cache: _RefineCache, enhanced: FeaturePair, w: CafrWeights, gf, ge):
-    g_att_f, g_enh_f, dwf = _half_refine_vjp(
-        gf, cache.xhat_f, cache.sg_wf, cache.sg_ef, enhanced.frame, cache.t_caf, w.wf
-    )
-    g_att_e, g_enh_e, dwe = _half_refine_vjp(
-        ge, cache.xhat_e, cache.sg_we, cache.sg_ee, enhanced.event, cache.t_cae, w.we
-    )
-    return g_att_f, g_att_e, g_enh_f, g_enh_e, dwf, dwe
-
-
 # -- full module -------------------------------------------------------------------
 
 @dataclass
@@ -410,8 +376,7 @@ class CafrCache:
     pair: FeaturePair
     activated: FeaturePair
     enhanced: FeaturePair
-    attn: _AttnCache
-    refine: _RefineCache
+    attended: FeaturePair
 
 
 def cafr_forward(
@@ -432,14 +397,14 @@ def cafr_forward(
     _check_tokens(*pair.frame.shape[1:])
     activated = _activate(pair, w)
     enhanced = bci_enhance(activated) if use_mul_add else activated
-    attended, attn = _attention(enhanced, w) if use_cross_att else (enhanced, None)
+    attended = cross_self_attention(enhanced, w) if use_cross_att else enhanced
     if use_fr:
-        out, refine = _refine(attended, enhanced, w)
+        out = tafr_refine(attended, enhanced, w)
     else:
-        out, refine = np.concatenate([attended.frame, attended.event], axis=0), None
+        out = np.concatenate([attended.frame, attended.event], axis=0)
     if not (use_mul_add and use_cross_att and use_fr):
         return out, None
-    return out, CafrCache(w, pair, activated, enhanced, attn, refine)
+    return out, CafrCache(w, pair, activated, enhanced, attended)
 
 
 @dataclass
@@ -466,10 +431,10 @@ def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
         raise ShapeError(f"upstream gradient shape {gout.shape} does not match output")
 
     w = cache.weights
-    g_att_f, g_att_e, g_enh_f, g_enh_e, dwf, dwe = _refine_vjp(
-        cache.refine, cache.enhanced, w, gout[:c], gout[c:]
-    )
-    dtf, dte, dws = _attention_vjp(cache.attn, w, _tokens(g_att_f), _tokens(g_att_e))
+    att, enh = cache.attended, cache.enhanced
+    g_att_f, g_enh_f, dwf = _half_refine_vjp(gout[:c], att.frame, enh.frame, w.wf)
+    g_att_e, g_enh_e, dwe = _half_refine_vjp(gout[c:], att.event, enh.event, w.we)
+    dtf, dte, dws = _attention_vjp(enh, w, _tokens(g_att_f), _tokens(g_att_e))
     g_act_f, g_act_e = _enhance_vjp(
         cache.activated, g_enh_f + _untokens(dtf, shape), g_enh_e + _untokens(dte, shape)
     )

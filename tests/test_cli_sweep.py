@@ -7,9 +7,14 @@ pipeline-demo's scene dims, warp's output dims, head-decode's levels and base
 stride, and the CAFR feature dims and channels of cafr-gradcheck and
 cafr-forward, whose stages check their size before they allocate; not every
 allocating stage does, so elsewhere they could really allocate.
+
+A second sweep varies file content rather than flags: each calibration key
+out of the float range or non-numeric, and a calibration file or a weight
+bundle manifest nested too deep to parse.
 """
 
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -22,6 +27,8 @@ from evframe import (
     HeadConfig,
     encode_detections,
     encode_image,
+    init_cafr_weights,
+    save_weights,
     write_tensor,
 )
 from evframe.cli import main
@@ -381,4 +388,59 @@ def test_cafr_forward_over_a_budget_exits_1_before_the_fusion(
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert peak < peak_bound
+    assert not list(out_dir.iterdir())
+
+
+CALIB_KEYS = ("K_rgb", "K_event", "R_rgb", "R_event", "R_event_rgb")
+DEEP_JSON = b"[" * 100_000  # deeper than the JSON decoder's recursion limit
+
+
+def calibration_with(inputs, key, value) -> bytes:
+    """The fixture calibration with the first entry of ``key`` set to ``value``."""
+    doc = json.loads((inputs / "calib.json").read_text())
+    doc[key][0] = value
+    return json.dumps(doc).encode()
+
+
+FILE_CASES = [
+    pytest.param(
+        case, "calib.json", (key, value), f"'{key}' contains",
+        id=f"{case}:{key}={'10**400' if value == 10**400 else 'x'}",
+    )
+    for case in ("warp", "warp-labels")
+    for key in CALIB_KEYS
+    for value in (10**400, "x")
+] + [
+    pytest.param(
+        case, "calib.json", DEEP_JSON, "calibration is not valid JSON", id=f"{case}:nested"
+    )
+    for case in ("warp", "warp-labels")
+] + [
+    pytest.param(
+        "cafr-forward", "bundle/manifest.json", DEEP_JSON, "bundle manifest is not valid JSON",
+        id="cafr-forward:nested-manifest",
+    )
+]
+
+
+@pytest.mark.parametrize("case, name, content, message", FILE_CASES)
+def test_a_bad_input_file_exits_1_and_writes_nothing(
+    capsys, tmp_path, inputs, case, name, content, message
+):
+    # the case's inputs, with the one file ``name`` replaced
+    shutil.copytree(inputs, tmp_path / "in")
+    if isinstance(content, tuple):
+        content = calibration_with(inputs, *content)
+    extra = []
+    if case == "cafr-forward":
+        save_weights(init_cafr_weights(2), tmp_path / "in" / "bundle")
+        extra = ["--weights", str(tmp_path / "in" / "bundle")]
+    (tmp_path / "in" / name).write_bytes(content)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run_case(case, extra, tmp_path / "in", out_dir)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, ""), err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and message in err
     assert not list(out_dir.iterdir())

@@ -392,7 +392,7 @@ def test_fusion_memory_stays_linear_in_tokens():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert cache.attn is not None
+    assert cache.attended is not None
     assert max(a.size for a in cache_arrays(cache)) < n * n
 
 
@@ -474,6 +474,36 @@ def test_gradcheck_on_default_configuration():
     w = init_cafr_weights(4, seed=60)
     worst = cafr_gradcheck(pair, w, probes=25, step=1e-5, seed=0)
     assert worst < 1e-5
+
+
+def array_digest(named: dict) -> str:
+    h = hashlib.sha256()
+    for name, arr in named.items():
+        h.update(f"{name}{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (c, h, w) -> (digest of the fused output, digest of every gradient); the
+# 40x40 pair's 1 600 tokens take five attention blocks per stream
+PINNED_CAFR = {
+    (3, 1, 1): ("14aff2327de99792", "fd452499b99bc556"),
+    (4, 3, 5): ("c70a6a5f73c03d58", "9d623cd1e007b9f5"),
+    (6, 40, 40): ("12eb6e16d7abc6d1", "753a58717ae20ac5"),
+}
+
+
+@pytest.mark.parametrize("c, h, wdt", sorted(PINNED_CAFR))
+def test_forward_and_gradient_bytes_are_pinned(c, h, wdt):
+    # bytes, not tolerances: a backward that rebuilds what it needs must
+    # redo the forward's ops in the forward's order
+    rng = philox(70 + c)
+    pair = FeaturePair(rng.standard_normal((c, h, wdt)), rng.standard_normal((c, h, wdt)))
+    out, cache = cafr_forward(pair, init_cafr_weights(c, seed=70 + c))
+    grads = cafr_backward(cache, rng.standard_normal(out.shape))
+    named = {"frame": grads.frame, "event": grads.event}
+    named.update((name, grads.weights[name]) for name in BUNDLE_MEMBERS)
+    assert (array_digest({"out": out}), array_digest(named)) == PINNED_CAFR[c, h, wdt]
 
 
 def test_activation_gradients_match_finite_differences_at_every_coordinate():

@@ -1,6 +1,7 @@
 """The package's export list: each name once, and none that only tests call;
 no defaulted parameter, and no defaulted dataclass field, that only tests
-pass; and one home for the budget refusal."""
+pass; one home for the budget refusal; and no JSON parse that lets deep
+nesting out as a bare RecursionError."""
 
 import ast
 import dataclasses
@@ -185,3 +186,40 @@ def test_the_budget_helper_refuses_what_is_not_within_the_budget(need):
     with pytest.raises(DomainError, match=rf"^a test stage needs {need} bytes, over the 10-byte budget$"):
         check_budget("a test stage", need, "byte", 10)
     check_budget("a test stage", 10, "byte", 10)
+
+
+def _catches_recursion(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "RecursionError" for t in caught)
+
+
+def test_every_json_parse_catches_deep_nesting():
+    # json.loads recurses once per nesting level, so a file of 100 000 "["
+    # raises RecursionError; every parse must turn it into a typed error
+    unguarded = set()
+
+    def visit(node, where, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "loads"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            and not guarded
+        ):
+            unguarded.add(where)
+        if isinstance(node, ast.Try):
+            inner = guarded or any(_catches_recursion(h) for h in node.handlers)
+            for child in node.body:
+                visit(child, where, inner)
+            for child in node.handlers + node.orelse + node.finalbody:
+                visit(child, where, guarded)
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, where, guarded)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.name, False)
+    assert unguarded == set()
