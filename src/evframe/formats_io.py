@@ -724,9 +724,9 @@ _CALIB_KEYS = ("K_rgb", "K_event", "R_rgb", "R_event", "R_event_rgb")
 def parse_calibration(data: bytes) -> CameraRig:
     """Parse calibration JSON into a validated CameraRig.
 
-    Each key holds a 9-element row-major array. Rotation orthonormality is
-    checked to 1e-6; intrinsics must be upper-triangular with positive
-    diagonal.
+    Each key holds a 9-element row-major array of finite JSON numbers (not
+    strings or booleans). Rotation orthonormality is checked to 1e-6;
+    intrinsics must be upper-triangular with positive diagonal.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -741,12 +741,15 @@ def parse_calibration(data: bytes) -> CameraRig:
         raw = doc[key]
         if not isinstance(raw, list) or len(raw) != 9:
             raise SchemaError(f"'{key}' must be a 9-element row-major array")
+        if not all(type(v) in (int, float) for v in raw):  # JSON numbers; true is a bool
+            raise SchemaError(f"'{key}' contains a non-numeric entry")
         try:
-            matrices[key] = np.array([float(v) for v in raw], dtype=np.float64).reshape(3, 3)
-        except (TypeError, ValueError):
-            raise SchemaError(f"'{key}' contains a non-numeric entry") from None
+            m = np.array([float(v) for v in raw], dtype=np.float64)
         except OverflowError:  # a JSON integer beyond the float64 range
             raise SchemaError(f"'{key}' contains an entry beyond the float64 range") from None
+        if not np.all(np.isfinite(m)):  # the JSON literals NaN, Infinity, 1e999
+            raise SchemaError(f"'{key}' contains a non-finite entry")
+        matrices[key] = m.reshape(3, 3)
     return CameraRig(
         k_rgb=matrices["K_rgb"],
         k_event=matrices["K_event"],

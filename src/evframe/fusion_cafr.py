@@ -34,7 +34,7 @@ from .tensor_math import (
     linear_vjp,
     philox,
     relative_error,
-    softmax_rows,
+    softmax_rows_inplace,
     softmax_rows_vjp,
     uniform_conv,
 )
@@ -234,12 +234,20 @@ def _check_tokens(height: int, width: int) -> None:
     check_budget(f"CAFR fusion over {height}x{width} features", height * width, "token", MAX_TOKENS)
 
 
-def _score_blocks(q: np.ndarray, k: np.ndarray, scale: float):
-    """Yield (rows, q[rows] @ k.T * scale) block by block.
+def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
+    """Yield (rows, softmax_rows(q[rows] @ k.T * scale)) block by block.
 
-    Every block is written into one reused buffer, so the loop allocates no
-    fresh B x N scores per block; the next block overwrites the yielded view.
+    Every block is scored and softmaxed in place in one reused buffer, so the
+    loop allocates no B x N array; the next block overwrites the yielded view.
+    Finiteness is proven once for the whole attention from the row norms;
+    only when that bound fails is each block checked.
     """
+    # Cauchy-Schwarz bounds every |q_i . k_j|, and every partial sum of its
+    # terms, by max|q_i| * max|k_j|; the margin from 1e300 to float64's
+    # 1.8e308 absorbs the rounding. A NaN bound fails the test too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(q, axis=1).max() * np.linalg.norm(k, axis=1).max() * scale
+    check = not bound < 1e300
     n = q.shape[0]
     b = min(n, max(1, ATTN_BLOCK_BYTES // (8 * k.shape[0])))
     buf = np.empty((b, k.shape[0]))
@@ -248,14 +256,16 @@ def _score_blocks(q: np.ndarray, k: np.ndarray, scale: float):
         scores = buf[: rows.stop - s]
         np.matmul(q[rows], k.T, out=scores)
         scores *= scale
-        yield rows, scores
+        if check and not np.all(np.isfinite(scores)):
+            raise DomainError("softmax input must be finite")
+        yield rows, softmax_rows_inplace(scores)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     """softmax_rows(q @ k.T * scale) @ v, one block of query rows at a time."""
     out = np.empty((q.shape[0], v.shape[1]))
-    for rows, scores in _score_blocks(q, k, scale):
-        out[rows] = softmax_rows(scores) @ v
+    for rows, a in _attention_blocks(q, k, scale):
+        np.matmul(a, v, out=out[rows])
     return out
 
 
@@ -264,8 +274,7 @@ def _attend_vjp(q, k, v, scale: float, g: np.ndarray):
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    for rows, scores in _score_blocks(q, k, scale):
-        a = softmax_rows(scores)
+    for rows, a in _attention_blocks(q, k, scale):
         dv += a.T @ g[rows]
         ds = softmax_rows_vjp(a, g[rows] @ v.T)
         dq[rows] = ds @ k * scale

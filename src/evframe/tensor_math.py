@@ -3,7 +3,11 @@
 Forward ops work on plain numpy arrays (row-major, rank <= 4). The ops the
 fusion backward differentiates (linear, softmax_rows, channel_stats) each
 have a ``*_vjp`` taking the arrays its forward used or returned, so the
-fusion module chains them by hand. ``conv2d`` runs forward only: the one
+fusion module chains them by hand. There is one softmax,
+``softmax_rows_inplace``, unchecked and in place on finite float64 rows;
+``softmax_rows`` is its checked form on a copy. Fusion's blocked attention
+runs the in-place step in its reused score buffer, with finiteness proven
+once per attention. ``conv2d`` runs forward only: the one
 differentiated conv, fusion's 1x1 activation, is a plain matrix product.
 Conv weights are held, and convolutions computed, in float64.
 """
@@ -140,20 +144,26 @@ def linear_vjp(x: np.ndarray, weight: np.ndarray, gy: np.ndarray):
 
 # -- softmax -------------------------------------------------------------------
 
+def softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a finite float64 [B,N] array, written over it.
+
+    Unchecked: the caller proves the rows finite. Max subtraction keeps exp
+    from overflowing, and no pass allocates a B x N temporary.
+    """
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability."""
+    """Row-wise softmax of a finite [N,M] array, as a new float64 array."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise ShapeError(f"softmax input must be [N,M], got rank {x.ndim}")
     if not np.all(np.isfinite(x)):
         raise DomainError("softmax input must be finite")
-    # one output array, updated in place: blocked attention calls this once
-    # per block, and with a fresh temporary per step the allocator handed the
-    # freed pages back and faulted them in again on every block
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    return softmax_rows_inplace(x.astype(np.float64))
 
 
 def softmax_rows_vjp(s: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -402,14 +402,25 @@ def calibration_with(inputs, key, value) -> bytes:
     return json.dumps(doc).encode()
 
 
+# calibration entries that are not finite JSON numbers, by test id
+BAD_ENTRIES = {
+    "10**400": 10**400,
+    "x": "x",
+    "str-nan": "nan",
+    "str-Infinity": "Infinity",
+    "str-2": "2",
+    "true": True,
+    "NaN": float("nan"),
+    "Infinity": float("inf"),
+}
+
 FILE_CASES = [
     pytest.param(
-        case, "calib.json", (key, value), f"'{key}' contains",
-        id=f"{case}:{key}={'10**400' if value == 10**400 else 'x'}",
+        case, "calib.json", (key, value), f"'{key}' contains", id=f"{case}:{key}={label}"
     )
     for case in ("warp", "warp-labels")
     for key in CALIB_KEYS
-    for value in (10**400, "x")
+    for label, value in BAD_ENTRIES.items()
 ] + [
     pytest.param(
         case, "calib.json", DEEP_JSON, "calibration is not valid JSON", id=f"{case}:nested"

@@ -258,8 +258,15 @@ def test_calibration_that_is_not_json_is_a_parse_error():
         ({"R_event": "identity"}, "'R_event' must be a 9-element row-major array"),
         ({"K_event": [1, 0, 0, 0, 1, 0, 0, 0, "x"]}, "'K_event' contains a non-numeric entry"),
         ({"R_rgb": [1, 0, 0, 0, 1, 0, 0, 0, None]}, "'R_rgb' contains a non-numeric entry"),
+        ({"K_rgb": [True, 0, 0, 0, 1, 0, 0, 0, 1]}, "'K_rgb' contains a non-numeric entry"),
+        ({"K_rgb": ["2", 0, 0, 0, 1, 0, 0, 0, 1]}, "'K_rgb' contains a non-numeric entry"),
+        ({"R_event": [float("nan")] + [0] * 8}, "'R_event' contains a non-finite entry"),
+        ({"R_event": [float("inf")] + [0] * 8}, "'R_event' contains a non-finite entry"),
     ],
-    ids=["array-root", "eight-entries", "string-matrix", "string-entry", "null-entry"],
+    ids=[
+        "array-root", "eight-entries", "string-matrix", "string-entry", "null-entry",
+        "bool-entry", "numeric-string-entry", "nan-entry", "infinity-entry",
+    ],
 )
 def test_calibration_refuses_a_malformed_document(patch, message):
     doc = json.loads(calibration_json(small_rig()))

@@ -27,7 +27,13 @@ from evframe import (
 )
 from evframe import fusion_cafr
 from evframe.fusion_cafr import BUNDLE_MEMBERS, LINEAR_NAMES, weight_arrays
-from evframe.tensor_math import ConvWeights, relative_error, softmax_rows
+from evframe.tensor_math import (
+    ConvWeights,
+    relative_error,
+    softmax_rows,
+    softmax_rows_inplace,
+    softmax_rows_vjp,
+)
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
 from conftest import numeric_grad, philox
 
@@ -304,9 +310,9 @@ def spy_block_rows(monkeypatch) -> list:
 
     def spy(x):
         seen.append(x.shape[0])
-        return softmax_rows(x)
+        return softmax_rows_inplace(x)
 
-    monkeypatch.setattr(fusion_cafr, "softmax_rows", spy)
+    monkeypatch.setattr(fusion_cafr, "softmax_rows_inplace", spy)
     return seen
 
 
@@ -366,6 +372,42 @@ def test_blocked_backward_passes_gradcheck(monkeypatch, h, wdt, rows, blocks):
     assert worst < 1e-5, f"worst relative error {worst:.3e}"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_attention_refuses_scores_that_overflow():
+    # the row-norm bound overflows, so each block is checked: the scores are
+    # -inf and 0, which an unchecked softmax would turn into a finite output
+    q = np.array([[1e200, 1e200]])
+    k = np.array([[-1e200, -1e200], [0.0, 0.0]])
+    v = np.array([[1.0], [2.0]])
+    scale = 1.0 / np.sqrt(2.0)
+    with pytest.raises(DomainError, match="softmax input must be finite"):
+        fusion_cafr._attend(q, k, v, scale)
+    with pytest.raises(DomainError, match="softmax input must be finite"):
+        fusion_cafr._attend_vjp(q, k, v, scale, np.ones((1, 1)))
+
+
+def test_attention_with_a_failed_bound_but_finite_scores_runs_checked():
+    q = np.array([[1e200, 0.0]])
+    k = np.array([[0.0, 1e200]])
+    v = np.array([[3.0, -1.0]])
+    g = np.array([[0.5, 2.0]])
+    scale = 1.0 / np.sqrt(2.0)
+    a = softmax_rows(q @ k.T * scale)
+    assert fusion_cafr._attend(q, k, v, scale).tobytes() == (a @ v).tobytes()
+    ds = softmax_rows_vjp(a, g @ v.T)
+    want = (ds @ k * scale, ds.T @ q * scale, a.T @ g)
+    got = fusion_cafr._attend_vjp(q, k, v, scale, g)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_cafr_forward_refuses_overflowing_attention_scores():
+    # enhanced tokens of 1e160 and 2e160 in 4 channels: every score overflows
+    pair = FeaturePair(np.full((4, 2, 3), 1e160), np.ones((4, 2, 3)))
+    with pytest.raises(DomainError, match="softmax input must be finite"):
+        cafr_forward(pair, identity_weights(4))
+
+
 def cache_arrays(obj):
     if isinstance(obj, np.ndarray):
         yield obj
@@ -394,6 +436,22 @@ def test_fusion_memory_stays_linear_in_tokens():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert cache.attended is not None
     assert max(a.size for a in cache_arrays(cache)) < n * n
+
+
+def test_attention_peaks_within_one_and_a_half_score_blocks():
+    # the pair of the test above: 2 700 tokens, 194-row blocks of ~4 MiB; the
+    # softmax runs in the block's own buffer, so no second B x N array exists
+    rng = philox(66)
+    c, h, wdt = 8, 45, 60
+    pair = FeaturePair(rng.standard_normal((c, h, wdt)), rng.standard_normal((c, h, wdt)))
+    w = init_cafr_weights(c, seed=66)
+    tracemalloc.start()
+    try:
+        cross_self_attention(pair, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * fusion_cafr.ATTN_BLOCK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
 # -- stage 4: refinement -------------------------------------------------------------
@@ -485,11 +543,13 @@ def array_digest(named: dict) -> str:
 
 
 # (c, h, w) -> (digest of the fused output, digest of every gradient); the
-# 40x40 pair's 1 600 tokens take five attention blocks per stream
+# 40x40 pair's 1 600 tokens take five attention blocks per stream, and the
+# bench-scale 65x87 pair's 5 655 tokens 62, pinned by its forward alone
 PINNED_CAFR = {
     (3, 1, 1): ("14aff2327de99792", "fd452499b99bc556"),
     (4, 3, 5): ("c70a6a5f73c03d58", "9d623cd1e007b9f5"),
     (6, 40, 40): ("12eb6e16d7abc6d1", "753a58717ae20ac5"),
+    (8, 65, 87): ("69449b1f5359d6de", None),
 }
 
 
@@ -500,10 +560,14 @@ def test_forward_and_gradient_bytes_are_pinned(c, h, wdt):
     rng = philox(70 + c)
     pair = FeaturePair(rng.standard_normal((c, h, wdt)), rng.standard_normal((c, h, wdt)))
     out, cache = cafr_forward(pair, init_cafr_weights(c, seed=70 + c))
+    want_out, want_grads = PINNED_CAFR[c, h, wdt]
+    assert array_digest({"out": out}) == want_out
+    if want_grads is None:
+        return
     grads = cafr_backward(cache, rng.standard_normal(out.shape))
     named = {"frame": grads.frame, "event": grads.event}
     named.update((name, grads.weights[name]) for name in BUNDLE_MEMBERS)
-    assert (array_digest({"out": out}), array_digest(named)) == PINNED_CAFR[c, h, wdt]
+    assert array_digest(named) == want_grads
 
 
 def test_activation_gradients_match_finite_differences_at_every_coordinate():

@@ -21,6 +21,7 @@ from evframe.tensor_math import (
     linear_vjp,
     relative_error,
     softmax_rows,
+    softmax_rows_inplace,
     softmax_rows_vjp,
 )
 from conftest import numeric_grad, philox
@@ -219,6 +220,18 @@ def test_softmax_survives_large_logits():
 def test_softmax_rejects_non_finite_input():
     with pytest.raises(DomainError):
         softmax_rows(np.array([[np.inf, 0.0]]))
+
+
+def test_softmax_rows_is_the_in_place_step_on_a_float64_copy(rng):
+    x = rng.standard_normal((6, 9)) * 20.0
+    before = x.copy()
+    s = softmax_rows(x)
+    assert np.array_equal(x, before)
+    y = x.copy()
+    assert softmax_rows_inplace(y) is y
+    assert s.tobytes() == y.tobytes()
+    ints = np.array([[0, 1, 2], [5, 5, 5]])
+    assert softmax_rows(ints).tobytes() == softmax_rows(ints.astype(np.float64)).tobytes()
 
 
 def test_softmax_backward_matches_finite_differences(rng):
