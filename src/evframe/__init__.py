@@ -101,7 +101,6 @@ from .corruption_bench import (
     corrupt_dataset,
     corruption_seed,
     psnr,
-    severity_params,
 )
 from .demo import PipelineResult, run_pipeline_demo
 

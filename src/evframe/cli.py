@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .corruption_bench import (
@@ -296,7 +297,7 @@ def _cmd_head_decode(ns) -> dict:
 def _cmd_eval_map(ns) -> dict:
     preds = decode_detections(Path(ns.pred).read_bytes())
     gts = decode_detections(Path(ns.gt).read_bytes())
-    payload = map_coco(preds, gts, max_detections=ns.max_detections).to_dict()
+    payload = asdict(map_coco(preds, gts, max_detections=ns.max_detections))
     if ns.out is not None:
         _write_json(ns.out, payload)
     return payload
@@ -329,7 +330,7 @@ def _cmd_eval_mpc(ns) -> dict:
             )
     matrix = [per_type[name] for name in known]
     if data.get("map_clean") is not None:
-        payload = build_mpc_report(data["map_clean"], matrix).to_dict()
+        payload = asdict(build_mpc_report(data["map_clean"], matrix))
     else:
         payload = {"mpc": mpc(matrix), "map_matrix": matrix}
     if ns.out is not None:
@@ -345,7 +346,7 @@ def _cmd_pipeline_demo(ns) -> dict:
         height=ns.height,
         dropout_p=ns.dropout,
     )
-    return result.to_dict()
+    return asdict(result)
 
 
 # -- parser assembly ----------------------------------------------------------------

@@ -50,9 +50,9 @@ class CorruptionType(Enum):
     JPEG_COMPRESSION = "jpeg_compression"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorruptionSpec:
-    """One corruption instance: type, severity 1..5, RNG seed."""
+    """One corruption instance: type, severity 1..5, RNG seed; immutable once checked."""
 
     ctype: CorruptionType
     severity: int
@@ -102,13 +102,6 @@ SEVERITY_TABLE = {
     CorruptionType.PIXELATE: tuple({"factor": k} for k in (2, 3, 4, 6, 8)),
     CorruptionType.JPEG_COMPRESSION: tuple({"quality": q} for q in (25, 18, 12, 8, 5)),
 }
-
-
-def severity_params(ctype: CorruptionType, severity: int) -> dict:
-    """The authored parameter record for (type, severity)."""
-    if not isinstance(severity, int) or not 1 <= severity <= 5:
-        raise DomainError(f"severity must be an integer in [1,5], got {severity}")
-    return dict(SEVERITY_TABLE[CorruptionType(ctype)][severity - 1])
 
 
 # -- noise family -----------------------------------------------------------------
@@ -409,7 +402,7 @@ def corrupt_jpeg_compression(arr: np.ndarray, rng, quality: int) -> np.ndarray:
 
 # -- dispatch ---------------------------------------------------------------------
 
-# Each is called as fn(arr, rng, **severity_params(ctype, severity)).
+# Each is called as fn(arr, rng, **SEVERITY_TABLE[ctype][severity - 1]).
 _CORRUPT = {
     CorruptionType.GAUSSIAN_NOISE: corrupt_gaussian_noise,
     CorruptionType.SHOT_NOISE: corrupt_shot_noise,
@@ -431,7 +424,7 @@ _CORRUPT = {
 
 def apply_corruption(img: ImagePNM, spec: CorruptionSpec) -> ImagePNM:
     """Apply one corruption; output has the same dims/channels, clamped bytes."""
-    params = severity_params(spec.ctype, spec.severity)
+    params = SEVERITY_TABLE[spec.ctype][spec.severity - 1]
     arr = img.to_float01()
     out = np.asarray(_CORRUPT[spec.ctype](arr, philox(spec.seed), **params), dtype=np.float64)
     if out.shape != arr.shape:

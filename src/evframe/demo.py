@@ -10,7 +10,7 @@ inline so a single run exercises the whole stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +53,6 @@ class PipelineResult:
     map: float
     map50: float
     outputs: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "n_events": self.n_events,
-            "grid_shape": list(self.grid_shape),
-            "fused_shape": list(self.fused_shape),
-            "n_detections": self.n_detections,
-            "map": self.map,
-            "map50": self.map50,
-            "outputs": dict(self.outputs),
-        }
 
 
 def make_scene(width: int = 64, height: int = 48, seed: int = 0):
@@ -199,5 +188,5 @@ def run_pipeline_demo(
             "ground_truth": str(gt_path),
         },
     )
-    (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2))
+    (out / "summary.json").write_text(json.dumps(asdict(summary), indent=2))
     return summary

@@ -177,9 +177,6 @@ class MapResult:
     map50: float
     per_class: dict
 
-    def to_dict(self) -> dict:
-        return {"map": self.map, "map50": self.map50, "per_class": dict(self.per_class)}
-
 
 def map_coco(
     preds: Sequence[DetectionRecord],
@@ -305,14 +302,6 @@ class MpcReport:
             raise ValidationError("mpc does not match its matrix")
         if any(not 0.0 <= v <= 1.0 for v in flat):
             raise ValidationError("matrix entries must lie in [0,1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "map_clean": self.map_clean,
-            "map_matrix": [list(r) for r in self.map_matrix],
-            "mpc": self.mpc,
-            "rpc_per_severity": list(self.rpc_per_severity),
-        }
 
 
 def build_mpc_report(map_clean: float, map_matrix) -> MpcReport:

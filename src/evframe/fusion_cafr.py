@@ -30,8 +30,6 @@ from .tensor_math import (
     channel_stats,
     channel_stats_vjp,
     conv2d,
-    linear,
-    linear_vjp,
     philox,
     relative_error,
     softmax_rows_inplace,
@@ -183,10 +181,14 @@ def _untokens(t: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- stage 1: activation ---------------------------------------------------------
 
-def _activate(pair: FeaturePair, w: CafrWeights) -> FeaturePair:
-    """Per-stream 1x1 convolution."""
+def _check_channels(pair: FeaturePair, w: CafrWeights) -> None:
     if pair.channels != w.channels:
         raise ShapeError(f"pair has {pair.channels} channels, weights expect {w.channels}")
+
+
+def _activate(pair: FeaturePair, w: CafrWeights) -> FeaturePair:
+    """Per-stream 1x1 convolution."""
+    _check_channels(pair, w)
     return FeaturePair(conv2d(pair.frame, w.conv1x1_f), conv2d(pair.event, w.conv1x1_e))
 
 
@@ -254,8 +256,10 @@ def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
     for s in range(0, n, b):
         rows = slice(s, min(s + b, n))
         scores = buf[: rows.stop - s]
-        np.matmul(q[rows], k.T, out=scores)
-        scores *= scale
+        # an overflow here is refused just below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(q[rows], k.T, out=scores)
+            scores *= scale
         if check and not np.all(np.isfinite(scores)):
             raise DomainError("softmax input must be finite")
         yield rows, softmax_rows_inplace(scores)
@@ -285,6 +289,7 @@ def _attend_vjp(q, k, v, scale: float, g: np.ndarray):
 def _projections(enhanced: FeaturePair, w: CafrWeights):
     """(tf, te, scale, (qe, ke, vf), (qf, kf, ve)): both streams' tokens, the
     score scale, and the (query, key, value) triple of each output stream."""
+    _check_channels(enhanced, w)
     tf = _tokens(enhanced.frame)
     te = _tokens(enhanced.event)
     if not len(tf):
@@ -292,8 +297,8 @@ def _projections(enhanced: FeaturePair, w: CafrWeights):
     scale = 1.0 / math.sqrt(enhanced.channels)
     # each stream's values are mixed under weights derived from the other
     # stream's own query/key pair
-    qkv_f = (linear(te, w.wq_e), linear(te, w.wk_e), linear(tf, w.wv_f))
-    qkv_e = (linear(tf, w.wq_f), linear(tf, w.wk_f), linear(te, w.wv_e))
+    qkv_f = (te @ w.wq_e, te @ w.wk_e, tf @ w.wv_f)
+    qkv_e = (tf @ w.wq_f, tf @ w.wk_f, te @ w.wv_e)
     return tf, te, scale, qkv_f, qkv_e
 
 
@@ -313,17 +318,12 @@ def _attention_vjp(enhanced: FeaturePair, w: CafrWeights, g_caf: np.ndarray, g_c
     dqe, dke, dvf = _attend_vjp(*qkv_f, scale, g_caf)
     dqf, dkf, dve = _attend_vjp(*qkv_e, scale, g_cae)
 
-    dws = {}
-    dtf, dws["wv_f"] = linear_vjp(tf, w.wv_f, dvf)
-    d, dws["wq_f"] = linear_vjp(tf, w.wq_f, dqf)
-    dtf = dtf + d
-    d, dws["wk_f"] = linear_vjp(tf, w.wk_f, dkf)
-    dtf = dtf + d
-    dte, dws["wq_e"] = linear_vjp(te, w.wq_e, dqe)
-    d, dws["wk_e"] = linear_vjp(te, w.wk_e, dke)
-    dte = dte + d
-    d, dws["wv_e"] = linear_vjp(te, w.wv_e, dve)
-    dte = dte + d
+    dtf = dvf @ w.wv_f.T + dqf @ w.wq_f.T + dkf @ w.wk_f.T
+    dte = dqe @ w.wq_e.T + dke @ w.wk_e.T + dve @ w.wv_e.T
+    dws = {
+        "wv_f": tf.T @ dvf, "wq_f": tf.T @ dqf, "wk_f": tf.T @ dkf,
+        "wq_e": te.T @ dqe, "wk_e": te.T @ dke, "wv_e": te.T @ dve,
+    }
     return dtf, dte, dws
 
 
@@ -334,7 +334,7 @@ def _normalized(att: np.ndarray, enh: np.ndarray, wmat: np.ndarray):
     projection x normalized per channel to xhat = (x - mu_x)/sg_x, sg_x, and
     the enhanced stream's mean and scale."""
     t_ca = _tokens(att)
-    w_map = _untokens(linear(t_ca, wmat), att.shape)
+    w_map = _untokens(t_ca @ wmat, att.shape)
     mu_w, sg_w = channel_stats(w_map)
     mu_e, sg_e = channel_stats(enh)
     xhat = (w_map - mu_w[:, None, None]) / sg_w[:, None, None]
@@ -348,6 +348,7 @@ def tafr_refine(attended: FeaturePair, enhanced: FeaturePair, w: CafrWeights) ->
         raise ShapeError(
             f"attended {attended.frame.shape} vs enhanced {enhanced.frame.shape}"
         )
+    _check_channels(attended, w)
     halves = []
     for att, enh, wmat in (
         (attended.frame, enhanced.frame, w.wf), (attended.event, enhanced.event, w.we)
@@ -373,8 +374,8 @@ def _half_refine_vjp(g, att, enh, wmat):
     gsigma = (g * xhat).sum(axis=(1, 2))
     g_enh = channel_stats_vjp(enh, sg_e, gmu, gsigma)
 
-    g_tca, dwmat = linear_vjp(t_ca, wmat, _tokens(g_wmap))
-    return _untokens(g_tca, g.shape), g_enh, dwmat
+    g_tok = _tokens(g_wmap)
+    return _untokens(g_tok @ wmat.T, g.shape), g_enh, t_ca.T @ g_tok
 
 
 # -- full module -------------------------------------------------------------------

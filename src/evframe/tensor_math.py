@@ -1,13 +1,13 @@
 """Dense tensor kernels, with the vector-Jacobian products fusion needs.
 
-Forward ops work on plain numpy arrays (row-major, rank <= 4). The ops the
-fusion backward differentiates (linear, softmax_rows, channel_stats) each
-have a ``*_vjp`` taking the arrays its forward used or returned, so the
-fusion module chains them by hand. There is one softmax,
-``softmax_rows_inplace``, unchecked and in place on finite float64 rows;
-``softmax_rows`` is its checked form on a copy. Fusion's blocked attention
-runs the in-place step in its reused score buffer, with finiteness proven
-once per attention. ``conv2d`` runs forward only: the one
+Forward ops work on plain numpy arrays (row-major, rank <= 4). Softmax and
+the channel statistics each have a ``*_vjp`` taking the arrays its forward
+used or returned, which the fusion backward chains by hand; fusion writes
+its projections and their gradients as plain matrix products. There is one
+softmax, ``softmax_rows_inplace``, unchecked and in place on finite float64
+rows; ``softmax_rows`` is its checked form on a copy. Fusion's blocked
+attention runs the in-place step in its reused score buffer, with
+finiteness proven once per attention. ``conv2d`` runs forward only: the one
 differentiated conv, fusion's 1x1 activation, is a plain matrix product.
 Conv weights are held, and convolutions computed, in float64.
 """
@@ -123,23 +123,6 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.n
         y[:, r:r + n] = (k @ _im2col(rows, w.k_h, w.k_w, stride, n, ow)).reshape(w.out_ch, n, ow)
     y += w.bias[:, None, None]
     return y
-
-
-# -- linear projection ---------------------------------------------------------
-
-def linear(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Row-wise projection [N,D_in] @ [D_in,D_out]."""
-    x = np.asarray(x)
-    weight = np.asarray(weight)
-    if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
-        raise ShapeError(f"cannot multiply {x.shape} by {weight.shape}")
-    return x @ weight
-
-
-def linear_vjp(x: np.ndarray, weight: np.ndarray, gy: np.ndarray):
-    """Gradients (dx, dweight) for linear."""
-    gy = np.asarray(gy)
-    return gy @ weight.T, x.T @ gy
 
 
 # -- softmax -------------------------------------------------------------------

@@ -9,6 +9,8 @@ from evframe import CameraRig, ImagePNM
 
 
 def philox(seed: int) -> np.random.Generator:
+    """``Generator(Philox(seed))``: the seed goes in as Philox's seed, not its key,
+    so for the same seed this stream differs from ``evframe.tensor_math.philox``."""
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, config merging, file plumbing."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from evframe import (
     write_tensor,
 )
 from evframe.cli import main
+from evframe.fusion_cafr import weight_arrays
 from conftest import calibration_json, philox, rgb_image, gray_image, small_rig
 
 
@@ -518,6 +520,28 @@ def test_cafr_forward_bundle_for_other_channels_exits_1(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_cafr_forward_overflowing_attention_prints_only_the_error(capsys, tmp_path):
+    # queries of +1e38 against keys of -1e38 on inputs of 1e38: the scores
+    # overflow to -inf, which is refused without a numpy warning first
+    w = init_cafr_weights(2)
+    for name, arr in weight_arrays(w).items():
+        if name.endswith(".kernel") or name.startswith("wq_"):
+            arr[...] = 1e38
+        elif name.startswith("wk_"):
+            arr[...] = -1e38
+    bundle = tmp_path / "weights"
+    save_weights(w, bundle)
+    ff = tmp_path / "ff.ftns"
+    write_tensor(ff, np.full((2, 3, 4), 1e38, dtype=np.float32))
+    out = tmp_path / "fused.ftns"
+    code, stdout, err = run(
+        capsys, "cafr-forward", "--frame-features", str(ff), "--event-features", str(ff),
+        "--weights", str(bundle), "--out", str(out),
+    )
+    assert (code, stdout, err) == (1, "", "error: softmax input must be finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "member, value, message",
     [
@@ -827,6 +851,62 @@ def test_pipeline_demo_runs_the_smallest_scene(capsys, tmp_path):
         capsys, "pipeline-demo", "--out-dir", str(tmp_path), "--width", "17", "--height", "13"
     )
     assert code == 0, err
+
+
+# -- report bytes ------------------------------------------------------------------
+
+
+def report_bytes(capsys, tmp_path, case):
+    """Stdout, then the bytes of the JSON file the run wrote, for one case."""
+    if case == "eval-map":
+        rng = philox(41)
+        gts, preds = [], []
+        for image in range(4):
+            for cat in range(3):
+                x, y = rng.uniform(0, 40, 2)
+                gts.append(DetectionRecord(image, cat, (x, y, 12.5, 9.25), None))
+                for score in rng.uniform(0, 1, 3):
+                    dx, dy = rng.normal(0, 3, 2)
+                    preds.append(DetectionRecord(image, cat, (x + dx, y + dy, 12.0, 10.0), score))
+        (tmp_path / "gt.jsonl").write_bytes(encode_detections(gts))
+        (tmp_path / "pred.jsonl").write_bytes(encode_detections(preds))
+        argv = ["eval-map", "--pred", "pred.jsonl", "--gt", "gt.jsonl", "--out", "report.json"]
+        report = "report.json"
+    elif case.startswith("eval-mpc"):
+        per_type = {c.value: [0.61 - i / 37 - s / 19 for s in range(5)]
+                    for i, c in enumerate(CorruptionType)}
+        doc = {"per_type": per_type}
+        if case.endswith("clean"):
+            doc["map_clean"] = 0.73
+        (tmp_path / "mpc.json").write_text(json.dumps(doc))
+        argv = ["eval-mpc", "--input", "mpc.json", "--out", "report.json"]
+        report = "report.json"
+    else:
+        argv = ["pipeline-demo", "--out-dir", "demo", "--seed", case.rpartition("/")[2]]
+        report = "demo/summary.json"
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return out.encode(), (tmp_path / report).read_bytes()
+
+
+# sha256 prefixes of each case's stdout and report bytes, recorded while the
+# reports were still built by hand-written to_dict methods
+REPORT_DIGESTS = {
+    "eval-map": "4c905bbf3378c83c",
+    "eval-mpc": "8c544af8ae5c5708",
+    "eval-mpc/map_clean": "edffcab702a498fa",
+    "pipeline-demo/0": "43bcfb8d6bcdf4f4",
+    "pipeline-demo/3": "bfadee31d2dba82a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
+def test_json_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for part in report_bytes(capsys, tmp_path, case):
+        h.update(len(part).to_bytes(8, "little") + part)
+    assert h.hexdigest()[:16] == REPORT_DIGESTS[case]
 
 
 # -- config entries are flags ------------------------------------------------------

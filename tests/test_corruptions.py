@@ -1,5 +1,6 @@
 """Corruption battery: determinism, output contracts, per-type oracles, the runner."""
 
+import dataclasses
 import json
 from concurrent.futures import Future
 
@@ -19,7 +20,6 @@ from evframe import (
     corruption_seed,
     decode_image,
     psnr,
-    severity_params,
 )
 from evframe import corruption_bench
 from evframe.corruption_bench import SEVERITY_TABLE
@@ -41,18 +41,17 @@ def test_fifteen_types_with_five_severity_rows_each():
         assert len(SEVERITY_TABLE[ctype]) == 5
 
 
-def test_severity_params_are_copies():
-    p = severity_params(CorruptionType.GAUSSIAN_NOISE, 3)
-    p["sigma"] = 999.0
-    assert severity_params(CorruptionType.GAUSSIAN_NOISE, 3)["sigma"] == 0.12
-
-
 def test_severity_bounds():
     for bad in (0, 6, 2.5):
-        with pytest.raises(DomainError):
-            severity_params(CorruptionType.FOG, bad)
-    with pytest.raises(DomainError):
-        CorruptionSpec(CorruptionType.FOG, 0)
+        with pytest.raises(DomainError, match="severity must be an integer in"):
+            CorruptionSpec(CorruptionType.FOG, bad)
+
+
+def test_a_checked_spec_cannot_be_changed():
+    # apply_corruption indexes the severity table with it unchecked
+    spec = CorruptionSpec(CorruptionType.FOG, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.severity = 0
 
 
 def test_spec_rejects_non_enum_type():
@@ -113,7 +112,7 @@ def test_corruption_changes_the_image():
 def test_brightness_is_an_additive_lift():
     img = small_rgb(21)
     out = apply_corruption(img, CorruptionSpec(CorruptionType.BRIGHTNESS, 2, seed=0))
-    lift = severity_params(CorruptionType.BRIGHTNESS, 2)["lift"]
+    lift = SEVERITY_TABLE[CorruptionType.BRIGHTNESS][2 - 1]["lift"]
     want = np.clip(np.rint(np.clip(img.to_float01() + lift, 0, 1) * 255), 0, 255)
     assert np.array_equal(out.pixels, want.astype(np.uint8))
 
@@ -121,7 +120,7 @@ def test_brightness_is_an_additive_lift():
 def test_contrast_scales_about_the_mean():
     img = small_rgb(22)
     out = apply_corruption(img, CorruptionSpec(CorruptionType.CONTRAST, 3, seed=0))
-    f = severity_params(CorruptionType.CONTRAST, 3)["factor"]
+    f = SEVERITY_TABLE[CorruptionType.CONTRAST][3 - 1]["factor"]
     x = img.to_float01()
     m = x.mean(axis=(0, 1), keepdims=True)
     want = np.clip(np.rint(np.clip((x - m) * f + m, 0, 1) * 255), 0, 255)
@@ -131,7 +130,7 @@ def test_contrast_scales_about_the_mean():
 def test_pixelate_produces_constant_blocks():
     img = small_rgb(23, w=24, h=16)
     out = apply_corruption(img, CorruptionSpec(CorruptionType.PIXELATE, 3, seed=0))
-    k = severity_params(CorruptionType.PIXELATE, 3)["factor"]
+    k = SEVERITY_TABLE[CorruptionType.PIXELATE][3 - 1]["factor"]
     px = out.pixels
     for by in range(0, img.height, k):
         for bx in range(0, img.width, k):
@@ -144,7 +143,7 @@ def test_impulse_noise_flips_to_extremes_only():
     out = apply_corruption(img, CorruptionSpec(CorruptionType.IMPULSE_NOISE, 5, seed=4))
     changed = out.pixels != img.pixels
     assert set(np.unique(out.pixels[changed])) <= {0, 255}
-    rate = severity_params(CorruptionType.IMPULSE_NOISE, 5)["rate"]
+    rate = SEVERITY_TABLE[CorruptionType.IMPULSE_NOISE][5 - 1]["rate"]
     # ~27% of pixels hit, half of which land on the salt side
     assert abs(changed.mean() - rate) < 0.06
 
@@ -387,7 +386,7 @@ def scalar_zoom_blur(arr, max_zoom):
 @pytest.mark.parametrize("channels", [3, 1], ids=["rgb", "gray"])
 def test_zoom_blur_matches_the_3d_zoom_oracle_byte_for_byte(channels, severity):
     arr = philox(severity).random((37, 50, channels))
-    max_zoom = severity_params(CorruptionType.ZOOM_BLUR, severity)["max_zoom"]
+    max_zoom = SEVERITY_TABLE[CorruptionType.ZOOM_BLUR][severity - 1]["max_zoom"]
     got = corruption_bench.corrupt_zoom_blur(arr, None, max_zoom)  # it draws nothing
     assert got.tobytes() == scalar_zoom_blur(arr, max_zoom).tobytes()
 

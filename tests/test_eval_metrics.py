@@ -1,5 +1,6 @@
 """Metrics: IoU, greedy matching, interpolated AP, COCO mAP, corruption means."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -166,7 +167,7 @@ def test_map_two_class_hand_computation():
     assert res.per_class[1] == pytest.approx(0.25, abs=1e-12)
     assert res.map == pytest.approx(0.575, abs=1e-12)
     assert res.map50 == pytest.approx(0.75, abs=1e-12)
-    assert set(res.to_dict()) == {"map", "map50", "per_class"}
+    assert set(dataclasses.asdict(res)) == {"map", "map50", "per_class"}
 
 
 def test_map_ignores_classes_without_ground_truth():
@@ -593,7 +594,7 @@ def test_report_builder_is_consistent():
     rep = build_mpc_report(0.5, full_matrix(0.25))
     assert rep.mpc == pytest.approx(0.25, abs=1e-12)
     assert rep.rpc_per_severity == pytest.approx((0.5,) * 5, abs=1e-12)
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert set(d) == {"map_clean", "map_matrix", "mpc", "rpc_per_severity"}
     assert len(d["map_matrix"]) == 15
 

@@ -372,7 +372,6 @@ def test_blocked_backward_passes_gradcheck(monkeypatch, h, wdt, rows, blocks):
     assert worst < 1e-5, f"worst relative error {worst:.3e}"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 def test_attention_refuses_scores_that_overflow():
     # the row-norm bound overflows, so each block is checked: the scores are
     # -inf and 0, which an unchecked softmax would turn into a finite output
@@ -400,7 +399,6 @@ def test_attention_with_a_failed_bound_but_finite_scores_runs_checked():
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 def test_cafr_forward_refuses_overflowing_attention_scores():
     # enhanced tokens of 1e160 and 2e160 in 4 channels: every score overflows
     pair = FeaturePair(np.full((4, 2, 3), 1e160), np.ones((4, 2, 3)))
@@ -479,6 +477,16 @@ def test_refinement_rejects_shape_mismatch(rng):
     w = init_cafr_weights(3, seed=0)
     with pytest.raises(ShapeError):
         tafr_refine(random_pair(rng, c=3, h=2, w=2), random_pair(rng, c=3, h=2, w=3), w)
+
+
+@pytest.mark.parametrize("c", [0, 1, 3])
+def test_public_stages_refuse_weights_for_other_channels(rng, c):
+    pair = random_pair(rng, c=c, h=2, w=3)
+    w = init_cafr_weights(c + 1)
+    for stage in (lambda: cross_self_attention(pair, w), lambda: tafr_refine(pair, pair, w)):
+        with pytest.raises(ShapeError) as exc:
+            stage()
+        assert str(exc.value) == f"pair has {c} channels, weights expect {c + 1}"
 
 
 # -- full module ---------------------------------------------------------------------

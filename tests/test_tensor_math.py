@@ -17,8 +17,6 @@ from evframe.tensor_math import (
     channel_stats,
     channel_stats_vjp,
     conv2d,
-    linear,
-    linear_vjp,
     relative_error,
     softmax_rows,
     softmax_rows_inplace,
@@ -177,24 +175,6 @@ def test_conv_memory_stays_within_one_band():
 def test_conv_weights_reject_non_finite():
     with pytest.raises(DomainError):
         ConvWeights(np.full((1, 1, 1, 1), np.nan), np.zeros(1))
-
-
-# -- linear ------------------------------------------------------------------------
-
-
-def test_linear_is_row_wise_matmul(rng):
-    x = rng.standard_normal((6, 3))
-    w = rng.standard_normal((3, 5))
-    assert np.allclose(linear(x, w), x @ w, atol=1e-15)
-
-
-def test_linear_backward_matches_finite_differences(rng):
-    x = rng.standard_normal((4, 3))
-    w = rng.standard_normal((3, 2))
-    r = rng.standard_normal((4, 2))
-    dx, dw = linear_vjp(x, w, r)
-    check_grad(dx, numeric_grad(lambda _: float(np.sum(linear(x, w) * r)), x))
-    check_grad(dw, numeric_grad(lambda _: float(np.sum(linear(x, w) * r)), w))
 
 
 # -- softmax ------------------------------------------------------------------------
