@@ -25,7 +25,7 @@ from .detect_head import (
     init_head_weights,
 )
 from .errors import DomainError, ValidationError, check_budget
-from .eval_metrics import _iou_matrix, map_coco
+from .eval_metrics import _iou, map_coco
 from .event_core import SimConfig, build_voxel_grid, modality_dropout, simulate_events
 from .formats_io import (
     DetectionRecord,
@@ -162,7 +162,7 @@ def run_pipeline_demo(
     _check(len(dets) > 0, "decode produced no detections")
     for c in np.unique(dets.category_id):
         same = dets.bbox[dets.category_id == c]
-        ious = _iou_matrix(same, same)
+        ious = _iou(same[:, None], same)
         np.fill_diagonal(ious, 0.0)
         _check(bool(np.all(ious <= 0.5)), "NMS left overlapping boxes")
 

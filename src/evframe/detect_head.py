@@ -24,7 +24,7 @@ from typing import ClassVar, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .eval_metrics import _iou_matrix
+from .eval_metrics import _iou
 from .formats_io import DetectionTable, _int64_id
 from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
@@ -297,7 +297,7 @@ def _nms_keep(
     """Indices of the (n, 4) top-left ``boxes`` greedy suppression keeps.
 
     Boxes are visited by descending score (ties in input order) within each
-    group label. Each kept box gets one ``_iou_matrix`` column against the
+    group label. Each kept box gets one ``_iou`` column against the
     group's later boxes that are still alive, and every one of them with an
     IoU above the threshold dies. A candidate is thus compared with exactly
     the kept boxes a scalar loop compares it with, up to the first that
@@ -313,7 +313,7 @@ def _nms_keep(
             kept, idx = idx[0], idx[1:]
             keep[kept] = True
             if len(idx):
-                ious = _iou_matrix(boxes[idx], boxes[kept:kept + 1])[:, 0]
+                ious = _iou(boxes[idx], boxes[kept])
                 idx = idx[~(ious > iou_threshold)]
     return order[keep[order]]
 
@@ -367,8 +367,9 @@ def decode_head(
     first such row. A box's category id is its column of ``cls``;
     suppression is ``_nms_keep`` per category id, and the kept boxes are
     returned as the columns of a DetectionTable, with no per-box record. An
-    ``image_id`` that is not an integer within int64 or a NaN score
-    threshold is a ``DomainError``, raised before any work.
+    ``image_id`` that is not an integer within int64, a NaN score threshold
+    or a finite anchor entry beyond the offsets' dtype (a stride too large
+    for float32 offsets) is a ``DomainError``, raised before any work.
     """
     image_id = _int64_id("image_id", image_id)
     cls = np.asarray(cls)
@@ -388,12 +389,19 @@ def decode_head(
         raise DomainError("score_threshold must be a number, got nan")
     if pre_nms_top_k < 1:
         raise DomainError(f"pre_nms_top_k must be >= 1, got {pre_nms_top_k}")
+    dt = np.result_type(reg.dtype, 0.0)
+    with np.errstate(over="ignore"):
+        beyond = np.isfinite(anchors) & ~np.isfinite(anchors.astype(dt, copy=False))
+    if beyond.any():
+        largest = np.abs(anchors[beyond]).max()
+        raise DomainError(
+            f"anchors are not finite in the offsets' {dt}: the largest entry is {largest:.6g}"
+        )
 
     rows, cols = np.nonzero(cls > score_threshold)
     if len(rows) > pre_nms_top_k:
         best = _top_k_stable(-cls[rows, cols], pre_nms_top_k)
         rows, cols = rows[best], cols[best]
-    dt = np.result_type(reg.dtype, 0.0)
     t = reg[rows].astype(dt)
     t[:, 2:] = np.clip(t[:, 2:], -BBOX_XFORM_CLIP, BBOX_XFORM_CLIP)
     ax, ay, aw, ah = anchors[rows].T

@@ -1,16 +1,21 @@
 """Detection metrics: IoU, COCO-style mAP, corruption means, relative curves.
 
 COCO scoring works on detection columns (a ``DetectionTable``): it caps
-each image and finds the (class, image) groups by sorting, then computes
-one IoU matrix per group in numpy float64 with the same IEEE operations,
-in the same order, as the scalar ``iou_tlwh``, runs the greedy match for
-each IoU threshold over its rows, and takes AP from cumulative TP counts
-and a suffix maximum of precision. The divisions are the correctly rounded
-ones of Python ``int / int``. The 101 interpolated precisions are summed in
-a Python loop in ascending recall order and the threshold and class means
-are plain Python sums, with fixed iteration orders (classes ascending, IoU
-thresholds ascending), so results are bit-identical to an independent
-scalar reference computation.
+each image, sorts the predictions by class, image and descending score,
+and gives each the ground truth of its (class, image) group. One lockstep
+greedy match (``_match``) then scores every group of the call, chunk by
+chunk: a chunk is a run of consecutive groups whose padded blocks fit
+``MATCH_BLOCK_BYTES``. It computes the IoU of each of its (prediction,
+ground truth) pairs once, in numpy float64 with the same IEEE operations,
+in the same order, as the scalar ``iou_tlwh``, and steps through the ranks
+of all its groups together, for every IoU threshold at once; the only
+Python loop runs over those ranks. AP comes from cumulative TP counts and
+a suffix maximum of precision. The divisions are the correctly rounded
+ones of Python ``int / int``. The 101 interpolated precisions are summed
+left to right, in ascending recall order, by a cumulative sum, and the
+threshold and class means are plain Python sums, with fixed iteration
+orders (classes ascending, IoU thresholds ascending), so results are
+bit-identical to an independent scalar reference computation.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from .formats_io import DetectionRecord, DetectionTable
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 RECALL_POINTS = tuple(i / 100.0 for i in range(101))
 DEFAULT_MAX_DETECTIONS = 100
+# bytes of one chunk's padded blocks in the lockstep match (``_chunks``)
+MATCH_BLOCK_BYTES = 4 << 20
 CORRUPTION_TYPE_COUNT = 15
 SEVERITY_COUNT = 5
 
@@ -56,77 +63,135 @@ def iou_tlwh(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / union
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(D, G) IoU of the (D, 4) boxes ``a`` against the (G, 4) boxes ``b``.
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of the (..., 4) top-left boxes ``a`` and ``b``, broadcast over
+    their leading axes.
 
     Each entry is computed by the operations of ``iou_tlwh`` in its order,
-    so it equals ``iou_tlwh(a[i], b[j])`` bit for bit, and the first pair
-    whose union is 0 or not finite raises the same ``DomainError``.
+    so it equals ``iou_tlwh`` of its two boxes bit for bit, and the first
+    pair in row-major order whose union is 0 or not finite raises the same
+    ``DomainError``.
     """
-    ax, ay, aw, ah = a.T[:, :, None]
-    bx, by, bw, bh = b.T
+    ax, ay, aw, ah = (a[..., k] for k in range(4))
+    bx, by, bw, bh = (b[..., k] for k in range(4))
     with np.errstate(over="ignore", invalid="ignore"):
         ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
         iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
         inter = ix * iy
         union = aw * ah + bw * bh - inter
     if not (union.all() and np.isfinite(union).all()):
-        i, j = np.argwhere((union == 0.0) | ~np.isfinite(union))[0]
-        raise _bad_union(a[i].tolist(), b[j].tolist(), float(union[i, j]))
+        i = np.unravel_index(np.argmax((union == 0.0) | ~np.isfinite(union)), union.shape)
+        a_i, b_i = (np.broadcast_to(x, union.shape + (4,))[i].tolist() for x in (a, b))
+        raise _bad_union(a_i, b_i, float(union[i]))
     return inter / union
 
 
-def _greedy_flags(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
-    """(T, D) hit table of the greedy one-to-one match at each threshold.
+def _chunks(rows: np.ndarray, width: np.ndarray, n_thresholds: int):
+    """(first, end) ranges of consecutive groups whose padded blocks fit
+    ``MATCH_BLOCK_BYTES``.
 
-    Rows of ``ious`` are visited in order; each claims the untaken column of
-    highest IoU (strictly above 0, first column on a tie) when that IoU meets
-    the threshold, else it is a miss and takes nothing. Only entries at or
-    above the lowest threshold can decide a match, so only those are scanned.
+    Groups with ``rows`` rows and ``width`` ground-truth boxes each are
+    padded to the chunk's widest: a (rows, width) IoU block plus two
+    (groups, thresholds, width) step blocks, the free-box mask and one
+    step's masked IoUs, 8 bytes an entry. A chunk takes as many groups as
+    fit, and at least one.
     """
-    flags = np.zeros((len(thresholds), ious.shape[0]), dtype=bool)
-    lo = min(thresholds)
-    ri, ci = np.nonzero((ious >= lo) & (ious > 0.0))
-    rows: Dict[int, list] = {}
-    for i, j, v in zip(ri.tolist(), ci.tolist(), ious[ri, ci].tolist()):
-        rows.setdefault(i, []).append((j, v))
-    for k, t in enumerate(thresholds):
-        taken = set()
-        for i, cands in rows.items():
-            best_j, best_iou = -1, 0.0
-            for j, v in cands:
-                if v > best_iou and j not in taken:
-                    best_j, best_iou = j, v
-            if best_j >= 0 and best_iou >= t:
-                taken.add(best_j)
-                flags[k, i] = True
+    cap = MATCH_BLOCK_BYTES // 8
+    per_group = 2 * n_thresholds
+    ends = np.cumsum(rows)
+    s = 0
+    while s < len(rows):
+        # a group takes at least 1 + per_group entries, so no more than this many fit
+        e = min(len(rows), s + cap // (1 + per_group))
+        height = ends[s:e] - ends[s] + rows[s] + per_group * np.arange(1, e - s + 1)
+        need = height * np.maximum.accumulate(width[s:e])
+        e = s + max(1, int(np.count_nonzero(need <= cap)))
+        yield s, e
+        s = e
+
+
+def _match(
+    boxes: np.ndarray, gt_boxes: np.ndarray, gt_lo: np.ndarray, gt_hi: np.ndarray, thresholds
+) -> np.ndarray:
+    """(T, D) hit table of the greedy one-to-one match of every group.
+
+    Row i of the (D, 4) ``boxes`` is matched against the ground truth
+    ``gt_boxes[gt_lo[i]:gt_hi[i]]``; the rows of one group are consecutive,
+    in rank order, and share that range. At each threshold, each row in
+    rank order claims the untaken box of highest IoU (strictly above 0,
+    first box on a tie) when that IoU meets the threshold, else it is a
+    miss and takes nothing.
+
+    Each chunk of groups (``_chunks``) computes the IoU of its (row, box)
+    pairs once, in row-major order, so the first undefined one is the
+    first in (group, rank, box) order. A row with no IoU at or above the
+    lowest threshold can never claim a box and leaves the match; the IoUs
+    of the rest are padded with 0 to the chunk's widest group. Then the
+    groups step through their ranks together: step k takes the k-th
+    remaining row of every group that has one, for every threshold at once.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n_t = len(thresholds)
+    # a claim needs an IoU above 0 as well as at or above the threshold
+    floor = np.maximum(thresholds, np.nextafter(0.0, 1.0))
+    flags = np.zeros((n_t, len(boxes)), dtype=bool)
+    rows = np.flatnonzero(gt_hi > gt_lo)
+    lo = gt_lo[rows]
+    new_group = lo != np.r_[-1, lo[:-1]]
+    group = np.cumsum(new_group) - 1
+    first = np.r_[np.flatnonzero(new_group), len(rows)]
+    width = (gt_hi - gt_lo)[rows]
+    for s, e in _chunks(np.diff(first), width[first[:-1]], n_t):
+        r, n = rows[first[s]:first[e]], width[first[s]:first[e]]
+        pair = np.repeat(np.arange(len(r)), n)
+        col = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
+        row = r[pair]
+        iou = _iou(np.take(boxes, row, axis=0), np.take(gt_boxes, gt_lo[row] + col, axis=0))
+        live = iou >= floor.min()
+        kept = np.flatnonzero(np.bincount(pair[live], minlength=len(r)))
+        w = n.max()
+        block = np.zeros((len(kept), w))
+        block[kept.searchsorted(pair[live]), col[live]] = iou[live]
+        # groups by descending kept-row count: at step k the first steps[k]
+        # of them still match, with their k-th rows at heads + k
+        g = group[first[s]:first[e]][kept] - s
+        count = np.bincount(g, minlength=e - s)
+        order = np.argsort(-count, kind="stable")
+        heads = g.searchsorted(order)
+        steps = np.searchsorted(-count[order], -np.arange(count[order[0]]))
+        # 1.0 where a (group, threshold, box) is still free, 0.0 once taken
+        free = np.ones((e - s) * n_t * w)
+        slots = np.arange((e - s) * n_t).reshape(-1, n_t) * w
+        hit = np.empty((len(kept), n_t), dtype=bool)
+        for k, m in enumerate(steps.tolist()):
+            at = heads[:m] + k
+            v = free[:m * n_t * w].reshape(m, n_t, w) * block[at, None, :]
+            best = slots[:m] + v.argmax(axis=2)
+            claim = v.reshape(-1)[best] >= floor
+            hit[at] = claim
+            free[best[claim]] = 0.0
+        flags[:, r[kept]] = hit.T
     return flags
-
-
-def _hits(boxes: np.ndarray, gt_boxes: np.ndarray, thresholds) -> np.ndarray:
-    """(T, D) hit table of (D, 4) boxes in rank order against (G, 4) ground truth."""
-    if not len(boxes) or not len(gt_boxes):
-        return np.zeros((len(thresholds), len(boxes)), dtype=bool)
-    return _greedy_flags(_iou_matrix(boxes, gt_boxes), thresholds)
 
 
 def _ap_table(flags: np.ndarray, n_gt: int) -> List[float]:
     """101-point AP of each row of a (T, n) descending-score TP table; n_gt > 0."""
-    n = flags.shape[1]
+    t, n = flags.shape
     tp = np.cumsum(flags, axis=1)
     prec = tp / np.arange(1, n + 1)
-    rec = tp / n_gt
     # best precision at recall >= r: suffix max from the first such index,
     # 0.0 past the end
-    best = np.zeros((len(flags), n + 1))
+    best = np.zeros((t, n + 1))
     best[:, :n] = np.maximum.accumulate(prec[:, ::-1], axis=1)[:, ::-1]
-    aps = []
-    for row_rec, row_best in zip(rec, best):
-        total = 0.0
-        for v in row_best[np.searchsorted(row_rec, _RECALL_GRID, side="left")].tolist():
-            total += v
-        aps.append(total / len(RECALL_POINTS))
-    return aps
+    # recall tp / n_gt is monotone in tp, so it reaches r exactly when tp
+    # reaches the fewest hits whose recall does; each row's first index
+    # there comes from one search over the rows, row k offset by k * (n + 1)
+    need = np.minimum(np.searchsorted(np.arange(n_gt + 1) / n_gt, _RECALL_GRID), n + 1)
+    row = np.arange(t)[:, None]
+    at = np.searchsorted((tp + row * (n + 1)).ravel(), need + row * (n + 1)) - row * n
+    # summed left to right, as a scalar loop over the recall points would
+    total = np.cumsum(np.take_along_axis(best, at, axis=1), axis=1)[:, -1]
+    return (total / len(RECALL_POINTS)).tolist()
 
 
 def average_precision(flags: Sequence[bool], n_gt: int) -> float:
@@ -150,23 +215,6 @@ def _capped(image_id: np.ndarray, score: np.ndarray, max_dets: int) -> np.ndarra
     image = image_id[order]
     rank = np.arange(len(order)) - image.searchsorted(image)
     return order[rank < max_dets]
-
-
-def _class_hits(p_img, p_box, g_img, g_box) -> np.ndarray:
-    """(T, D) hit table of one class's predictions, image by image.
-
-    Predictions are sorted by image then descending score, ground truth by
-    image; each image's rows are matched against that image's ground truth.
-    """
-    tables = [np.zeros((len(IOU_THRESHOLDS), 0), dtype=bool)]
-    if len(p_img):
-        cuts = np.flatnonzero(p_img[1:] != p_img[:-1]) + 1
-        starts, ends = np.r_[0, cuts], np.r_[cuts, len(p_img)]
-        images = p_img[starts]
-        g_starts, g_ends = g_img.searchsorted(images), g_img.searchsorted(images, "right")
-        for a, b, c, d in zip(starts.tolist(), ends.tolist(), g_starts.tolist(), g_ends.tolist()):
-            tables.append(_hits(p_box[a:b], g_box[c:d], IOU_THRESHOLDS))
-    return np.concatenate(tables, axis=1)
 
 
 @dataclass
@@ -216,18 +264,24 @@ def map_coco(
     p_box, p_score = preds.bbox[rows], preds.score[rows]
     g = np.lexsort((gts.image_id, gts.category_id))
     g_cls, g_img, g_box = gts.category_id[g], gts.image_id[g], gts.bbox[g]
-    classes = np.unique(g_cls)
+    classes, images = np.unique(g_cls), np.unique(g_img)
+    # each prediction's ground truth is the run of g with its class and
+    # image, found by a (class, image) rank key; -1 where there is none
+    g_key = classes.searchsorted(g_cls) * len(images) + images.searchsorted(g_img)
+    pc = np.minimum(classes.searchsorted(p_cls), len(classes) - 1)
+    pi = np.minimum(images.searchsorted(p_img), len(images) - 1)
+    p_key = np.where((classes[pc] == p_cls) & (images[pi] == p_img), pc * len(images) + pi, -1)
+    flags = _match(
+        p_box, g_box, g_key.searchsorted(p_key), g_key.searchsorted(p_key, "right"), IOU_THRESHOLDS
+    )
     p_lo, p_hi = p_cls.searchsorted(classes), p_cls.searchsorted(classes, "right")
     g_lo, g_hi = g_cls.searchsorted(classes), g_cls.searchsorted(classes, "right")
 
     per_class: Dict[int, float] = {}
     map50_sum = 0.0
-    for c, a, b, ga, gb in zip(
-        classes.tolist(), p_lo.tolist(), p_hi.tolist(), g_lo.tolist(), g_hi.tolist()
-    ):
-        flags = _class_hits(p_img[a:b], p_box[a:b], g_img[ga:gb], g_box[ga:gb])
-        order = np.argsort(-p_score[a:b], kind="stable")
-        aps = _ap_table(flags[:, order], gb - ga)
+    for c, a, b, n_gt in zip(classes.tolist(), p_lo.tolist(), p_hi.tolist(), (g_hi - g_lo).tolist()):
+        order = a + np.argsort(-p_score[a:b], kind="stable")
+        aps = _ap_table(flags[:, order], n_gt)
         per_class[c] = sum(aps) / len(aps)
         map50_sum += aps[0]
     n = len(per_class)

@@ -81,6 +81,8 @@ class CafrWeights:
 
     def __post_init__(self):
         c = self.conv1x1_f.out_ch
+        if c < 1:
+            raise DomainError(f"channels must be positive, got {c}")
         for conv in (self.conv1x1_f, self.conv1x1_e):
             if conv.kernel.shape != (c, c, 1, 1):
                 raise ShapeError(f"activation conv must be {c}x{c}x1x1, got {conv.kernel.shape}")

@@ -575,6 +575,21 @@ def test_cafr_forward_refuses_a_pair_without_channels(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_cafr_forward_refuses_a_zero_channel_bundle(capsys, tmp_path):
+    inputs = feature_pair_files(tmp_path, 7, (0, 3, 4))
+    bundle = tmp_path / "weights"
+    save_weights(init_cafr_weights(1), bundle)
+    # every member with its channel axes emptied: kernels (0, 0, 1, 1),
+    # biases (0,), matrices (0, 0)
+    for name, arr in weight_arrays(init_cafr_weights(1)).items():
+        shape = tuple(0 if axis < 2 else n for axis, n in enumerate(arr.shape))
+        write_tensor(bundle / (name.replace(".", "_") + ".ftns"), np.zeros(shape))
+    out = tmp_path / "fused.ftns"
+    code, stdout, err = run(capsys, "cafr-forward", *inputs, "--weights", str(bundle), "--out", str(out))
+    assert (code, stdout, err) == (1, "", "error: channels must be positive, got 0\n")
+    assert not out.exists()
+
+
 def test_cafr_gradcheck_reports_worst_error(capsys):
     code, out, err = run(
         capsys, "cafr-gradcheck", "--channels", "3", "--height", "2", "--width", "2",
@@ -661,6 +676,21 @@ def test_head_decode_refuses_bad_levels(capsys, tmp_path, levels, message):
     code, stdout, err = run(
         capsys, "head-decode", "--cls", str(clsf), "--reg", str(regf), "--levels", levels, "--out", str(out)
     )
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_head_decode_refuses_a_stride_beyond_the_offsets_float32(capsys, tmp_path):
+    # .ftns tensors are float32; at base stride 10**37 the coarse anchors are not
+    clsf, regf = tmp_path / "cls.ftns", tmp_path / "reg.ftns"
+    write_tensor(clsf, np.full((45, 1), 0.9))
+    write_tensor(regf, np.zeros((45, 4)))
+    out = tmp_path / "dets.jsonl"
+    code, stdout, err = run(
+        capsys, "head-decode", "--cls", str(clsf), "--reg", str(regf),
+        "--levels", "1x1,1x1,1x1,1x1,1x1", "--base-stride", str(10**37), "--out", str(out),
+    )
+    message = "anchors are not finite in the offsets' float32: the largest entry is 1.43675e+39"
     assert (code, stdout, err) == (1, "", f"error: {message}\n")
     assert not out.exists()
 

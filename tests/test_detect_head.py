@@ -409,6 +409,24 @@ def test_a_stride_whose_anchor_sizes_overflow_is_refused(stride):
         gen_anchors(1, 1, stride, cfg)
 
 
+def test_decode_head_refuses_anchors_beyond_the_offsets_dtype():
+    # at base stride 10**37 the coarse levels' anchors exceed float32, where
+    # the box centres of float32 offsets are computed
+    anchors = level_anchors([(1, 1)] * 5, 10**37, HeadConfig(num_classes=1))
+    cls = np.full((len(anchors), 1), 0.9, dtype=np.float32)
+    reg = np.zeros((len(anchors), 4), dtype=np.float32)
+    with pytest.raises(DomainError) as exc:
+        decode_head(cls, reg, anchors, image_id=0)
+    want = f"anchors are not finite in the offsets' float32: the largest entry is {anchors.max():.6g}"
+    assert str(exc.value) == want
+    # float64 offsets hold the same anchors
+    dets = decode_head(cls.astype(np.float64), reg.astype(np.float64), anchors, image_id=0)
+    assert len(dets) and np.isfinite(dets.bbox).all()
+    # refused up front, even with no row over the score threshold
+    with pytest.raises(DomainError, match="not finite in the offsets' float32"):
+        decode_head(np.zeros_like(cls), reg, anchors, image_id=0)
+
+
 # -- array back end against the object back end ---------------------------------------
 #
 # The oracles below are the per-object anchor loop, decode and scalar NMS that

@@ -1,6 +1,7 @@
 """Metrics: IoU, greedy matching, interpolated AP, COCO mAP, corruption means."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import philox
 
 from evframe import (
     DetectionRecord,
+    DetectionTable,
     DomainError,
     decode_detections,
     encode_detections,
@@ -55,10 +57,11 @@ def test_iou_contained_box():
 
 
 def hits(boxes, gts, iou_threshold):
-    """``_hits`` flags of boxes listed in rank order at one threshold."""
+    """Flags of boxes listed in rank order at one threshold, matched as one group."""
     boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
     gts = np.array(gts, dtype=np.float64).reshape(-1, 4)
-    return tuple(eval_metrics._hits(boxes, gts, (iou_threshold,))[0].tolist())
+    lo, hi = np.zeros(len(boxes), dtype=np.intp), np.full(len(boxes), len(gts))
+    return tuple(eval_metrics._match(boxes, gts, lo, hi, (iou_threshold,))[0].tolist())
 
 
 def test_match_visits_by_descending_score():
@@ -390,7 +393,7 @@ def test_oracle_parity_iou_matrix():
     rng = philox(7)
     a = np.hstack([rng.uniform(0.0, 50.0, (60, 2)), rng.uniform(0.1, 40.0, (60, 2))])
     b = np.vstack([a[:20] + rng.normal(0.0, 1.0, (20, 4)) * [1, 1, 0, 0], a[40:]])
-    got = eval_metrics._iou_matrix(a, b)
+    got = eval_metrics._iou(a[:, None], b)
     want = [[oracle_iou(p, g) for g in b.tolist()] for p in a.tolist()]
     assert got.tolist() == want
     assert (got > 0.5).sum() >= 20
@@ -415,6 +418,9 @@ def test_oracle_parity_match_detections():
         (12, 1, 100),  # many repeated scores
         (13, 2, 25),  # the cap drops 15 of every image's 40 predictions
         (14, 1, 7),
+        (16, 1, 1),  # one detection per image
+        (17, 1, 7),
+        (18, 1, 100),
     ],
 )
 def test_oracle_parity_map_coco(seed, score_decimals, max_detections):
@@ -424,6 +430,37 @@ def test_oracle_parity_map_coco(seed, score_decimals, max_detections):
     want = oracle_map_coco(preds, gts, max_detections)
     assert (got.map, got.map50, got.per_class) == want
     assert got.per_class[3] == 0.0  # ground truth only
+
+
+def shared_groups(preds, gts):
+    return {(p.image_id, p.category_id) for p in preds} & {(g.image_id, g.category_id) for g in gts}
+
+
+@pytest.mark.parametrize(
+    "seed, max_detections, block_bytes",
+    [(19, 100, 1), (19, 100, 3000), (20, 7, 1), (20, 7, 3000)],
+)
+def test_oracle_parity_map_coco_in_chunks(monkeypatch, seed, max_detections, block_bytes):
+    # 1 byte puts each (class, image) group in a chunk of its own; 3000
+    # bytes puts a few groups, padded to the widest, in each chunk
+    preds, gts = random_split(seed, score_decimals=1)
+    calls = []
+    real = eval_metrics._iou
+
+    def spy(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(eval_metrics, "MATCH_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(eval_metrics, "_iou", spy)
+    got = map_coco(preds, gts, max_detections=max_detections)
+    assert (got.map, got.map50, got.per_class) == oracle_map_coco(preds, gts, max_detections)
+    capped = oracle_cap_per_image(preds, max_detections)
+    groups = len(shared_groups(capped, gts))
+    if block_bytes == 1:
+        assert len(calls) == groups
+    else:
+        assert 1 < len(calls) < groups
 
 
 @pytest.mark.parametrize("seed, score_decimals, max_detections", [(21, 1, 100), (22, 1, 7), (23, 4, 25)])
@@ -449,26 +486,100 @@ def test_match_exact_iou_tie_goes_to_the_first_ground_truth():
     assert hits([tied.bbox, (3, 0, 10, 10)], gts, 0.8) == (True, True)
 
 
-def test_map_computes_each_iou_matrix_once(monkeypatch):
+def test_map_computes_each_pair_iou_once(monkeypatch):
     preds, gts = random_split(15)
-    shapes = []
-    real = eval_metrics._iou_matrix
+    pairs = []
+    real = eval_metrics._iou
 
     def spy(a, b):
-        shapes.append((len(a), len(b)))
+        pairs.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
         return real(a, b)
 
     def no_scalar_iou(a, b):
         raise AssertionError("map_coco called the scalar IoU")
 
-    monkeypatch.setattr(eval_metrics, "_iou_matrix", spy)
+    monkeypatch.setattr(eval_metrics, "_iou", spy)
     monkeypatch.setattr(eval_metrics, "iou_tlwh", no_scalar_iou)
     map_coco(preds, gts)
-    both = {(p.image_id, p.category_id) for p in preds}
-    both &= {(g.image_id, g.category_id) for g in gts}
-    assert len(shapes) == len(both)
-    assert sum(d for d, _ in shapes) == sum((p.image_id, p.category_id) in both for p in preds)
-    assert sum(g for _, g in shapes) == sum((g.image_id, g.category_id) in both for g in gts)
+    # every (prediction, ground truth) pair of each shared (class, image)
+    # group, D_g * G_g of them per group, and nothing else
+    want = [
+        (p.bbox, g.bbox)
+        for p in preds for g in gts
+        if (p.image_id, p.category_id) == (g.image_id, g.category_id)
+    ]
+    size = lambda recs, key: sum((r.image_id, r.category_id) == key for r in recs)
+    assert len(pairs) == sum(size(preds, k) * size(gts, k) for k in shared_groups(preds, gts))
+    assert sorted(pairs) == sorted(want)
+
+
+def crowded_split(n_small=1000, n_big=500, big_preds=20):
+    """Class-0 tables: ``n_small`` images with one ground-truth box and two
+    predictions (a hit and a miss) each, and image ``n_small // 2`` also
+    crowded with ``n_big`` boxes on a grid, ``big_preds`` of them hit."""
+    rng = philox(5)
+    small = np.hstack([rng.uniform(0.0, 200.0, (n_small, 2)), np.full((n_small, 2), 20.0)])
+    k = np.arange(n_big)
+    big = np.stack([k % 25 * 30.0, k // 25 * 30.0, np.full(n_big, 20.0), np.full(n_big, 20.0)], 1)
+    crowded = n_small // 2
+    p_box = np.vstack([small + [1.0, 0.0, 0.0, 0.0], small + [100.0, 100.0, 0.0, 0.0],
+                       big[:big_preds] + [2.0, 0.0, 0.0, 0.0]])
+    p_img = np.r_[np.arange(n_small), np.arange(n_small), np.full(big_preds, crowded)]
+    g_img = np.r_[np.arange(n_small), np.full(n_big, crowded)]
+    zeros = lambda n: np.zeros(n, dtype=np.int64)
+    preds = DetectionTable(p_img, zeros(len(p_img)), p_box, rng.uniform(0.0, 1.0, len(p_img)))
+    gts = DetectionTable(g_img, zeros(len(g_img)), np.vstack([small, big]), np.full(len(g_img), np.nan))
+    return preds, gts
+
+
+def match_peak_bytes(preds, gts):
+    tracemalloc.start()
+    try:
+        result = map_coco(preds, gts)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_match_memory_is_bounded_by_the_chunk_not_the_crowded_image(monkeypatch):
+    # one chunk's padded blocks (at most MATCH_BLOCK_BYTES = 4 MiB) plus its
+    # pair arrays and the sorted input columns stay under 8 MiB; padding
+    # every row to the crowded image's 501 boxes takes ~80 MiB here
+    bound = 8 << 20
+    preds, gts = crowded_split()
+    peak, chunked = match_peak_bytes(preds, gts)
+    assert peak < bound
+    monkeypatch.setattr(eval_metrics, "MATCH_BLOCK_BYTES", 1 << 40)
+    global_peak, padded = match_peak_bytes(preds, gts)
+    assert global_peak > bound
+    assert (padded.map, padded.per_class) == (chunked.map, chunked.per_class)
+
+
+@pytest.mark.parametrize("block_bytes", [eval_metrics.MATCH_BLOCK_BYTES, 1])
+def test_map_names_the_undefined_pair_the_per_group_order_meets_first(monkeypatch, block_bytes):
+    monkeypatch.setattr(eval_metrics, "MATCH_BLOCK_BYTES", block_bytes)
+    huge = (0.0, 0.0, 1e200, 1e200)
+    tiny = lambda x: (x, 4.0, 1e-200, 1e-200)
+    gts = [
+        det(None, huge, image=0, cat=1),  # overflows, but class 1 comes after class 0
+        det(None, (0.0, 0.0, 10.0, 10.0), image=2, cat=0),
+        det(None, tiny(3.0), image=2, cat=0),
+        det(None, tiny(5.0), image=2, cat=0),
+        det(None, tiny(7.0), image=4, cat=0),
+        det(None, (0.0, 0.0, 10.0, 10.0), image=1, cat=0),
+    ]
+    preds = [
+        det(0.9, huge, image=0, cat=1),
+        det(0.3, tiny(5.0), image=2, cat=0),  # listed first, ranked second
+        det(0.8, tiny(3.0), image=2, cat=0),  # zero union with both tiny boxes
+        det(0.9, tiny(7.0), image=4, cat=0),  # a later image
+        det(0.9, (1.0, 0.0, 10.0, 10.0), image=1, cat=0),
+    ]
+    # class 0, image 2, its best-scored row, then its first tiny ground-truth box
+    want = f"IoU of boxes {tiny(3.0)} and {tiny(3.0)} is undefined: their union is 0"
+    with pytest.raises(DomainError) as exc:
+        map_coco(preds, gts)
+    assert str(exc.value) == want
 
 
 # -- input domain ----------------------------------------------------------------------
@@ -520,7 +631,7 @@ def test_iou_matrix_names_the_first_pair_whose_union_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning first
         with pytest.raises(DomainError, match="not finite") as exc:
-            eval_metrics._iou_matrix(a, b)
+            eval_metrics._iou(a[:, None], b)
     # row-major: a[0] against b[1] is the first bad pair
     assert "(0.0, 0.0, 10.0, 10.0) and (0.0, 0.0, 1e+200, 1e+200)" in str(exc.value)
 

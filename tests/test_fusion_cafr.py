@@ -489,6 +489,13 @@ def test_public_stages_refuse_weights_for_other_channels(rng, c):
         assert str(exc.value) == f"pair has {c} channels, weights expect {c + 1}"
 
 
+def test_weights_refuse_zero_channels():
+    empty = ConvWeights(np.zeros((0, 0, 1, 1)), np.zeros(0))
+    with pytest.raises(DomainError) as exc:
+        CafrWeights(empty, empty, *[np.zeros((0, 0))] * len(LINEAR_NAMES))
+    assert str(exc.value) == "channels must be positive, got 0"
+
+
 # -- full module ---------------------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ PACKAGE = ROOT / "src" / "evframe"
 # Exports kept although no program code calls them.
 UNCALLED_EXPORTS = {
     "save_weights": "the only writer of the bundles `cafr-forward --weights` reads",
-    "iou_tlwh": "the scalar IoU contract that `_iou_matrix` is defined against",
+    "iou_tlwh": "the scalar IoU contract that `_iou` is defined against",
 }
 
 # Defaulted parameters kept although no program code passes them.
