@@ -24,7 +24,7 @@ from typing import ClassVar, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .eval_metrics import _iou
+from .eval_metrics import _count, _iou
 from .formats_io import DetectionTable, _int64_id
 from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
@@ -367,9 +367,11 @@ def decode_head(
     first such row. A box's category id is its column of ``cls``;
     suppression is ``_nms_keep`` per category id, and the kept boxes are
     returned as the columns of a DetectionTable, with no per-box record. An
-    ``image_id`` that is not an integer within int64, a NaN score threshold
-    or a finite anchor entry beyond the offsets' dtype (a stride too large
-    for float32 offsets) is a ``DomainError``, raised before any work.
+    ``image_id`` that is not an integer within int64, a ``pre_nms_top_k``
+    that is not a Python or numpy integer >= 1 (a bool is not one), a NaN
+    score threshold or a finite anchor entry beyond the offsets' dtype (a
+    stride too large for float32 offsets) is a ``DomainError``, raised
+    before any work.
     """
     image_id = _int64_id("image_id", image_id)
     cls = np.asarray(cls)
@@ -387,8 +389,7 @@ def decode_head(
         )
     if math.isnan(score_threshold):
         raise DomainError("score_threshold must be a number, got nan")
-    if pre_nms_top_k < 1:
-        raise DomainError(f"pre_nms_top_k must be >= 1, got {pre_nms_top_k}")
+    pre_nms_top_k = _count("pre_nms_top_k", pre_nms_top_k)
     dt = np.result_type(reg.dtype, 0.0)
     with np.errstate(over="ignore"):
         beyond = np.isfinite(anchors) & ~np.isfinite(anchors.astype(dt, copy=False))

@@ -226,6 +226,14 @@ class MapResult:
     per_class: dict
 
 
+def _count(name: str, value) -> int:
+    """A Python or numpy integer >= 1 as an int; a bool or any other value
+    is a DomainError naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be an int >= 1, got {value!r}")
+    return int(value)
+
+
 def map_coco(
     preds: Sequence[DetectionRecord],
     gts: Sequence[DetectionRecord],
@@ -240,13 +248,10 @@ def map_coco(
     order and then in per-image match order. ``preds`` and ``gts`` are
     DetectionTables, such as decode_detections and decode_head return, or
     sequences of DetectionRecord, read as the columns of one.
+    ``max_detections`` is a Python or numpy integer >= 1; a bool or any
+    other value is a DomainError.
     """
-    if (
-        not isinstance(max_detections, int)
-        or isinstance(max_detections, bool)
-        or max_detections < 1
-    ):
-        raise DomainError(f"max_detections must be an int >= 1, got {max_detections!r}")
+    max_detections = _count("max_detections", max_detections)
     preds, gts = DetectionTable.from_records(preds), DetectionTable.from_records(gts)
     unscored = np.flatnonzero(np.isnan(preds.score))
     if len(unscored):

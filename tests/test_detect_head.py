@@ -728,6 +728,21 @@ def test_decode_head_rejects_a_top_k_below_one(top_k):
         decode_head(cls, reg, anchors, 0, pre_nms_top_k=top_k)
 
 
+@pytest.mark.parametrize("top_k", [3.0, np.float64(3.0), "3", None, True, np.int64(0)])
+def test_decode_head_refuses_a_top_k_that_is_not_an_integer(top_k):
+    anchors, cls, reg = small_case(6, n=10)
+    with pytest.raises(DomainError) as exc:
+        decode_head(cls, reg, anchors, 0, pre_nms_top_k=top_k)
+    assert str(exc.value) == f"pre_nms_top_k must be an int >= 1, got {top_k!r}"
+
+
+def test_decode_head_takes_a_numpy_integer_top_k():
+    anchors, cls, reg = small_case(6, n=40)
+    want = decode_head(cls, reg, anchors, 0, pre_nms_top_k=5)
+    assert decode_head(cls, reg, anchors, 0, pre_nms_top_k=np.int64(5)) == want
+    assert decode_head(cls, reg, anchors, 0, pre_nms_top_k=np.uint8(5)) == want
+
+
 @pytest.mark.parametrize("cls_shape", [(2,), (2, 1, 1)])
 def test_decode_head_refuses_scores_that_are_not_rank_2(cls_shape):
     anchors = np.array([[10.0, 10.0, 4.0, 4.0], [20.0, 10.0, 4.0, 4.0]])

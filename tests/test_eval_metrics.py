@@ -601,6 +601,19 @@ def test_map_rejects_bad_max_detections(bad):
         map_coco(preds, gts, max_detections=bad)
 
 
+@pytest.mark.parametrize("bad", [np.float64(2.0), np.bool_(True), np.int64(0)])
+def test_map_rejects_numpy_max_detections_that_are_not_positive_integers(bad):
+    preds, gts = two_class_scenario()
+    with pytest.raises(DomainError) as exc:
+        map_coco(preds, gts, max_detections=bad)
+    assert str(exc.value) == f"max_detections must be an int >= 1, got {bad!r}"
+
+
+def test_map_takes_a_numpy_integer_max_detections():
+    preds, gts = two_class_scenario()
+    assert map_coco(preds, gts, max_detections=np.int64(1)) == map_coco(preds, gts, max_detections=1)
+
+
 def test_iou_of_two_zero_area_boxes_is_a_domain_error():
     tiny = (3.0, 4.0, 1e-200, 1e-200)
     with pytest.raises(DomainError, match="union is 0"):

@@ -1,7 +1,9 @@
 """Codec roundtrips and malformed-input rejection for every file format."""
 
 import json
+import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -776,6 +778,128 @@ def test_single_byte_mutations_decode_like_the_scanner_or_raise_a_typed_error():
             continue
         assert table == scanned(mutated)
     assert 100 < typed < 400
+
+
+def same_columns(a: DetectionTable, b: DetectionTable) -> bool:
+    """Equal columns bit for bit: -0.0 is not 0.0, and NaN scores match."""
+    columns = ("image_id", "category_id", "bbox", "score")
+    return all(getattr(a, c).tobytes() == getattr(b, c).tobytes() for c in columns)
+
+
+def json_columns(data: bytes) -> DetectionTable:
+    """The columns of json.loads's values, with ints turned to float as
+    float() turns them."""
+    docs = [json.loads(line) for line in data.splitlines()]
+    return DetectionTable(
+        [d["image_id"] for d in docs],
+        [d["category_id"] for d in docs],
+        [[float(v) for v in d["bbox"]] for d in docs],
+        [float(d.get("score", "nan")) for d in docs],
+    )
+
+
+def test_number_forms_decode_to_the_json_values_on_the_fast_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the line scanner ran")
+
+    monkeypatch.setattr(formats_io, "_scan_detection_lines", refuse)
+    fraction = "0." + "".join(str(k * 7 % 10) for k in range(400))
+    lines = [
+        ("9223372036854775807", "-9223372036854775808", "1.5", "-2.5", "3", "4", "0.5"),
+        ("-0", "0", "12345678901234567", "1234567890123456789012345", "9007199254740993", "1", None),
+        ("1", "-0", "9007199254740993.0", "-123456789012345678901.5", "1e05", "1E+2", "1E-2"),
+        ("2", "3", "2.2250738585072011e-308", "-4e-320", "4e-320", "2.2250738585072011e-308", "4e-320"),
+        ("4", "5", fraction, "-" + fraction, "1" + fraction[1:], "1e-05", fraction),
+        ("6", "7", "-0.0", "0", "1.7976931348623157e308", "5e-324", "-0.0"),
+        ("8", "9", "-0e5", "-0E-0", "2", "2", None),
+    ]
+    data = b""
+    for i, c, x, y, w, h, score in lines:
+        tail = "" if score is None else f', "score": {score}'
+        data += f'{{"image_id": {i}, "category_id": {c}, "bbox": [{x}, {y}, {w}, {h}]{tail}}}\n'.encode()
+    table = decode_detections(data)
+    assert same_columns(table, json_columns(data))
+    assert table.image_id[0] == 2**63 - 1 and table.category_id[0] == -(2**63)
+    assert table.bbox[1, 2] == 9007199254740992.0 and np.signbit(table.bbox[5, 0])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bbox", "[1, 1e400, 2, 2]", "line 2: bbox entries must be finite, got (1.0, inf, 2.0, 2.0)"),
+        ("image_id", str(2**63), "line 2: image_id 9223372036854775808 is outside the int64 range"),
+    ],
+)
+def test_the_fast_path_leaves_values_beyond_its_types_to_the_scanner(field, value, message):
+    doc = {"image_id": "0", "category_id": "1", "bbox": "[1, 1, 2, 2]", "score": "0.5"}
+    doc[field] = value
+    good = b'{"image_id": 0, "category_id": 0, "bbox": [1, 1, 2, 2]}\n'
+    bad = ("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}\n").encode()
+    with pytest.raises(DomainError) as exc:
+        decode_detections(good + bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", [b"[-0, 1, 2, 2]", b"[1, -0, 2, 2]", b"[1, 1, 2, 2], \"score\": -0"])
+def test_a_bare_minus_zero_decodes_as_json_reads_it(entry):
+    # json.loads reads -0 as the int 0, whose float is 0.0, not -0.0
+    data = b'{"image_id": 0, "category_id": 0, "bbox": %s}\n' % entry
+    table = decode_detections(data)
+    assert same_columns(table, json_columns(data)) and same_columns(table, scanned(data))
+    assert not np.signbit(table.bbox).any() and not np.signbit(table.score).any()
+
+
+def test_number_field_mutations_decode_like_the_scanner_or_raise_its_error():
+    rng = philox(4242)
+    data = encode_detections(seeded_records(23, n=8))
+    spans = [m.span() for m in re.finditer(rb"-?[0-9][-+.0-9eE]*", data)]
+    alphabet = b"0123456789-+.eE"
+    typed = fast = 0
+    for case in range(1000):
+        start, end = spans[int(rng.integers(0, len(spans)))]
+        i = int(rng.integers(start, end + (case % 3 == 0)))
+        mutated = bytearray(data)
+        byte = alphabet[int(rng.integers(0, len(alphabet)))]
+        if case % 3 == 0:
+            mutated.insert(i, byte)
+        elif case % 3 == 1:
+            del mutated[i]
+        else:
+            mutated[i] = byte
+        mutated = bytes(mutated)
+        try:
+            table = decode_detections(mutated)
+        except EvframeError as exc:
+            typed += 1
+            with pytest.raises(type(exc)) as want:
+                scanned(mutated)
+            assert str(want.value) == str(exc)
+            continue
+        assert same_columns(table, scanned(mutated))
+        fast += formats_io._parse_detection_table(mutated) is not None
+    assert 200 < typed < 900 and fast > 300
+
+
+def test_decoding_a_canonical_body_peaks_below_six_times_its_bytes():
+    rng = philox(77)
+    n = 10_000
+    boxes = np.round(rng.uniform(1.0, 300.0, size=(n, 4)), 2)
+    table = DetectionTable(rng.integers(0, 100, size=n), rng.integers(0, 3, size=n), boxes, np.round(rng.random(n), 4))
+    data = encode_detections(table)
+    tracemalloc.start()
+    try:
+        decoded = decode_detections(data)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert formats_io._DETECTION_BODY.fullmatch(data)
+        check_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert decoded == table
+    assert peak <= 6 * len(data), f"peak {peak} B for a {len(data)} B body"
+    # the possessive check keeps no backtracking state per line
+    assert check_peak < 64 * 1024, f"the body check peaked at {check_peak} B"
 
 
 @pytest.mark.parametrize(
