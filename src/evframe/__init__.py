@@ -102,7 +102,7 @@ from .corruption_bench import (
     corruption_seed,
     psnr,
 )
-from .demo import PipelineResult, run_pipeline_demo
+from .demo import Detector, PipelineResult, run_pipeline_demo
 
 __version__ = "0.1.0"
 

@@ -30,7 +30,8 @@ from .corruption_bench import (
     corrupt_dataset,
 )
 from .demo import run_pipeline_demo
-from .detect_head import HeadConfig, decode_head, level_anchors
+from .detect_head import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESHOLD, HeadConfig
+from .detect_head import decode_head, level_anchors
 from .errors import MAX_BYTES, DomainError, EvframeError, SchemaError, ShapeError, check_budget
 from .eval_metrics import SEVERITY_COUNT, build_mpc_report, map_coco, mpc
 from .event_core import SimConfig, build_voxel_grid, simulate_events
@@ -48,6 +49,7 @@ from .formats_io import (
 )
 from .fusion_cafr import (
     FeaturePair,
+    _check_probes,
     _check_tokens,
     cafr_forward,
     cafr_gradcheck,
@@ -240,6 +242,7 @@ def _cmd_cafr_gradcheck(ns) -> dict:
     if ns.tolerance is not None and math.isnan(ns.tolerance):
         raise DomainError("--tolerance must be a number, got nan")
     _check_tokens(ns.height, ns.width)
+    _check_probes(ns.probes)
     c, h, w = shape
     check_budget(f"a {c}x{h}x{w} feature pair", 16 * c * h * w, "byte", MAX_BYTES)
     weights = init_cafr_weights(ns.channels, seed=ns.seed + 1)
@@ -507,8 +510,8 @@ def _build_parser() -> tuple:
     )
     sub.add_argument("--base-stride", type=int, default=4, help="stride of the finest level")
     sub.add_argument("--image-id", type=int, default=0)
-    sub.add_argument("--score-threshold", type=float, default=0.05)
-    sub.add_argument("--iou-threshold", type=float, default=0.5)
+    sub.add_argument("--score-threshold", type=float, default=DEFAULT_SCORE_THRESHOLD)
+    sub.add_argument("--iou-threshold", type=float, default=DEFAULT_NMS_IOU)
     sub.add_argument("--out", required=True, help="output detection JSONL")
 
     sub = _add_command(

@@ -1,10 +1,12 @@
 """End-to-end smoke pipeline on a synthetic scene.
 
 Builds a moving-rectangle frame pair, simulates events, rasterizes a voxel
-grid, extracts seeded features for both streams, fuses them, runs the
-pyramid and detection head, decodes with NMS, and scores the detections
-against the scene's ground truth. Every stage re-checks its core invariant
-inline so a single run exercises the whole stack.
+grid and runs both streams through a ``Detector``, the paper's fixed chain:
+``Detector.fuse`` runs two stride-4 stems and CAFR fusion, and
+``Detector.detect`` pools the fused map into four scales, runs the pyramid and
+the anchor head and decodes with NMS at score 0.3, IoU 0.5 and top-k 1000.
+The detections are scored against the scene's ground truth. Every stage
+re-checks its core invariant, so a single run exercises the whole stack.
 """
 
 from __future__ import annotations
@@ -15,31 +17,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect_head import (
-    HeadConfig,
-    build_fpn,
-    decode_head,
-    gen_pyramid_anchors,
-    head_forward,
-    init_fpn_weights,
-    init_head_weights,
-)
+from .detect_head import FpnWeights, HeadConfig, HeadWeights, build_fpn, decode_head
+from .detect_head import gen_pyramid_anchors, head_forward, init_fpn_weights, init_head_weights
 from .errors import DomainError, ValidationError, check_budget
 from .eval_metrics import _iou, map_coco
 from .event_core import SimConfig, build_voxel_grid, modality_dropout, simulate_events
-from .formats_io import (
-    DetectionRecord,
-    ImagePNM,
-    encode_detections,
-    encode_image,
-)
-from .fusion_cafr import MAX_TOKENS, FeaturePair, cafr_forward, init_cafr_weights
-from .tensor_math import conv2d, philox, uniform_conv
+from .formats_io import DetectionRecord, DetectionTable, ImagePNM, encode_detections, encode_image
+from .fusion_cafr import MAX_TOKENS, CafrWeights, FeaturePair, cafr_forward, init_cafr_weights
+from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
 SCENE_CATEGORY = 0
 # Smallest scene that fits the block, its 4 px slide and the margins around it.
 MIN_SCENE_WIDTH = 17
 MIN_SCENE_HEIGHT = 13
+# The stems' stride and the decode settings of every Detector.
+STEM_STRIDE = 4
+SCORE_THRESHOLD = 0.3
+NMS_IOU = 0.5
+PRE_NMS_TOP_K = 1000
 
 
 @dataclass
@@ -66,7 +61,7 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
         raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
     if height < MIN_SCENE_HEIGHT:
         raise DomainError(f"height must be >= {MIN_SCENE_HEIGHT}, got {height}")
-    tokens = -(-width // 4) * -(-height // 4)
+    tokens = -(-width // STEM_STRIDE) * -(-height // STEM_STRIDE)
     check_budget(f"CAFR fusion of a {width}x{height} scene", tokens, "token", MAX_TOKENS)
     rng = philox(seed)
     base = np.full((height, width), 200, dtype=np.float64)
@@ -108,6 +103,43 @@ def _check(condition: bool, message: str) -> None:
         raise ValidationError(f"pipeline invariant violated: {message}")
 
 
+@dataclass(frozen=True)
+class Detector:
+    """The paper's detection chain with fixed weights; each method checks its output."""
+
+    frame_stem: ConvWeights
+    event_stem: ConvWeights
+    cafr: CafrWeights
+    fpn: FpnWeights
+    head: HeadWeights
+    cfg: HeadConfig
+
+    def fuse(self, frame: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Fused features of a (1, H, W) frame and a (C, H, W) voxel grid tensor."""
+        frame_feats = conv2d(frame, self.frame_stem, stride=STEM_STRIDE, pad=1)
+        event_feats = conv2d(grid, self.event_stem, stride=STEM_STRIDE, pad=1)
+        fused, _ = cafr_forward(FeaturePair(frame_feats, event_feats), self.cafr)
+        _check(bool(np.all(np.isfinite(fused))), "fused features must be finite")
+        return fused
+
+    def detect(self, fused: np.ndarray, image_id: int) -> DetectionTable:
+        """The suppressed detections of image ``image_id`` from its fused features."""
+        maps = [fused]
+        for _ in range(3):
+            maps.append(_halve(maps[-1]))
+        pyr = build_fpn(maps, self.fpn, base_stride=STEM_STRIDE)
+        cls, reg = head_forward(pyr, self.head, self.cfg)
+        _check(bool(np.all((cls > 0.0) & (cls < 1.0))), "classification scores must be in (0,1)")
+        anchors = gen_pyramid_anchors(pyr, self.cfg)
+        dets = decode_head(cls, reg, anchors, image_id, SCORE_THRESHOLD, NMS_IOU, PRE_NMS_TOP_K)
+        for c in np.unique(dets.category_id):
+            same = dets.bbox[dets.category_id == c]
+            ious = _iou(same[:, None], same)
+            np.fill_diagonal(ious, 0.0)
+            _check(bool(np.all(ious <= NMS_IOU)), "NMS left overlapping boxes")
+        return dets
+
+
 def run_pipeline_demo(
     out_dir,
     seed: int = 0,
@@ -135,36 +167,18 @@ def run_pipeline_demo(
     rgb = frame_b.to_float01()[:, :, 0][None, :, :]
     rgb = modality_dropout(rgb, probability=dropout_p, rng_seed=seed + 1)
 
-    frame_conv = uniform_conv(philox(seed + 2), channels, 1, 3)
-    event_conv = uniform_conv(philox(seed + 3), channels, channels, 3)
-    frame_feats = conv2d(rgb, frame_conv, stride=4, pad=1)
-    event_feats = conv2d(grid.as_tensor(), event_conv, stride=4, pad=1)
-    pair = FeaturePair(frame_feats, event_feats)
-
-    fused, _ = cafr_forward(pair, init_cafr_weights(channels, seed + 4))
-    _check(fused.shape[0] == 2 * channels, "fusion must concatenate both streams")
-    _check(bool(np.all(np.isfinite(fused))), "fused features must be finite")
-
-    maps = [fused]
-    for _ in range(3):
-        maps.append(_halve(maps[-1]))
-    fpn_w = init_fpn_weights([2 * channels] * 4, width=64, seed=seed + 5)
-    pyr = build_fpn(maps, fpn_w, base_stride=4)
-
     cfg = HeadConfig(num_classes=3, width=64)
-    head_w = init_head_weights(cfg, seed + 6)
-    cls, reg = head_forward(pyr, head_w, cfg)
-    _check(bool(np.all((cls > 0.0) & (cls < 1.0))), "classification scores must be in (0,1)")
-
-    anchors = gen_pyramid_anchors(pyr, cfg)
-    _check(cls.shape[0] == len(anchors), "head rows must cover every anchor")
-    dets = decode_head(cls, reg, anchors, image_id=0, score_threshold=0.3, iou_threshold=0.5)
+    detector = Detector(
+        frame_stem=uniform_conv(philox(seed + 2), channels, 1, 3),
+        event_stem=uniform_conv(philox(seed + 3), channels, channels, 3),
+        cafr=init_cafr_weights(channels, seed + 4),
+        fpn=init_fpn_weights([2 * channels] * 4, width=64, seed=seed + 5),
+        head=init_head_weights(cfg, seed + 6),
+        cfg=cfg,
+    )
+    fused = detector.fuse(rgb, grid.as_tensor())
+    dets = detector.detect(fused, 0)
     _check(len(dets) > 0, "decode produced no detections")
-    for c in np.unique(dets.category_id):
-        same = dets.bbox[dets.category_id == c]
-        ious = _iou(same[:, None], same)
-        np.fill_diagonal(ious, 0.0)
-        _check(bool(np.all(ious <= 0.5)), "NMS left overlapping boxes")
 
     det_path = out / "detections.jsonl"
     det_path.write_bytes(encode_detections(dets))

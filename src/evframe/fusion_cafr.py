@@ -232,10 +232,20 @@ ATTN_BLOCK_BYTES = 4 << 20
 # stride 4. The blocks bound attention's memory, but its time is O(tokens^2).
 MAX_TOKENS = 160 * 120
 
+# Most CAFR forwards one gradcheck may run: 1000 probes of two, and one more.
+MAX_GRADCHECK_FORWARDS = 2 * 1000 + 1
+
 
 def _check_tokens(height: int, width: int) -> None:
     """Refuse a fusion over more than MAX_TOKENS tokens, before any work."""
     check_budget(f"CAFR fusion over {height}x{width} features", height * width, "token", MAX_TOKENS)
+
+
+def _check_probes(probes: int) -> None:
+    """Refuse a gradcheck of no probes or over MAX_GRADCHECK_FORWARDS forwards."""
+    if probes < 1:
+        raise DomainError(f"probes must be positive, got {probes}")
+    check_budget(f"a gradcheck of {probes} probes", 2 * probes + 1, "forward", MAX_GRADCHECK_FORWARDS)
 
 
 def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
@@ -476,10 +486,11 @@ def cafr_gradcheck(
 
     The loss is the inner product of the fused output with a fixed random
     tensor; probe coordinates are sampled uniformly over the inputs and every
-    weight member. Arrays are perturbed in place and restored.
+    weight member. Arrays are perturbed in place and restored. A probe count
+    below 1, or whose 2 * probes + 1 forwards exceed MAX_GRADCHECK_FORWARDS,
+    is a DomainError.
     """
-    if probes < 1:
-        raise DomainError(f"probes must be positive, got {probes}")
+    _check_probes(probes)
     if not (step > 0 and math.isfinite(step)):
         raise DomainError(f"step must be finite and positive, got {step}")
     rng = philox(seed)

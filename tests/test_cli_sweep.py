@@ -4,9 +4,10 @@ Each case runs ``cli.main`` in-process on tiny fixtures and must end in a
 result (exit 0), a typed error (exit 1) or a usage error (exit 2), never in
 a traceback. Huge values are swept only for evt2grid's grid dims,
 pipeline-demo's scene dims, warp's output dims, head-decode's levels and base
-stride, and the CAFR feature dims and channels of cafr-gradcheck and
-cafr-forward, whose stages check their size before they allocate; not every
-allocating stage does, so elsewhere they could really allocate.
+stride, the CAFR feature dims and channels of cafr-gradcheck and
+cafr-forward, and cafr-gradcheck's probe count, whose stages check their size
+or count before they allocate or run; not every allocating stage does, so
+elsewhere they could really allocate.
 
 A second sweep varies file content rather than flags: each calibration key
 out of the float range or non-numeric, and a calibration file or a weight
@@ -15,6 +16,7 @@ bundle manifest nested too deep to parse.
 
 import json
 import shutil
+import time
 import tracemalloc
 
 import numpy as np
@@ -328,17 +330,31 @@ def test_a_huge_output_size_exits_1_before_the_output_is_allocated(
             "a 3600x120x160 feature pair needs 1105920000 bytes, over the 1073741824-byte budget",
             id="pair-over-budget",
         ),
+        # each probe runs two CAFR forwards: this many would never end
+        pytest.param(
+            ["--probes=100000000000000000000000000000"],
+            "a gradcheck of 100000000000000000000000000000 probes needs "
+            "200000000000000000000000000001 forwards, over the 2001-forward budget",
+            id="huge-probes",
+        ),
+        pytest.param(
+            ["--probes=1001"],
+            "a gradcheck of 1001 probes needs 2003 forwards, over the 2001-forward budget",
+            id="1001-probes",
+        ),
     ],
 )
 def test_cafr_gradcheck_over_a_budget_exits_1_before_the_pair_is_drawn(
     capsys, tmp_path, inputs, extra, message
 ):
+    start = time.perf_counter()
     tracemalloc.start()
     try:
         code = run_case("cafr-gradcheck", extra, inputs, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert peak < 1024 * 1024  # the 200x200 pair alone would take 1.3 MB, a huge one TBs

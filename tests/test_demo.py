@@ -1,11 +1,28 @@
-"""Synthetic end-to-end demo: scene construction and full-run determinism."""
+"""Synthetic end-to-end demo: scene construction, the Detector chain and full-run determinism."""
+
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evframe import DomainError, decode_detections, run_pipeline_demo
+from evframe import (
+    Detector,
+    DomainError,
+    HeadConfig,
+    decode_detections,
+    encode_detections,
+    init_cafr_weights,
+    init_fpn_weights,
+    init_head_weights,
+    run_pipeline_demo,
+    warp_image,
+)
 from evframe import demo
 from evframe.demo import make_scene
+from evframe.tensor_math import philox, uniform_conv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_scene_is_seed_deterministic():
@@ -65,3 +82,50 @@ def test_demo_full_dropout_still_completes(tmp_path):
     # with the frame stream blanked the event half must carry the pipeline
     res = run_pipeline_demo(tmp_path / "d", seed=1, dropout_p=1.0)
     assert res.n_detections > 0
+
+
+def test_a_detector_of_the_bench_weights_gives_the_bench_detections(monkeypatch):
+    # the bench's own chain and a Detector of its weights, on one scene: the
+    # same bytes mean the bench can drop its copy without a new reference
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    model = workloads.DetectModel(workloads.REF_SEED)
+    detector = Detector(
+        frame_stem=model.frame_stem,
+        event_stem=model.event_stem,
+        cafr=model.cafr,
+        fpn=model.fpn,
+        head=model.head,
+        cfg=model.cfg,
+    )
+    scene = make_scene(64, 48, workloads.REF_SEED)
+    bench = workloads.detect_frame(model, scene, 0)
+    frame_b = scene[1]
+    aligned = warp_image(model.homography, frame_b, frame_b.width, frame_b.height)
+    fused = detector.fuse(aligned.to_float01()[:, :, 0][None], bench["grid"].as_tensor())
+    dets = detector.detect(fused, 0)
+    assert len(dets) > 0
+    assert encode_detections(dets) == encode_detections(bench["dets"])
+
+
+def seeded_detector(seed: int) -> Detector:
+    cfg = HeadConfig(num_classes=2, width=8)
+    return Detector(
+        frame_stem=uniform_conv(philox(seed), 4, 1, 3),
+        event_stem=uniform_conv(philox(seed + 1), 4, 3, 3),
+        cafr=init_cafr_weights(4, seed),
+        fpn=init_fpn_weights([8] * 4, width=8, seed=seed),
+        head=init_head_weights(cfg, seed),
+        cfg=cfg,
+    )
+
+
+def test_the_detector_decodes_at_its_fixed_settings():
+    rng = np.random.default_rng(3)
+    detector = seeded_detector(3)
+    fused = detector.fuse(rng.uniform(size=(1, 30, 38)), rng.standard_normal((3, 30, 38)))
+    assert fused.shape == (8, 8, 10)  # 2C channels at stride 4, rounded up
+    dets = detector.detect(fused, 7)
+    assert 0 < len(dets) <= demo.PRE_NMS_TOP_K
+    assert np.all(dets.score > demo.SCORE_THRESHOLD)
+    assert set(dets.image_id.tolist()) == {7}

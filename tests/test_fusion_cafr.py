@@ -549,6 +549,22 @@ def test_gradcheck_on_default_configuration():
     assert worst < 1e-5
 
 
+def test_gradcheck_refuses_a_probe_count_outside_its_budget_before_any_forward(monkeypatch):
+    rng = philox(61)
+    pair = FeaturePair(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2, 2)))
+    w = init_cafr_weights(2, seed=61)
+
+    def no_forward(*args):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(fusion_cafr, "cafr_forward", no_forward)
+    message = "^a gradcheck of 1001 probes needs 2003 forwards, over the 2001-forward budget$"
+    with pytest.raises(DomainError, match=message):
+        cafr_gradcheck(pair, w, probes=1001)
+    with pytest.raises(DomainError, match="^probes must be positive, got 0$"):
+        cafr_gradcheck(pair, w, probes=0)
+
+
 def array_digest(named: dict) -> str:
     h = hashlib.sha256()
     for name, arr in named.items():

@@ -7,8 +7,10 @@ derivation, draw order, size or dtype) changes a digest here.
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from evframe import (
     CorruptionSpec,
@@ -118,3 +120,30 @@ PINNED = {
 def test_seeded_streams_are_pinned(tmp_path):
     got = seeded_digests(tmp_path)
     assert got == PINNED
+
+
+# summary.json of each seed's default pipeline-demo run, recorded from the
+# code before the detection chain moved into one Detector; "outputs" holds
+# paths and is left out
+PINNED_SUMMARIES = {
+    0: {
+        "n_events": 1472, "grid_shape": [8, 48, 64], "fused_shape": [16, 12, 16],
+        "n_detections": 292, "map": 0.009999999999999993, "map50": 0.03333333333333331,
+    },
+    -1: {
+        "n_events": 1480, "grid_shape": [8, 48, 64], "fused_shape": [16, 12, 16],
+        "n_detections": 260, "map": 0.0, "map50": 0.0,
+    },
+    2**64 + 5: {
+        "n_events": 1463, "grid_shape": [8, 48, 64], "fused_shape": [16, 12, 16],
+        "n_detections": 227, "map": 0.0, "map50": 0.0,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_demo_summaries_are_pinned(tmp_path, seed):
+    assert main(["pipeline-demo", "--out-dir", str(tmp_path), "--seed", str(seed)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    del summary["outputs"]
+    assert summary == PINNED_SUMMARIES[seed]
