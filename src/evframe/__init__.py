@@ -48,6 +48,7 @@ from .geometry_align import (
     Homography,
     compose_homography,
     warp_bbox,
+    warp_boxes,
     warp_image,
     warp_points,
 )

@@ -23,20 +23,15 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .corruption_bench import (
-    CorruptionSpec,
-    CorruptionType,
-    apply_corruption,
-    corrupt_dataset,
-)
+from .corruption_bench import SEVERITY_COUNT, CorruptionSpec, CorruptionType, apply_corruption, corrupt_dataset
 from .demo import run_pipeline_demo
 from .detect_head import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESHOLD, HeadConfig
 from .detect_head import decode_head, level_anchors
 from .errors import MAX_BYTES, DomainError, EvframeError, SchemaError, ShapeError, check_budget
-from .eval_metrics import SEVERITY_COUNT, build_mpc_report, map_coco, mpc
+from .eval_metrics import build_mpc_report, map_coco, mpc
 from .event_core import SimConfig, build_voxel_grid, simulate_events
 from .formats_io import (
-    DetectionRecord,
+    DetectionTable,
     decode_detections,
     decode_events,
     decode_image,
@@ -56,7 +51,7 @@ from .fusion_cafr import (
     init_cafr_weights,
     load_weights,
 )
-from .geometry_align import compose_homography, warp_bbox, warp_image
+from .geometry_align import compose_homography, warp_boxes, warp_image
 from .tensor_math import philox
 
 THREADS_ENV = "EVFRAME_THREADS"
@@ -176,17 +171,11 @@ def _cmd_warp(ns) -> dict:
 def _cmd_warp_labels(ns) -> dict:
     rig = parse_calibration(Path(ns.calib).read_bytes())
     hom = compose_homography(rig)
-    records = decode_detections(Path(ns.labels).read_bytes())
-    kept = []
-    dropped = 0
-    for rec in records:
-        box = warp_bbox(hom, rec.bbox, ns.clip_width, ns.clip_height)
-        if box is None:
-            dropped += 1
-            continue
-        kept.append(DetectionRecord(rec.image_id, rec.category_id, box, rec.score))
-    Path(ns.out).write_bytes(encode_detections(kept))
-    return {"kept": len(kept), "dropped": dropped, "out": str(ns.out)}
+    table = decode_detections(Path(ns.labels).read_bytes())
+    boxes, kept = warp_boxes(hom, table.bbox, ns.clip_width, ns.clip_height)
+    warped = DetectionTable(table.image_id[kept], table.category_id[kept], boxes, table.score[kept])
+    Path(ns.out).write_bytes(encode_detections(warped))
+    return {"kept": len(warped), "dropped": len(table) - len(warped), "out": str(ns.out)}
 
 
 def _cmd_corrupt(ns) -> dict:

@@ -50,6 +50,10 @@ class CorruptionType(Enum):
     JPEG_COMPRESSION = "jpeg_compression"
 
 
+# Each type has severities 1..SEVERITY_COUNT.
+SEVERITY_COUNT = 5
+
+
 @dataclass(frozen=True)
 class CorruptionSpec:
     """One corruption instance: type, severity 1..5, RNG seed; immutable once checked."""
@@ -61,8 +65,8 @@ class CorruptionSpec:
     def __post_init__(self):
         if not isinstance(self.ctype, CorruptionType):
             raise DomainError(f"unknown corruption type {self.ctype!r}")
-        if not isinstance(self.severity, int) or not 1 <= self.severity <= 5:
-            raise DomainError(f"severity must be an integer in [1,5], got {self.severity}")
+        if not isinstance(self.severity, int) or not 1 <= self.severity <= SEVERITY_COUNT:
+            raise DomainError(f"severity must be an integer in [1,{SEVERITY_COUNT}], got {self.severity}")
 
 
 SEVERITY_TABLE = {
@@ -488,7 +492,7 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
         except EvframeError as exc:
             raise type(exc)(f"{src}: {exc}") from None
         for ti, ctype in enumerate(CorruptionType):
-            for severity in range(1, 6):
+            for severity in range(1, SEVERITY_COUNT + 1):
                 seed = corruption_seed(base_seed, i, ti, severity)
                 dst = out / f"{src.stem}_{ctype.value}_s{severity}.pnm"
                 tasks.append((img, CorruptionSpec(ctype, severity, seed), dst))

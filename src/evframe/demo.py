@@ -22,7 +22,7 @@ from .detect_head import gen_pyramid_anchors, head_forward, init_fpn_weights, in
 from .errors import DomainError, ValidationError, check_budget
 from .eval_metrics import _iou, map_coco
 from .event_core import SimConfig, build_voxel_grid, modality_dropout, simulate_events
-from .formats_io import DetectionRecord, DetectionTable, ImagePNM, encode_detections, encode_image
+from .formats_io import DetectionTable, ImagePNM, encode_detections, encode_image
 from .fusion_cafr import MAX_TOKENS, CafrWeights, FeaturePair, cafr_forward, init_cafr_weights
 from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
@@ -53,9 +53,10 @@ class PipelineResult:
 def make_scene(width: int = 64, height: int = 48, seed: int = 0):
     """Two grayscale frames of a dark block sliding over a bright background.
 
-    Returns (frame_a, frame_b, gts) where gts hold the block's position in
-    frame_b as a top-left-form detection record. A scene whose stride-4
-    features, ceil(W/4) x ceil(H/4), exceed MAX_TOKENS is refused before any draw.
+    Returns (frame_a, frame_b, gts) where gts is a one-row DetectionTable of
+    the block's top-left-form box in frame_b, with no score. A scene whose
+    stride-4 features, ceil(W/4) x ceil(H/4), exceed MAX_TOKENS is refused
+    before any draw.
     """
     if width < MIN_SCENE_WIDTH:
         raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
@@ -79,14 +80,7 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
 
     frame_a = render(x0)
     frame_b = render(x0 + dx)
-    gts = [
-        DetectionRecord(
-            image_id=0,
-            category_id=SCENE_CATEGORY,
-            bbox=(float(x0 + dx), float(y0), float(bw), float(bh)),
-            score=None,
-        )
-    ]
+    gts = DetectionTable([0], [SCENE_CATEGORY], [(x0 + dx, y0, bw, bh)], [np.nan])
     return frame_a, frame_b, gts
 
 
@@ -149,6 +143,9 @@ def run_pipeline_demo(
 ) -> PipelineResult:
     """Run the full synthetic pipeline, writing frames, grid, and detections."""
     frame_a, frame_b, gts = make_scene(width, height, seed)
+    # drawn before anything is written, so a bad rate leaves no files behind
+    rgb = frame_b.to_float01()[:, :, 0][None, :, :]
+    rgb = modality_dropout(rgb, probability=dropout_p, rng_seed=seed + 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     channels = 8
@@ -163,9 +160,6 @@ def run_pipeline_demo(
     mass = float(grid.data.sum())
     total_polarity = float(stream.p.sum())
     _check(abs(mass - total_polarity) < 1e-6, "voxel grid does not conserve event mass")
-
-    rgb = frame_b.to_float01()[:, :, 0][None, :, :]
-    rgb = modality_dropout(rgb, probability=dropout_p, rng_seed=seed + 1)
 
     cfg = HeadConfig(num_classes=3, width=64)
     detector = Detector(

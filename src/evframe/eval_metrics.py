@@ -27,6 +27,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from .corruption_bench import SEVERITY_COUNT, CorruptionType
 from .errors import DomainError, ValidationError
 from .formats_io import DetectionRecord, DetectionTable
 
@@ -35,8 +36,6 @@ RECALL_POINTS = tuple(i / 100.0 for i in range(101))
 DEFAULT_MAX_DETECTIONS = 100
 # bytes of one chunk's padded blocks in the lockstep match (``_chunks``)
 MATCH_BLOCK_BYTES = 4 << 20
-CORRUPTION_TYPE_COUNT = 15
-SEVERITY_COUNT = 5
 
 _RECALL_GRID = np.array(RECALL_POINTS)
 
@@ -311,9 +310,9 @@ def _check_matrix(map_matrix):
     except TypeError:
         raise DomainError("corruption matrix must be a sequence of rows") from None
     lengths = [len(r) for r in rows]
-    if lengths != [SEVERITY_COUNT] * CORRUPTION_TYPE_COUNT:
+    if lengths != [SEVERITY_COUNT] * len(CorruptionType):
         raise DomainError(
-            f"expected a {CORRUPTION_TYPE_COUNT}x{SEVERITY_COUNT} matrix, got row lengths {lengths}"
+            f"expected a {len(CorruptionType)}x{SEVERITY_COUNT} matrix, got row lengths {lengths}"
         )
     for r in rows:
         for v in r:

@@ -121,26 +121,38 @@ def warp_image(
     return ImagePNM(width=out_w, height=out_h, channels=src.channels, pixels=pixels)
 
 
-def warp_bbox(h: Homography, box, clip_w: float, clip_h: float):
-    """Warp a (x, y, w, h) top-left box: corner hull, then clip.
+def warp_boxes(h: Homography, boxes: np.ndarray, clip_w: float, clip_h: float):
+    """Warp (n, 4) x, y, w, h top-left boxes as columns: corner hull, then clip.
 
     The clip window (0, 0, clip_w, clip_h) must be finite with a positive
-    size. Returns None when the clipped box has zero area.
+    size; it is checked before any box, then the first box with w or h <= 0
+    is refused. All 4n corners go through one ``warp_points`` call. The clip
+    is Python's ``max(v, 0.0)`` and ``min(v, clip)``, so a -0.0 edge stays
+    -0.0, and a box is dropped when its clipped width or height is <= 0 (a
+    NaN hull is kept). Returns the clipped (m, 4) boxes of nonzero area, in
+    input order, and the (n,) bool mask of the boxes they come from.
     """
     cw, ch = float(clip_w), float(clip_h)
     if not (0.0 < cw < np.inf and 0.0 < ch < np.inf):
         raise DomainError(f"clip window must be finite and positive, got {cw}x{ch}")
-    x, y, w, hgt = (float(v) for v in box)
-    if w <= 0 or hgt <= 0:
-        raise DomainError(f"box dims must be positive, got w={w}, h={hgt}")
-    corners = np.array(
-        [[x, y], [x + w, y], [x, y + hgt], [x + w, y + hgt]], dtype=np.float64
-    )
-    warped = warp_points(h, corners)
-    x0, y0 = warped.min(axis=0)
-    x1, y1 = warped.max(axis=0)
-    x0c, y0c = max(x0, 0.0), max(y0, 0.0)
-    x1c, y1c = min(x1, cw), min(y1, ch)
-    if x1c <= x0c or y1c <= y0c:
-        return None
-    return (x0c, y0c, x1c - x0c, y1c - y0c)
+    x, y, w, hgt = np.asarray(boxes, dtype=np.float64).T
+    bad = (w <= 0) | (hgt <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"box dims must be positive, got w={w[i].item()}, h={hgt[i].item()}")
+    corners = np.stack([x, y, x + w, y, x, y + hgt, x + w, y + hgt], axis=1).reshape(-1, 2)
+    warped = warp_points(h, corners).reshape(-1, 4, 2)
+    lo, hi = warped.min(axis=1), warped.max(axis=1)
+    lo = np.where(0.0 > lo, 0.0, lo)
+    hi = np.where(np.array([cw, ch]) < hi, [cw, ch], hi)
+    keep = ~(hi <= lo).any(axis=1)
+    return np.hstack([lo, hi - lo])[keep], keep
+
+
+def warp_bbox(h: Homography, box, clip_w: float, clip_h: float):
+    """Warp one (x, y, w, h) top-left box as ``warp_boxes`` does.
+
+    Returns the clipped box as a tuple, or None when it has zero area.
+    """
+    boxes, _ = warp_boxes(h, [box], clip_w, clip_h)
+    return tuple(boxes[0].tolist()) if len(boxes) else None

@@ -11,6 +11,7 @@ from evframe import (
     encode_detections,
     encode_image,
     DetectionRecord,
+    DetectionTable,
     FeaturePair,
     cafr_forward,
     compose_homography,
@@ -316,6 +317,50 @@ def test_warp_labels_drops_a_box_outside_the_clip_window(capsys, tmp_path, ident
     assert kept.bbox == pytest.approx(inside.bbox, abs=1e-9)
 
 
+# sha256 of the seeded labels file and of warp-labels' output for it, and the
+# kept/dropped counts, recorded from the box-by-box implementation
+WARP_LABELS_PINS = {
+    "scored": (
+        "9bd7191caeaaaaecbbc5373cda65dfc4c32ba72f3f77d9d2188faddf6d857fb0",
+        "c28a8007f38023691926e4810b825e174322926d8d478c57b60771aa9a90d96b",
+        316,
+        184,
+    ),
+    "unscored": (
+        "19cac7798c72af0a9cd02cd31242b28b27493da8c7fa85995efc98fe75e46c41",
+        "af88ff240fae8b27d4edebf2d6125eceae212a23f264435f54835d82eda4846e",
+        316,
+        184,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARP_LABELS_PINS))
+def test_warp_labels_under_a_rotated_rig_gives_the_pinned_bytes(capsys, tmp_path, case):
+    # 500 seeded boxes around a 64x48 window under a rotated rig: some are
+    # kept whole, some clipped at an edge and some dropped
+    rng = philox(27)
+    n = 500
+    xy = rng.uniform(-30.0, 80.0, size=(n, 2))
+    wh = rng.uniform(0.5, 30.0, size=(n, 2))
+    ids, cats = rng.integers(0, 5, size=n), rng.integers(0, 3, size=n)
+    scores = rng.uniform(0.0, 1.0, size=n) if case == "scored" else np.full(n, np.nan)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes(encode_detections(DetectionTable(ids, cats, np.hstack([xy, wh]), scores)))
+    calib = tmp_path / "calib.json"
+    calib.write_bytes(calibration_json(small_rig(0.3, -0.2, 0.25)))
+    out = tmp_path / "warped.jsonl"
+    code, stdout, err = run(
+        capsys, "warp-labels", "--labels", str(labels), "--calib", str(calib),
+        "--clip-width", "64", "--clip-height", "48", "--out", str(out),
+    )
+    labels_sha, out_sha, kept, dropped = WARP_LABELS_PINS[case]
+    assert (code, err) == (0, "")
+    assert stdout == json.dumps({"dropped": dropped, "kept": kept, "out": str(out)}, indent=2) + "\n"
+    assert hashlib.sha256(labels.read_bytes()).hexdigest() == labels_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+
+
 def test_warp_over_the_memory_budget_exits_1_without_allocating(capsys, tmp_path, identity_calib):
     src = tmp_path / "in.ppm"
     src.write_bytes(encode_image(rgb_image(philox(2), 20, 15)))
@@ -330,13 +375,14 @@ def test_warp_over_the_memory_budget_exits_1_without_allocating(capsys, tmp_path
 
 
 @pytest.mark.parametrize(
-    "clip",
-    [["nan", "48"], ["-5", "48"], ["64", "0"], ["64", "inf"]],
-    ids=["nan-width", "negative-width", "zero-height", "inf-height"],
+    "clip, n_boxes",
+    [(["nan", "48"], 1), (["-5", "48"], 1), (["64", "0"], 1), (["64", "inf"], 1), (["nan", "48"], 0)],
+    ids=["nan-width", "negative-width", "zero-height", "inf-height", "nan-width-no-boxes"],
 )
-def test_warp_labels_refuses_a_bad_clip_window(capsys, tmp_path, identity_calib, clip):
+def test_warp_labels_refuses_a_bad_clip_window(capsys, tmp_path, identity_calib, clip, n_boxes):
+    # the window is checked before any box, so an empty labels file is refused too
     labels = tmp_path / "labels.jsonl"
-    labels.write_bytes(encode_detections([DetectionRecord(0, 0, (5.0, 5.0, 10.0, 8.0), None)]))
+    labels.write_bytes(encode_detections([DetectionRecord(0, 0, (5.0, 5.0, 10.0, 8.0), None)][:n_boxes]))
     out = tmp_path / "warped.jsonl"
     code, stdout, err = run(
         capsys, "warp-labels", "--labels", str(labels), "--calib", str(identity_calib),
@@ -873,6 +919,14 @@ def test_pipeline_demo_refuses_a_scene_too_small_for_its_block(capsys, tmp_path,
     out_dir = tmp_path / "demo"
     code, out, err = run(capsys, "pipeline-demo", "--out-dir", str(out_dir), *size)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rate", ["1.5", "-0.1", "nan"])
+def test_pipeline_demo_refuses_a_bad_dropout_before_writing_anything(capsys, tmp_path, rate):
+    out_dir = tmp_path / "demo"
+    code, out, err = run(capsys, "pipeline-demo", "--out-dir", str(out_dir), "--dropout", rate)
+    assert (code, out, err) == (1, "", f"error: probability must be in [0, 1], got {float(rate)}\n")
     assert not out_dir.exists()
 
 

@@ -14,6 +14,7 @@ from evframe import (
     decode_image,
     encode_image,
     warp_bbox,
+    warp_boxes,
     warp_image,
     warp_points,
 )
@@ -211,3 +212,74 @@ def test_rotation_warps_box_to_corner_hull():
 def test_box_clip_window_must_be_finite_and_positive(clip_w, clip_h):
     with pytest.raises(DomainError, match="clip window must be finite and positive"):
         warp_bbox(Homography(np.eye(3)), (2.0, 3.0, 4.0, 5.0), clip_w, clip_h)
+
+
+# -- box warping as columns -------------------------------------------------------
+
+
+def scalar_warp_bbox(h, box, clip_w, clip_h):
+    """The box-by-box reference: a box's four corners, their hull, then
+    Python's max and min against the clip window."""
+    x, y, w, hgt = (float(v) for v in box)
+    warped = warp_points(h, np.array([[x, y], [x + w, y], [x, y + hgt], [x + w, y + hgt]]))
+    x0, y0 = warped.min(axis=0)
+    x1, y1 = warped.max(axis=0)
+    x0c, y0c = max(x0, 0.0), max(y0, 0.0)
+    x1c, y1c = min(x1, float(clip_w)), min(y1, float(clip_h))
+    if x1c <= x0c or y1c <= y0c:
+        return None
+    return (x0c, y0c, x1c - x0c, y1c - y0c)
+
+
+def seeded_homographies(rng, n):
+    """Rotated rigs and perturbed projective maps, alternately."""
+    for k in range(n):
+        if k % 2:
+            noise = rng.normal(0.0, [[0.1, 0.1, 5.0], [0.1, 0.1, 5.0], [1e-3, 1e-3, 0.05]])
+            yield Homography(np.eye(3) + noise)
+        else:
+            yield compose_homography(small_rig(*rng.uniform(-0.6, 0.6, size=3)))
+
+
+def test_warp_boxes_equals_the_box_by_box_warp_bit_for_bit():
+    rng = philox(31)
+    clip = (64, 48)
+    kept_whole = clipped = dropped = 0
+    for hom in seeded_homographies(rng, 40):
+        boxes = np.hstack([rng.uniform(-40.0, 90.0, size=(150, 2)), rng.uniform(0.5, 40.0, size=(150, 2))])
+        out, kept = warp_boxes(hom, boxes, *clip)
+        ref = [scalar_warp_bbox(hom, box, *clip) for box in boxes]
+        assert kept.tolist() == [r is not None for r in ref]
+        assert out.tobytes() == np.array([r for r in ref if r is not None]).tobytes()
+        one_by_one = [warp_bbox(hom, box, *clip) for box in boxes]
+        assert [r is None for r in one_by_one] == [r is None for r in ref]
+        assert np.array([r for r in one_by_one if r is not None]).tobytes() == out.tobytes()
+        at_edge = np.any((out[:, :2] == 0.0) | (out[:, :2] + out[:, 2:] >= clip), axis=1)
+        clipped += int(at_edge.sum())
+        kept_whole += int((~at_edge).sum())
+        dropped += int((~kept).sum())
+    assert min(kept_whole, clipped, dropped) > 100
+
+
+def test_warp_boxes_of_no_boxes_still_checks_the_clip_window():
+    out, kept = warp_boxes(Homography(np.eye(3)), np.zeros((0, 4)), 64, 48)
+    assert (out.shape, out.dtype, kept.shape, kept.dtype) == ((0, 4), np.float64, (0,), bool)
+    with pytest.raises(DomainError, match="^clip window must be finite and positive, got nanx48.0$"):
+        warp_boxes(Homography(np.eye(3)), np.zeros((0, 4)), np.nan, 48)
+
+
+def test_warp_boxes_refuses_the_first_box_without_area():
+    boxes = [(1.0, 1.0, 2.0, 2.0), (0.0, 0.0, 0.0, 2.0), (0.0, 0.0, 3.0, -1.0)]
+    with pytest.raises(DomainError, match="^box dims must be positive, got w=0.0, h=2.0$"):
+        warp_boxes(Homography(np.eye(3)), boxes, 64, 48)
+
+
+def test_warp_boxes_clips_as_python_max_does_keeping_a_negative_zero():
+    # -I maps (x, y) to itself, but a corner at x = 0 comes out as -0.0:
+    # Python's max(-0.0, 0.0) keeps it, np.maximum would give +0.0
+    hom = Homography(-np.eye(3))
+    out, kept = warp_boxes(hom, [(0.0, 1.0, 2.0, 3.0)], 10, 10)
+    assert kept.tolist() == [True]
+    assert np.signbit(out[0, 0]) and out[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert out[0].tobytes() == np.array(scalar_warp_bbox(hom, (0.0, 1.0, 2.0, 3.0), 10, 10)).tobytes()
+    assert np.array(warp_bbox(hom, (0.0, 1.0, 2.0, 3.0), 10, 10)).tobytes() == out[0].tobytes()
