@@ -78,7 +78,6 @@ from .detect_head import (
     decode_head,
     decode_offsets,
     encode_offsets,
-    gen_anchors,
     gen_pyramid_anchors,
     head_forward,
     init_fpn_weights,

@@ -28,8 +28,8 @@ from .demo import run_pipeline_demo
 from .detect_head import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESHOLD, HeadConfig
 from .detect_head import decode_head, level_anchors
 from .errors import MAX_BYTES, DomainError, EvframeError, SchemaError, ShapeError, check_budget
-from .eval_metrics import build_mpc_report, map_coco, mpc
-from .event_core import SimConfig, build_voxel_grid, simulate_events
+from .eval_metrics import DEFAULT_MAX_DETECTIONS, build_mpc_report, map_coco, mpc
+from .event_core import DEFAULT_LOG_EPS, SimConfig, build_voxel_grid, simulate_events
 from .formats_io import (
     DetectionTable,
     decode_detections,
@@ -374,7 +374,7 @@ def _build_parser() -> tuple:
     sub.add_argument("--t-a", type=int, default=0, help="start timestamp, microseconds")
     sub.add_argument("--t-b", type=int, default=1_000_000, help="end timestamp, microseconds")
     sub.add_argument("--threshold", type=float, default=0.1, help="log-intensity trigger level")
-    sub.add_argument("--log-eps", type=float, default=1.0 / 255.0, help="intensity floor")
+    sub.add_argument("--log-eps", type=float, default=DEFAULT_LOG_EPS, help="intensity floor")
     sub.add_argument("--out", required=True, help="output event CSV")
 
     sub = _add_command(
@@ -511,7 +511,7 @@ def _build_parser() -> tuple:
     )
     sub.add_argument("--pred", required=True, help="detection JSONL")
     sub.add_argument("--gt", required=True, help="ground-truth JSONL")
-    sub.add_argument("--max-detections", type=int, default=100, help="per-image cap")
+    sub.add_argument("--max-detections", type=int, default=DEFAULT_MAX_DETECTIONS, help="per-image cap")
     sub.add_argument("--out", help="also write the report JSON here")
 
     sub = _add_command(

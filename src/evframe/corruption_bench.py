@@ -6,7 +6,8 @@ pixelate, jpeg). Every corruption preserves dims/channels, clamps to byte
 range, and is a pure function of (image, type, severity, seed); randomness
 comes from a counter-based generator so outputs are identical across runs
 and platforms. Severity parameter tables are authored here and are strictly
-monotone in the degradation direction.
+monotone in the degradation direction. Each type's renderer is found by
+name: ``corrupt_<value>`` renders ``CorruptionType(value)``.
 """
 
 from __future__ import annotations
@@ -407,23 +408,7 @@ def corrupt_jpeg_compression(arr: np.ndarray, rng, quality: int) -> np.ndarray:
 # -- dispatch ---------------------------------------------------------------------
 
 # Each is called as fn(arr, rng, **SEVERITY_TABLE[ctype][severity - 1]).
-_CORRUPT = {
-    CorruptionType.GAUSSIAN_NOISE: corrupt_gaussian_noise,
-    CorruptionType.SHOT_NOISE: corrupt_shot_noise,
-    CorruptionType.IMPULSE_NOISE: corrupt_impulse_noise,
-    CorruptionType.DEFOCUS_BLUR: corrupt_defocus_blur,
-    CorruptionType.GLASS_BLUR: corrupt_glass_blur,
-    CorruptionType.MOTION_BLUR: corrupt_motion_blur,
-    CorruptionType.ZOOM_BLUR: corrupt_zoom_blur,
-    CorruptionType.FOG: corrupt_fog,
-    CorruptionType.SNOW: corrupt_snow,
-    CorruptionType.FROST: corrupt_frost,
-    CorruptionType.BRIGHTNESS: corrupt_brightness,
-    CorruptionType.CONTRAST: corrupt_contrast,
-    CorruptionType.ELASTIC: corrupt_elastic,
-    CorruptionType.PIXELATE: corrupt_pixelate,
-    CorruptionType.JPEG_COMPRESSION: corrupt_jpeg_compression,
-}
+_CORRUPT = {t: globals()[f"corrupt_{t.value}"] for t in CorruptionType}
 
 
 def apply_corruption(img: ImagePNM, spec: CorruptionSpec) -> ImagePNM:

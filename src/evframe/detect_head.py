@@ -67,7 +67,7 @@ class OffsetVector:
     def __post_init__(self):
         vals = (self.t_x, self.t_y, self.t_w, self.t_h)
         if not all(math.isfinite(v) for v in vals):
-            raise DomainError(f"offsets must be finite, got {vals}")
+            raise DomainError(f"offsets must be finite, got {tuple(float(v) for v in vals)}")
 
 
 @dataclass
@@ -204,27 +204,26 @@ def _anchor_shapes(stride: int, cfg: HeadConfig) -> np.ndarray:
     return shapes
 
 
-def gen_anchors(height: int, width: int, stride: int, cfg: HeadConfig) -> np.ndarray:
-    """(H*W*A, 4) anchors as (cx, cy, w, h) rows, centers at (i+0.5)*stride.
-
-    Base size is 4*stride; w = base*scale*sqrt(ratio), h = base*scale/sqrt(ratio),
-    so w/h equals the ratio. Order: row, column, then ratio-major anchor index.
-    """
-    shapes = _anchor_shapes(stride, cfg)
-    cy = (np.arange(height) + 0.5) * stride
-    cx = (np.arange(width) + 0.5) * stride
-    grid = np.empty((len(cy), len(cx), len(shapes), 4))
-    grid[..., 0] = cx[None, :, None]
-    grid[..., 1] = cy[:, None, None]
-    grid[..., 2:] = shapes
-    return grid.reshape(-1, 4)
-
-
 def level_anchors(shapes: Sequence[tuple], base_stride: int, cfg: HeadConfig) -> np.ndarray:
-    """Anchors of levels with (H, W) ``shapes``, strides doubling from base_stride."""
-    return np.concatenate(
-        [gen_anchors(h, w, base_stride * 2 ** i, cfg) for i, (h, w) in enumerate(shapes)]
-    )
+    """(N, 4) anchors as (cx, cy, w, h) rows of levels with (H, W) ``shapes``.
+
+    Level i has stride s = base_stride * 2**i and centers at (i+0.5)*s. Base
+    size is 4*s; w = base*scale*sqrt(ratio), h = base*scale/sqrt(ratio), so
+    w/h equals the ratio. Order: level, row, column, then ratio-major anchor
+    index.
+    """
+    levels = []
+    for i, (height, width) in enumerate(shapes):
+        stride = base_stride * 2 ** i
+        sizes = _anchor_shapes(stride, cfg)
+        cy = (np.arange(height) + 0.5) * stride
+        cx = (np.arange(width) + 0.5) * stride
+        grid = np.empty((len(cy), len(cx), len(sizes), 4))
+        grid[..., 0] = cx[None, :, None]
+        grid[..., 1] = cy[:, None, None]
+        grid[..., 2:] = sizes
+        levels.append(grid.reshape(-1, 4))
+    return np.concatenate(levels)
 
 
 def gen_pyramid_anchors(pyr: FeaturePyramid, cfg: HeadConfig) -> np.ndarray:
@@ -336,7 +335,7 @@ def _top_k_stable(keys: np.ndarray, k: int) -> np.ndarray:
 def _first_bad_candidate(i, offsets, w, h, boxes, scores):
     """The error the checks of one decoded candidate raise first."""
     if not np.isfinite(offsets[i]).all():
-        return DomainError(f"offsets must be finite, got {tuple(offsets[i])}")
+        return DomainError(f"offsets must be finite, got {tuple(offsets[i].tolist())}")
     if not (w[i] > 0 and h[i] > 0):
         return DomainError(f"box dims must be positive, got w={float(w[i])}, h={float(h[i])}")
     if not np.isfinite(boxes[i]).all():
@@ -369,9 +368,9 @@ def decode_head(
     returned as the columns of a DetectionTable, with no per-box record. An
     ``image_id`` that is not an integer within int64, a ``pre_nms_top_k``
     that is not a Python or numpy integer >= 1 (a bool is not one), a NaN
-    score threshold or a finite anchor entry beyond the offsets' dtype (a
-    stride too large for float32 offsets) is a ``DomainError``, raised
-    before any work.
+    score threshold, an IoU threshold outside [0, 1] or a finite anchor
+    entry beyond the offsets' dtype (a stride too large for float32
+    offsets) is a ``DomainError``, raised before any work.
     """
     image_id = _int64_id("image_id", image_id)
     cls = np.asarray(cls)
@@ -390,6 +389,8 @@ def decode_head(
     if math.isnan(score_threshold):
         raise DomainError("score_threshold must be a number, got nan")
     pre_nms_top_k = _count("pre_nms_top_k", pre_nms_top_k)
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
     dt = np.result_type(reg.dtype, 0.0)
     with np.errstate(over="ignore"):
         beyond = np.isfinite(anchors) & ~np.isfinite(anchors.astype(dt, copy=False))
@@ -423,8 +424,6 @@ def decode_head(
     )
     if bad.any():
         raise _first_bad_candidate(int(np.argmax(bad)), t, w, h, boxes, scores)
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
 
     kept = _nms_keep(boxes, scores, cols, iou_threshold)
     return DetectionTable(np.full(len(kept), image_id), cols[kept], boxes[kept], scores[kept])

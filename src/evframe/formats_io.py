@@ -610,47 +610,28 @@ def encode_image(img: ImagePNM) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def _read_pnm_tokens(data: bytes, count: int):
-    """Read `count` whitespace-separated header tokens, skipping # comments.
-
-    Returns (tokens, offset of the byte after the single whitespace that
-    terminates the last token).
-    """
-    tokens = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise FormatError("truncated PNM header")
-        tokens.append(data[start:i])
-    if i >= n:
-        raise FormatError("truncated PNM header")
-    return tokens, i + 1  # skip exactly one whitespace byte after maxval
+# Width, height and maxval, each after whitespace and # comments, then the one
+# whitespace byte before the payload. Possessive, so the bytes of a comment are
+# never read back as a token.
+_PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*+)*+(\S++)" + rb"\s")
 
 
 def decode_image(data: bytes) -> ImagePNM:
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
         raise FormatError("unsupported image magic, expected P5 or P6")
     channels = 1 if data[:2] == b"P5" else 3
-    tokens, offset = _read_pnm_tokens(data[2:], 3)
+    header = _PNM_HEADER.match(data, 2)
+    if header is None:
+        raise FormatError("truncated PNM header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError:
         raise FormatError("non-numeric PNM header field") from None
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255")
     if width <= 0 or height <= 0:
         raise FormatError(f"invalid dimensions {width}x{height}")
-    payload = data[2 + offset :]
+    payload = data[header.end() :]
     expected = width * height * channels
     if len(payload) != expected:
         raise FormatError(
@@ -691,9 +672,7 @@ def decode_tensor(data: bytes) -> np.ndarray:
     if len(data) < header_len:
         raise FormatError("truncated tensor header")
     dims = struct.unpack_from(f"<{rank}I", data, 8)
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     payload = data[header_len:]
     if len(payload) != 4 * count:
         raise FormatError(
@@ -750,13 +729,7 @@ def parse_calibration(data: bytes) -> CameraRig:
         if not np.all(np.isfinite(m)):  # the JSON literals NaN, Infinity, 1e999
             raise SchemaError(f"'{key}' contains a non-finite entry")
         matrices[key] = m.reshape(3, 3)
-    return CameraRig(
-        k_rgb=matrices["K_rgb"],
-        k_event=matrices["K_event"],
-        r_rgb=matrices["R_rgb"],
-        r_event=matrices["R_event"],
-        r_event_rgb=matrices["R_event_rgb"],
-    )
+    return CameraRig(**{key.lower(): m for key, m in matrices.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -126,22 +126,32 @@ def warp_boxes(h: Homography, boxes: np.ndarray, clip_w: float, clip_h: float):
 
     The clip window (0, 0, clip_w, clip_h) must be finite with a positive
     size; it is checked before any box, then the first box with w or h <= 0
-    is refused. All 4n corners go through one ``warp_points`` call. The clip
-    is Python's ``max(v, 0.0)`` and ``min(v, clip)``, so a -0.0 edge stays
-    -0.0, and a box is dropped when its clipped width or height is <= 0 (a
-    NaN hull is kept). Returns the clipped (m, 4) boxes of nonzero area, in
-    input order, and the (n,) bool mask of the boxes they come from.
+    is refused. All 4n corners go through one ``warp_points`` call, and the
+    first box with a warped corner that is not finite (a NaN entry, or
+    entries that overflow float64) is refused by its row index. The clip is Python's
+    ``max(v, 0.0)`` and ``min(v, clip)``, so a -0.0 edge stays -0.0, and a
+    box is dropped when its clipped width or height is <= 0. Returns the
+    clipped (m, 4) boxes of nonzero area, in input order, and the (n,) bool
+    mask of the boxes they come from.
     """
     cw, ch = float(clip_w), float(clip_h)
     if not (0.0 < cw < np.inf and 0.0 < ch < np.inf):
         raise DomainError(f"clip window must be finite and positive, got {cw}x{ch}")
-    x, y, w, hgt = np.asarray(boxes, dtype=np.float64).T
+    boxes = np.asarray(boxes, dtype=np.float64)
+    x, y, w, hgt = boxes.T
     bad = (w <= 0) | (hgt <= 0)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"box dims must be positive, got w={w[i].item()}, h={hgt[i].item()}")
-    corners = np.stack([x, y, x + w, y, x, y + hgt, x + w, y + hgt], axis=1).reshape(-1, 2)
-    warped = warp_points(h, corners).reshape(-1, 4, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = np.stack([x, y, x + w, y, x, y + hgt, x + w, y + hgt], axis=1).reshape(-1, 2)
+        warped = warp_points(h, corners).reshape(-1, 4, 2)
+    bad = ~np.isfinite(warped).all(axis=(1, 2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"row {i}: box corners are not finite after the warp, got {tuple(boxes[i].tolist())}"
+        )
     lo, hi = warped.min(axis=1), warped.max(axis=1)
     lo = np.where(0.0 > lo, 0.0, lo)
     hi = np.where(np.array([cw, ch]) < hi, [cw, ch], hi)

@@ -393,6 +393,28 @@ def test_warp_labels_refuses_a_bad_clip_window(capsys, tmp_path, identity_calib,
     assert not out.exists()
 
 
+def test_warp_labels_refuses_a_box_whose_corners_overflow_by_its_input_row(capsys, tmp_path):
+    # decode_detections accepts 1e308; its corners overflow float64 in the warp
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes(encode_detections([
+        DetectionRecord(0, 0, (5.0, 5.0, 10.0, 8.0), None),
+        DetectionRecord(0, 1, (1e308, 1e308, 1e308, 1e308), 0.5),
+    ]))
+    calib = tmp_path / "calib.json"
+    calib.write_bytes(calibration_json(small_rig(0.3, -0.2, 0.25)))
+    out = tmp_path / "warped.jsonl"
+    code, stdout, err = run(
+        capsys, "warp-labels", "--labels", str(labels), "--calib", str(calib),
+        "--clip-width", "64", "--clip-height", "48", "--out", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    assert err == (
+        "error: row 1: box corners are not finite after the warp, "
+        "got (1e+308, 1e+308, 1e+308, 1e+308)\n"
+    )
+    assert not out.exists()
+
+
 # -- corrupt ----------------------------------------------------------------------
 
 
@@ -677,7 +699,7 @@ def test_head_decode_emits_detections(capsys, tmp_path):
 
 
 def test_head_decode_full_grid(capsys, tmp_path):
-    from evframe import HeadConfig, gen_anchors
+    from evframe import HeadConfig
 
     cfg = HeadConfig(num_classes=2)
     n = (2 * 2 + 1 + 1 + 1 + 1) * cfg.anchors_per_position
@@ -738,6 +760,21 @@ def test_head_decode_refuses_a_stride_beyond_the_offsets_float32(capsys, tmp_pat
     )
     message = "anchors are not finite in the offsets' float32: the largest entry is 1.43675e+39"
     assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_head_decode_names_a_non_finite_offset_row_in_python_floats(capsys, tmp_path):
+    clsf, regf = tmp_path / "cls.ftns", tmp_path / "reg.ftns"
+    reg = np.zeros((45, 4))
+    reg[3, 0] = np.nan
+    write_tensor(clsf, np.full((45, 1), 0.9))
+    write_tensor(regf, reg)
+    out = tmp_path / "dets.jsonl"
+    code, stdout, err = run(
+        capsys, "head-decode", "--cls", str(clsf), "--reg", str(regf),
+        "--levels", "1x1,1x1,1x1,1x1,1x1", "--out", str(out),
+    )
+    assert (code, stdout, err) == (1, "", "error: offsets must be finite, got (nan, 0.0, 0.0, 0.0)\n")
     assert not out.exists()
 
 

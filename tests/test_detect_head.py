@@ -21,7 +21,6 @@ from evframe import (
     decode_offsets,
     encode_detections,
     encode_offsets,
-    gen_anchors,
     gen_pyramid_anchors,
     head_forward,
     init_fpn_weights,
@@ -71,7 +70,7 @@ def test_config_counts_anchor_layout():
 
 def test_anchor_grid_count_and_centers():
     cfg = HeadConfig(num_classes=1)
-    anchors = gen_anchors(3, 4, 8, cfg)
+    anchors = level_anchors([(3, 4)], 8, cfg)
     assert anchors.shape == (3 * 4 * 9, 4)
     assert tuple(anchors[0, :2]) == (4.0, 4.0)
     # anchor index runs fastest, then column, then row
@@ -81,7 +80,7 @@ def test_anchor_grid_count_and_centers():
 
 def test_anchor_shapes_encode_scale_and_ratio():
     cfg = HeadConfig(num_classes=1)
-    anchors = gen_anchors(1, 1, 4, cfg)
+    anchors = level_anchors([(1, 1)], 4, cfg)
     assert anchors.shape == (9, 4)
     base = 16.0
     idx = 0
@@ -95,7 +94,7 @@ def test_anchor_shapes_encode_scale_and_ratio():
 
 def test_anchor_stride_must_be_positive():
     with pytest.raises(DomainError):
-        gen_anchors(2, 2, 0, HeadConfig(num_classes=1))
+        level_anchors([(2, 2)], 0, HeadConfig(num_classes=1))
 
 
 def tiny_pyramid(c=3):
@@ -118,7 +117,7 @@ def test_pyramid_anchor_levels_and_counts():
     for (h, w), stride, lo, hi in zip(
         [(8, 6), (4, 3), (2, 2), (1, 1), (1, 1)], (4, 8, 16, 32, 64), starts, starts[1:]
     ):
-        assert np.array_equal(anchors[lo:hi], gen_anchors(h, w, stride, cfg))
+        assert np.array_equal(anchors[lo:hi], level_anchors([(h, w)], stride, cfg))
     # the last position's first anchor: scale 1, ratio 0.5, at stride 64
     assert anchors[-9, 2] == 4.0 * 64 * math.sqrt(0.5)
 
@@ -329,6 +328,13 @@ def test_decode_head_rejects_an_iou_threshold_outside_the_unit_interval(thr):
         decode_head(cls, reg, anchors, 0, iou_threshold=thr)
 
 
+def test_a_bad_iou_threshold_is_refused_before_any_candidate_is_checked():
+    anchors, cls, reg = small_case(5, n=20)
+    reg[0, 0] = math.nan
+    with pytest.raises(DomainError, match=r"^iou_threshold must be in \[0,1\], got 2.0$"):
+        decode_head(np.full_like(cls, 0.9), reg, anchors, 0, iou_threshold=2.0)
+
+
 def test_decode_head_rejects_a_nan_score_threshold():
     # every score compares False against NaN, so it would keep no box at all
     anchors, cls, reg = small_case(5, n=20)
@@ -404,9 +410,9 @@ def test_decode_head_rejects_anchors_that_are_not_rows_of_four():
 def test_a_stride_whose_anchor_sizes_overflow_is_refused(stride):
     cfg = HeadConfig(num_classes=1)
     # at stride 2**1018 the largest anchor, 2**1020 * 2**(2/3) * sqrt(2), is still finite
-    assert np.isfinite(gen_anchors(1, 1, 2**1018, cfg)).all()
+    assert np.isfinite(level_anchors([(1, 1)], 2**1018, cfg)).all()
     with pytest.raises(DomainError, match=rf"^stride {stride} is too large"):
-        gen_anchors(1, 1, stride, cfg)
+        level_anchors([(1, 1)], stride, cfg)
 
 
 def test_decode_head_refuses_anchors_beyond_the_offsets_dtype():

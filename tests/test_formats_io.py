@@ -161,6 +161,92 @@ def test_pnm_payload_may_start_with_whitespace_byte():
     assert img.pixels[0, 0, 0] == 0x20
 
 
+def tokenized_decode_image(data: bytes) -> ImagePNM:
+    """decode_image as it was with a byte-by-byte header tokenizer."""
+    if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
+        raise FormatError("unsupported image magic, expected P5 or P6")
+    channels = 1 if data[:2] == b"P5" else 3
+    head, tokens, i = data[2:], [], 0
+    while len(tokens) < 3:
+        while i < len(head) and head[i : i + 1].isspace():
+            i += 1
+        if i < len(head) and head[i : i + 1] == b"#":
+            while i < len(head) and head[i : i + 1] != b"\n":
+                i += 1
+            continue
+        start = i
+        while i < len(head) and not head[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise FormatError("truncated PNM header")
+        tokens.append(head[start:i])
+    if i >= len(head):
+        raise FormatError("truncated PNM header")
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise FormatError("non-numeric PNM header field") from None
+    if maxval != 255:
+        raise FormatError(f"unsupported maxval {maxval}, expected 255")
+    if width <= 0 or height <= 0:
+        raise FormatError(f"invalid dimensions {width}x{height}")
+    payload = head[i + 1 :]
+    expected = width * height * channels
+    if len(payload) != expected:
+        raise FormatError(
+            f"payload has {len(payload)} bytes, expected {expected} "
+            f"for {width}x{height}x{channels}"
+        )
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return ImagePNM(width=width, height=height, channels=channels, pixels=pixels.copy())
+
+
+PNM_SPACES = [b" ", b"\t", b"\n", b"\r", b"\v", b"\f"]
+PNM_ODD_FIELDS = [b"0", b"-1", b"+2", b"1_0", b"2#c", b"x", b"\xff", b"0255", b"65535"]
+PNM_COMMENTS = [b"#", b"# c\n", b"#1 2 255\n", b"## #\r\n", b"#\v\f\n", b"#\xfe\n"]
+
+
+def fuzz_pnm(rng) -> bytes:
+    """A P5/P6 header of fields, whitespace and comments, maybe cut short, and a payload."""
+    magic = [b"P5", b"P6", b"P5", b"P6", b"P5", b"P6", b"P3"][rng.integers(7)]
+    fields = [int(rng.integers(1, 4)), int(rng.integers(1, 4)), 255]
+    parts = [magic]
+    for value in fields:
+        for k in range(rng.integers(0 if rng.random() < 0.1 else 1, 4)):
+            pool = PNM_COMMENTS if k and rng.random() < 0.4 else PNM_SPACES
+            parts.append(pool[rng.integers(len(pool))])
+        odd = rng.random() < 0.1
+        parts.append(PNM_ODD_FIELDS[rng.integers(len(PNM_ODD_FIELDS))] if odd else b"%d" % value)
+    if rng.random() < 0.9:  # the one byte that ends maxval
+        parts.append(PNM_SPACES[rng.integers(len(PNM_SPACES))])
+    data = b"".join(parts)
+    if rng.random() < 0.1:
+        data = data[: rng.integers(len(data) + 1)]
+    n = fields[0] * fields[1] * (1 if magic == b"P5" else 3)
+    if rng.random() < 0.2:
+        n = int(rng.integers(0, 28))
+    return data + rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+
+
+def test_pnm_header_regex_reads_as_the_byte_tokenizer_did():
+    rng = philox(28)
+    decoded = 0
+    for _ in range(4000):
+        data = fuzz_pnm(rng)
+        try:
+            want = tokenized_decode_image(data)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                decode_image(data)
+            assert str(got.value) == str(exc), data
+            continue
+        img = decode_image(data)
+        assert (img.width, img.height, img.channels) == (want.width, want.height, want.channels), data
+        assert img.pixels.tobytes() == want.pixels.tobytes(), data
+        decoded += 1
+    assert decoded > 1000
+
+
 def test_image_float_conversion_roundtrip():
     rng = philox(2)
     img = rgb_image(rng, 6, 4)

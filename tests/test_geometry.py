@@ -274,6 +274,19 @@ def test_warp_boxes_refuses_the_first_box_without_area():
         warp_boxes(Homography(np.eye(3)), boxes, 64, 48)
 
 
+@pytest.mark.parametrize(
+    "bad", [(1e308, 1e308, 1e308, 1e308), (np.nan, 0.0, 1.0, 1.0)], ids=["overflow", "nan"]
+)
+def test_warp_boxes_refuses_a_box_whose_corners_are_not_finite_by_its_row(bad):
+    # pytest turns a numpy RuntimeWarning into a failure, so none is emitted
+    h = compose_homography(small_rig(0.3, -0.2, 0.25))
+    with pytest.raises(DomainError) as exc:
+        warp_boxes(h, [(5.0, 5.0, 10.0, 8.0), bad, bad], 64, 48)
+    assert str(exc.value) == f"row 1: box corners are not finite after the warp, got {bad}"
+    with pytest.raises(DomainError, match="^row 0: box corners are not finite"):
+        warp_bbox(h, bad, 64, 48)
+
+
 def test_warp_boxes_clips_as_python_max_does_keeping_a_negative_zero():
     # -I maps (x, y) to itself, but a corner at x = 0 comes out as -0.0:
     # Python's max(-0.0, 0.0) keeps it, np.maximum would give +0.0
