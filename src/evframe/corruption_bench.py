@@ -183,8 +183,12 @@ def corrupt_motion_blur(arr: np.ndarray, rng, length: int) -> np.ndarray:
     return _convolve_channels(arr, _line_kernel(length, angle))
 
 
-def corrupt_zoom_blur(arr: np.ndarray, rng, max_zoom: float) -> np.ndarray:
-    """Average of progressively zoomed-and-cropped copies.
+def _zoom_means(arr: np.ndarray, max_zooms):
+    """Yield the zoom blur of ``arr`` at each of the ascending ``max_zooms``.
+
+    One running sum serves them all: a smaller max zoom steps through a
+    prefix of a larger one's ``np.arange``, so each mean adds the same crops
+    in the same order as its own loop and is bit-identical to it.
 
     Channels are zoomed one plane at a time: a unit zoom factor on the
     channel axis only ever weighs a sample by 1 and its neighbour by 0, so a
@@ -192,15 +196,22 @@ def corrupt_zoom_blur(arr: np.ndarray, rng, max_zoom: float) -> np.ndarray:
     """
     h, w = arr.shape[:2]
     acc = arr.copy()
-    count = 1
-    for z in np.arange(1.02, max_zoom + 1e-9, 0.02):
-        for c in range(arr.shape[2]):
-            zoomed = ndi.zoom(arr[:, :, c], (z, z), order=1)
-            # z > 1, so the zoomed plane is never smaller than the input
-            top, left = (zoomed.shape[0] - h) // 2, (zoomed.shape[1] - w) // 2
-            acc[:, :, c] += zoomed[top:top + h, left:left + w]
-        count += 1
-    return acc / count
+    done = 0
+    for max_zoom in max_zooms:
+        steps = np.arange(1.02, max_zoom + 1e-9, 0.02)
+        for z in steps[done:]:
+            for c in range(arr.shape[2]):
+                zoomed = ndi.zoom(arr[:, :, c], (z, z), order=1)
+                # z > 1, so the zoomed plane is never smaller than the input
+                top, left = (zoomed.shape[0] - h) // 2, (zoomed.shape[1] - w) // 2
+                acc[:, :, c] += zoomed[top:top + h, left:left + w]
+        done = len(steps)
+        yield acc / (done + 1)
+
+
+def corrupt_zoom_blur(arr: np.ndarray, rng, max_zoom: float) -> np.ndarray:
+    """Average of progressively zoomed-and-cropped copies."""
+    return next(_zoom_means(arr, (max_zoom,)))
 
 
 # -- weather family -----------------------------------------------------------------
@@ -407,18 +418,24 @@ def corrupt_jpeg_compression(arr: np.ndarray, rng, quality: int) -> np.ndarray:
 
 # -- dispatch ---------------------------------------------------------------------
 
-# Each is called as fn(arr, rng, **SEVERITY_TABLE[ctype][severity - 1]).
+# Each is called as fn(arr, rng, **SEVERITY_TABLE[ctype][severity - 1]) and
+# returns a new array, which _to_image clamps in place.
 _CORRUPT = {t: globals()[f"corrupt_{t.value}"] for t in CorruptionType}
+
+
+def _to_image(arr: np.ndarray, out) -> ImagePNM:
+    """A renderer's output for ``arr`` as an 8-bit image, clamped to [0, 1] in place."""
+    out = np.asarray(out, dtype=np.float64)
+    if out.shape != arr.shape:
+        raise ShapeError(f"corruption changed shape {arr.shape} -> {out.shape}")
+    return ImagePNM.from_float01(np.clip(out, 0.0, 1.0, out=out))
 
 
 def apply_corruption(img: ImagePNM, spec: CorruptionSpec) -> ImagePNM:
     """Apply one corruption; output has the same dims/channels, clamped bytes."""
     params = SEVERITY_TABLE[spec.ctype][spec.severity - 1]
     arr = img.to_float01()
-    out = np.asarray(_CORRUPT[spec.ctype](arr, philox(spec.seed), **params), dtype=np.float64)
-    if out.shape != arr.shape:
-        raise ShapeError(f"corruption changed shape {arr.shape} -> {out.shape}")
-    return ImagePNM.from_float01(np.clip(out, 0.0, 1.0))
+    return _to_image(arr, _CORRUPT[spec.ctype](arr, philox(spec.seed), **params))
 
 
 def _splitmix64(x: int) -> int:
@@ -437,19 +454,32 @@ def corruption_seed(base_seed: int, image_index: int, type_index: int, severity:
 
 
 def psnr(a: ImagePNM, b: ImagePNM) -> float:
-    """Peak signal-to-noise ratio in dB; inf for identical images."""
+    """Peak signal-to-noise ratio in dB; inf for identical images.
+
+    The squared error is summed in int64, which is exact. Every partial sum
+    is an integer below 2**53, so the MSE equals the float64 mean of the
+    squared differences bit for bit.
+    """
     if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
         raise ShapeError("psnr needs images of identical dims")
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    diff = (a.pixels.astype(np.int64) - b.pixels).ravel()
+    mse = float(np.dot(diff, diff)) / diff.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 * 255.0 / mse)
 
 
 def _corrupt_one(task):
-    img, spec, dst = task
-    dst.write_bytes(encode_image(apply_corruption(img, spec)))
+    """Render and write one task: one variant, or all of an image's zoom blurs."""
+    img, specs, dsts = task
+    if specs[0].ctype is CorruptionType.ZOOM_BLUR:
+        arr = img.to_float01()
+        max_zooms = [SEVERITY_TABLE[s.ctype][s.severity - 1]["max_zoom"] for s in specs]
+        variants = (_to_image(arr, out) for out in _zoom_means(arr, max_zooms))
+    else:
+        variants = (apply_corruption(img, spec) for spec in specs)
+    for variant, dst in zip(variants, dsts):
+        dst.write_bytes(encode_image(variant))
 
 
 def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) -> list:
@@ -461,7 +491,9 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
     rejected before any image is read, and an image that does not decode is
     refused, naming its path, before anything is written. A variant that
     fails does not stop the others: once every one has been tried, the first
-    failure is raised and no manifest is written.
+    failure is raised and no manifest is written. An image's zoom blur
+    severities are one task, rendered from one running sum, so a zoom
+    failure also fails that image's higher zoom severities.
     """
     paths = [Path(p) for p in image_paths]
     if not paths:
@@ -477,10 +509,12 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
         except EvframeError as exc:
             raise type(exc)(f"{src}: {exc}") from None
         for ti, ctype in enumerate(CorruptionType):
+            specs, dsts = [], []
             for severity in range(1, SEVERITY_COUNT + 1):
                 seed = corruption_seed(base_seed, i, ti, severity)
                 dst = out / f"{src.stem}_{ctype.value}_s{severity}.pnm"
-                tasks.append((img, CorruptionSpec(ctype, severity, seed), dst))
+                specs.append(CorruptionSpec(ctype, severity, seed))
+                dsts.append(dst)
                 rows.append(
                     {
                         "src": str(src),
@@ -490,6 +524,10 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
                         "seed": seed,
                     }
                 )
+            if ctype is CorruptionType.ZOOM_BLUR:
+                tasks.append((img, specs, dsts))
+            else:
+                tasks += [(img, [spec], [dst]) for spec, dst in zip(specs, dsts)]
     out.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(_corrupt_one, task) for task in tasks]

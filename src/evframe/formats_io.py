@@ -230,7 +230,9 @@ class ImagePNM:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
             raise ValidationError(f"expected (H, W, 1|3) array, got shape {arr.shape}")
-        pixels = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+        scaled = arr * 255.0
+        np.rint(scaled, out=scaled)
+        pixels = np.clip(scaled, 0, 255, out=scaled).astype(np.uint8)
         h, w, c = pixels.shape
         return cls(width=w, height=h, channels=c, pixels=pixels)
 
@@ -612,7 +614,8 @@ def encode_image(img: ImagePNM) -> bytes:
 
 # Width, height and maxval, each after whitespace and # comments, then the one
 # whitespace byte before the payload. Possessive, so the bytes of a comment are
-# never read back as a token.
+# never read back as a token. decode_image takes a token only if it is ASCII
+# digits ([0-9]+): int() would also read "+1", "1_0" or non-ASCII digits.
 _PNM_HEADER = re.compile(3 * rb"(?:\s|#[^\n]*+)*+(\S++)" + rb"\s")
 
 
@@ -623,10 +626,9 @@ def decode_image(data: bytes) -> ImagePNM:
     header = _PNM_HEADER.match(data, 2)
     if header is None:
         raise FormatError("truncated PNM header")
-    try:
-        width, height, maxval = (int(t) for t in header.groups())
-    except ValueError:
-        raise FormatError("non-numeric PNM header field") from None
+    if not all(t.isdigit() for t in header.groups()):
+        raise FormatError("non-numeric PNM header field")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255")
     if width <= 0 or height <= 0:

@@ -1,11 +1,18 @@
 """Shared helpers: seeded generators and synthetic fixture builders."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from evframe import CameraRig, ImagePNM
+
+
+def pytest_report_header(config):
+    # BLAS results, and so some pinned digests, depend on its thread count
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"cpu_count: {os.cpu_count()}, OPENBLAS_NUM_THREADS: {threads}"
 
 
 def philox(seed: int) -> np.random.Generator:

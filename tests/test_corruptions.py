@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from concurrent.futures import Future
 
 import numpy as np
@@ -185,6 +186,30 @@ def test_psnr_requires_matching_dims():
         psnr(small_rgb(1, w=8, h=8), small_rgb(1, w=9, h=8))
 
 
+def float_psnr(a, b):
+    """psnr from the float64 mean of squared differences, as it was before int64 sums."""
+    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
+    return 10.0 * math.log10(255.0 * 255.0 / float(np.mean(diff * diff)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_psnr_equals_the_float_formula_exactly(seed):
+    rng = philox(200 + seed)
+    w, h = int(rng.integers(1, 120)), int(rng.integers(1, 90))
+    make = gray_image if seed % 2 else rgb_image
+    a, b = make(rng, w, h), make(rng, w, h)
+    assert psnr(a, b) == float_psnr(a, b)
+
+
+def test_psnr_of_black_against_white_is_exactly_zero_past_int32():
+    # 33 027 * 255**2 exceeds 2**31 - 1: an int32 sum of squares would wrap
+    n = 33_027
+    black = ImagePNM(width=n, height=1, channels=1, pixels=np.zeros((1, n, 1), np.uint8))
+    white = ImagePNM(width=n, height=1, channels=1, pixels=np.full((1, n, 1), 255, np.uint8))
+    assert psnr(black, white) == 0.0
+    assert psnr(white, black) == 0.0
+
+
 def test_severity_monotonically_hurts_psnr_for_noise():
     img = small_rgb(41, w=48, h=48)
     vals = [
@@ -281,6 +306,48 @@ def test_a_failing_variant_does_not_stop_the_others(tmp_path, monkeypatch, worke
     written = [p.name for p in out.glob("*.pnm")]
     assert len(written) == 70 and not any("_fog_" in name for name in written)
     assert not (out / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fails_after", [0, 3])
+def test_a_failing_zoom_step_does_not_stop_the_other_variants(
+    tmp_path, monkeypatch, workers, fails_after
+):
+    real = corruption_bench._zoom_means
+
+    def broken(arr, max_zooms):
+        for k, mean in enumerate(real(arr, max_zooms)):
+            if k == fails_after:
+                raise DomainError("broken zoom step")
+            yield mean
+
+    monkeypatch.setattr(corruption_bench, "_zoom_means", broken)
+    out = tmp_path / "out"
+    with pytest.raises(DomainError, match="broken zoom step"):
+        corrupt_dataset(write_corpus(tmp_path, n=1), out, workers=workers)
+    written = [p.name for p in out.glob("*.pnm")]
+    zoom = sorted(name for name in written if "_zoom_blur_" in name)
+    # the severities below the failing step were rendered first
+    assert zoom == [f"img0_zoom_blur_s{s}.pnm" for s in range(1, fails_after + 1)]
+    assert len(written) - len(zoom) == 70
+    assert not (out / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_dataset_zoom_variants_match_apply_corruption_byte_for_byte(tmp_path, channels):
+    from evframe import encode_image
+
+    rng = philox(60 + channels)
+    img = (gray_image if channels == 1 else rgb_image)(rng, 37, 23)
+    src = tmp_path / "odd.pnm"
+    src.write_bytes(encode_image(img))
+    rows = corrupt_dataset([src], tmp_path / "out", base_seed=9, workers=2)
+    zoom = [r for r in rows if r["type"] == "zoom_blur"]
+    assert [r["severity"] for r in zoom] == [1, 2, 3, 4, 5]
+    for r in zoom:
+        spec = CorruptionSpec(CorruptionType.ZOOM_BLUR, r["severity"], r["seed"])
+        want = encode_image(apply_corruption(img, spec))
+        assert (tmp_path / "out" / f"odd_zoom_blur_s{r['severity']}.pnm").read_bytes() == want
 
 
 def test_dataset_input_validation(tmp_path):
@@ -418,7 +485,14 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("workers,pool", [(3, 3), (75, 75), (corruption_bench.MAX_WORKERS, 75)])
+# 14 types render one task per severity; zoom blur renders its 5 in one task
+TASKS_PER_IMAGE = 14 * 5 + 1
+
+
+@pytest.mark.parametrize(
+    "workers,pool",
+    [(3, 3), (TASKS_PER_IMAGE, TASKS_PER_IMAGE), (corruption_bench.MAX_WORKERS, TASKS_PER_IMAGE)],
+)
 def test_dataset_pool_is_no_larger_than_the_task_list(tmp_path, pool_sizes, workers, pool):
     rows = corrupt_dataset(write_corpus(tmp_path, n=1), tmp_path / "out", workers=workers)
     assert pool_sizes == [pool]

@@ -139,9 +139,16 @@ def test_pnm_rejects_truncated_payload():
         (b"P5\n# only a comment", "truncated PNM header"),
         (b"P6\n2 x\n255\nAB", "non-numeric PNM header field"),
         (b"P5\n0 1\n255\n", "invalid dimensions 0x1"),
-        (b"P5\n2 -1\n255\n", "invalid dimensions 2x-1"),
+        (b"P5\n2 -1\n255\n", "non-numeric PNM header field"),
+        # int() reads each of these fields, and the 10 bytes fit a 10x1 image
+        (b"P5\n1_0 1\n255\n" + bytes(10), "non-numeric PNM header field"),
+        (b"P5\n10 +1\n255\n" + bytes(10), "non-numeric PNM header field"),
+        (b"P5\n10 1\n2_55\n" + bytes(10), "non-numeric PNM header field"),
     ],
-    ids=["missing-token", "maxval-unterminated", "comment-only", "non-numeric", "zero-width", "negative-height"],
+    ids=[
+        "missing-token", "maxval-unterminated", "comment-only", "non-numeric", "zero-width",
+        "negative-height", "underscore-width", "plus-height", "underscore-maxval",
+    ],
 )
 def test_pnm_refuses_a_bad_header(data, message):
     with pytest.raises(FormatError) as exc:
@@ -162,7 +169,7 @@ def test_pnm_payload_may_start_with_whitespace_byte():
 
 
 def tokenized_decode_image(data: bytes) -> ImagePNM:
-    """decode_image as it was with a byte-by-byte header tokenizer."""
+    """decode_image with a byte-by-byte header tokenizer: the reference for its regex."""
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
         raise FormatError("unsupported image magic, expected P5 or P6")
     channels = 1 if data[:2] == b"P5" else 3
@@ -182,10 +189,9 @@ def tokenized_decode_image(data: bytes) -> ImagePNM:
         tokens.append(head[start:i])
     if i >= len(head):
         raise FormatError("truncated PNM header")
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise FormatError("non-numeric PNM header field") from None
+    if not all(t.isdigit() for t in tokens):  # ASCII digits only
+        raise FormatError("non-numeric PNM header field")
+    width, height, maxval = (int(t) for t in tokens)
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255")
     if width <= 0 or height <= 0:

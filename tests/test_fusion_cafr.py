@@ -575,7 +575,10 @@ def array_digest(named: dict) -> str:
 
 # (c, h, w) -> (digest of the fused output, digest of every gradient); the
 # 40x40 pair's 1 600 tokens take five attention blocks per stream, and the
-# bench-scale 65x87 pair's 5 655 tokens 62, pinned by its forward alone
+# bench-scale 65x87 pair's 5 655 tokens 62, pinned by its forward alone. That
+# pin holds with OpenBLAS on 2 threads; OPENBLAS_NUM_THREADS=1 gives
+# 6e93beda86440c6e, since BLAS sums in another order (the session header
+# prints both settings)
 PINNED_CAFR = {
     (3, 1, 1): ("14aff2327de99792", "fd452499b99bc556"),
     (4, 3, 5): ("c70a6a5f73c03d58", "9d623cd1e007b9f5"),
