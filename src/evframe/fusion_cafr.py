@@ -143,8 +143,9 @@ def save_weights(w: CafrWeights, directory) -> None:
 def load_weights(directory) -> CafrWeights:
     """Inverse of save_weights; values round through 32-bit storage, load as float64.
 
-    The first member missing in field order, or a member CafrWeights has no
-    field for, is a ``SchemaError`` naming it.
+    The member table is checked before any member file is read: the first
+    member missing in field order, or else a member CafrWeights has no field
+    for, is a ``SchemaError`` naming it.
     """
     d = Path(directory)
     try:
@@ -156,20 +157,17 @@ def load_weights(directory) -> CafrWeights:
     members = manifest.get("members")
     if not isinstance(members, dict):
         raise SchemaError("bundle manifest has no 'members' table")
-    arrays = {}
     for name, fname in members.items():
         if not isinstance(fname, str):
             raise SchemaError(f"bundle member '{name}' must name a file, got {fname!r}")
-        arrays[name] = read_tensor(d / fname)
-    missing = [name for name in BUNDLE_MEMBERS if name not in arrays]
+    missing = [name for name in BUNDLE_MEMBERS if name not in members]
     if missing:
         raise SchemaError(f"weight bundle is missing member '{missing[0]}'")
-    k_f, b_f, k_e, b_e, *mats = (arrays[name] for name in BUNDLE_MEMBERS)
-    w = CafrWeights(ConvWeights(k_f, b_f), ConvWeights(k_e, b_e), *mats)
-    extra = sorted(set(arrays) - set(BUNDLE_MEMBERS))
+    extra = sorted(set(members) - set(BUNDLE_MEMBERS))
     if extra:
         raise SchemaError(f"weight bundle member '{extra[0]}' is not read by CafrWeights")
-    return w
+    k_f, b_f, k_e, b_e, *mats = (read_tensor(d / members[name]) for name in BUNDLE_MEMBERS)
+    return CafrWeights(ConvWeights(k_f, b_f), ConvWeights(k_e, b_e), *mats)
 
 
 def _tokens(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ and rotations. Image warping uses inverse mapping with bilinear sampling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,54 +70,50 @@ def warp_image(
 
     Each output pixel samples the source at H^-1 (u, v, 1); taps outside the
     source are zero. ``interpolation`` is 'bilinear' or 'nearest' (for label
-    masks).
+    masks); both read the uint8 source in place through one gather.
     """
+    try:
+        out_w, out_h = operator.index(out_w), operator.index(out_h)
+    except TypeError:
+        raise DomainError(f"output dims must be integers, got {out_w!r}x{out_h!r}") from None
     if out_w <= 0 or out_h <= 0:
         raise DomainError(f"output dims must be positive, got {out_w}x{out_h}")
     if interpolation not in ("bilinear", "nearest"):
         raise DomainError(f"unknown interpolation '{interpolation}'")
-    # The arrays are output-sized: about 20 float64 sampling values per output
-    # pixel (the pixel grid, its homogeneous coordinates and their mapping,
-    # source positions, bilinear weights) plus two per channel (the output and
-    # one tap's term). A 346 x 260 RGB warp needs ~19 MB.
-    need = int(out_w) * int(out_h) * 8 * (20 + 2 * src.channels)
+    # Per output pixel at most 20 eight-byte values live at once (the int64
+    # grid, its mapping, source positions, bilinear floors and fractions, the
+    # tap positions and weights, one tap's flat index and masks) plus two per
+    # channel (the sum and one tap's term); the source is read in place. A
+    # 346 x 260 RGB warp needs ~19 MB, plus numpy's fixed buffers (tens of KB).
+    need = out_w * out_h * 8 * (20 + 2 * src.channels)
     check_budget(f"a {out_w}x{out_h} warp", need, "byte", MAX_BYTES)
-    hinv = h.inverse().matrix
+    vs, us = np.indices((out_h, out_w)).reshape(2, -1)
+    mapped = np.linalg.inv(h.matrix) @ np.stack([us, vs, np.ones(us.size)])
+    finite = np.abs(mapped[2]) > SINGULARITY_TOL
+    sx, sy = mapped[:2] / np.where(finite, mapped[2], 1.0)
 
-    us, vs = np.meshgrid(np.arange(out_w), np.arange(out_h))
-    coords = np.stack([us.ravel(), vs.ravel(), np.ones(us.size)], axis=0).astype(np.float64)
-    mapped = hinv @ coords
-    w_col = mapped[2]
-    finite = np.abs(w_col) > SINGULARITY_TOL
-    safe_w = np.where(finite, w_col, 1.0)
-    sx = mapped[0] / safe_w
-    sy = mapped[1] / safe_w
-
-    src_px = src.pixels.astype(np.float64)
     sh, sw = src.height, src.width
-    out = np.zeros((out_h * out_w, src.channels), dtype=np.float64)
+    src_flat = src.pixels.reshape(sh * sw, src.channels)
+
+    def tap(yt, xt):
+        ok = finite & (xt >= 0) & (xt < sw) & (yt >= 0) & (yt < sh)
+        return src_flat[np.clip(yt, 0, sh - 1) * sw + np.clip(xt, 0, sw - 1)], ok
 
     if interpolation == "nearest":
-        xr = np.rint(sx).astype(np.int64)
-        yr = np.rint(sy).astype(np.int64)
-        ok = finite & (xr >= 0) & (xr < sw) & (yr >= 0) & (yr < sh)
-        out[ok] = src_px[yr[ok], xr[ok]]
+        vals, ok = tap(np.rint(sy).astype(np.int64), np.rint(sx).astype(np.int64))
+        pixels = np.where(ok[:, None], vals, 0)
     else:
         x0 = np.floor(sx).astype(np.int64)
         y0 = np.floor(sy).astype(np.int64)
         fx = sx - x0
         fy = sy - y0
-        for dy in (0, 1):
-            wy = (1.0 - fy) if dy == 0 else fy
-            yt = y0 + dy
-            for dx in (0, 1):
-                wx = (1.0 - fx) if dx == 0 else fx
-                xt = x0 + dx
-                ok = finite & (xt >= 0) & (xt < sw) & (yt >= 0) & (yt < sh)
-                if np.any(ok):
-                    out[ok] += (wy[ok] * wx[ok])[:, None] * src_px[yt[ok], xt[ok]]
-
-    pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+        # a tap outside the source adds +0.0, so no in-bounds term moves
+        acc = np.zeros((out_h * out_w, src.channels))
+        for yt, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
+            for xt, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
+                vals, ok = tap(yt, xt)
+                acc += np.where(ok, wy * wx, 0.0)[:, None] * vals
+        pixels = np.clip(np.rint(acc), 0, 255).astype(np.uint8)
     pixels = pixels.reshape(out_h, out_w, src.channels)
     return ImagePNM(width=out_w, height=out_h, channels=src.channels, pixels=pixels)
 

@@ -5,14 +5,19 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
 from evframe import CameraRig, ImagePNM
 
 
 def pytest_report_header(config):
-    # BLAS results, and so some pinned digests, depend on its thread count
+    # BLAS results, and so some pinned digests, depend on its thread count and
+    # on the numpy and scipy versions
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return f"cpu_count: {os.cpu_count()}, OPENBLAS_NUM_THREADS: {threads}"
+    return (
+        f"cpu_count: {os.cpu_count()}, OPENBLAS_NUM_THREADS: {threads}, "
+        f"numpy: {np.__version__}, scipy: {scipy.__version__}"
+    )
 
 
 def philox(seed: int) -> np.random.Generator:

@@ -157,18 +157,22 @@ def test_broken_bundle_manifest_is_a_schema_error(tmp_path, manifest, fault):
             "weight bundle is missing member 'conv1x1_e.bias'",
         ),
         ([], ["wz"], "weight bundle member 'wz' is not read by CafrWeights"),
+        ([], ["wz-nofile"], "weight bundle member 'wz-nofile' is not read by CafrWeights"),
         (list(BUNDLE_MEMBERS), [], "weight bundle is missing member 'conv1x1_f.kernel'"),
         (["we"], ["wz"], "weight bundle is missing member 'we'"),
     ],
-    ids=["missing-member", "extra-member", "no-members", "missing-before-extra"],
+    ids=["missing-member", "extra-member", "extra-member-without-file", "no-members", "missing-before-extra"],
 )
 def test_weight_bundle_faults_name_the_member(tmp_path, drop, add, message):
+    # the member table is checked before any member file is read, so a
+    # "-nofile" member's file is never written
     save_weights(init_cafr_weights(3, seed=1), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     for name in drop:
         del manifest["members"][name]
     for name in add:
-        (tmp_path / f"{name}.ftns").write_bytes((tmp_path / "wq_f.ftns").read_bytes())
+        if not name.endswith("-nofile"):
+            (tmp_path / f"{name}.ftns").write_bytes((tmp_path / "wq_f.ftns").read_bytes())
         manifest["members"][name] = f"{name}.ftns"
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SchemaError) as exc:

@@ -1,5 +1,7 @@
 """Homography composition, point/image/box warping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from evframe import (
     warp_points,
 )
 from evframe import geometry_align
-from conftest import philox, rgb_image, rot_z, small_rig
+from conftest import gray_image, philox, rgb_image, rot_z, small_rig
 
 
 def identity_rig() -> CameraRig:
@@ -168,6 +170,110 @@ def test_warp_image_budget_is_the_module_constant(rng, monkeypatch):
     assert warp_image(Homography(np.eye(3)), img, 10, 8).pixels.shape == (8, 10, 3)
     with pytest.raises(DomainError, match="^a 11x8 warp needs 18304 bytes, over the 16640-byte budget$"):
         warp_image(Homography(np.eye(3)), img, 11, 8)
+
+
+def test_warp_image_accepts_a_nonsingular_homography_with_a_tiny_inverse(rng):
+    # det 1e14; the inverse's det is 1e-14, under the tolerance a Homography
+    # is built with, so the warp must not wrap the inverse in one
+    img = rgb_image(rng, 6, 5)
+    out = warp_image(Homography(np.diag([1e7, 1e7, 1.0])), img, 6, 5)
+    # every output pixel samples within 1e-6 px of the source's (0, 0)
+    assert (out.pixels == img.pixels[0, 0]).all()
+
+
+@pytest.mark.parametrize("out_w, out_h", [(10.5, 3), (3, 2.0), ("4", 4), (None, 4), (1e12, 5)])
+def test_warp_image_refuses_non_integer_output_dims(rng, out_w, out_h):
+    img = rgb_image(rng, 4, 4)
+    with pytest.raises(DomainError) as exc:
+        warp_image(Homography(np.eye(3)), img, out_w, out_h)
+    assert str(exc.value) == f"output dims must be integers, got {out_w!r}x{out_h!r}"
+
+
+def test_warp_image_takes_numpy_integer_dims(rng):
+    img = rgb_image(rng, 4, 4)
+    out = warp_image(Homography(np.eye(3)), img, np.int64(4), np.uint8(4))
+    assert (out.width, out.height) == (4, 4) and encode_image(out) == encode_image(img)
+
+
+def oracle_warp_image(h, src, out_w, out_h, interpolation="bilinear"):
+    """The float64-copy reference: a bounds test per tap, and each tap's
+    in-bounds terms compressed out and scattered into a float64 sum."""
+    hinv = h.inverse().matrix
+    us, vs = np.meshgrid(np.arange(out_w), np.arange(out_h))
+    coords = np.stack([us.ravel(), vs.ravel(), np.ones(us.size)], axis=0).astype(np.float64)
+    mapped = hinv @ coords
+    w_col = mapped[2]
+    finite = np.abs(w_col) > geometry_align.SINGULARITY_TOL
+    safe_w = np.where(finite, w_col, 1.0)
+    sx = mapped[0] / safe_w
+    sy = mapped[1] / safe_w
+    src_px = src.pixels.astype(np.float64)
+    sh, sw = src.height, src.width
+    out = np.zeros((out_h * out_w, src.channels), dtype=np.float64)
+    if interpolation == "nearest":
+        xr = np.rint(sx).astype(np.int64)
+        yr = np.rint(sy).astype(np.int64)
+        ok = finite & (xr >= 0) & (xr < sw) & (yr >= 0) & (yr < sh)
+        out[ok] = src_px[yr[ok], xr[ok]]
+    else:
+        x0 = np.floor(sx).astype(np.int64)
+        y0 = np.floor(sy).astype(np.int64)
+        fx = sx - x0
+        fy = sy - y0
+        for dy in (0, 1):
+            wy = (1.0 - fy) if dy == 0 else fy
+            yt = y0 + dy
+            for dx in (0, 1):
+                wx = (1.0 - fx) if dx == 0 else fx
+                xt = x0 + dx
+                ok = finite & (xt >= 0) & (xt < sw) & (yt >= 0) & (yt < sh)
+                if np.any(ok):
+                    out[ok] += (wy[ok] * wx[ok])[:, None] * src_px[yt[ok], xt[ok]]
+    pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return pixels.reshape(out_h, out_w, src.channels)
+
+
+def test_warp_image_equals_the_oracle_byte_for_byte():
+    rng = philox(34)
+    homs = list(seeded_homographies(rng, 40))
+    for _ in range(20):
+        # the inverse's third row [0, 1, -5] maps output row v = 5 to infinity
+        hinv = np.vstack([np.eye(3)[:2] + rng.normal(0.0, [[0.1, 0.1, 5.0]] * 2), [0.0, 1.0, -5.0]])
+        homs.append(Homography(np.linalg.inv(hinv)))
+    for k, hom in enumerate(homs):
+        channels = 1 + 2 * (k % 2)
+        sw, sh, out_w, out_h = (1, 1, 9, 7) if k % 5 == 0 else rng.integers(1, 40, size=4).tolist()
+        img = (gray_image, rgb_image)[k % 2](rng, sw, sh)
+        for mode in ("bilinear", "nearest"):
+            out = warp_image(hom, img, out_w, out_h, interpolation=mode)
+            assert out.pixels.tobytes() == oracle_warp_image(hom, img, out_w, out_h, mode).tobytes()
+            assert out.pixels.shape == (out_h, out_w, channels)
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+@pytest.mark.parametrize("make", [gray_image, rgb_image], ids=["gray", "rgb"])
+def test_warp_image_peak_memory_is_within_its_estimate(make, mode):
+    img = make(philox(35), 346, 260)
+    hom = compose_homography(small_rig(0.02, -0.03, 0.04))
+    peak = traced_peak(warp_image, hom, img, 346, 260, interpolation=mode)
+    assert peak <= 346 * 260 * 8 * (20 + 2 * img.channels)
+
+
+def test_warp_image_reads_the_source_in_place():
+    # a 9 MB source sampled into a 10 x 10 output: a float64 copy of the
+    # source alone would be 72 MB
+    img = ImagePNM(width=2000, height=1500, channels=3, pixels=np.zeros((1500, 2000, 3), np.uint8))
+    for mode in ("bilinear", "nearest"):
+        assert traced_peak(warp_image, Homography(np.eye(3)), img, 10, 10, interpolation=mode) < 1_000_000
 
 
 # -- box warping ------------------------------------------------------------------
