@@ -23,8 +23,8 @@ from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .eval_metrics import _count, _iou
+from .errors import DomainError, ShapeError, check_count
+from .eval_metrics import _iou
 from .formats_io import DetectionTable, _int64_id
 from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
 
@@ -80,8 +80,8 @@ class HeadConfig:
     ratios: ClassVar[tuple] = (0.5, 1.0, 2.0)
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.width < 1:
-            raise DomainError("num_classes and width must be positive")
+        self.num_classes = check_count("num_classes", self.num_classes)
+        self.width = check_count("width", self.width)
 
     @property
     def anchors_per_position(self) -> int:
@@ -388,7 +388,7 @@ def decode_head(
         )
     if math.isnan(score_threshold):
         raise DomainError("score_threshold must be a number, got nan")
-    pre_nms_top_k = _count("pre_nms_top_k", pre_nms_top_k)
+    pre_nms_top_k = check_count("pre_nms_top_k", pre_nms_top_k)
     if not 0.0 <= iou_threshold <= 1.0:
         raise DomainError(f"iou_threshold must be in [0,1], got {iou_threshold}")
     dt = np.result_type(reg.dtype, 0.0)

@@ -5,7 +5,7 @@ each image, sorts the predictions by class, image and descending score,
 and gives each the ground truth of its (class, image) group. One lockstep
 greedy match (``_match``) then scores every group of the call, chunk by
 chunk: a chunk is a run of consecutive groups whose padded blocks fit
-``MATCH_BLOCK_BYTES``. It computes the IoU of each of its (prediction,
+``BLOCK_BYTES``. It computes the IoU of each of its (prediction,
 ground truth) pairs once, in numpy float64 with the same IEEE operations,
 in the same order, as the scalar ``iou_tlwh``, and steps through the ranks
 of all its groups together, for every IoU threshold at once; the only
@@ -28,14 +28,12 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .corruption_bench import SEVERITY_COUNT, CorruptionType
-from .errors import DomainError, ValidationError
+from .errors import BLOCK_BYTES, DomainError, ValidationError, check_count
 from .formats_io import DetectionRecord, DetectionTable
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 RECALL_POINTS = tuple(i / 100.0 for i in range(101))
 DEFAULT_MAX_DETECTIONS = 100
-# bytes of one chunk's padded blocks in the lockstep match (``_chunks``)
-MATCH_BLOCK_BYTES = 4 << 20
 
 _RECALL_GRID = np.array(RECALL_POINTS)
 
@@ -87,7 +85,7 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _chunks(rows: np.ndarray, width: np.ndarray, n_thresholds: int):
     """(first, end) ranges of consecutive groups whose padded blocks fit
-    ``MATCH_BLOCK_BYTES``.
+    ``BLOCK_BYTES``.
 
     Groups with ``rows`` rows and ``width`` ground-truth boxes each are
     padded to the chunk's widest: a (rows, width) IoU block plus two
@@ -95,7 +93,7 @@ def _chunks(rows: np.ndarray, width: np.ndarray, n_thresholds: int):
     step's masked IoUs, 8 bytes an entry. A chunk takes as many groups as
     fit, and at least one.
     """
-    cap = MATCH_BLOCK_BYTES // 8
+    cap = BLOCK_BYTES // 8
     per_group = 2 * n_thresholds
     ends = np.cumsum(rows)
     s = 0
@@ -225,14 +223,6 @@ class MapResult:
     per_class: dict
 
 
-def _count(name: str, value) -> int:
-    """A Python or numpy integer >= 1 as an int; a bool or any other value
-    is a DomainError naming the parameter."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise DomainError(f"{name} must be an int >= 1, got {value!r}")
-    return int(value)
-
-
 def map_coco(
     preds: Sequence[DetectionRecord],
     gts: Sequence[DetectionRecord],
@@ -250,7 +240,7 @@ def map_coco(
     ``max_detections`` is a Python or numpy integer >= 1; a bool or any
     other value is a DomainError.
     """
-    max_detections = _count("max_detections", max_detections)
+    max_detections = check_count("max_detections", max_detections)
     preds, gts = DetectionTable.from_records(preds), DetectionTable.from_records(gts)
     unscored = np.flatnonzero(np.isnan(preds.score))
     if len(unscored):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_BYTES, DomainError, ShapeError, check_budget
+from .errors import MAX_BYTES, DomainError, ShapeError, check_budget, check_count
 from .formats_io import INT64_MAX, INT64_MIN, EventStream, ImagePNM
 from .tensor_math import philox
 
@@ -132,8 +132,7 @@ def normalize_timestamps(stream: EventStream, bins: int) -> np.ndarray:
     B-1, since (B-1) * span / span can round past it once the span exceeds
     2**53; any smaller offset maps into [0, B-1].
     """
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    bins = check_count("bins", bins)
     t = stream.t.astype(np.float64)
     if not len(t):
         return t
@@ -153,7 +152,8 @@ def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
     splits its mass linearly across the two adjacent bins. A grid of more
     than MAX_BYTES (1 GiB) is refused before it is allocated.
     """
-    ts = normalize_timestamps(stream, bins)  # refuses bins < 1
+    bins = check_count("bins", bins)
+    ts = normalize_timestamps(stream, bins)
     h, w = stream.sensor_height, stream.sensor_width
     check_budget(f"a {bins}x{h}x{w} voxel grid", bins * h * w * 8, "byte", MAX_BYTES)
     grid = np.zeros((bins, h, w), dtype=np.float64)

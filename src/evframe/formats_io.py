@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import re
 import struct
 from collections.abc import Sequence
@@ -102,10 +103,11 @@ class EventStream:
     the CSV's t, x, y, p; ``t``, ``x``, ``y`` and ``p`` are its read-only
     column views. The constructor takes a sequence of Event; ``from_table``
     wraps a table without copying it. ``events`` views the table as a
-    read-only sequence of Event. Both refuse sensor dims below 1, and both
-    check every event: polarity -1 or +1 and 0 <= x < width, 0 <= y < height
-    (else a ``DomainError``), timestamps non-decreasing (else a
-    ``ValidationError``). The error names the first bad event.
+    read-only sequence of Event. Both refuse sensor dims that are not
+    integers or are below 1, and both check every event: polarity -1 or +1
+    and 0 <= x < width, 0 <= y < height (else a ``DomainError``),
+    timestamps non-decreasing (else a ``ValidationError``). The error names
+    the first bad event.
     """
 
     def __init__(self, sensor_width: int, sensor_height: int, events: Sequence):
@@ -172,6 +174,9 @@ class EventStream:
 
 
 def _check_sensor_dims(sensor_width: int, sensor_height: int) -> None:
+    dims = (sensor_width, sensor_height)
+    if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
+        raise DomainError(f"sensor dims must be integers, got {sensor_width!r}x{sensor_height!r}")
     if not (sensor_width >= 1 and sensor_height >= 1):
         raise DomainError(f"sensor dims must be at least 1x1, got {sensor_width}x{sensor_height}")
 
@@ -509,7 +514,7 @@ def decode_events(
     """Parse an event CSV file; validates ordering, bounds, and polarity.
 
     When the sensor dims are omitted they are inferred as max coordinate + 1,
-    which requires at least one event; given dims must be at least 1x1.
+    which requires at least one event; given dims must be integers, at least 1x1.
     Every field must fit in int64.
     """
     if (sensor_width is None) != (sensor_height is None):

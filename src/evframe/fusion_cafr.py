@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MAX_BYTES, DomainError, SchemaError, ShapeError, StateError, check_budget
+from .errors import BLOCK_BYTES, MAX_BYTES, DomainError, SchemaError, ShapeError, StateError, check_budget
 from .formats_io import read_tensor, write_tensor
 from .tensor_math import (
     ConvWeights,
@@ -80,7 +80,7 @@ class CafrWeights:
     we: np.ndarray
 
     def __post_init__(self):
-        c = self.conv1x1_f.out_ch
+        c = self.conv1x1_f.kernel.shape[0]
         if c < 1:
             raise DomainError(f"channels must be positive, got {c}")
         for conv in (self.conv1x1_f, self.conv1x1_e):
@@ -96,7 +96,7 @@ class CafrWeights:
 
     @property
     def channels(self) -> int:
-        return self.conv1x1_f.out_ch
+        return self.conv1x1_f.kernel.shape[0]
 
 
 def init_cafr_weights(channels: int, seed: int = 0) -> CafrWeights:
@@ -219,13 +219,6 @@ def _enhance_vjp(activated: FeaturePair, gf, ge):
 
 # -- stage 3: swapped-query attention -------------------------------------------------
 
-# Attention runs over blocks of query rows so that no N x N matrix is ever
-# built: each block's B x N float64 score matrix takes at most this many bytes
-# (about 90 rows at DAVIS346 scale, 5 655 tokens; never fewer than one row).
-# A softmax row needs every key but only its own query, so blocking by rows
-# changes no math; results match the dense form to rounding.
-ATTN_BLOCK_BYTES = 4 << 20
-
 # Most H*W tokens one fusion may attend over: one DSEC frame (640x480) at
 # stride 4. The blocks bound attention's memory, but its time is O(tokens^2).
 MAX_TOKENS = 160 * 120
@@ -249,6 +242,11 @@ def _check_probes(probes: int) -> None:
 def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
     """Yield (rows, softmax_rows(q[rows] @ k.T * scale)) block by block.
 
+    No N x N matrix is ever built: each block's B x N float64 score matrix
+    fits ``BLOCK_BYTES`` (about 90 rows at DAVIS346 scale, 5 655 tokens;
+    never fewer than one row). A softmax row needs every key but only its
+    own query, so blocking by rows changes no math; results match the dense
+    form to rounding.
     Every block is scored and softmaxed in place in one reused buffer, so the
     loop allocates no B x N array; the next block overwrites the yielded view.
     Finiteness is proven once for the whole attention from the row norms;
@@ -261,7 +259,7 @@ def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
         bound = np.linalg.norm(q, axis=1).max() * np.linalg.norm(k, axis=1).max() * scale
     check = not bound < 1e300
     n = q.shape[0]
-    b = min(n, max(1, ATTN_BLOCK_BYTES // (8 * k.shape[0])))
+    b = min(n, max(1, BLOCK_BYTES // (8 * k.shape[0])))
     buf = np.empty((b, k.shape[0]))
     for s in range(0, n, b):
         rows = slice(s, min(s + b, n))

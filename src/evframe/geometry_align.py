@@ -91,8 +91,11 @@ def warp_image(
     mapped = np.linalg.inv(h.matrix) @ np.stack([us, vs, np.ones(us.size)])
     finite = np.abs(mapped[2]) > SINGULARITY_TOL
     sx, sy = mapped[:2] / np.where(finite, mapped[2], 1.0)
-
+    # clamp positions far off the source, a NaN too, to one whose taps all
+    # lie outside it, so the int64 casts below stay in range
     sh, sw = src.height, src.width
+    for pos, hi in ((sx, sw + 1.0), (sy, sh + 1.0)):
+        np.fmin(np.fmax(pos, -2.0, out=pos), hi, out=pos)
     src_flat = src.pixels.reshape(sh * sw, src.channels)
 
     def tap(yt, xt):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import BLOCK_BYTES, DomainError, ShapeError
 
 CHANNEL_STATS_EPS = 1e-5
 
@@ -42,22 +42,6 @@ class ConvWeights:
             raise DomainError("conv weights must be finite")
         self.kernel = k
         self.bias = b
-
-    @property
-    def out_ch(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def in_ch(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def k_h(self) -> int:
-        return self.kernel.shape[2]
-
-    @property
-    def k_w(self) -> int:
-        return self.kernel.shape[3]
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -90,37 +74,34 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return windows.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * kh * kw, oh * ow)
 
 
-# Bytes of one band's im2col copy, (C*k_h*k_w) x (rows*out_w) entries. A whole
-# copy for a 64-channel 3x3 conv on an 87x65 map is ~26 MB; whether copies that
-# size fit a free hole of the malloc heap depends on its layout (glibc raises
-# its mmap threshold as large blocks are freed), so peak RSS of the same work
-# differed by ~20 MB from one process to the next.
-CONV_BLOCK_BYTES = 4 << 20
-
-
 def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.ndarray:
     """2-D cross-correlation with bias.
 
-    Output rows are computed in bands whose im2col copy fits
-    ``CONV_BLOCK_BYTES`` (at least one row per band).
+    Output rows are computed in bands whose im2col copy, (C*kh*kw) x
+    (rows*out_w) entries, fits ``BLOCK_BYTES`` (at least one row per band).
+    A whole copy for a 64-channel 3x3 conv on an 87x65 map is ~26 MB; whether
+    copies that size fit a free hole of the malloc heap depends on its layout
+    (glibc raises its mmap threshold as large blocks are freed), so peak RSS
+    of the same work differed by ~20 MB from one process to the next.
     """
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"conv input must be [C,H,W], got rank {x.ndim}")
-    if x.shape[0] != w.in_ch:
-        raise ShapeError(f"input has {x.shape[0]} channels, kernel expects {w.in_ch}")
+    co, ci, kh, kw = w.kernel.shape
+    if x.shape[0] != ci:
+        raise ShapeError(f"input has {x.shape[0]} channels, kernel expects {ci}")
     if stride < 1 or pad < 0:
         raise DomainError(f"stride must be >= 1 and pad >= 0, got {stride}, {pad}")
     c, h, wid = x.shape
-    oh, ow = _conv_out_dims(h, wid, w.k_h, w.k_w, stride, pad)
+    oh, ow = _conv_out_dims(h, wid, kh, kw, stride, pad)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    k = w.kernel.reshape(w.out_ch, -1)
-    y = np.empty((w.out_ch, oh, ow))
-    band = max(1, CONV_BLOCK_BYTES // (k.shape[1] * ow * y.itemsize))
+    k = w.kernel.reshape(co, -1)
+    y = np.empty((co, oh, ow))
+    band = max(1, BLOCK_BYTES // (k.shape[1] * ow * y.itemsize))
     for r in range(0, oh, band):
         n = min(band, oh - r)
-        rows = xp[:, r * stride:(r + n - 1) * stride + w.k_h]
-        y[:, r:r + n] = (k @ _im2col(rows, w.k_h, w.k_w, stride, n, ow)).reshape(w.out_ch, n, ow)
+        rows = xp[:, r * stride:(r + n - 1) * stride + kh]
+        y[:, r:r + n] = (k @ _im2col(rows, kh, kw, stride, n, ow)).reshape(co, n, ow)
     y += w.bias[:, None, None]
     return y
 

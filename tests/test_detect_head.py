@@ -65,6 +65,26 @@ def test_config_counts_anchor_layout():
         HeadConfig(num_classes=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name, value",
+    [
+        ({"num_classes": 2.5}, "num_classes", "2.5"),
+        ({"num_classes": True}, "num_classes", "True"),
+        ({"num_classes": 2, "width": True}, "width", "True"),
+        ({"num_classes": 2, "width": 0}, "width", "0"),
+    ],
+)
+def test_config_refuses_sizes_that_are_not_positive_integers(kwargs, name, value):
+    with pytest.raises(DomainError, match=rf"^{name} must be an int >= 1, got {value}$"):
+        HeadConfig(**kwargs)
+
+
+def test_config_takes_numpy_integer_sizes_as_ints():
+    cfg = HeadConfig(num_classes=np.int64(3), width=np.uint8(8))
+    assert (cfg.num_classes, cfg.width) == (3, 8)
+    assert type(cfg.num_classes) is int and type(cfg.width) is int
+
+
 # -- anchors ---------------------------------------------------------------------
 
 

@@ -451,7 +451,7 @@ def test_oracle_parity_map_coco_in_chunks(monkeypatch, seed, max_detections, blo
         calls.append(len(a))
         return real(a, b)
 
-    monkeypatch.setattr(eval_metrics, "MATCH_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(eval_metrics, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(eval_metrics, "_iou", spy)
     got = map_coco(preds, gts, max_detections=max_detections)
     assert (got.map, got.map50, got.per_class) == oracle_map_coco(preds, gts, max_detections)
@@ -542,22 +542,22 @@ def match_peak_bytes(preds, gts):
 
 
 def test_match_memory_is_bounded_by_the_chunk_not_the_crowded_image(monkeypatch):
-    # one chunk's padded blocks (at most MATCH_BLOCK_BYTES = 4 MiB) plus its
+    # one chunk's padded blocks (at most BLOCK_BYTES = 4 MiB) plus its
     # pair arrays and the sorted input columns stay under 8 MiB; padding
     # every row to the crowded image's 501 boxes takes ~80 MiB here
     bound = 8 << 20
     preds, gts = crowded_split()
     peak, chunked = match_peak_bytes(preds, gts)
     assert peak < bound
-    monkeypatch.setattr(eval_metrics, "MATCH_BLOCK_BYTES", 1 << 40)
+    monkeypatch.setattr(eval_metrics, "BLOCK_BYTES", 1 << 40)
     global_peak, padded = match_peak_bytes(preds, gts)
     assert global_peak > bound
     assert (padded.map, padded.per_class) == (chunked.map, chunked.per_class)
 
 
-@pytest.mark.parametrize("block_bytes", [eval_metrics.MATCH_BLOCK_BYTES, 1])
+@pytest.mark.parametrize("block_bytes", [eval_metrics.BLOCK_BYTES, 1])
 def test_map_names_the_undefined_pair_the_per_group_order_meets_first(monkeypatch, block_bytes):
-    monkeypatch.setattr(eval_metrics, "MATCH_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(eval_metrics, "BLOCK_BYTES", block_bytes)
     huge = (0.0, 0.0, 1e200, 1e200)
     tiny = lambda x: (x, 4.0, 1e-200, 1e-200)
     gts = [

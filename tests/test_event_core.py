@@ -1,6 +1,7 @@
 """Event simulation, timestamp normalization, voxel splatting, dropout."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -160,6 +161,22 @@ def test_single_bin_maps_everything_to_zero():
 def test_normalization_rejects_non_positive_bins():
     with pytest.raises(DomainError):
         normalize_timestamps(stream_of([1]), bins=0)
+
+
+@pytest.mark.parametrize("bins", [2.5, True, np.float64(3.0), "3"])
+def test_bins_that_are_not_integers_are_refused_by_name(bins):
+    stream = stream_of([1, 2])
+    for call in (normalize_timestamps, build_voxel_grid):
+        with pytest.raises(DomainError, match=rf"^bins must be an int >= 1, got {re.escape(repr(bins))}$"):
+            call(stream, bins)
+
+
+def test_numpy_integer_bins_are_taken_as_ints():
+    grid = build_voxel_grid(stream_of([1, 2]), np.int64(3))
+    assert type(grid.bins) is int and grid.data.shape == (3, 4, 4)
+    # as an int64, bins * H * W * 8 would wrap past the budget check
+    with pytest.raises(DomainError, match=r"^a 2305843009213693952x4x4 voxel grid needs"):
+        build_voxel_grid(stream_of([1, 2]), np.int64(2**61))
 
 
 # -- voxel grid ----------------------------------------------------------------------

@@ -604,3 +604,21 @@ def test_sensor_dims_below_one_are_refused_by_every_constructor(dims):
     ):
         with pytest.raises(DomainError, match=r"sensor dims must be at least 1x1, got -?\d+x-?\d+"):
             build()
+
+
+@pytest.mark.parametrize("dims", [(2.5, 3), (4, True), (4.0, 3.0)], ids=["float", "bool", "integral-float"])
+def test_sensor_dims_that_are_not_integers_are_refused_by_every_constructor(dims):
+    empty = np.empty((0, 4), dtype=np.int64)
+    for build in (
+        lambda: EventStream(*dims, []),
+        lambda: EventStream.from_table(*dims, empty),
+        lambda: decode_events(b"t,x,y,p\n", *dims),
+        lambda: decode_events(b"t,x,y,p\n0,0,0,1\n", *dims),
+    ):
+        with pytest.raises(DomainError, match=rf"^sensor dims must be integers, got {dims[0]!r}x{dims[1]!r}$"):
+            build()
+
+
+def test_numpy_integer_sensor_dims_are_accepted():
+    stream = decode_events(b"t,x,y,p\n0,3,2,1\n", np.int64(4), np.uint16(3))
+    assert (stream.sensor_width, stream.sensor_height) == (4, 3)

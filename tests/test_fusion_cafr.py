@@ -305,7 +305,7 @@ def dense_attention(pair: FeaturePair, w) -> FeaturePair:
 
 def set_block_rows(monkeypatch, n_tokens: int, rows: int):
     """Size blocks to ``rows`` query rows for ``n_tokens`` keys."""
-    monkeypatch.setattr(fusion_cafr, "ATTN_BLOCK_BYTES", 8 * n_tokens * rows)
+    monkeypatch.setattr(fusion_cafr, "BLOCK_BYTES", 8 * n_tokens * rows)
 
 
 def spy_block_rows(monkeypatch) -> list:
@@ -347,7 +347,7 @@ def test_blocked_attention_matches_the_dense_oracle(monkeypatch, h, wdt, rows, b
 
 def test_block_smaller_than_one_row_still_takes_a_row(monkeypatch, rng):
     pair = random_pair(rng, c=3, h=2, w=2)
-    monkeypatch.setattr(fusion_cafr, "ATTN_BLOCK_BYTES", 1)
+    monkeypatch.setattr(fusion_cafr, "BLOCK_BYTES", 1)
     seen = spy_block_rows(monkeypatch)
     cross_self_attention(pair, init_cafr_weights(3, seed=2))
     assert seen == [1] * 8
@@ -453,7 +453,7 @@ def test_attention_peaks_within_one_and_a_half_score_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * fusion_cafr.ATTN_BLOCK_BYTES, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 1.5 * fusion_cafr.BLOCK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
 # -- stage 4: refinement -------------------------------------------------------------

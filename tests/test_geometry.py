@@ -250,6 +250,18 @@ def test_warp_image_equals_the_oracle_byte_for_byte():
             assert out.pixels.shape == (out_h, out_w, channels)
 
 
+@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+def test_warp_image_maps_positions_past_the_int64_range_without_a_warning(mode):
+    # the output's right half maps past 2**63 source pixels while w = 1e-11
+    # stays over the singularity tolerance; RuntimeWarnings are errors here
+    hom = Homography(np.linalg.inv(np.diag([1e6, 1.0, 1e-11])))
+    img = rgb_image(philox(36), 5, 4)
+    out = warp_image(hom, img, 200, 2, interpolation=mode)
+    with np.errstate(invalid="ignore"):
+        expected = oracle_warp_image(hom, img, 200, 2, mode)
+    assert out.pixels.tobytes() == expected.tobytes()
+
+
 def traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:

@@ -1,20 +1,23 @@
 """The package's export list: each name once, and none that only tests call;
 no defaulted parameter, and no defaulted dataclass field, that only tests
-pass; one home for the budget refusal; and no JSON parse that lets deep
-nesting out as a bare RecursionError."""
+pass; one home each for the budget refusal, the count refusal and the
+tile size; and no JSON parse that lets deep nesting out as a bare
+RecursionError."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import evframe
-from evframe.errors import DomainError, check_budget
+from evframe.errors import DomainError, check_budget, check_count
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "evframe"
@@ -181,11 +184,54 @@ def test_only_the_budget_helper_raises_a_budget_refusal():
     assert raising == set()
 
 
+def _outside_errors():
+    """(file name, parsed module) of every package module but errors.py."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "errors.py":
+            yield path.name, ast.parse(path.read_text())
+
+
+def test_only_the_count_helper_raises_a_count_refusal():
+    raising = set()
+    for name, tree in _outside_errors():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                if any(
+                    isinstance(part, ast.Constant) and "must be an int >=" in str(part.value)
+                    for part in ast.walk(node.exc)
+                ):
+                    raising.add(f"{name}:{node.lineno}")
+    assert raising == set()
+
+
+def test_only_errors_py_assigns_a_block_size():
+    assigned = set()
+    for name, tree in _outside_errors():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for part in (p for t in targets for p in ast.walk(t)):
+                if isinstance(part, ast.Name) and part.id.endswith("BLOCK_BYTES"):
+                    assigned.add(f"{name}:{part.id}")
+    assert assigned == set()
+
+
 @pytest.mark.parametrize("need", [float("nan"), float("inf"), 11])
 def test_the_budget_helper_refuses_what_is_not_within_the_budget(need):
     with pytest.raises(DomainError, match=rf"^a test stage needs {need} bytes, over the 10-byte budget$"):
         check_budget("a test stage", need, "byte", 10)
     check_budget("a test stage", 10, "byte", 10)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, True, np.bool_(True), "3", None])
+def test_the_count_helper_refuses_what_is_not_a_positive_integer(value):
+    with pytest.raises(DomainError, match=rf"^k must be an int >= 1, got {re.escape(repr(value))}$"):
+        check_count("k", value)
+    assert type(check_count("k", np.uint8(3))) is int and check_count("k", 3) == 3
 
 
 def _catches_recursion(handler: ast.ExceptHandler) -> bool:

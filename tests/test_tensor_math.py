@@ -119,7 +119,7 @@ def spy_band_rows(monkeypatch):
 
 def set_band_rows(monkeypatch, c_in, ow, rows):
     """Budget exactly ``rows`` output rows of a 3x3 float64 im2col band."""
-    monkeypatch.setattr(tensor_math, "CONV_BLOCK_BYTES", c_in * 9 * ow * rows * 8)
+    monkeypatch.setattr(tensor_math, "BLOCK_BYTES", c_in * 9 * ow * rows * 8)
 
 
 # (h, w, stride, pad, rows per band, rows of each band)
@@ -150,7 +150,7 @@ def test_banded_conv_matches_naive_loops(monkeypatch, h, wdt, stride, pad, rows,
 def test_band_smaller_than_one_row_still_takes_a_row(monkeypatch, rng):
     x = rng.standard_normal((2, 5, 4))
     w = ConvWeights(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
-    monkeypatch.setattr(tensor_math, "CONV_BLOCK_BYTES", 1)
+    monkeypatch.setattr(tensor_math, "BLOCK_BYTES", 1)
     seen = spy_band_rows(monkeypatch)
     got = conv2d(x, w, stride=1, pad=1)
     assert seen == [1] * 5
