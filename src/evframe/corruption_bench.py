@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.ndimage as ndi
 
-from .errors import DomainError, EvframeError, ShapeError
+from .errors import DomainError, EvframeError, ShapeError, check_count
 from .formats_io import ImagePNM, decode_image, encode_image
 from .tensor_math import philox
 
@@ -66,7 +66,8 @@ class CorruptionSpec:
     def __post_init__(self):
         if not isinstance(self.ctype, CorruptionType):
             raise DomainError(f"unknown corruption type {self.ctype!r}")
-        if not isinstance(self.severity, int) or not 1 <= self.severity <= SEVERITY_COUNT:
+        object.__setattr__(self, "severity", check_count("severity", self.severity))
+        if self.severity > SEVERITY_COUNT:
             raise DomainError(f"severity must be an integer in [1,{SEVERITY_COUNT}], got {self.severity}")
 
 
@@ -487,18 +488,19 @@ def corrupt_dataset(image_paths, out_dir, base_seed: int = 0, workers: int = 1) 
 
     Returns the manifest rows: {src, dst, type, severity, seed} per output.
     The manifest order is image, then type, then severity, independent of
-    how many workers render the variants. ``workers`` above MAX_WORKERS is
-    rejected before any image is read, and an image that does not decode is
-    refused, naming its path, before anything is written. A variant that
-    fails does not stop the others: once every one has been tried, the first
-    failure is raised and no manifest is written. An image's zoom blur
-    severities are one task, rendered from one running sum, so a zoom
-    failure also fails that image's higher zoom severities.
+    how many workers render the variants. ``workers`` is read through
+    ``check_count``, and refused above MAX_WORKERS, before any image is
+    read; an image that does not decode is refused, naming its path, before
+    anything is written. A variant that fails does not stop the others: once
+    every one has been tried, the first failure is raised and no manifest is
+    written. An image's zoom blur severities are one task, rendered from one
+    running sum, so a zoom failure also fails that image's higher zoom
+    severities.
     """
     paths = [Path(p) for p in image_paths]
     if not paths:
         raise DomainError("need at least one input image")
-    if not 1 <= workers <= MAX_WORKERS:
+    if check_count("workers", workers) > MAX_WORKERS:
         raise DomainError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     out = Path(out_dir)
     tasks = []

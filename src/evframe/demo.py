@@ -19,7 +19,7 @@ import numpy as np
 
 from .detect_head import FpnWeights, HeadConfig, HeadWeights, build_fpn, decode_head
 from .detect_head import gen_pyramid_anchors, head_forward, init_fpn_weights, init_head_weights
-from .errors import DomainError, ValidationError, check_budget
+from .errors import DomainError, ValidationError, check_budget, check_count
 from .eval_metrics import _iou, map_coco
 from .event_core import SimConfig, build_voxel_grid, modality_dropout, simulate_events
 from .formats_io import DetectionTable, ImagePNM, encode_detections, encode_image
@@ -62,6 +62,7 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
         raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
     if height < MIN_SCENE_HEIGHT:
         raise DomainError(f"height must be >= {MIN_SCENE_HEIGHT}, got {height}")
+    width, height = check_count("width", width), check_count("height", height)
     tokens = -(-width // STEM_STRIDE) * -(-height // STEM_STRIDE)
     check_budget(f"CAFR fusion of a {width}x{height} scene", tokens, "token", MAX_TOKENS)
     rng = philox(seed)

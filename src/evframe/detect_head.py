@@ -190,8 +190,6 @@ def build_fpn(backbone_feats: Sequence[np.ndarray], w: FpnWeights, base_stride: 
 
 def _anchor_shapes(stride: int, cfg: HeadConfig) -> np.ndarray:
     """(A, 2) anchor widths and heights, ratio-major, computed in Python floats."""
-    if stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
     # clamped, so an int stride beyond the float range overflows to inf, not an OverflowError
     base = 4.0 * min(stride, 2**1023)
     shapes = np.array([
@@ -212,6 +210,7 @@ def level_anchors(shapes: Sequence[tuple], base_stride: int, cfg: HeadConfig) ->
     w/h equals the ratio. Order: level, row, column, then ratio-major anchor
     index.
     """
+    base_stride = check_count("base_stride", base_stride)
     levels = []
     for i, (height, width) in enumerate(shapes):
         stride = base_stride * 2 ** i

@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import numbers
 import re
 import struct
 from collections.abc import Sequence
@@ -31,6 +30,7 @@ from .errors import (
     ParseError,
     SchemaError,
     ValidationError,
+    check_count,
 )
 
 TENSOR_MAGIC = b"FTNS"
@@ -103,17 +103,16 @@ class EventStream:
     the CSV's t, x, y, p; ``t``, ``x``, ``y`` and ``p`` are its read-only
     column views. The constructor takes a sequence of Event; ``from_table``
     wraps a table without copying it. ``events`` views the table as a
-    read-only sequence of Event. Both refuse sensor dims that are not
-    integers or are below 1, and both check every event: polarity -1 or +1
-    and 0 <= x < width, 0 <= y < height (else a ``DomainError``),
-    timestamps non-decreasing (else a ``ValidationError``). The error names
-    the first bad event.
+    read-only sequence of Event. Both read the sensor dims through
+    ``check_count`` and store them as ints, and both check every event:
+    polarity -1 or +1 and 0 <= x < width, 0 <= y < height (else a
+    ``DomainError``), timestamps non-decreasing (else a ``ValidationError``).
+    The error names the first bad event.
     """
 
     def __init__(self, sensor_width: int, sensor_height: int, events: Sequence):
-        _check_sensor_dims(sensor_width, sensor_height)
-        self.sensor_width = sensor_width
-        self.sensor_height = sensor_height
+        self.sensor_width = sensor_width = check_count("sensor_width", sensor_width)
+        self.sensor_height = sensor_height = check_count("sensor_height", sensor_height)
         table = _event_table(events)
         t, x, y, p = table.T
         bad = (p != 1) & (p != -1) | (x < 0) | (y < 0) | (x >= sensor_width) | (y >= sensor_height)
@@ -173,14 +172,6 @@ class EventStream:
         )
 
 
-def _check_sensor_dims(sensor_width: int, sensor_height: int) -> None:
-    dims = (sensor_width, sensor_height)
-    if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
-        raise DomainError(f"sensor dims must be integers, got {sensor_width!r}x{sensor_height!r}")
-    if not (sensor_width >= 1 and sensor_height >= 1):
-        raise DomainError(f"sensor dims must be at least 1x1, got {sensor_width}x{sensor_height}")
-
-
 def _read_only(table: np.ndarray) -> np.ndarray:
     """A read-only view, so the stream's columns cannot be written through."""
     view = table.view()
@@ -206,7 +197,11 @@ def _event_table(events: Sequence) -> np.ndarray:
 
 @dataclass
 class ImagePNM:
-    """Dense 8-bit image. ``pixels`` has shape (height, width, channels)."""
+    """Dense 8-bit image. ``pixels`` has shape (height, width, channels).
+
+    ``width``, ``height`` and ``channels`` are read through ``check_count``
+    and stored as ints, so every image encodes to a PNM that decodes.
+    """
 
     width: int
     height: int
@@ -214,6 +209,9 @@ class ImagePNM:
     pixels: np.ndarray  # uint8, shape (height, width, channels)
 
     def __post_init__(self):
+        self.width = check_count("width", self.width)
+        self.height = check_count("height", self.height)
+        self.channels = check_count("channels", self.channels)
         self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
         if self.pixels.shape != (self.height, self.width, self.channels):
             raise ValidationError(
@@ -514,13 +512,14 @@ def decode_events(
     """Parse an event CSV file; validates ordering, bounds, and polarity.
 
     When the sensor dims are omitted they are inferred as max coordinate + 1,
-    which requires at least one event; given dims must be integers, at least 1x1.
+    which requires at least one event; given dims are read through ``check_count``.
     Every field must fit in int64.
     """
     if (sensor_width is None) != (sensor_height is None):
         raise DomainError("sensor_width and sensor_height must be given together")
     if sensor_width is not None:
-        _check_sensor_dims(sensor_width, sensor_height)
+        sensor_width = check_count("sensor_width", sensor_width)
+        sensor_height = check_count("sensor_height", sensor_height)
     head, _, body = data.partition(b"\n")
     if head.decode("ascii", errors="replace").strip() != "t,x,y,p":
         raise ParseError("missing or malformed header, expected 't,x,y,p'", line=1)

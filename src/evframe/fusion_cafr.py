@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BLOCK_BYTES, MAX_BYTES, DomainError, SchemaError, ShapeError, StateError, check_budget
+from .errors import BLOCK_BYTES, MAX_BYTES, DomainError, SchemaError, ShapeError, StateError
+from .errors import check_budget, check_count
 from .formats_io import read_tensor, write_tensor
 from .tensor_math import (
     ConvWeights,
@@ -80,9 +81,7 @@ class CafrWeights:
     we: np.ndarray
 
     def __post_init__(self):
-        c = self.conv1x1_f.kernel.shape[0]
-        if c < 1:
-            raise DomainError(f"channels must be positive, got {c}")
+        c = check_count("channels", self.conv1x1_f.kernel.shape[0])
         for conv in (self.conv1x1_f, self.conv1x1_e):
             if conv.kernel.shape != (c, c, 1, 1):
                 raise ShapeError(f"activation conv must be {c}x{c}x1x1, got {conv.kernel.shape}")
@@ -101,8 +100,7 @@ class CafrWeights:
 
 def init_cafr_weights(channels: int, seed: int = 0) -> CafrWeights:
     """Deterministic uniform [-1/sqrt(C), +1/sqrt(C)] init, fixed draw order."""
-    if channels < 1:
-        raise DomainError(f"channels must be positive, got {channels}")
+    channels = check_count("channels", channels)
     # ten C x C float64 matrices: two 1x1 conv kernels and the eight linear maps
     check_budget(f"a CAFR weight set for {channels} channels", 80 * channels**2, "byte", MAX_BYTES)
     rng = philox(seed)
@@ -234,8 +232,7 @@ def _check_tokens(height: int, width: int) -> None:
 
 def _check_probes(probes: int) -> None:
     """Refuse a gradcheck of no probes or over MAX_GRADCHECK_FORWARDS forwards."""
-    if probes < 1:
-        raise DomainError(f"probes must be positive, got {probes}")
+    probes = check_count("probes", probes)
     check_budget(f"a gradcheck of {probes} probes", 2 * probes + 1, "forward", MAX_GRADCHECK_FORWARDS)
 
 

@@ -7,12 +7,11 @@ and rotations. Image warping uses inverse mapping with bilinear sampling.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_BYTES, DomainError, ShapeError, ValidationError, check_budget
+from .errors import MAX_BYTES, DomainError, ShapeError, ValidationError, check_budget, check_count
 from .formats_io import CameraRig, ImagePNM
 
 SINGULARITY_TOL = 1e-12
@@ -69,15 +68,11 @@ def warp_image(
     """Resample ``src`` under the homography via inverse mapping.
 
     Each output pixel samples the source at H^-1 (u, v, 1); taps outside the
-    source are zero. ``interpolation`` is 'bilinear' or 'nearest' (for label
-    masks); both read the uint8 source in place through one gather.
+    source are zero. ``out_w`` and ``out_h`` are read through ``check_count``.
+    ``interpolation`` is 'bilinear' or 'nearest' (for label masks); both read
+    the uint8 source in place through one gather.
     """
-    try:
-        out_w, out_h = operator.index(out_w), operator.index(out_h)
-    except TypeError:
-        raise DomainError(f"output dims must be integers, got {out_w!r}x{out_h!r}") from None
-    if out_w <= 0 or out_h <= 0:
-        raise DomainError(f"output dims must be positive, got {out_w}x{out_h}")
+    out_w, out_h = check_count("out_w", out_w), check_count("out_h", out_h)
     if interpolation not in ("bilinear", "nearest"):
         raise DomainError(f"unknown interpolation '{interpolation}'")
     # Per output pixel at most 20 eight-byte values live at once (the int64

@@ -639,7 +639,7 @@ def test_cafr_forward_refuses_a_pair_without_channels(capsys, tmp_path):
     inputs = feature_pair_files(tmp_path, 7, (0, 3, 2))
     out = tmp_path / "fused.ftns"
     code, stdout, err = run(capsys, "cafr-forward", *inputs, "--out", str(out))
-    assert (code, stdout, err) == (1, "", "error: channels must be positive, got 0\n")
+    assert (code, stdout, err) == (1, "", "error: channels must be an int >= 1, got 0\n")
     assert not out.exists()
 
 
@@ -654,7 +654,7 @@ def test_cafr_forward_refuses_a_zero_channel_bundle(capsys, tmp_path):
         write_tensor(bundle / (name.replace(".", "_") + ".ftns"), np.zeros(shape))
     out = tmp_path / "fused.ftns"
     code, stdout, err = run(capsys, "cafr-forward", *inputs, "--weights", str(bundle), "--out", str(out))
-    assert (code, stdout, err) == (1, "", "error: channels must be positive, got 0\n")
+    assert (code, stdout, err) == (1, "", "error: channels must be an int >= 1, got 0\n")
     assert not out.exists()
 
 

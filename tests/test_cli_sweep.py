@@ -177,9 +177,12 @@ def test_boundary_values_end_in_an_exit_code_not_a_traceback(capsys, tmp_path, i
             "head-decode", ["--score-threshold=nan"], "score_threshold", id="score-threshold"
         ),
         pytest.param(
-            "evt2grid-empty", ["--width=-1", "--height=-1"], "sensor dims", id="dims-negative"
+            "evt2grid-empty", ["--width=-1", "--height=-1"], "sensor_width must be an int >= 1, got -1",
+            id="dims-negative",
         ),
-        pytest.param("evt2grid-empty", ["--width=0", "--height=0"], "sensor dims", id="dims-zero"),
+        pytest.param(
+            "evt2grid-empty", ["--width=0", "--height=0"], "sensor_width must be an int >= 1, got 0", id="dims-zero"
+        ),
         pytest.param(
             "simulate-events", ["--threshold=nan"], "threshold must be finite and positive", id="threshold-nan"
         ),

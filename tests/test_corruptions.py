@@ -43,9 +43,14 @@ def test_fifteen_types_with_five_severity_rows_each():
 
 
 def test_severity_bounds():
-    for bad in (0, 6, 2.5):
-        with pytest.raises(DomainError, match="severity must be an integer in"):
+    for bad, message in (
+        (0, "severity must be an int >= 1, got 0"),
+        (6, "severity must be an integer in [1,5], got 6"),
+        (2.5, "severity must be an int >= 1, got 2.5"),
+    ):
+        with pytest.raises(DomainError) as exc:
             CorruptionSpec(CorruptionType.FOG, bad)
+        assert str(exc.value) == message
 
 
 def test_a_checked_spec_cannot_be_changed():

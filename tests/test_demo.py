@@ -48,6 +48,13 @@ def test_the_scene_budget_is_one_dsec_frame():
         make_scene(641, 480)
 
 
+def test_a_demo_of_a_non_integer_width_is_refused_before_any_write(tmp_path):
+    with pytest.raises(DomainError) as exc:
+        run_pipeline_demo(tmp_path / "d", width=64.0)
+    assert str(exc.value) == "width must be an int >= 1, got 64.0"
+    assert not (tmp_path / "d").exists()
+
+
 def test_scene_block_moves_right():
     a, b, gts = make_scene(seed=4)
     assert not np.array_equal(a.pixels, b.pixels)

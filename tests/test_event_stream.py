@@ -596,27 +596,32 @@ def test_a_valid_table_is_wrapped_without_a_copy():
 )
 def test_sensor_dims_below_one_are_refused_by_every_constructor(dims):
     empty = np.empty((0, 4), dtype=np.int64)
+    name, value = ("sensor_width", dims[0]) if dims[0] < 1 else ("sensor_height", dims[1])
     for build in (
         lambda: EventStream(*dims, []),
         lambda: EventStream.from_table(*dims, empty),
         lambda: decode_events(b"t,x,y,p\n", *dims),
         lambda: decode_events(b"t,x,y,p\n0,0,0,1\n", *dims),
     ):
-        with pytest.raises(DomainError, match=r"sensor dims must be at least 1x1, got -?\d+x-?\d+"):
+        with pytest.raises(DomainError) as exc:
             build()
+        assert str(exc.value) == f"{name} must be an int >= 1, got {value!r}"
 
 
 @pytest.mark.parametrize("dims", [(2.5, 3), (4, True), (4.0, 3.0)], ids=["float", "bool", "integral-float"])
 def test_sensor_dims_that_are_not_integers_are_refused_by_every_constructor(dims):
     empty = np.empty((0, 4), dtype=np.int64)
+    name, value = ("sensor_height", dims[1]) if type(dims[0]) is int else ("sensor_width", dims[0])
+    message = f"{name} must be an int >= 1, got {value!r}"
     for build in (
         lambda: EventStream(*dims, []),
         lambda: EventStream.from_table(*dims, empty),
         lambda: decode_events(b"t,x,y,p\n", *dims),
         lambda: decode_events(b"t,x,y,p\n0,0,0,1\n", *dims),
     ):
-        with pytest.raises(DomainError, match=rf"^sensor dims must be integers, got {dims[0]!r}x{dims[1]!r}$"):
+        with pytest.raises(DomainError) as exc:
             build()
+        assert str(exc.value) == message
 
 
 def test_numpy_integer_sensor_dims_are_accepted():

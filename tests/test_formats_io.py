@@ -271,6 +271,36 @@ def test_image_refuses_two_channels():
     assert str(exc.value) == "channels must be 1 or 3, got 2"
 
 
+@pytest.mark.parametrize(
+    "width, height, channels",
+    [(7, 5, 1), (1, 1, 3), (np.int64(7), np.uint16(5), np.int64(3))],
+    ids=["gray", "one-pixel-color", "numpy-dims"],
+)
+def test_every_accepted_image_roundtrips_through_its_encoding(width, height, channels):
+    pixels = philox(3).integers(0, 256, size=(int(height), int(width), int(channels))).astype(np.uint8)
+    img = ImagePNM(width, height, channels, pixels)
+    assert [type(d) for d in (img.width, img.height, img.channels)] == [int, int, int]
+    back = decode_image(encode_image(img))
+    assert (back.width, back.height, back.channels) == (img.width, img.height, img.channels)
+    assert np.array_equal(back.pixels, pixels)
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((4.0, 4, 1), "width must be an int >= 1, got 4.0"),
+        ((0, 0, 1), "width must be an int >= 1, got 0"),
+        ((4, 4, True), "channels must be an int >= 1, got True"),
+    ],
+    ids=["float-width", "empty", "bool-channels"],
+)
+def test_an_image_whose_encoding_would_not_decode_is_refused(dims, message):
+    pixels = np.zeros((int(dims[1]), int(dims[0]), int(dims[2])), np.uint8)
+    with pytest.raises(DomainError) as exc:
+        ImagePNM(*dims, pixels)
+    assert str(exc.value) == message
+
+
 def test_image_from_float01_refuses_a_four_dimensional_array():
     with pytest.raises(ValidationError) as exc:
         ImagePNM.from_float01(np.zeros((2, 2, 1, 1)))

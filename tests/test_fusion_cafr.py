@@ -497,7 +497,7 @@ def test_weights_refuse_zero_channels():
     empty = ConvWeights(np.zeros((0, 0, 1, 1)), np.zeros(0))
     with pytest.raises(DomainError) as exc:
         CafrWeights(empty, empty, *[np.zeros((0, 0))] * len(LINEAR_NAMES))
-    assert str(exc.value) == "channels must be positive, got 0"
+    assert str(exc.value) == "channels must be an int >= 1, got 0"
 
 
 # -- full module ---------------------------------------------------------------------
@@ -565,7 +565,7 @@ def test_gradcheck_refuses_a_probe_count_outside_its_budget_before_any_forward(m
     message = "^a gradcheck of 1001 probes needs 2003 forwards, over the 2001-forward budget$"
     with pytest.raises(DomainError, match=message):
         cafr_gradcheck(pair, w, probes=1001)
-    with pytest.raises(DomainError, match="^probes must be positive, got 0$"):
+    with pytest.raises(DomainError, match="^probes must be an int >= 1, got 0$"):
         cafr_gradcheck(pair, w, probes=0)
 
 

@@ -186,7 +186,8 @@ def test_warp_image_refuses_non_integer_output_dims(rng, out_w, out_h):
     img = rgb_image(rng, 4, 4)
     with pytest.raises(DomainError) as exc:
         warp_image(Homography(np.eye(3)), img, out_w, out_h)
-    assert str(exc.value) == f"output dims must be integers, got {out_w!r}x{out_h!r}"
+    name, value = ("out_h", out_h) if type(out_w) is int else ("out_w", out_w)
+    assert str(exc.value) == f"{name} must be an int >= 1, got {value!r}"
 
 
 def test_warp_image_takes_numpy_integer_dims(rng):

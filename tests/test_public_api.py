@@ -1,7 +1,8 @@
 """The package's export list: each name once, and none that only tests call;
 no defaulted parameter, and no defaulted dataclass field, that only tests
-pass; one home each for the budget refusal, the count refusal and the
-tile size; and no JSON parse that lets deep nesting out as a bare
+pass; one home each for the budget refusal, the count refusal, the integer
+test and the tile size; every library count parameter refused in the one
+count message; and no JSON parse that lets deep nesting out as a bare
 RecursionError."""
 
 import ast
@@ -17,7 +18,25 @@ import numpy as np
 import pytest
 
 import evframe
+from evframe import (
+    CorruptionSpec,
+    CorruptionType,
+    EventStream,
+    FeaturePair,
+    HeadConfig,
+    Homography,
+    ImagePNM,
+    cafr_gradcheck,
+    corrupt_dataset,
+    decode_events,
+    encode_image,
+    init_cafr_weights,
+    level_anchors,
+    warp_image,
+)
+from evframe.demo import make_scene
 from evframe.errors import DomainError, check_budget, check_count
+from evframe.tensor_math import philox
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "evframe"
@@ -204,6 +223,34 @@ def test_only_the_count_helper_raises_a_count_refusal():
     assert raising == set()
 
 
+# What may test whether a value is an integer, outside errors.py: only
+# simulate_events, whose t_a and t_b may be any int64, not only counts.
+INTEGER_TESTS = {("numbers", "Integral"), ("operator", "index")}
+INTEGER_TEST_HOMES = {("event_core.py", "simulate_events")}
+
+
+def test_only_the_count_helper_and_simulate_events_test_for_an_integer():
+    found = set()
+    for name, tree in _outside_errors():
+        homes = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and (name, node.name) in INTEGER_TEST_HOMES
+        ]
+        allowed = {id(part) for home in homes for part in ast.walk(home)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                uses = {(node.value.id, node.attr)}
+            elif isinstance(node, ast.ImportFrom):
+                uses = {(node.module, alias.name) for alias in node.names}
+            else:
+                continue
+            if uses & INTEGER_TESTS:
+                found.add(f"{name}:{node.lineno}")
+    assert found == set()
+
+
 def test_only_errors_py_assigns_a_block_size():
     assigned = set()
     for name, tree in _outside_errors():
@@ -269,3 +316,59 @@ def test_every_json_parse_catches_deep_nesting():
     for path in PACKAGE.glob("*.py"):
         visit(ast.parse(path.read_text()), path.name, False)
     assert unguarded == set()
+
+
+
+def _corrupt_one_image(workers, tmp_path):
+    src = tmp_path / "src.pnm"
+    src.write_bytes(encode_image(ImagePNM(16, 12, 3, philox(5).integers(0, 256, size=(12, 16, 3)))))
+    corrupt_dataset([src], tmp_path / "out", workers=workers)
+
+
+_PIXELS = np.zeros((2, 2, 1), np.uint8)
+_IMAGE = ImagePNM(4, 3, 3, philox(6).integers(0, 256, size=(3, 4, 3)))
+_PAIR = FeaturePair(philox(7).standard_normal((2, 2, 2)), philox(8).standard_normal((2, 2, 2)))
+_EVENTS = b"t,x,y,p\n0,0,0,1\n"
+
+# Every library count parameter: its site, its name, a call that passes it n
+# (and a scratch directory), and a valid n.
+COUNT_PARAMETERS = [
+    ("EventStream", "sensor_width", lambda n, _: EventStream(n, 3, []), 4),
+    ("EventStream", "sensor_height", lambda n, _: EventStream(4, n, []), 3),
+    ("decode_events", "sensor_width", lambda n, _: decode_events(_EVENTS, n, 3), 4),
+    ("decode_events", "sensor_height", lambda n, _: decode_events(_EVENTS, 4, n), 3),
+    ("warp_image", "out_w", lambda n, _: warp_image(Homography(np.eye(3)), _IMAGE, n, 3), 4),
+    ("warp_image", "out_h", lambda n, _: warp_image(Homography(np.eye(3)), _IMAGE, 4, n), 3),
+    ("init_cafr_weights", "channels", lambda n, _: init_cafr_weights(n), 2),
+    ("cafr_gradcheck", "probes", lambda n, _: cafr_gradcheck(_PAIR, init_cafr_weights(2), probes=n), 1),
+    ("level_anchors", "base_stride", lambda n, _: level_anchors([(2, 2)], n, HeadConfig(1, 1)), 4),
+    ("CorruptionSpec", "severity", lambda n, _: CorruptionSpec(CorruptionType.FOG, n), 2),
+    ("corrupt_dataset", "workers", _corrupt_one_image, 1),
+    ("ImagePNM", "width", lambda n, _: ImagePNM(n, 2, 1, _PIXELS), 2),
+    ("ImagePNM", "height", lambda n, _: ImagePNM(2, n, 1, _PIXELS), 2),
+    ("ImagePNM", "channels", lambda n, _: ImagePNM(2, 2, n, _PIXELS), 1),
+    ("make_scene", "width", lambda n, _: make_scene(n, 48), 64),
+    ("make_scene", "height", lambda n, _: make_scene(64, n), 48),
+]
+
+# make_scene refuses a scene under its 17x13 minimum first, in its own
+# words, so only a non-integer above that reaches the count refusal.
+COUNT_REFUSALS = [
+    pytest.param(param, call, value, id=f"{site}.{param}={value!r}")
+    for site, param, call, good in COUNT_PARAMETERS
+    for value in ((good + 0.5, float(good)) if site == "make_scene" else (0, 2.5, True))
+]
+
+
+@pytest.mark.parametrize("param, call, value", COUNT_REFUSALS)
+def test_every_count_parameter_refuses_with_the_one_count_message(tmp_path, param, call, value):
+    with pytest.raises(DomainError) as exc:
+        call(value, tmp_path)
+    assert str(exc.value) == f"{param} must be an int >= 1, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "call, good", [pytest.param(call, good, id=f"{site}.{param}") for site, param, call, good in COUNT_PARAMETERS]
+)
+def test_every_count_parameter_takes_a_numpy_integer(tmp_path, call, good):
+    call(np.int64(good), tmp_path)
