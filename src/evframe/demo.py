@@ -12,6 +12,7 @@ re-checks its core invariant, so a single run exercises the whole stack.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -58,9 +59,10 @@ def make_scene(width: int = 64, height: int = 48, seed: int = 0):
     stride-4 features, ceil(W/4) x ceil(H/4), exceed MAX_TOKENS is refused
     before any draw.
     """
-    if width < MIN_SCENE_WIDTH:
+    # only a number is held to the minimum; anything else is check_count's to refuse
+    if isinstance(width, numbers.Real) and width < MIN_SCENE_WIDTH:
         raise DomainError(f"width must be >= {MIN_SCENE_WIDTH}, got {width}")
-    if height < MIN_SCENE_HEIGHT:
+    if isinstance(height, numbers.Real) and height < MIN_SCENE_HEIGHT:
         raise DomainError(f"height must be >= {MIN_SCENE_HEIGHT}, got {height}")
     width, height = check_count("width", width), check_count("height", height)
     tokens = -(-width // STEM_STRIDE) * -(-height // STEM_STRIDE)

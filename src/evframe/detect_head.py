@@ -208,10 +208,10 @@ def level_anchors(shapes: Sequence[tuple], base_stride: int, cfg: HeadConfig) ->
     Level i has stride s = base_stride * 2**i and centers at (i+0.5)*s. Base
     size is 4*s; w = base*scale*sqrt(ratio), h = base*scale/sqrt(ratio), so
     w/h equals the ratio. Order: level, row, column, then ratio-major anchor
-    index.
+    index. No levels give a (0, 4) array, as empty levels do.
     """
     base_stride = check_count("base_stride", base_stride)
-    levels = []
+    levels = [np.empty((0, 4))]
     for i, (height, width) in enumerate(shapes):
         stride = base_stride * 2 ** i
         sizes = _anchor_shapes(stride, cfg)

@@ -35,6 +35,7 @@ from .errors import (
 
 TENSOR_MAGIC = b"FTNS"
 MAX_TENSOR_RANK = 4
+MAX_TENSOR_DIM = 2**32 - 1  # a dim is stored as a u32
 
 # Range of event fields: timestamps, coordinates and polarities are int64.
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -656,15 +657,24 @@ def encode_tensor(arr: np.ndarray) -> bytes:
     """Serialize an array as FTNS: little-endian u32 rank/dims, f32 payload.
 
     Values are stored at 32-bit precision; pass float32 data for bit-exact
-    round trips.
+    round trips. NaN and infinities are stored as they are. A dim above
+    2**32 - 1, or a finite value beyond the float32 range, is a DomainError
+    raised before any byte is built.
     """
     arr = np.asarray(arr)
     if arr.ndim < 1 or arr.ndim > MAX_TENSOR_RANK:
         raise DomainError(f"tensor rank must be 1..{MAX_TENSOR_RANK}, got {arr.ndim}")
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    if max(arr.shape) > MAX_TENSOR_DIM:
+        raise DomainError(f"tensor dims must be at most {MAX_TENSOR_DIM}, got {arr.shape}")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        values = np.ascontiguousarray(arr, dtype="<f4")
+    overflow = np.isinf(values) & np.isfinite(arr)
+    if overflow.any():
+        at = tuple(np.argwhere(overflow)[0].tolist())
+        raise DomainError(f"tensor value {arr[at]} at index {at} is beyond the float32 range")
     header = TENSOR_MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + payload
+    return header + values.tobytes()
 
 
 def decode_tensor(data: bytes) -> np.ndarray:
@@ -695,8 +705,9 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
+    data = encode_tensor(arr)  # a refused array leaves no file
     with open(path, "wb") as f:
-        f.write(encode_tensor(arr))
+        f.write(data)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ loaded from a bundle directory of one tensor file per member.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -111,13 +110,12 @@ def init_cafr_weights(channels: int, seed: int = 0) -> CafrWeights:
     return CafrWeights(conv_f, conv_e, *mats)
 
 
-# Weight bundles: a directory with one .ftns file per member and a JSON
-# manifest whose "members" table maps each member name to its file (the name
-# with "." replaced by "_", plus ".ftns"). Members in CafrWeights field order:
+# Weight bundles: a directory with one .ftns file per member, named by the
+# member with "." replaced by "_", plus ".ftns". Members in CafrWeights field
+# order:
 BUNDLE_MEMBERS = (
     "conv1x1_f.kernel", "conv1x1_f.bias", "conv1x1_e.kernel", "conv1x1_e.bias",
 ) + LINEAR_NAMES
-BUNDLE_MANIFEST = "manifest.json"
 
 
 def weight_arrays(w: CafrWeights) -> dict:
@@ -125,46 +123,30 @@ def weight_arrays(w: CafrWeights) -> dict:
     return {name: attrgetter(name)(w) for name in BUNDLE_MEMBERS}
 
 
+def _member_path(directory: Path, name: str) -> Path:
+    return directory / (name.replace(".", "_") + ".ftns")
+
+
 def save_weights(w: CafrWeights, directory) -> None:
-    """Write a weight set as a bundle: one .ftns file per array plus a JSON
-    manifest mapping each member name to its file."""
+    """Write a weight set as a bundle: one .ftns file per member array."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    members = {}
     for name, arr in weight_arrays(w).items():
-        fname = name.replace(".", "_") + ".ftns"
-        write_tensor(d / fname, arr)
-        members[name] = fname
-    (d / BUNDLE_MANIFEST).write_text(json.dumps({"members": members}, indent=2, sort_keys=True))
+        write_tensor(_member_path(d, name), arr)
 
 
 def load_weights(directory) -> CafrWeights:
     """Inverse of save_weights; values round through 32-bit storage, load as float64.
 
-    The member table is checked before any member file is read: the first
-    member missing in field order, or else a member CafrWeights has no field
-    for, is a ``SchemaError`` naming it.
+    Reads the twelve member files only; any other file in the directory is
+    ignored. Every member file is checked to exist before any is read: the
+    first one missing in field order is a ``SchemaError`` naming its member.
     """
-    d = Path(directory)
-    try:
-        manifest = json.loads((d / BUNDLE_MANIFEST).read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
-        raise SchemaError(f"bundle manifest is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise SchemaError("bundle manifest must be a JSON object")
-    members = manifest.get("members")
-    if not isinstance(members, dict):
-        raise SchemaError("bundle manifest has no 'members' table")
-    for name, fname in members.items():
-        if not isinstance(fname, str):
-            raise SchemaError(f"bundle member '{name}' must name a file, got {fname!r}")
-    missing = [name for name in BUNDLE_MEMBERS if name not in members]
-    if missing:
-        raise SchemaError(f"weight bundle is missing member '{missing[0]}'")
-    extra = sorted(set(members) - set(BUNDLE_MEMBERS))
-    if extra:
-        raise SchemaError(f"weight bundle member '{extra[0]}' is not read by CafrWeights")
-    k_f, b_f, k_e, b_e, *mats = (read_tensor(d / members[name]) for name in BUNDLE_MEMBERS)
+    paths = [_member_path(Path(directory), name) for name in BUNDLE_MEMBERS]
+    for name, path in zip(BUNDLE_MEMBERS, paths):
+        if not path.is_file():
+            raise SchemaError(f"weight bundle is missing member '{name}'")
+    k_f, b_f, k_e, b_e, *mats = (read_tensor(path) for path in paths)
     return CafrWeights(ConvWeights(k_f, b_f), ConvWeights(k_e, b_e), *mats)
 
 

@@ -48,8 +48,10 @@ def compose_homography(rig: CameraRig) -> Homography:
 
 
 def warp_points(h: Homography, points: np.ndarray) -> np.ndarray:
-    """Vectorized warp of an (N, 2) point array."""
+    """Vectorized warp of an (N, 2) point array; any other shape is a ShapeError."""
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeError(f"points must be an (n, 2) array, got shape {pts.shape}")
     ones = np.ones((pts.shape[0], 1))
     hom = np.hstack([pts, ones]) @ h.matrix.T
     wcol = hom[:, 2]
@@ -120,10 +122,11 @@ def warp_boxes(h: Homography, boxes: np.ndarray, clip_w: float, clip_h: float):
     """Warp (n, 4) x, y, w, h top-left boxes as columns: corner hull, then clip.
 
     The clip window (0, 0, clip_w, clip_h) must be finite with a positive
-    size; it is checked before any box, then the first box with w or h <= 0
-    is refused. All 4n corners go through one ``warp_points`` call, and the
-    first box with a warped corner that is not finite (a NaN entry, or
-    entries that overflow float64) is refused by its row index. The clip is Python's
+    size; it is checked before any box, then a ``boxes`` shape other than
+    (n, 4) is a ShapeError, then the first box with w or h <= 0 is refused.
+    All 4n corners go through one ``warp_points`` call, and the first box
+    with a warped corner that is not finite (a NaN entry, or entries that
+    overflow float64) is refused by its row index. The clip is Python's
     ``max(v, 0.0)`` and ``min(v, clip)``, so a -0.0 edge stays -0.0, and a
     box is dropped when its clipped width or height is <= 0. Returns the
     clipped (m, 4) boxes of nonzero area, in input order, and the (n,) bool
@@ -133,6 +136,8 @@ def warp_boxes(h: Homography, boxes: np.ndarray, clip_w: float, clip_h: float):
     if not (0.0 < cw < np.inf and 0.0 < ch < np.inf):
         raise DomainError(f"clip window must be finite and positive, got {cw}x{ch}")
     boxes = np.asarray(boxes, dtype=np.float64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ShapeError(f"boxes must be an (n, 4) array, got shape {boxes.shape}")
     x, y, w, hgt = boxes.T
     bad = (w <= 0) | (hgt <= 0)
     if bad.any():

@@ -569,13 +569,14 @@ def test_cafr_forward_broken_bundle_exits_1(capsys, tmp_path):
     write_tensor(ff, np.ones((2, 2, 2)))
     bundle = tmp_path / "weights"
     bundle.mkdir()
-    (bundle / "manifest.json").write_text("[]")
-    code, _, err = run(
+    out = tmp_path / "fused.ftns"
+    code, stdout, err = run(
         capsys, "cafr-forward", "--frame-features", str(ff), "--event-features", str(ff),
-        "--weights", str(bundle), "--out", str(tmp_path / "fused.ftns"),
+        "--weights", str(bundle), "--out", str(out),
     )
-    assert code == 1
-    assert "error: bundle manifest must be a JSON object" in err
+    assert (code, stdout) == (1, "")
+    assert err == "error: weight bundle is missing member 'conv1x1_f.kernel'\n"
+    assert not out.exists()
 
 
 def test_cafr_forward_bundle_for_other_channels_exits_1(capsys, tmp_path):

@@ -10,8 +10,9 @@ or count before they allocate or run; not every allocating stage does, so
 elsewhere they could really allocate.
 
 A second sweep varies file content rather than flags: each calibration key
-out of the float range or non-numeric, and a calibration file or a weight
-bundle manifest nested too deep to parse.
+out of the float range or non-numeric; a calibration file, a detections
+file, an mPC table or a --config file nested too deep to parse; and CAFR
+features whose fused output overflows float32.
 """
 
 import json
@@ -29,8 +30,7 @@ from evframe import (
     HeadConfig,
     encode_detections,
     encode_image,
-    init_cafr_weights,
-    save_weights,
+    encode_tensor,
     write_tensor,
 )
 from evframe.cli import main
@@ -447,9 +447,23 @@ FILE_CASES = [
     for case in ("warp", "warp-labels")
 ] + [
     pytest.param(
-        "cafr-forward", "bundle/manifest.json", DEEP_JSON, "bundle manifest is not valid JSON",
-        id="cafr-forward:nested-manifest",
+        case, name, DEEP_JSON, "line 1: invalid JSON record", id=f"{case}:nested-detections"
     )
+    for case, name in (("warp-labels", "gt.jsonl"), ("eval-map", "pred.jsonl"))
+] + [
+    pytest.param(
+        "eval-mpc", "mpc.json", DEEP_JSON, "input is not UTF-8 JSON", id="eval-mpc:nested"
+    ),
+    # inputs that fit float32 whose fused output does not: a dict replaces
+    # several files
+    pytest.param(
+        "cafr-forward", None,
+        {
+            "frame.ftns": encode_tensor(np.full((2, 2, 2), 1e20)),
+            "event.ftns": encode_tensor(-3e19 + np.arange(8).reshape(2, 2, 2) * 1e19),
+        },
+        "is beyond the float32 range", id="cafr-forward:float32-overflow",
+    ),
 ]
 
 
@@ -461,16 +475,26 @@ def test_a_bad_input_file_exits_1_and_writes_nothing(
     shutil.copytree(inputs, tmp_path / "in")
     if isinstance(content, tuple):
         content = calibration_with(inputs, *content)
-    extra = []
-    if case == "cafr-forward":
-        save_weights(init_cafr_weights(2), tmp_path / "in" / "bundle")
-        extra = ["--weights", str(tmp_path / "in" / "bundle")]
-    (tmp_path / "in" / name).write_bytes(content)
+    for fname, data in (content if isinstance(content, dict) else {name: content}).items():
+        (tmp_path / "in" / fname).write_bytes(data)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    code = run_case(case, extra, tmp_path / "in", out_dir)
+    code = run_case(case, [], tmp_path / "in", out_dir)
     out, err = capsys.readouterr()
     assert (code, out) == (1, ""), err
     assert "Traceback" not in err
     assert err.startswith("error:") and message in err
+    assert not list(out_dir.iterdir())
+
+
+def test_a_config_nested_too_deep_is_a_usage_error(capsys, tmp_path, inputs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(DEEP_JSON)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run_case("evt2grid", ["--config", str(cfg)], inputs, out_dir)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert f"config file {cfg} is not readable UTF-8 JSON" in err
     assert not list(out_dir.iterdir())

@@ -112,6 +112,12 @@ def test_anchor_shapes_encode_scale_and_ratio():
             idx += 1
 
 
+@pytest.mark.parametrize("shapes", [[], [(0, 3)], [(2, 0), (0, 0)]], ids=["no-levels", "empty-level", "empty-levels"])
+def test_no_anchor_cells_give_a_0_by_4_array(shapes):
+    anchors = level_anchors(shapes, 4, HeadConfig(num_classes=1))
+    assert (anchors.shape, anchors.dtype) == ((0, 4), np.float64)
+
+
 def test_anchor_stride_must_be_positive():
     with pytest.raises(DomainError):
         level_anchors([(2, 2)], 0, HeadConfig(num_classes=1))

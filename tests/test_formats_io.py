@@ -30,6 +30,7 @@ from evframe import (
     encode_image,
     encode_tensor,
     parse_calibration,
+    write_tensor,
 )
 from evframe import formats_io
 from conftest import calibration_json, philox, rgb_image, small_rig
@@ -333,6 +334,37 @@ def test_tensor_rejects_payload_size_mismatch():
 def test_tensor_rejects_rank_zero():
     with pytest.raises(DomainError):
         encode_tensor(np.float32(1.0))
+
+
+@pytest.mark.parametrize(
+    "arr, message",
+    [
+        (
+            np.empty((0, 2**33), np.float32),
+            "tensor dims must be at most 4294967295, got (0, 8589934592)",
+        ),
+        (
+            np.array([[1.0, np.nan], [np.inf, 1e39], [-1e40, 2.0]]),
+            "tensor value 1e+39 at index (1, 1) is beyond the float32 range",
+        ),
+        (np.array([-3.5e38]), "tensor value -3.5e+38 at index (0,) is beyond the float32 range"),
+    ],
+    ids=["dim-over-u32", "finite-over-float32", "finite-under-float32"],
+)
+def test_tensor_encode_refuses_what_ftns_cannot_hold(tmp_path, arr, message):
+    with pytest.raises(DomainError) as exc:
+        encode_tensor(arr)
+    assert str(exc.value) == message
+    with pytest.raises(DomainError):
+        write_tensor(tmp_path / "t.ftns", arr)
+    assert not list(tmp_path.iterdir())  # refused before the file is opened
+
+
+def test_tensor_encode_keeps_nan_and_infinities():
+    arr = np.array([np.nan, np.inf, -np.inf, 3.4e38])
+    back = decode_tensor(encode_tensor(arr))
+    assert np.array_equal(back, arr.astype(np.float32), equal_nan=True)
+    assert np.isfinite(back[3])
 
 
 @pytest.mark.parametrize(

@@ -89,12 +89,15 @@ def test_weight_init_respects_fan_in_bound():
 # -- weight bundles ------------------------------------------------------------------
 
 
+def member_file(name: str) -> str:
+    # member names and file names are part of the bundle format
+    return name.replace(".", "_") + ".ftns"
+
+
 def test_weight_bundle_round_trip(tmp_path):
     w = init_cafr_weights(5, seed=3)
     save_weights(w, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # member names and file names are part of the bundle format
-    assert manifest["members"] == {m: m.replace(".", "_") + ".ftns" for m in BUNDLE_MEMBERS}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(map(member_file, BUNDLE_MEMBERS))
     back = weight_arrays(load_weights(tmp_path))
     arrays = weight_arrays(w)
     assert list(back) == list(arrays) == list(BUNDLE_MEMBERS)
@@ -119,34 +122,11 @@ def test_a_loaded_bundle_is_float64_and_passes_gradcheck(tmp_path):
 def test_weight_bundle_bytes_are_pinned(tmp_path):
     save_weights(init_cafr_weights(4, seed=2), tmp_path)
     files = sorted(tmp_path.iterdir())
-    assert [p.name for p in files] == sorted(
-        ["manifest.json"] + [m.replace(".", "_") + ".ftns" for m in BUNDLE_MEMBERS]
-    )
+    assert [p.name for p in files] == sorted(map(member_file, BUNDLE_MEMBERS))
     digest = hashlib.sha256()
     for p in files:
         digest.update(p.name.encode() + b"\0" + p.read_bytes())
-    assert digest.hexdigest() == "986efb3988c26389ebc3cf14aeb1f9d53cb64a757e5375a836940d9a9a878485"
-
-
-def test_tensor_bundle_requires_member_table(tmp_path):
-    (tmp_path / "manifest.json").write_text(json.dumps({"oops": 1}))
-    with pytest.raises(SchemaError, match="no 'members' table"):
-        load_weights(tmp_path)
-
-
-@pytest.mark.parametrize(
-    "manifest, fault",
-    [
-        (b"{not json", "not valid JSON"),
-        (b"\xff{}", "not valid JSON"),
-        (b"[]", "must be a JSON object"),
-        (b'{"members": {"wq_f": 5}}', "member 'wq_f' must name a file"),
-    ],
-)
-def test_broken_bundle_manifest_is_a_schema_error(tmp_path, manifest, fault):
-    (tmp_path / "manifest.json").write_bytes(manifest)
-    with pytest.raises(SchemaError, match=fault):
-        load_weights(tmp_path)
+    assert digest.hexdigest() == "ede89023bbacd04f7923b6c05f88bd228018eac95f44f74ef83645765ed1d436"
 
 
 @pytest.mark.parametrize(
@@ -156,25 +136,17 @@ def test_broken_bundle_manifest_is_a_schema_error(tmp_path, manifest, fault):
             ["conv1x1_e.bias", "wq_f"], [],
             "weight bundle is missing member 'conv1x1_e.bias'",
         ),
-        ([], ["wz"], "weight bundle member 'wz' is not read by CafrWeights"),
-        ([], ["wz-nofile"], "weight bundle member 'wz-nofile' is not read by CafrWeights"),
         (list(BUNDLE_MEMBERS), [], "weight bundle is missing member 'conv1x1_f.kernel'"),
         (["we"], ["wz"], "weight bundle is missing member 'we'"),
     ],
-    ids=["missing-member", "extra-member", "extra-member-without-file", "no-members", "missing-before-extra"],
+    ids=["missing-member", "no-members", "missing-before-extra"],
 )
 def test_weight_bundle_faults_name_the_member(tmp_path, drop, add, message):
-    # the member table is checked before any member file is read, so a
-    # "-nofile" member's file is never written
     save_weights(init_cafr_weights(3, seed=1), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
     for name in drop:
-        del manifest["members"][name]
+        (tmp_path / member_file(name)).unlink()
     for name in add:
-        if not name.endswith("-nofile"):
-            (tmp_path / f"{name}.ftns").write_bytes((tmp_path / "wq_f.ftns").read_bytes())
-        manifest["members"][name] = f"{name}.ftns"
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / member_file(name)).write_bytes((tmp_path / "wq_f.ftns").read_bytes())
     with pytest.raises(SchemaError) as exc:
         load_weights(tmp_path)
     assert str(exc.value) == message
@@ -184,11 +156,45 @@ def test_weight_load_rejects_missing_member(tmp_path):
     w = init_cafr_weights(3, seed=1)
     save_weights(w, tmp_path)
     (tmp_path / "wq_f.ftns").unlink()
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    del manifest["members"]["wq_f"]
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SchemaError):
         load_weights(tmp_path)
+
+
+def test_weight_load_of_no_directory_names_the_first_member(tmp_path):
+    with pytest.raises(SchemaError) as exc:
+        load_weights(tmp_path / "absent")
+    assert str(exc.value) == "weight bundle is missing member 'conv1x1_f.kernel'"
+
+
+# bundles written before the member files alone made a bundle also held a
+# manifest.json; the loader ignores it, whatever its bytes
+OLD_MANIFEST = json.dumps(
+    {"members": {m: member_file(m) for m in BUNDLE_MEMBERS}}, indent=2, sort_keys=True
+).encode()
+
+
+@pytest.mark.parametrize(
+    "manifest", [OLD_MANIFEST, b"{not json", b"\xff{}", b"[" * 100_000],
+    ids=["old-writer", "not-json", "not-utf8", "nested"],
+)
+def test_a_bundle_with_a_manifest_loads_the_same_weights(tmp_path, manifest):
+    save_weights(init_cafr_weights(3, seed=4), tmp_path / "plain")
+    save_weights(init_cafr_weights(3, seed=4), tmp_path / "old")
+    (tmp_path / "old" / "manifest.json").write_bytes(manifest)
+    want = weight_arrays(load_weights(tmp_path / "plain"))
+    got = weight_arrays(load_weights(tmp_path / "old"))
+    assert all(np.array_equal(got[name], want[name]) for name in BUNDLE_MEMBERS)
+
+
+@pytest.mark.parametrize("missing", [BUNDLE_MEMBERS[0], BUNDLE_MEMBERS[-1]], ids=["first", "last"])
+def test_a_missing_member_is_refused_before_any_member_is_read(tmp_path, monkeypatch, missing):
+    save_weights(init_cafr_weights(3, seed=1), tmp_path)
+    (tmp_path / member_file(missing)).unlink()
+    reads = []
+    monkeypatch.setattr(fusion_cafr, "read_tensor", lambda path: reads.append(path))
+    with pytest.raises(SchemaError, match=f"^weight bundle is missing member '{missing}'$"):
+        load_weights(tmp_path)
+    assert reads == []
 
 
 # -- stage 1+2: activation and enhancement ----------------------------------------------

@@ -387,6 +387,25 @@ def test_warp_boxes_of_no_boxes_still_checks_the_clip_window():
         warp_boxes(Homography(np.eye(3)), np.zeros((0, 4)), np.nan, 48)
 
 
+@pytest.mark.parametrize(
+    "warp, shape",
+    [
+        (lambda h: warp_points(h, np.zeros((2, 3))), "(2, 3)"),
+        (lambda h: warp_points(h, np.zeros(4)), "(4,)"),
+        (lambda h: warp_boxes(h, np.ones((2, 3)), 10, 10), "(2, 3)"),
+        (lambda h: warp_boxes(h, np.ones((2, 5)), 10, 10), "(2, 5)"),
+        (lambda h: warp_boxes(h, [], 10, 10), "(0,)"),
+        (lambda h: warp_bbox(h, (1.0, 2.0, 3.0), 10, 10), "(1, 3)"),
+    ],
+    ids=["points-3-wide", "points-flat", "boxes-3-wide", "boxes-5-wide", "boxes-empty-list", "bbox-3-tuple"],
+)
+def test_a_wrong_width_array_is_a_shape_error_naming_its_shape(warp, shape):
+    with pytest.raises(ShapeError) as exc:
+        warp(Homography(np.eye(3)))
+    kind = "points must be an (n, 2)" if "points" in str(exc.value) else "boxes must be an (n, 4)"
+    assert str(exc.value) == f"{kind} array, got shape {shape}"
+
+
 def test_warp_boxes_refuses_the_first_box_without_area():
     boxes = [(1.0, 1.0, 2.0, 2.0), (0.0, 0.0, 0.0, 2.0), (0.0, 0.0, 3.0, -1.0)]
     with pytest.raises(DomainError, match="^box dims must be positive, got w=0.0, h=2.0$"):

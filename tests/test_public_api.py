@@ -351,12 +351,13 @@ COUNT_PARAMETERS = [
     ("make_scene", "height", lambda n, _: make_scene(64, n), 48),
 ]
 
-# make_scene refuses a scene under its 17x13 minimum first, in its own
-# words, so only a non-integer above that reaches the count refusal.
+# make_scene refuses a number under its 17x13 minimum first, in its own
+# words, so only a non-integer above that, or a value that is no number,
+# reaches the count refusal.
 COUNT_REFUSALS = [
     pytest.param(param, call, value, id=f"{site}.{param}={value!r}")
     for site, param, call, good in COUNT_PARAMETERS
-    for value in ((good + 0.5, float(good)) if site == "make_scene" else (0, 2.5, True))
+    for value in ((good + 0.5, float(good), str(good), None) if site == "make_scene" else (0, 2.5, True))
 ]
 
 
