@@ -23,7 +23,7 @@ from typing import ClassVar, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_count
+from .errors import MAX_BYTES, DomainError, ShapeError, check_budget, check_count
 from .eval_metrics import _iou
 from .formats_io import DetectionTable, _int64_id
 from .tensor_math import ConvWeights, conv2d, philox, uniform_conv
@@ -139,6 +139,11 @@ def init_fpn_weights(in_channels: Sequence[int], width: int = 256, seed: int = 0
     """Seeded fan-in uniform init for fixture pyramids."""
     if len(in_channels) != 4:
         raise ShapeError(f"need 4 backbone channel counts, got {len(in_channels)}")
+    width = check_count("width", width)
+    in_channels = [check_count("in_channels", c) for c in in_channels]
+    # float64 kernels and biases: four 1x1 laterals and five width x width 3x3 convs
+    need = 8 * width * (sum(in_channels) + 4 + 5 * (9 * width + 1))
+    check_budget(f"an FPN weight set of width {width}", need, "byte", MAX_BYTES)
     rng = philox(seed)
     laterals = tuple(uniform_conv(rng, width, c, 1) for c in in_channels)
     smooths = tuple(uniform_conv(rng, width, width, 3) for _ in range(4))
@@ -148,8 +153,12 @@ def init_fpn_weights(in_channels: Sequence[int], width: int = 256, seed: int = 0
 
 def init_head_weights(cfg: HeadConfig, seed: int = 0) -> HeadWeights:
     """Seeded fan-in uniform init for the two subnets."""
-    rng = philox(seed)
     a = cfg.anchors_per_position
+    # float64 kernels and biases of ten 3x3 convs over width channels: eight
+    # width-output tower convs, the class and the box output convs
+    need = 8 * (9 * cfg.width + 1) * (8 * cfg.width + (cfg.num_classes + 4) * a)
+    check_budget(f"a {cfg.num_classes}-class head weight set of width {cfg.width}", need, "byte", MAX_BYTES)
+    rng = philox(seed)
     cls_tower = tuple(uniform_conv(rng, cfg.width, cfg.width, 3) for _ in range(4))
     cls_out = uniform_conv(rng, cfg.num_classes * a, cfg.width, 3)
     reg_tower = tuple(uniform_conv(rng, cfg.width, cfg.width, 3) for _ in range(4))

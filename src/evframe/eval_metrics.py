@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from .corruption_bench import SEVERITY_COUNT, CorruptionType
-from .errors import BLOCK_BYTES, DomainError, ValidationError, check_count
+from .errors import BLOCK_BYTES, DomainError, check_count
 from .formats_io import DetectionRecord, DetectionTable
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
@@ -293,17 +293,28 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_matrix(map_matrix):
-    """The rows of a 15x5 matrix of real numbers in [0, 1]."""
+def _entries(row):
+    """A row's entries as a list; None for a string, a mapping or a non-iterable."""
     try:
-        rows = [list(r) for r in map_matrix]
+        return None if isinstance(row, (str, bytes, Mapping)) else list(row)
     except TypeError:
-        raise DomainError("corruption matrix must be a sequence of rows") from None
-    lengths = [len(r) for r in rows]
-    if lengths != [SEVERITY_COUNT] * len(CorruptionType):
+        return None
+
+
+def _check_matrix(map_matrix):
+    """The rows of a 15x5 matrix of real numbers in [0, 1]; row i is the i-th ``CorruptionType``."""
+    rows = _entries(map_matrix)
+    if rows is None:
+        raise DomainError("corruption matrix must be a sequence of rows")
+    rows = [_entries(r) for r in rows]
+    if len(rows) != len(CorruptionType):
+        lengths = [r if r is None else len(r) for r in rows]
         raise DomainError(
             f"expected a {len(CorruptionType)}x{SEVERITY_COUNT} matrix, got row lengths {lengths}"
         )
+    for ctype, r in zip(CorruptionType, rows):
+        if r is None or len(r) != SEVERITY_COUNT:
+            raise DomainError(f"type {ctype.value!r} needs exactly {SEVERITY_COUNT} severity entries")
     for r in rows:
         for v in r:
             if not (_is_real(v) and 0.0 <= v <= 1.0):
@@ -336,27 +347,19 @@ def rpc(map_clean: float, map_matrix) -> tuple:
 
 @dataclass
 class MpcReport:
-    """Clean mAP, the full type-by-severity matrix, and its aggregates."""
+    """Clean mAP, the full type-by-severity matrix, and the aggregates derived from them."""
 
     map_clean: float
     map_matrix: tuple
-    mpc: float
-    rpc_per_severity: tuple
+    mpc: float = field(init=False)
+    rpc_per_severity: tuple = field(init=False)
 
     def __post_init__(self):
-        flat = [v for row in self.map_matrix for v in row]
-        mean = sum(sum(r) / len(r) for r in self.map_matrix) / len(self.map_matrix)
-        if abs(mean - self.mpc) > 1e-9:
-            raise ValidationError("mpc does not match its matrix")
-        if any(not 0.0 <= v <= 1.0 for v in flat):
-            raise ValidationError("matrix entries must lie in [0,1]")
+        rows = _check_matrix(self.map_matrix)
+        self.map_matrix = tuple(tuple(r) for r in rows)
+        self.mpc = mpc(rows)
+        self.rpc_per_severity = rpc(self.map_clean, rows)
 
 
 def build_mpc_report(map_clean: float, map_matrix) -> MpcReport:
-    rows = _check_matrix(map_matrix)
-    return MpcReport(
-        map_clean=map_clean,
-        map_matrix=tuple(tuple(r) for r in rows),
-        mpc=mpc(rows),
-        rpc_per_severity=rpc(map_clean, rows),
-    )
+    return MpcReport(map_clean, map_matrix)

@@ -262,6 +262,8 @@ class CameraRig:
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.shape != (3, 3):
                 raise ValidationError(f"{name} must be 3x3, got {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValidationError(f"{name} has a non-finite entry")
             setattr(self, name, m)
         for name in ("r_rgb", "r_event", "r_event_rgb"):
             r = getattr(self, name)
@@ -657,11 +659,17 @@ def encode_tensor(arr: np.ndarray) -> bytes:
     """Serialize an array as FTNS: little-endian u32 rank/dims, f32 payload.
 
     Values are stored at 32-bit precision; pass float32 data for bit-exact
-    round trips. NaN and infinities are stored as they are. A dim above
-    2**32 - 1, or a finite value beyond the float32 range, is a DomainError
-    raised before any byte is built.
+    round trips. NaN and infinities are stored as they are. Input that is not
+    one bool, integer or float array (ragged, object, string or complex), a
+    dim above 2**32 - 1, or a finite value beyond the float32 range, is a
+    DomainError raised before any byte is built.
     """
-    arr = np.asarray(arr)
+    try:
+        arr = np.asarray(arr)
+    except ValueError as exc:  # a ragged nesting
+        raise DomainError(f"tensor is not one array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"tensor values must be bool, integer or float, got dtype {arr.dtype}")
     if arr.ndim < 1 or arr.ndim > MAX_TENSOR_RANK:
         raise DomainError(f"tensor rank must be 1..{MAX_TENSOR_RANK}, got {arr.ndim}")
     if max(arr.shape) > MAX_TENSOR_DIM:

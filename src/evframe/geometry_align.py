@@ -27,6 +27,8 @@ class Homography:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise ShapeError(f"homography must be 3x3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("homography has a non-finite entry")
         if abs(np.linalg.det(m)) <= SINGULARITY_TOL:
             raise ValidationError("homography is singular")
         self.matrix = m

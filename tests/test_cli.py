@@ -901,8 +901,12 @@ NOT_A_TABLE = "input must be a JSON object with a 'per_type' table of corruption
         ({"per_type": []}, NOT_A_TABLE),
         ({"per_type": {**EVERY_TYPE, "vignette": [0.5] * 5}}, "unknown corruption type 'vignette'"),
         ({"per_type": {**EVERY_TYPE, "fog": [0.5] * 4}}, "type 'fog' needs exactly 5 severity entries"),
+        ({"per_type": {**EVERY_TYPE, "fog": 5}}, "type 'fog' needs exactly 5 severity entries"),
+        ({"per_type": {**EVERY_TYPE, "fog": None}}, "type 'fog' needs exactly 5 severity entries"),
+        ({"per_type": {**EVERY_TYPE, "fog": "abcde"}}, "type 'fog' needs exactly 5 severity entries"),
+        ({"per_type": {**EVERY_TYPE, "fog": {"a": 1}}}, "type 'fog' needs exactly 5 severity entries"),
     ],
-    ids=["array", "per-type-array", "unknown-type", "short-row"],
+    ids=["array", "per-type-array", "unknown-type", "short-row", "number-row", "null-row", "string-row", "object-row"],
 )
 def test_eval_mpc_refuses_a_malformed_document(capsys, tmp_path, doc, message):
     src, report = tmp_path / "mpc.json", tmp_path / "report.json"

@@ -24,8 +24,10 @@ from evframe import (
     gen_pyramid_anchors,
     head_forward,
     init_fpn_weights,
+    init_head_weights,
     level_anchors,
 )
+from evframe import detect_head
 from evframe.detect_head import BBOX_XFORM_CLIP, HeadWeights, FpnWeights, _nms_keep
 from evframe.tensor_math import ConvWeights
 
@@ -215,6 +217,31 @@ def test_fpn_init_shapes_follow_backbone_channels():
         (12, 64, 1, 1),
     ]
     assert w.extra.kernel.shape == (12, 12, 3, 3)
+
+
+def _no_draw(seed):
+    pytest.fail("weights were drawn before the budget check")
+
+
+def test_fpn_init_over_the_byte_budget_is_refused_before_any_draw(monkeypatch):
+    # width 2: four 2 x (1 + 1) laterals and five 2 x (2 * 9 + 1) 3x3 convs, float64
+    monkeypatch.setattr(detect_head, "MAX_BYTES", 8 * (4 * 2 * 2 + 5 * 2 * 19))
+    init_fpn_weights([1] * 4, width=2)  # exactly at the budget
+    monkeypatch.setattr(detect_head, "philox", _no_draw)
+    message = "^an FPN weight set of width 2 needs 1664 bytes, over the 1648-byte budget$"
+    with pytest.raises(DomainError, match=message):
+        init_fpn_weights([2, 1, 1, 1], width=2)
+
+
+def test_head_init_over_the_byte_budget_is_refused_before_any_draw(monkeypatch):
+    # ten 3x3 convs over 2 channels, 2 * 9 + 1 values per output: 8 x 2 tower
+    # outputs, 9 class and 36 box outputs for one class
+    monkeypatch.setattr(detect_head, "MAX_BYTES", 8 * 19 * (16 + 9 + 36))
+    init_head_weights(HeadConfig(1, width=2))  # exactly at the budget
+    monkeypatch.setattr(detect_head, "philox", _no_draw)
+    message = "^a 2-class head weight set of width 2 needs 10640 bytes, over the 9272-byte budget$"
+    with pytest.raises(DomainError, match=message):
+        init_head_weights(HeadConfig(2, width=2))
 
 
 # -- subnets ----------------------------------------------------------------------

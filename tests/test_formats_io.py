@@ -360,6 +360,25 @@ def test_tensor_encode_refuses_what_ftns_cannot_hold(tmp_path, arr, message):
     assert not list(tmp_path.iterdir())  # refused before the file is opened
 
 
+@pytest.mark.parametrize(
+    "arr, message",
+    [
+        ([10**400], "tensor values must be bool, integer or float, got dtype object"),
+        (["a"], "tensor values must be bool, integer or float, got dtype <U1"),
+        (np.array([1 + 2j]), "tensor values must be bool, integer or float, got dtype complex128"),
+        ([[1, 2], [3]], "tensor is not one array: setting an array element with a sequence"),
+    ],
+    ids=["int-over-float64", "string", "complex", "ragged"],
+)
+def test_tensor_encode_refuses_input_that_is_not_a_real_array(tmp_path, arr, message):
+    with pytest.raises(DomainError) as exc:
+        encode_tensor(arr)
+    assert str(exc.value).startswith(message)
+    with pytest.raises(DomainError):
+        write_tensor(tmp_path / "t.ftns", arr)
+    assert not list(tmp_path.iterdir())
+
+
 def test_tensor_encode_keeps_nan_and_infinities():
     arr = np.array([np.nan, np.inf, -np.inf, 3.4e38])
     back = decode_tensor(encode_tensor(arr))

@@ -66,6 +66,27 @@ def test_singular_matrix_is_rejected():
         Homography(np.zeros((3, 3)))
 
 
+RIG_MATRICES = ("k_rgb", "k_event", "r_rgb", "r_event", "r_event_rgb")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", RIG_MATRICES)
+def test_rig_refuses_a_non_finite_matrix_before_its_other_checks(name, value):
+    # a NaN diagonal entry passes the positivity and orthonormality comparisons,
+    # and an infinite one would make R^T R warn
+    rig = small_rig()
+    mats = {m: getattr(rig, m).copy() for m in RIG_MATRICES}
+    mats[name][0, 0] = value
+    with pytest.raises(ValidationError, match=f"^{name} has a non-finite entry$"):
+        CameraRig(**mats)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_homography_refuses_a_non_finite_matrix(value):
+    with pytest.raises(ValidationError, match="^homography has a non-finite entry$"):
+        Homography(np.full((3, 3), value))
+
+
 def test_homography_must_be_3x3():
     with pytest.raises(ShapeError):
         Homography(np.eye(4))

@@ -31,6 +31,7 @@ from evframe import (
     decode_events,
     encode_image,
     init_cafr_weights,
+    init_fpn_weights,
     level_anchors,
     warp_image,
 )
@@ -341,6 +342,8 @@ COUNT_PARAMETERS = [
     ("warp_image", "out_h", lambda n, _: warp_image(Homography(np.eye(3)), _IMAGE, 4, n), 3),
     ("init_cafr_weights", "channels", lambda n, _: init_cafr_weights(n), 2),
     ("cafr_gradcheck", "probes", lambda n, _: cafr_gradcheck(_PAIR, init_cafr_weights(2), probes=n), 1),
+    ("init_fpn_weights", "width", lambda n, _: init_fpn_weights([1] * 4, width=n), 2),
+    ("init_fpn_weights", "in_channels", lambda n, _: init_fpn_weights([1, 1, n, 1], width=2), 1),
     ("level_anchors", "base_stride", lambda n, _: level_anchors([(2, 2)], n, HeadConfig(1, 1)), 4),
     ("CorruptionSpec", "severity", lambda n, _: CorruptionSpec(CorruptionType.FOG, n), 2),
     ("corrupt_dataset", "workers", _corrupt_one_image, 1),
