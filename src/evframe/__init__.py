@@ -3,8 +3,8 @@
 Simulation of threshold-crossing events, voxel-grid rasterization, cross
 modal feature fusion with hand-derived gradients, homographic frame/event
 alignment, an anchor-based detection head, a 15-type image corruption
-benchmark, and COCO-style robustness metrics. Pure numpy/scipy, no deep
-learning framework required.
+benchmark, and COCO-style robustness metrics. Pure numpy, no deep learning
+framework required; scipy is imported on the first corruption render only.
 """
 
 from .errors import (

@@ -7,7 +7,9 @@ range, and is a pure function of (image, type, severity, seed); randomness
 comes from a counter-based generator so outputs are identical across runs
 and platforms. Severity parameter tables are authored here and are strictly
 monotone in the degradation direction. Each type's renderer is found by
-name: ``corrupt_<value>`` renders ``CorruptionType(value)``.
+name: ``corrupt_<value>`` renders ``CorruptionType(value)``. The renderers
+that use scipy.ndimage import it locally, so that only a corruption render
+pays for SciPy and ``import evframe`` loads NumPy alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .errors import DomainError, EvframeError, ShapeError, check_count
 from .formats_io import ImagePNM, decode_image, encode_image
@@ -135,6 +136,7 @@ def corrupt_impulse_noise(arr: np.ndarray, rng, rate: float) -> np.ndarray:
 # -- blur family ------------------------------------------------------------------
 
 def _convolve_channels(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    import scipy.ndimage as ndi
     out = np.empty_like(arr)
     for c in range(arr.shape[2]):
         out[:, :, c] = ndi.convolve(arr[:, :, c], kernel, mode="nearest")
@@ -142,6 +144,7 @@ def _convolve_channels(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_channels(arr: np.ndarray, sigma: float) -> np.ndarray:
+    import scipy.ndimage as ndi
     return ndi.gaussian_filter(arr, sigma=(sigma, sigma, 0.0), mode="nearest")
 
 
@@ -195,6 +198,7 @@ def _zoom_means(arr: np.ndarray, max_zooms):
     channel axis only ever weighs a sample by 1 and its neighbour by 0, so a
     3-D zoom gives the same values for twice the work.
     """
+    import scipy.ndimage as ndi
     h, w = arr.shape[:2]
     acc = arr.copy()
     done = 0
@@ -279,6 +283,7 @@ def corrupt_fog(arr: np.ndarray, rng, strength: float, roughness: float) -> np.n
 
 def corrupt_snow(arr: np.ndarray, rng, density: float, length: int, opacity: float) -> np.ndarray:
     """Seeded bright flakes smeared into near-vertical streaks, composited."""
+    import scipy.ndimage as ndi
     h, w = arr.shape[:2]
     layer = np.zeros((h, w))
     n_flakes = max(1, int(round(density * h * w)))
@@ -315,6 +320,7 @@ def corrupt_contrast(arr: np.ndarray, rng, factor: float) -> np.ndarray:
 
 def corrupt_elastic(arr: np.ndarray, rng, alpha: float, sigma: float) -> np.ndarray:
     """Warp by a smoothed random displacement field of amplitude alpha pixels."""
+    import scipy.ndimage as ndi
     h, w = arr.shape[:2]
     dy = ndi.gaussian_filter(rng.uniform(-1.0, 1.0, (h, w)), sigma, mode="reflect")
     dx = ndi.gaussian_filter(rng.uniform(-1.0, 1.0, (h, w)), sigma, mode="reflect")

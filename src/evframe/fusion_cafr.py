@@ -188,8 +188,10 @@ def bci_enhance(activated: FeaturePair) -> FeaturePair:
     The difference of the two outputs equals the difference of the inputs
     exactly.
     """
-    m = activated.frame * activated.event
-    return FeaturePair(m + activated.frame, m + activated.event)
+    # an overflow here is refused by FeaturePair as non-finite, not warned about
+    with np.errstate(over="ignore"):
+        m = activated.frame * activated.event
+        return FeaturePair(m + activated.frame, m + activated.event)
 
 
 def _enhance_vjp(activated: FeaturePair, gf, ge):

@@ -29,7 +29,11 @@ class Homography:
             raise ShapeError(f"homography must be 3x3, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValidationError("homography has a non-finite entry")
-        if abs(np.linalg.det(m)) <= SINGULARITY_TOL:
+        # a finite matrix can have a determinant beyond float64; an infinite
+        # one is not singular, so it is accepted without a warning
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(m)
+        if abs(det) <= SINGULARITY_TOL:
             raise ValidationError("homography is singular")
         self.matrix = m
 
@@ -43,10 +47,14 @@ def compose_homography(rig: CameraRig) -> Homography:
     Composes K_event . R_rgb . R_event_rgb . R_event^T . K_rgb^-1, the order
     the paper prints.
     """
-    if abs(np.linalg.det(rig.k_rgb)) <= SINGULARITY_TOL:
-        raise ValidationError("K_rgb is singular, cannot invert")
-    k_rgb_inv = np.linalg.inv(rig.k_rgb)
-    return Homography(rig.k_event @ rig.r_rgb @ rig.r_event_rgb @ rig.r_event.T @ k_rgb_inv)
+    # finite intrinsics can multiply past float64; that is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(np.linalg.det(rig.k_rgb)) <= SINGULARITY_TOL:
+            raise ValidationError("K_rgb is singular, cannot invert")
+        product = rig.k_event @ rig.r_rgb @ rig.r_event_rgb @ rig.r_event.T @ np.linalg.inv(rig.k_rgb)
+    if not np.isfinite(product).all():
+        raise ValidationError("rig product K_event R_rgb R_event_rgb R_event^T K_rgb^-1 overflows float64")
+    return Homography(product)
 
 
 def warp_points(h: Homography, points: np.ndarray) -> np.ndarray:

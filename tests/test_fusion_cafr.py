@@ -416,6 +416,15 @@ def test_cafr_forward_refuses_overflowing_attention_scores():
         cafr_forward(pair, identity_weights(4))
 
 
+@pytest.mark.parametrize("value", [1e160, 1e200])
+def test_cafr_forward_refuses_an_overflowing_enhancement_without_a_warning(value):
+    # the activated streams are finite, but their product is not; the refusal
+    # is the only result, as RuntimeWarnings are errors here
+    x = np.full((4, 5, 6), value)
+    with pytest.raises(DomainError, match="^features must be finite$"):
+        cafr_forward(FeaturePair(x, x.copy()), init_cafr_weights(4))
+
+
 def cache_arrays(obj):
     if isinstance(obj, np.ndarray):
         yield obj

@@ -66,6 +66,22 @@ def test_singular_matrix_is_rejected():
         Homography(np.zeros((3, 3)))
 
 
+def test_rig_whose_product_overflows_is_refused_without_a_warning():
+    # every matrix is finite and valid, but K_event K_rgb^-1 reaches 1e310;
+    # RuntimeWarnings are errors here
+    eye = np.eye(3)
+    rig = CameraRig(k_rgb=np.diag([1e-3, 1e-3, 1.0]), k_event=np.diag([1e307, 1e307, 1.0]),
+                    r_rgb=eye, r_event=eye, r_event_rgb=eye)
+    with pytest.raises(ValidationError, match=r"^rig product K_event R_rgb R_event_rgb R_event\^T K_rgb\^-1 overflows float64$"):
+        compose_homography(rig)
+
+
+def test_homography_whose_determinant_overflows_is_accepted_without_a_warning():
+    # det = 1e600 is beyond float64 but not singular; RuntimeWarnings are errors here
+    m = np.diag([1e300, 1e300, 1.0])
+    assert Homography(m).matrix.tobytes() == m.tobytes()
+
+
 RIG_MATRICES = ("k_rgb", "k_event", "r_rgb", "r_event", "r_event_rgb")
 
 
