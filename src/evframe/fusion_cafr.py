@@ -32,7 +32,6 @@ from .tensor_math import (
     conv2d,
     philox,
     relative_error,
-    softmax_rows_inplace,
     softmax_rows_vjp,
     uniform_conv,
 )
@@ -221,44 +220,56 @@ def _check_probes(probes: int) -> None:
 
 
 def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
-    """Yield (rows, softmax_rows(q[rows] @ k.T * scale)) block by block.
+    """Yield (rows, e, rowsum) block by block: e = exp(s - rowmax(s)) for the
+    scores s = (q[rows] * scale) @ k.T, and rowsum its row sums, so that
+    e / rowsum is softmax_rows(s).
 
-    No N x N matrix is ever built: each block's B x N float64 score matrix
-    fits ``BLOCK_BYTES`` (about 90 rows at DAVIS346 scale, 5 655 tokens;
-    never fewer than one row). A softmax row needs every key but only its
-    own query, so blocking by rows changes no math; results match the dense
-    form to rounding.
-    Every block is scored and softmaxed in place in one reused buffer, so the
-    loop allocates no B x N array; the next block overwrites the yielded view.
-    Finiteness is proven once for the whole attention from the row norms;
-    only when that bound fails is each block checked.
+    The queries are scaled once, N x C, and the divide is left to the caller
+    (``_attend`` divides its B x C product e @ v), so no B x N pass scales or
+    divides. No N x N matrix is ever built: each block's B x N float64 score
+    matrix fits ``BLOCK_BYTES`` (about 90 rows at DAVIS346 scale, 5 655
+    tokens; never fewer than one row). A softmax row needs every key but only
+    its own query, so blocking by rows changes no math; results match the
+    dense form to rounding.
+    Every block is scored and exponentiated in place in one reused buffer, so
+    the loop allocates no B x N array; the next block overwrites the yielded
+    view. Finiteness is proven once for the whole attention from the row
+    norms; only when that bound fails is each block checked.
     """
-    # Cauchy-Schwarz bounds every |q_i . k_j|, and every partial sum of its
-    # terms, by max|q_i| * max|k_j|; the margin from 1e300 to float64's
+    qs = q * scale
+    # Cauchy-Schwarz bounds every |qs_i . k_j|, and every partial sum of its
+    # terms, by max|qs_i| * max|k_j|; the margin from 1e300 to float64's
     # 1.8e308 absorbs the rounding. A NaN bound fails the test too.
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.linalg.norm(q, axis=1).max() * np.linalg.norm(k, axis=1).max() * scale
+        bound = np.linalg.norm(qs, axis=1).max() * np.linalg.norm(k, axis=1).max()
     check = not bound < 1e300
     n = q.shape[0]
     b = min(n, max(1, BLOCK_BYTES // (8 * k.shape[0])))
     buf = np.empty((b, k.shape[0]))
     for s in range(0, n, b):
         rows = slice(s, min(s + b, n))
-        scores = buf[: rows.stop - s]
+        e = buf[: rows.stop - s]
         # an overflow here is refused just below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(q[rows], k.T, out=scores)
-            scores *= scale
-        if check and not np.all(np.isfinite(scores)):
+            np.matmul(qs[rows], k.T, out=e)
+        if check and not np.all(np.isfinite(e)):
             raise DomainError("softmax input must be finite")
-        yield rows, softmax_rows_inplace(scores)
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        yield rows, e, e.sum(axis=1, keepdims=True)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    """softmax_rows(q @ k.T * scale) @ v, one block of query rows at a time."""
+    """softmax_rows(q @ k.T * scale) @ v, one block of query rows at a time;
+    each block's B x C product e @ v is divided by its row sums."""
     out = np.empty((q.shape[0], v.shape[1]))
-    for rows, a in _attention_blocks(q, k, scale):
-        np.matmul(a, v, out=out[rows])
+    for rows, e, rowsum in _attention_blocks(q, k, scale):
+        block = out[rows]
+        # e @ v can pass float64's range only when N * max|v| does; the
+        # FeaturePair of the output refuses that as non-finite, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(e, v, out=block)
+        block /= rowsum
     return out
 
 
@@ -267,7 +278,8 @@ def _attend_vjp(q, k, v, scale: float, g: np.ndarray):
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    for rows, a in _attention_blocks(q, k, scale):
+    for rows, a, rowsum in _attention_blocks(q, k, scale):
+        a /= rowsum
         dv += a.T @ g[rows]
         ds = softmax_rows_vjp(a, g[rows] @ v.T)
         dq[rows] = ds @ k * scale
@@ -419,7 +431,9 @@ def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
     """Analytic gradients of sum(cafr_forward(...)[0] * gout).
 
     ``gout`` matches the dual [2C,H,W] output; the gradient of one half alone
-    is this with zeros on the other half.
+    is this with zeros on the other half. A non-finite ``gout``, or a finite
+    one whose gradients overflow, is a DomainError; the latter names the
+    first non-finite gradient (frame, event, then BUNDLE_MEMBERS order).
     """
     if cache is None:
         raise StateError("cafr_backward needs the cache of a cafr_forward run with every stage on")
@@ -428,17 +442,21 @@ def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
     gout = np.asarray(gout, dtype=np.float64)
     if gout.shape != (2 * c,) + shape[1:]:
         raise ShapeError(f"upstream gradient shape {gout.shape} does not match output")
+    if not np.all(np.isfinite(gout)):
+        raise DomainError("upstream gradient must be finite")
 
     w = cache.weights
     att, enh = cache.attended, cache.enhanced
-    g_att_f, g_enh_f, dwf = _half_refine_vjp(gout[:c], att.frame, enh.frame, w.wf)
-    g_att_e, g_enh_e, dwe = _half_refine_vjp(gout[c:], att.event, enh.event, w.we)
-    dtf, dte, dws = _attention_vjp(enh, w, _tokens(g_att_f), _tokens(g_att_e))
-    g_act_f, g_act_e = _enhance_vjp(
-        cache.activated, g_enh_f + _untokens(dtf, shape), g_enh_e + _untokens(dte, shape)
-    )
-    gframe, dk_f, db_f = _activate_vjp(cache.pair.frame, w.conv1x1_f, g_act_f)
-    gevent, dk_e, db_e = _activate_vjp(cache.pair.event, w.conv1x1_e, g_act_e)
+    # an overflow here is refused below by name, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_att_f, g_enh_f, dwf = _half_refine_vjp(gout[:c], att.frame, enh.frame, w.wf)
+        g_att_e, g_enh_e, dwe = _half_refine_vjp(gout[c:], att.event, enh.event, w.we)
+        dtf, dte, dws = _attention_vjp(enh, w, _tokens(g_att_f), _tokens(g_att_e))
+        g_act_f, g_act_e = _enhance_vjp(
+            cache.activated, g_enh_f + _untokens(dtf, shape), g_enh_e + _untokens(dte, shape)
+        )
+        gframe, dk_f, db_f = _activate_vjp(cache.pair.frame, w.conv1x1_f, g_act_f)
+        gevent, dk_e, db_e = _activate_vjp(cache.pair.event, w.conv1x1_e, g_act_e)
 
     grads = {
         "conv1x1_f.kernel": dk_f,
@@ -449,6 +467,10 @@ def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
         "we": dwe,
     }
     grads.update(dws)
+    named = [("frame", gframe), ("event", gevent)] + [(n, grads[n]) for n in BUNDLE_MEMBERS]
+    for name, g in named:
+        if not np.all(np.isfinite(g)):
+            raise DomainError(f"gradient of '{name}' is not finite")
     return CafrGradients(frame=gframe, event=gevent, weights=grads)
 
 

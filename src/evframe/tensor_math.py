@@ -6,8 +6,9 @@ used or returned, which the fusion backward chains by hand; fusion writes
 its projections and their gradients as plain matrix products. There is one
 softmax, ``softmax_rows_inplace``, unchecked and in place on finite float64
 rows; ``softmax_rows`` is its checked form on a copy. Fusion's blocked
-attention runs the in-place step in its reused score buffer, with
-finiteness proven once per attention. ``conv2d`` runs forward only: the one
+attention does not call it: it exponentiates each score block in place and
+divides its attended B x C rows by the row sums, so it needs only this
+module's ``softmax_rows_vjp``. ``conv2d`` runs forward only: the one
 differentiated conv, fusion's 1x1 activation, is a plain matrix product.
 Conv weights are held, and convolutions computed, in float64.
 """

@@ -31,7 +31,6 @@ from evframe.tensor_math import (
     ConvWeights,
     relative_error,
     softmax_rows,
-    softmax_rows_inplace,
     softmax_rows_vjp,
 )
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
@@ -317,12 +316,14 @@ def set_block_rows(monkeypatch, n_tokens: int, rows: int):
 def spy_block_rows(monkeypatch) -> list:
     """Record the row count of every attention block the module computes."""
     seen = []
+    blocks = fusion_cafr._attention_blocks
 
-    def spy(x):
-        seen.append(x.shape[0])
-        return softmax_rows_inplace(x)
+    def spy(*args):
+        for rows, e, rowsum in blocks(*args):
+            seen.append(e.shape[0])
+            yield rows, e, rowsum
 
-    monkeypatch.setattr(fusion_cafr, "softmax_rows_inplace", spy)
+    monkeypatch.setattr(fusion_cafr, "_attention_blocks", spy)
     return seen
 
 
@@ -409,6 +410,29 @@ def test_attention_with_a_failed_bound_but_finite_scores_runs_checked():
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
+def test_one_block_attention_normalises_after_the_value_product(monkeypatch):
+    # the fewer-tokens-than-rows setting: one block holds all six query rows
+    # against six keys, so the bytes are those of the dense one-pass form
+    rng = philox(67)
+    q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
+    g = rng.standard_normal((6, 4))
+    scale = 1.0 / np.sqrt(4.0)
+    set_block_rows(monkeypatch, 6, 32)
+    seen = spy_block_rows(monkeypatch)
+    got = fusion_cafr._attend(q, k, v, scale)
+    s = (q * scale) @ k.T
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    rowsum = e.sum(axis=1, keepdims=True)
+    assert got.tobytes() == ((e @ v) / rowsum).tobytes()
+    # the backward normalises the block itself, then runs the softmax VJP
+    a = e / rowsum
+    ds = softmax_rows_vjp(a, g @ v.T)
+    want = (ds @ k * scale, ds.T @ q * scale, a.T @ g)
+    got = fusion_cafr._attend_vjp(q, k, v, scale, g)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert seen == [6, 6]
+
+
 def test_cafr_forward_refuses_overflowing_attention_scores():
     # enhanced tokens of 1e160 and 2e160 in 4 channels: every score overflows
     pair = FeaturePair(np.full((4, 2, 3), 1e160), np.ones((4, 2, 3)))
@@ -423,6 +447,17 @@ def test_cafr_forward_refuses_an_overflowing_enhancement_without_a_warning(value
     x = np.full((4, 5, 6), value)
     with pytest.raises(DomainError, match="^features must be finite$"):
         cafr_forward(FeaturePair(x, x.copy()), init_cafr_weights(4))
+
+
+def test_cafr_forward_refuses_an_attention_sum_that_overflows_without_a_warning():
+    # 100 equal tokens whose frame values are finite, about 1e307: every
+    # score is equal, so the unnormalised e @ v is 100 values in each sum and
+    # passes float64's range before its division by the row sums
+    w = init_cafr_weights(4)
+    w.wv_f = np.eye(4) * 1e307
+    x = np.ones((4, 10, 10))
+    with pytest.raises(DomainError, match="^features must be finite$"):
+        cafr_forward(FeaturePair(x, x.copy()), w)
 
 
 def cache_arrays(obj):
@@ -560,6 +595,25 @@ def test_backward_rejects_wrong_upstream_shape(rng):
         cafr_backward(cache, np.zeros((4, 3, 2)))  # dual output needs 2C
 
 
+def test_backward_refuses_gradients_that_overflow_without_a_warning():
+    # finite features of 1e10 and a finite upstream gradient of 1e300: every
+    # gradient overflows, and the refusal names the first in member order; it
+    # is the only result, as RuntimeWarnings are errors here
+    x = np.full((4, 5, 6), 1e10)
+    out, cache = cafr_forward(FeaturePair(x, x.copy()), init_cafr_weights(4))
+    with pytest.raises(DomainError, match="^gradient of 'frame' is not finite$"):
+        cafr_backward(cache, np.full(out.shape, 1e300))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_backward_refuses_a_non_finite_upstream_gradient(rng, value):
+    out, cache = cafr_forward(random_pair(rng, c=4, h=3, w=2), init_cafr_weights(4, seed=1))
+    gout = np.zeros(out.shape)
+    gout[5, 2, 1] = value
+    with pytest.raises(DomainError, match="^upstream gradient must be finite$"):
+        cafr_backward(cache, gout)
+
+
 def test_gradcheck_on_default_configuration():
     rng = philox(60)
     pair = FeaturePair(rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 2)))
@@ -596,13 +650,13 @@ def array_digest(named: dict) -> str:
 # 40x40 pair's 1 600 tokens take five attention blocks per stream, and the
 # bench-scale 65x87 pair's 5 655 tokens 62, pinned by its forward alone. That
 # pin holds with OpenBLAS on 2 threads; OPENBLAS_NUM_THREADS=1 gives
-# 6e93beda86440c6e, since BLAS sums in another order (the session header
+# 6682438422e380a0, since BLAS sums in another order (the session header
 # prints both settings)
 PINNED_CAFR = {
     (3, 1, 1): ("14aff2327de99792", "fd452499b99bc556"),
-    (4, 3, 5): ("c70a6a5f73c03d58", "9d623cd1e007b9f5"),
-    (6, 40, 40): ("12eb6e16d7abc6d1", "753a58717ae20ac5"),
-    (8, 65, 87): ("69449b1f5359d6de", None),
+    (4, 3, 5): ("fd59831302ba074a", "b8cca672ec1847c4"),
+    (6, 40, 40): ("8892fa81c9e3c0fe", "7601022229e8770a"),
+    (8, 65, 87): ("75256c9e2b34e5b6", None),
 }
 
 
