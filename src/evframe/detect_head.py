@@ -243,7 +243,8 @@ def gen_pyramid_anchors(pyr: FeaturePyramid, cfg: HeadConfig) -> np.ndarray:
 
 def _run_tower(x: np.ndarray, tower: tuple, out: ConvWeights) -> np.ndarray:
     for cw in tower:
-        x = np.maximum(conv2d(x, cw, stride=1, pad=1), 0.0)
+        x = conv2d(x, cw, stride=1, pad=1)
+        np.maximum(x, 0.0, out=x)
     return conv2d(x, out, stride=1, pad=1)
 
 

@@ -219,31 +219,48 @@ def _check_probes(probes: int) -> None:
     check_budget(f"a gradcheck of {probes} probes", 2 * probes + 1, "forward", MAX_GRADCHECK_FORWARDS)
 
 
+# Largest score bound under which attention shifts every score by the bound
+# instead of its row max: every exponent then lies in [-2 * 300, ~0], so e is
+# at most 1 (up to rounding) and a row's largest, at least exp(-600) ~
+# 2.7e-261, stays inside float64's normal range (exp leaves it below -708).
+SHIFT_BOUND = 300.0
+
+
 def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
-    """Yield (rows, e, rowsum) block by block: e = exp(s - rowmax(s)) for the
+    """Yield (rows, e, rowsum) block by block: e = exp(s - shift) for the
     scores s = (q[rows] * scale) @ k.T, and rowsum its row sums, so that
     e / rowsum is softmax_rows(s).
 
-    The queries are scaled once, N x C, and the divide is left to the caller
-    (``_attend`` divides its B x C product e @ v), so no B x N pass scales or
-    divides. No N x N matrix is ever built: each block's B x N float64 score
-    matrix fits ``BLOCK_BYTES`` (about 90 rows at DAVIS346 scale, 5 655
-    tokens; never fewer than one row). A softmax row needs every key but only
-    its own query, so blocking by rows changes no math; results match the
-    dense form to rounding.
-    Every block is scored and exponentiated in place in one reused buffer, so
-    the loop allocates no B x N array; the next block overwrites the yielded
-    view. Finiteness is proven once for the whole attention from the row
-    norms; only when that bound fails is each block checked.
+    The shift is the Cauchy-Schwarz bound max|q_i * scale| * max|k_j| on
+    every |s_ij|, one number for the whole attention, when that bound is at
+    most ``SHIFT_BOUND``: it is folded into the score product as one more
+    column, [qs, -bound] @ [k, 1].T, so no B x N pass finds or subtracts a
+    row max. Above ``SHIFT_BOUND`` each row is shifted by its own max, and
+    the blocks are checked for finiteness when the bound is not below 1e300.
+    Row sums are one B x N by N x 1 product. The queries are scaled once,
+    N x C, and the divide is left to the caller (``_attend`` divides its
+    B x C product e @ v), so no B x N pass scales or divides. No N x N matrix
+    is ever built: each block's B x N float64 score matrix fits
+    ``BLOCK_BYTES`` (about 90 rows at DAVIS346 scale, 5 655 tokens; never
+    fewer than one row). A softmax row needs every key but only its own
+    query, so blocking by rows changes no math; results match the dense form
+    to rounding. Every block is scored and exponentiated in place in one
+    reused buffer, so the loop allocates no B x N array; the next block
+    overwrites the yielded view.
     """
     qs = q * scale
     # Cauchy-Schwarz bounds every |qs_i . k_j|, and every partial sum of its
     # terms, by max|qs_i| * max|k_j|; the margin from 1e300 to float64's
-    # 1.8e308 absorbs the rounding. A NaN bound fails the test too.
+    # 1.8e308 absorbs the rounding. A NaN bound fails both tests.
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.linalg.norm(qs, axis=1).max() * np.linalg.norm(k, axis=1).max()
+    shift = bound <= SHIFT_BOUND
+    if shift:
+        qs = np.hstack([qs, np.full((len(qs), 1), -bound)])
+        k = np.hstack([k, np.ones((len(k), 1))])
     check = not bound < 1e300
     n = q.shape[0]
+    ones = np.ones((k.shape[0], 1))
     b = min(n, max(1, BLOCK_BYTES // (8 * k.shape[0])))
     buf = np.empty((b, k.shape[0]))
     for s in range(0, n, b):
@@ -252,11 +269,12 @@ def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
         # an overflow here is refused just below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(qs[rows], k.T, out=e)
-        if check and not np.all(np.isfinite(e)):
-            raise DomainError("softmax input must be finite")
-        e -= e.max(axis=1, keepdims=True)
+        if not shift:
+            if check and not np.all(np.isfinite(e)):
+                raise DomainError("softmax input must be finite")
+            e -= np.max(e, axis=1, keepdims=True)
         np.exp(e, out=e)
-        yield rows, e, e.sum(axis=1, keepdims=True)
+        yield rows, e, e @ ones
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
@@ -265,8 +283,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
     out = np.empty((q.shape[0], v.shape[1]))
     for rows, e, rowsum in _attention_blocks(q, k, scale):
         block = out[rows]
-        # e @ v can pass float64's range only when N * max|v| does; the
-        # FeaturePair of the output refuses that as non-finite, not warned about
+        # every e is at most 1, so e @ v can pass float64's range only when
+        # N * max|v| does; the FeaturePair of the output refuses that as
+        # non-finite, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(e, v, out=block)
         block /= rowsum
@@ -274,7 +293,8 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
 
 
 def _attend_vjp(q, k, v, scale: float, g: np.ndarray):
-    """(dq, dk, dv) of _attend; each block's attention is recomputed."""
+    """(dq, dk, dv) of _attend; each block's attention is recomputed by
+    ``_attention_blocks``, with the forward's shift."""
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
@@ -351,10 +371,15 @@ def tafr_refine(attended: FeaturePair, enhanced: FeaturePair, w: CafrWeights) ->
         )
     _check_channels(attended, w)
     halves = []
-    for att, enh, wmat in (
-        (attended.frame, enhanced.frame, w.wf), (attended.event, enhanced.event, w.we)
+    for name, att, enh, wmat in (
+        ("frame", attended.frame, enhanced.frame, w.wf),
+        ("event", attended.event, enhanced.event, w.we),
     ):
-        _, xhat, _, mu_e, sg_e = _normalized(att, enh, wmat)
+        # a variance past float64's range is refused just below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, xhat, sg_w, mu_e, sg_e = _normalized(att, enh, wmat)
+        if not (np.all(np.isfinite(sg_w)) and np.all(np.isfinite(sg_e))):
+            raise DomainError(f"channel statistics of the {name} stream are not finite")
         halves.append(sg_e[:, None, None] * xhat + mu_e[:, None, None])
     return np.concatenate(halves, axis=0)
 

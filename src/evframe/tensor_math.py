@@ -6,11 +6,12 @@ used or returned, which the fusion backward chains by hand; fusion writes
 its projections and their gradients as plain matrix products. There is one
 softmax, ``softmax_rows_inplace``, unchecked and in place on finite float64
 rows; ``softmax_rows`` is its checked form on a copy. Fusion's blocked
-attention does not call it: it exponentiates each score block in place and
-divides its attended B x C rows by the row sums, so it needs only this
-module's ``softmax_rows_vjp``. ``conv2d`` runs forward only: the one
-differentiated conv, fusion's 1x1 activation, is a plain matrix product.
-Conv weights are held, and convolutions computed, in float64.
+attention does not call it: it shifts and exponentiates each score block in
+place and divides its attended B x C rows by the row sums, so it needs only
+this module's ``softmax_rows_vjp``. ``conv2d`` runs forward only, in bands
+of output rows that matmul writes in place: the one differentiated conv,
+fusion's 1x1 activation, is a plain matrix product. Conv weights are held,
+and convolutions computed, in float64.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.n
     """2-D cross-correlation with bias.
 
     Output rows are computed in bands whose im2col copy, (C*kh*kw) x
-    (rows*out_w) entries, fits ``BLOCK_BYTES`` (at least one row per band).
+    (rows*out_w) entries, fits ``BLOCK_BYTES`` (at least one row per band),
+    and whose product is written by matmul straight into its columns of the
+    (out_ch, out_h*out_w) output, so no band allocates or copies a product.
     A whole copy for a 64-channel 3x3 conv on an 87x65 map is ~26 MB; whether
     copies that size fit a free hole of the malloc heap depends on its layout
     (glibc raises its mmap threshold as large blocks are freed), so peak RSS
@@ -97,14 +100,14 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.n
     oh, ow = _conv_out_dims(h, wid, kh, kw, stride, pad)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     k = w.kernel.reshape(co, -1)
-    y = np.empty((co, oh, ow))
+    y = np.empty((co, oh * ow))
     band = max(1, BLOCK_BYTES // (k.shape[1] * ow * y.itemsize))
     for r in range(0, oh, band):
         n = min(band, oh - r)
         rows = xp[:, r * stride:(r + n - 1) * stride + kh]
-        y[:, r:r + n] = (k @ _im2col(rows, kh, kw, stride, n, ow)).reshape(co, n, ow)
-    y += w.bias[:, None, None]
-    return y
+        np.matmul(k, _im2col(rows, kh, kw, stride, n, ow), out=y[:, r * ow:(r + n) * ow])
+    y += w.bias[:, None]
+    return y.reshape(co, oh, ow)
 
 
 # -- softmax -------------------------------------------------------------------

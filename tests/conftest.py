@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from evframe import CameraRig, ImagePNM
+from evframe import CameraRig, ImagePNM, tensor_math
 
 
 def pytest_report_header(config):
@@ -40,6 +40,23 @@ def numeric_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * step)
     return grad
+
+
+def copied_band_conv(x: np.ndarray, w, stride: int, pad: int) -> np.ndarray:
+    """Oracle for ``conv2d``'s bytes: the same bands, but each band's product
+    is allocated, then copied into its output rows."""
+    co, ci, kh, kw = w.kernel.shape
+    oh, ow = tensor_math._conv_out_dims(x.shape[1], x.shape[2], kh, kw, stride, pad)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    k = w.kernel.reshape(co, -1)
+    y = np.empty((co, oh, ow))
+    band = max(1, tensor_math.BLOCK_BYTES // (k.shape[1] * ow * 8))
+    for r in range(0, oh, band):
+        n = min(band, oh - r)
+        rows = xp[:, r * stride:(r + n - 1) * stride + kh]
+        y[:, r:r + n] = (k @ tensor_math._im2col(rows, kh, kw, stride, n, ow)).reshape(co, n, ow)
+    y += w.bias[:, None, None]
+    return y
 
 
 def gray_image(rng, width: int, height: int) -> ImagePNM:

@@ -27,9 +27,10 @@ from evframe import (
     init_head_weights,
     level_anchors,
 )
-from evframe import detect_head
+from evframe import detect_head, tensor_math
 from evframe.detect_head import BBOX_XFORM_CLIP, HeadWeights, FpnWeights, _nms_keep
 from evframe.tensor_math import ConvWeights
+from conftest import copied_band_conv, philox
 
 
 def det(score, box=(0.0, 0.0, 10.0, 10.0), image=0, cat=0):
@@ -295,6 +296,28 @@ def test_head_rows_follow_position_then_anchor_order(rng):
                         assert reg[row, j] == pytest.approx(want, abs=1e-12)
                     row += 1
     assert row == n
+
+
+def test_head_gives_the_bytes_of_copied_conv_bands(monkeypatch):
+    # the towers' convs write their bands in place and apply ReLU in place;
+    # both are byte-identical to allocated bands and a new ReLU array. Bands
+    # of three rows on the largest level, more rows on the smaller ones
+    monkeypatch.setattr(tensor_math, "BLOCK_BYTES", 16 * 9 * 22 * 8 * 3)
+    rng = philox(74)
+    cfg = HeadConfig(num_classes=3, width=16)
+    levels = tuple(rng.standard_normal((16, h, w)) for h, w in [(17, 22), (9, 11), (5, 6), (3, 3), (2, 2)])
+    pyr = FeaturePyramid(levels, 4)
+    w = init_head_weights(cfg, seed=74)
+    got = head_forward(pyr, w, cfg)
+
+    def copied_tower(x, tower, out):
+        for cw in tower:
+            x = np.maximum(copied_band_conv(x, cw, 1, 1), 0.0)
+        return copied_band_conv(x, out, 1, 1)
+
+    monkeypatch.setattr(detect_head, "_run_tower", copied_tower)
+    want = head_forward(pyr, w, cfg)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # -- offset codec --------------------------------------------------------------------

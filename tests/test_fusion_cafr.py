@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from evframe import (
     tafr_refine,
 )
 from evframe import fusion_cafr
+from evframe.demo import make_scene
 from evframe.fusion_cafr import BUNDLE_MEMBERS, LINEAR_NAMES, weight_arrays
 from evframe.tensor_math import (
     ConvWeights,
@@ -261,16 +264,36 @@ def test_attention_matches_two_token_oracle():
     assert np.abs(out.event - want_e).max() < 1e-12
 
 
-def test_single_token_attention_returns_the_value_projection_exactly():
+def score_bound(q, k, scale) -> float:
+    """The Cauchy-Schwarz bound max|q_i * scale| * max|k_j| on every score."""
+    return np.linalg.norm(q * scale, axis=1).max() * np.linalg.norm(k, axis=1).max()
+
+
+def shifted_scores(q, k, scale):
+    """One block's scores on the bound-shift path: [q * scale, -bound] @ [k, 1].T."""
+    bound = score_bound(q, k, scale)
+    assert bound <= fusion_cafr.SHIFT_BOUND
+    qs = np.hstack([q * scale, np.full((len(q), 1), -bound)])
+    return qs @ np.hstack([k, np.ones((len(k), 1))]).T
+
+
+def test_single_token_attention_returns_the_value_projection_to_two_ulps():
+    # one key: the bound-shifted weight e is exp(s - bound), not 1, so the
+    # output is (e * v) / e, within two ulps of v but not always equal to it
     rng = philox(51)
     c = 5
     pair = FeaturePair(rng.standard_normal((c, 1, 1)), rng.standard_normal((c, 1, 1)))
     w = init_cafr_weights(c, seed=6)
     out = cross_self_attention(pair, w)
-    vf = pair.frame.reshape(c) @ w.wv_f
-    ve = pair.event.reshape(c) @ w.wv_e
-    assert np.array_equal(out.frame.reshape(c), vf)
-    assert np.array_equal(out.event.reshape(c), ve)
+    scale = 1.0 / np.sqrt(c)
+    tf, te = pair.frame.reshape(1, c), pair.event.reshape(1, c)
+    for got, (q, k, v) in [
+        (out.frame, (te @ w.wq_e, te @ w.wk_e, tf @ w.wv_f)),
+        (out.event, (tf @ w.wq_f, tf @ w.wk_f, te @ w.wv_e)),
+    ]:
+        e = np.exp(shifted_scores(q, k, scale))
+        assert got.reshape(1, c).tobytes() == ((e @ v) / (e @ np.ones((1, 1)))).tobytes()
+        assert np.all(np.abs(got.reshape(1, c) - v) <= 2 * np.spacing(np.abs(v)))
 
 
 def test_attention_rejects_an_empty_token_set():
@@ -420,9 +443,8 @@ def test_one_block_attention_normalises_after_the_value_product(monkeypatch):
     set_block_rows(monkeypatch, 6, 32)
     seen = spy_block_rows(monkeypatch)
     got = fusion_cafr._attend(q, k, v, scale)
-    s = (q * scale) @ k.T
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    rowsum = e.sum(axis=1, keepdims=True)
+    e = np.exp(shifted_scores(q, k, scale))
+    rowsum = e @ np.ones((6, 1))
     assert got.tobytes() == ((e @ v) / rowsum).tobytes()
     # the backward normalises the block itself, then runs the softmax VJP
     a = e / rowsum
@@ -431,6 +453,110 @@ def test_one_block_attention_normalises_after_the_value_product(monkeypatch):
     got = fusion_cafr._attend_vjp(q, k, v, scale, g)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert seen == [6, 6]
+
+
+# -- the two shifts: the score bound, or each row's max -------------------------------
+
+
+def attention_bounds(enhanced: FeaturePair, w) -> list:
+    """The score bound max|q_i * scale| * max|k_j| of each stream's attention."""
+    _, _, scale, qkv_f, qkv_e = fusion_cafr._projections(enhanced, w)
+    return [score_bound(q, k, scale) for q, k, _ in (qkv_f, qkv_e)]
+
+
+def spy_row_max(monkeypatch) -> list:
+    """Record the shape of every array whose max numpy takes via ``np.max``."""
+    seen = []
+    real = np.max
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "max", spy)
+    return seen
+
+
+def pair_at_bound(fraction: float, full_module: bool):
+    """A 4-channel 5x6 pair and weights whose two attention bounds are both
+    ``fraction`` of SHIFT_BOUND, with the pair the attention's input or, for
+    ``full_module``, the module's; the query projections carry the scale."""
+    rng = philox(68)
+    pair = FeaturePair(rng.standard_normal((4, 5, 6)), rng.standard_normal((4, 5, 6)))
+    w = init_cafr_weights(4, seed=68)
+    enhanced = bci_enhance(fusion_cafr._activate(pair, w)) if full_module else pair
+    bound_f, bound_e = attention_bounds(enhanced, w)
+    target = fraction * fusion_cafr.SHIFT_BOUND
+    w.wq_e = w.wq_e * (target / bound_f)
+    w.wq_f = w.wq_f * (target / bound_e)
+    assert np.allclose(attention_bounds(enhanced, w), target, rtol=1e-12)
+    return pair, w
+
+
+# (bound as a fraction of SHIFT_BOUND, whether each row is shifted by its max)
+SHIFT_CASES = [
+    pytest.param(0.99, False, id="bound-shift-just-below"),
+    pytest.param(1.01, True, id="row-max-just-above"),
+]
+
+
+@pytest.mark.parametrize("fraction, row_max", SHIFT_CASES)
+def test_both_shifts_match_the_dense_oracle(monkeypatch, fraction, row_max):
+    pair, w = pair_at_bound(fraction, full_module=False)
+    set_block_rows(monkeypatch, 30, 7)
+    blocks = spy_block_rows(monkeypatch)
+    maxed = spy_row_max(monkeypatch)
+    out = cross_self_attention(pair, w)
+    assert blocks == [7, 7, 7, 7, 2] * 2
+    # the row max is taken once per block above the bound, never below it
+    assert maxed == ([(b, 30) for b in blocks] if row_max else [])
+    want = dense_attention(pair, w)
+    assert np.abs(out.frame - want.frame).max() < 1e-12
+    assert np.abs(out.event - want.event).max() < 1e-12
+
+
+@pytest.mark.parametrize("fraction, row_max", SHIFT_CASES)
+def test_both_shifts_pass_gradcheck(monkeypatch, fraction, row_max):
+    pair, w = pair_at_bound(fraction, full_module=True)
+    set_block_rows(monkeypatch, 30, 7)
+    maxed = spy_row_max(monkeypatch)
+    worst = cafr_gradcheck(pair, w, probes=50, step=1e-5, seed=2)
+    assert worst < 1e-5, f"worst relative error {worst:.3e}"
+    assert bool(maxed) == row_max  # a row max is taken above the bound only
+
+
+@pytest.mark.parametrize("fraction, row_max", SHIFT_CASES)
+def test_an_attention_sum_that_overflows_is_left_to_the_caller_on_both_shifts(fraction, row_max):
+    # 100 equal tokens whose query and key are parallel: every score equals
+    # the bound, so e is 1 (to rounding) on both shifts and the unnormalised
+    # e @ v of values about 1e307 passes float64's range, without a warning
+    scale = 0.5
+    q = np.full((100, 4), np.sqrt(fraction * fusion_cafr.SHIFT_BOUND) / 2 / scale)
+    k = np.full((100, 4), np.sqrt(fraction * fusion_cafr.SHIFT_BOUND) / 2)
+    v = np.full((100, 2), 1e307)
+    assert not np.any(np.isfinite(fusion_cafr._attend(q, k, v, scale)))
+
+
+def test_the_pinned_and_bench_scale_attentions_take_the_bound_shift(monkeypatch):
+    # the bench-scale pinned pair, and the detect-346 bench chain on one
+    # 346x260 scene, attend below SHIFT_BOUND: the path the bench times
+    bounds = []
+    attend = fusion_cafr._attend
+
+    def spy(q, k, v, scale):
+        bounds.append(score_bound(q, k, scale))
+        return attend(q, k, v, scale)
+
+    monkeypatch.setattr(fusion_cafr, "_attend", spy)
+    rng = philox(78)
+    pair = FeaturePair(rng.standard_normal((8, 65, 87)), rng.standard_normal((8, 65, 87)))
+    cafr_forward(pair, init_cafr_weights(8, seed=78))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    model = workloads.DetectModel(workloads.REF_SEED)
+    workloads.detect_frame(model, make_scene(346, 260, workloads.REF_SEED), 0)
+    assert len(bounds) == 4
+    assert max(bounds) <= fusion_cafr.SHIFT_BOUND
 
 
 def test_cafr_forward_refuses_overflowing_attention_scores():
@@ -452,12 +578,30 @@ def test_cafr_forward_refuses_an_overflowing_enhancement_without_a_warning(value
 def test_cafr_forward_refuses_an_attention_sum_that_overflows_without_a_warning():
     # 100 equal tokens whose frame values are finite, about 1e307: every
     # score is equal, so the unnormalised e @ v is 100 values in each sum and
-    # passes float64's range before its division by the row sums
+    # passes float64's range before its division by the row sums; the bound
+    # is below SHIFT_BOUND, so each e is exp(s - bound), here about 0.47
     w = init_cafr_weights(4)
     w.wv_f = np.eye(4) * 1e307
     x = np.ones((4, 10, 10))
+    enhanced = bci_enhance(fusion_cafr._activate(FeaturePair(x, x.copy()), w))
+    assert max(attention_bounds(enhanced, w)) <= fusion_cafr.SHIFT_BOUND
     with pytest.raises(DomainError, match="^features must be finite$"):
         cafr_forward(FeaturePair(x, x.copy()), w)
+
+
+@pytest.mark.parametrize("stream, values", [("frame", "wv_f"), ("event", "wv_e")])
+def test_cafr_forward_refuses_refinement_statistics_that_overflow_without_a_warning(stream, values):
+    # attended values about 1e290: finite, but their variance is not, so
+    # sigma is inf and the half would be the enhanced mean alone
+    rng = philox(69)
+    w = init_cafr_weights(4)
+    setattr(w, values, np.eye(4) * 1e290)
+    pair = FeaturePair(rng.standard_normal((4, 10, 10)), rng.standard_normal((4, 10, 10)))
+    message = f"^channel statistics of the {stream} stream are not finite$"
+    with pytest.raises(DomainError, match=message):
+        cafr_forward(pair, w)
+    attended = cross_self_attention(bci_enhance(fusion_cafr._activate(pair, w)), w)
+    assert np.all(np.isfinite(getattr(attended, stream)))
 
 
 def cache_arrays(obj):
@@ -648,15 +792,16 @@ def array_digest(named: dict) -> str:
 
 # (c, h, w) -> (digest of the fused output, digest of every gradient); the
 # 40x40 pair's 1 600 tokens take five attention blocks per stream, and the
-# bench-scale 65x87 pair's 5 655 tokens 62, pinned by its forward alone. That
-# pin holds with OpenBLAS on 2 threads; OPENBLAS_NUM_THREADS=1 gives
-# 6682438422e380a0, since BLAS sums in another order (the session header
-# prints both settings)
+# bench-scale 65x87 pair's 5 655 tokens 62, pinned by its forward alone. Those
+# two pins hold with OpenBLAS on 2 threads; OPENBLAS_NUM_THREADS=1 gives
+# ("fda9949fe1a5c712", "f4a9f74cda370bdc") for 40x40 and 23ffcc9b8b028069 for
+# 65x87, since BLAS sums the row sums and scores in another order (the
+# session header prints both settings)
 PINNED_CAFR = {
     (3, 1, 1): ("14aff2327de99792", "fd452499b99bc556"),
-    (4, 3, 5): ("fd59831302ba074a", "b8cca672ec1847c4"),
-    (6, 40, 40): ("8892fa81c9e3c0fe", "7601022229e8770a"),
-    (8, 65, 87): ("75256c9e2b34e5b6", None),
+    (4, 3, 5): ("13024b2ff12290f8", "7a828babd7e89000"),
+    (6, 40, 40): ("6ff3c959b0fe818b", "e227d16504a138b1"),
+    (8, 65, 87): ("1c8bf6f89025fbd1", None),
 }
 
 

@@ -96,7 +96,7 @@ PINNED = {
     "gaussian_noise/0": "d5a54e183bac50b7",
     "shot_noise/0": "427d3cbfae113939",
     "impulse_noise/0": "b3274da39db9a5e2",
-    "demo/0": "6129f58d7cd5a406",
+    "demo/0": "7d01595b20c2440f",
     "cafr/-1": "c59b64025b55cb0b",
     "fpn/-1": "6a568cbe0cc9b378",
     "head/-1": "0fcb665d6070434b",
@@ -104,7 +104,7 @@ PINNED = {
     "gaussian_noise/-1": "96eec4f044cefc87",
     "shot_noise/-1": "3e24c5404250c480",
     "impulse_noise/-1": "f9d88cbadbc84116",
-    "demo/-1": "124dc4cc5731319a",
+    "demo/-1": "0e1ebfed0d9bb2c9",
     "cafr/18446744073709551621": "0c410b59aafa31e2",
     "fpn/18446744073709551621": "6dae5137ebef3b7e",
     "head/18446744073709551621": "7489912bc15ba64a",
@@ -112,7 +112,7 @@ PINNED = {
     "gaussian_noise/18446744073709551621": "9cba799306d7815f",
     "shot_noise/18446744073709551621": "b48f0fd5df165662",
     "impulse_noise/18446744073709551621": "c9b46b954fd0df9c",
-    "demo/18446744073709551621": "1299ec5a723a8caf",
+    "demo/18446744073709551621": "d4124efe48cc485b",
     "dropout": "064022297b4b738d",
 }
 

@@ -22,7 +22,7 @@ from evframe.tensor_math import (
     softmax_rows_inplace,
     softmax_rows_vjp,
 )
-from conftest import numeric_grad, philox
+from conftest import copied_band_conv, numeric_grad, philox
 
 GRAD_TOL = 1e-6
 
@@ -155,6 +155,22 @@ def test_band_smaller_than_one_row_still_takes_a_row(monkeypatch, rng):
     got = conv2d(x, w, stride=1, pad=1)
     assert seen == [1] * 5
     assert np.abs(got - naive_conv(x, w.kernel, w.bias, 1, 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_bands_written_in_place_give_the_bytes_of_copied_bands(monkeypatch, stride, pad, rows):
+    # 16 -> 8 channels on a 13x11 map: one-row bands, ragged bands, one band
+    rng = philox(73)
+    x = rng.standard_normal((16, 13, 11))
+    w = ConvWeights(rng.standard_normal((8, 16, 3, 3)), rng.standard_normal(8))
+    ow = (11 + 2 * pad - 3) // stride + 1
+    set_band_rows(monkeypatch, 16, ow, rows)
+    seen = spy_band_rows(monkeypatch)
+    got = conv2d(x, w, stride=stride, pad=pad)
+    oh = (13 + 2 * pad - 3) // stride + 1
+    assert len(seen) == -(-oh // rows)
+    assert got.tobytes() == copied_band_conv(x, w, stride, pad).tobytes()
 
 
 def test_conv_memory_stays_within_one_band():
