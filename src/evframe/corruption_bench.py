@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, EvframeError, ShapeError, check_count
+from .errors import DomainError, EvframeError, ShapeError, check_count, check_integer
 from .formats_io import ImagePNM, decode_image, encode_image
 from .tensor_math import philox
 
@@ -70,6 +70,7 @@ class CorruptionSpec:
         object.__setattr__(self, "severity", check_count("severity", self.severity))
         if self.severity > SEVERITY_COUNT:
             raise DomainError(f"severity must be an integer in [1,{SEVERITY_COUNT}], got {self.severity}")
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
 
 
 SEVERITY_TABLE = {
@@ -454,7 +455,7 @@ def _splitmix64(x: int) -> int:
 
 def corruption_seed(base_seed: int, image_index: int, type_index: int, severity: int) -> int:
     """Stable per-variant seed derived from the run seed and grid position."""
-    s = base_seed & MASK64
+    s = check_integer("base_seed", base_seed) & MASK64
     for part in (image_index, type_index, severity):
         s = _splitmix64(s ^ (part & MASK64))
     return s

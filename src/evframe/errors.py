@@ -1,11 +1,14 @@
 """Exception hierarchy shared by all evframe modules, and the checks and
-sizes they share: the stage budget, the count refusal and the loop tile.
+sizes they share: the stage budget, the integer and count refusals, the
+real-array refusal and the loop tile.
 
 Every error raised by library code derives from EvframeError so the CLI can
 map any domain failure to exit code 1 while letting genuine bugs surface.
 """
 
 import numbers
+
+import numpy as np
 
 
 class EvframeError(Exception):
@@ -68,9 +71,34 @@ def check_budget(what: str, need, unit: str, budget: int) -> None:
         raise DomainError(f"{what} needs {shown} {unit}s, over the {budget}-{unit} budget")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value) -> int:
+    """A Python or numpy integer of any sign and size as an int; a bool or
+    any other value is a DomainError naming the parameter."""
+    if not _is_integer(value):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def check_count(name: str, value) -> int:
     """A Python or numpy integer >= 1 as an int; a bool or any other value
     is a DomainError naming the parameter."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise DomainError(f"{name} must be an int >= 1, got {value!r}")
     return int(value)
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """``value`` as one bool, integer or float array, its dtype kept; a
+    ragged nesting, or an object, string or complex array, is a DomainError
+    naming the array, raised before any caller widens it to float64."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting
+        raise DomainError(f"{name} is not one array: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{name} values must be bool, integer or float, got dtype {arr.dtype}")
+    return arr

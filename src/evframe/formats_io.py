@@ -31,6 +31,7 @@ from .errors import (
     SchemaError,
     ValidationError,
     check_count,
+    real_array,
 )
 
 TENSOR_MAGIC = b"FTNS"
@@ -259,7 +260,7 @@ class CameraRig:
 
     def __post_init__(self):
         for name in ("k_rgb", "k_event", "r_rgb", "r_event", "r_event_rgb"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
+            m = np.asarray(real_array(name, getattr(self, name)), dtype=np.float64)
             if m.shape != (3, 3):
                 raise ValidationError(f"{name} must be 3x3, got {m.shape}")
             if not np.isfinite(m).all():
@@ -664,12 +665,7 @@ def encode_tensor(arr: np.ndarray) -> bytes:
     dim above 2**32 - 1, or a finite value beyond the float32 range, is a
     DomainError raised before any byte is built.
     """
-    try:
-        arr = np.asarray(arr)
-    except ValueError as exc:  # a ragged nesting
-        raise DomainError(f"tensor is not one array: {exc}") from None
-    if arr.dtype.kind not in "biuf":
-        raise DomainError(f"tensor values must be bool, integer or float, got dtype {arr.dtype}")
+    arr = real_array("tensor", arr)
     if arr.ndim < 1 or arr.ndim > MAX_TENSOR_RANK:
         raise DomainError(f"tensor rank must be 1..{MAX_TENSOR_RANK}, got {arr.ndim}")
     if max(arr.shape) > MAX_TENSOR_DIM:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BLOCK_BYTES, MAX_BYTES, DomainError, SchemaError, ShapeError, StateError
-from .errors import check_budget, check_count
+from .errors import check_budget, check_count, real_array
 from .formats_io import read_tensor, write_tensor
 from .tensor_math import (
     ConvWeights,
@@ -32,7 +32,6 @@ from .tensor_math import (
     conv2d,
     philox,
     relative_error,
-    softmax_rows_vjp,
     uniform_conv,
 )
 
@@ -47,8 +46,8 @@ class FeaturePair:
     event: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frame, dtype=np.float64)
-        e = np.asarray(self.event, dtype=np.float64)
+        f = np.asarray(real_array("frame", self.frame), dtype=np.float64)
+        e = np.asarray(real_array("event", self.event), dtype=np.float64)
         if f.ndim != 3:
             raise ShapeError(f"features must be [C,H,W], got rank {f.ndim}")
         if f.shape != e.shape:
@@ -84,7 +83,7 @@ class CafrWeights:
             if conv.kernel.shape != (c, c, 1, 1):
                 raise ShapeError(f"activation conv must be {c}x{c}x1x1, got {conv.kernel.shape}")
         for name in LINEAR_NAMES:
-            m = np.asarray(getattr(self, name), dtype=np.float64)
+            m = np.asarray(real_array(name, getattr(self, name)), dtype=np.float64)
             if m.shape != (c, c):
                 raise ShapeError(f"{name} must be {c}x{c}, got {m.shape}")
             if not np.all(np.isfinite(m)):
@@ -229,24 +228,20 @@ SHIFT_BOUND = 300.0
 def _attention_blocks(q: np.ndarray, k: np.ndarray, scale: float):
     """Yield (rows, e, rowsum) block by block: e = exp(s - shift) for the
     scores s = (q[rows] * scale) @ k.T, and rowsum its row sums, so that
-    e / rowsum is softmax_rows(s).
+    e / rowsum is softmax_rows(s); callers divide B x C arrays, not e.
 
     The shift is the Cauchy-Schwarz bound max|q_i * scale| * max|k_j| on
-    every |s_ij|, one number for the whole attention, when that bound is at
-    most ``SHIFT_BOUND``: it is folded into the score product as one more
-    column, [qs, -bound] @ [k, 1].T, so no B x N pass finds or subtracts a
-    row max. Above ``SHIFT_BOUND`` each row is shifted by its own max, and
-    the blocks are checked for finiteness when the bound is not below 1e300.
-    Row sums are one B x N by N x 1 product. The queries are scaled once,
-    N x C, and the divide is left to the caller (``_attend`` divides its
-    B x C product e @ v), so no B x N pass scales or divides. No N x N matrix
-    is ever built: each block's B x N float64 score matrix fits
-    ``BLOCK_BYTES`` (about 90 rows at DAVIS346 scale, 5 655 tokens; never
-    fewer than one row). A softmax row needs every key but only its own
-    query, so blocking by rows changes no math; results match the dense form
-    to rounding. Every block is scored and exponentiated in place in one
-    reused buffer, so the loop allocates no B x N array; the next block
-    overwrites the yielded view.
+    every |s_ij|, one number for the whole attention, when it is at most
+    ``SHIFT_BOUND``: it is folded into the score product as one more column,
+    [qs, -bound] @ [k, 1].T, so no B x N pass finds or subtracts a row max.
+    Above it, each row is shifted by its own max, and the blocks are checked
+    for finiteness when the bound is not below 1e300. No N x N matrix is
+    ever built: each block's B x N float64 scores fit ``BLOCK_BYTES`` (about
+    90 rows at DAVIS346 scale, 5 655 tokens; never fewer than one row) and
+    are scored and exponentiated in place in one reused buffer, which the
+    next block overwrites; row sums are one B x N by N x 1 product. A
+    softmax row needs every key but only its own query, so blocking by rows
+    changes no math; results match the dense form to rounding.
     """
     qs = q * scale
     # Cauchy-Schwarz bounds every |qs_i . k_j|, and every partial sum of its
@@ -292,16 +287,24 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
     return out
 
 
-def _attend_vjp(q, k, v, scale: float, g: np.ndarray):
-    """(dq, dk, dv) of _attend; each block's attention is recomputed by
-    ``_attention_blocks``, with the forward's shift."""
+def _attend_vjp(q, k, v, scale: float, out: np.ndarray, g: np.ndarray):
+    """(dq, dk, dv) of out = _attend(q, k, v, scale) in the forward's form:
+    the softmax row term d = sum(g * out) is read off the output, each
+    recomputed block e stays unnormalised with 1 / rowsum on the B x C side,
+    gs = g / rowsum, and ds = e * (gs @ v.T - d / rowsum) is built in one
+    reused B x N buffer, so no B x N pass divides."""
     dq = np.empty_like(q)
     dk = np.zeros_like(k)
     dv = np.zeros_like(v)
-    for rows, a, rowsum in _attention_blocks(q, k, scale):
-        a /= rowsum
-        dv += a.T @ g[rows]
-        ds = softmax_rows_vjp(a, g[rows] @ v.T)
+    d = np.sum(g * out, axis=1, keepdims=True)
+    buf = None
+    for rows, e, rowsum in _attention_blocks(q, k, scale):
+        buf = np.empty_like(e) if buf is None else buf  # the first block is the largest
+        gs = g[rows] / rowsum
+        dv += e.T @ gs
+        ds = np.matmul(gs, v.T, out=buf[: len(e)])
+        ds -= d[rows] / rowsum
+        ds *= e
         dq[rows] = ds @ k * scale
         dk += ds.T @ q[rows] * scale
     return dq, dk, dv
@@ -332,12 +335,12 @@ def cross_self_attention(enhanced: FeaturePair, w: CafrWeights) -> FeaturePair:
     )
 
 
-def _attention_vjp(enhanced: FeaturePair, w: CafrWeights, g_caf: np.ndarray, g_cae: np.ndarray):
+def _attention_vjp(enhanced: FeaturePair, attended: FeaturePair, w: CafrWeights, g_caf, g_cae):
     """Token-space grads in, (dtf, dte, weight grads) out; the tokens and
-    projections are rebuilt from the attention's input."""
+    projections are rebuilt from the attention's input and output."""
     tf, te, scale, qkv_f, qkv_e = _projections(enhanced, w)
-    dqe, dke, dvf = _attend_vjp(*qkv_f, scale, g_caf)
-    dqf, dkf, dve = _attend_vjp(*qkv_e, scale, g_cae)
+    dqe, dke, dvf = _attend_vjp(*qkv_f, scale, _tokens(attended.frame), g_caf)
+    dqf, dkf, dve = _attend_vjp(*qkv_e, scale, _tokens(attended.event), g_cae)
 
     dtf = dvf @ w.wv_f.T + dqf @ w.wq_f.T + dkf @ w.wk_f.T
     dte = dqe @ w.wq_e.T + dke @ w.wk_e.T + dve @ w.wv_e.T
@@ -476,7 +479,7 @@ def cafr_backward(cache: CafrCache, gout: np.ndarray) -> CafrGradients:
     with np.errstate(over="ignore", invalid="ignore"):
         g_att_f, g_enh_f, dwf = _half_refine_vjp(gout[:c], att.frame, enh.frame, w.wf)
         g_att_e, g_enh_e, dwe = _half_refine_vjp(gout[c:], att.event, enh.event, w.we)
-        dtf, dte, dws = _attention_vjp(enh, w, _tokens(g_att_f), _tokens(g_att_e))
+        dtf, dte, dws = _attention_vjp(enh, att, w, _tokens(g_att_f), _tokens(g_att_e))
         g_act_f, g_act_e = _enhance_vjp(
             cache.activated, g_enh_f + _untokens(dtf, shape), g_enh_e + _untokens(dte, shape)
         )

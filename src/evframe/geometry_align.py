@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MAX_BYTES, DomainError, ShapeError, ValidationError, check_budget, check_count
+from .errors import real_array
 from .formats_io import CameraRig, ImagePNM
 
 SINGULARITY_TOL = 1e-12
@@ -24,7 +25,7 @@ class Homography:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.asarray(real_array("homography", self.matrix), dtype=np.float64)
         if m.shape != (3, 3):
             raise ShapeError(f"homography must be 3x3, got {m.shape}")
         if not np.isfinite(m).all():

@@ -1,17 +1,13 @@
-"""Dense tensor kernels, with the vector-Jacobian products fusion needs.
+"""Dense tensor kernels, and the one vector-Jacobian product fusion takes
+from here: ``channel_stats_vjp``. Fusion writes its projections, its blocked
+attention and their gradients itself, as matrix products and block loops.
 
-Forward ops work on plain numpy arrays (row-major, rank <= 4). Softmax and
-the channel statistics each have a ``*_vjp`` taking the arrays its forward
-used or returned, which the fusion backward chains by hand; fusion writes
-its projections and their gradients as plain matrix products. There is one
-softmax, ``softmax_rows_inplace``, unchecked and in place on finite float64
-rows; ``softmax_rows`` is its checked form on a copy. Fusion's blocked
-attention does not call it: it shifts and exponentiates each score block in
-place and divides its attended B x C rows by the row sums, so it needs only
-this module's ``softmax_rows_vjp``. ``conv2d`` runs forward only, in bands
-of output rows that matmul writes in place: the one differentiated conv,
-fusion's 1x1 activation, is a plain matrix product. Conv weights are held,
-and convolutions computed, in float64.
+Forward ops work on plain numpy arrays (row-major, rank <= 4).
+``softmax_rows`` is the one softmax here, dense and checked, kept for the
+acceptance check c04 and called by no program path. ``conv2d`` runs forward
+only, in bands of output rows that matmul writes in place; fusion's 1x1
+activation, the one differentiated conv, is a plain matrix product. Conv
+weights are held, and convolutions computed, in float64.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BLOCK_BYTES, DomainError, ShapeError
+from .errors import BLOCK_BYTES, DomainError, ShapeError, check_integer, real_array
 
 CHANNEL_STATS_EPS = 1e-5
 
@@ -34,8 +30,8 @@ class ConvWeights:
     bias: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
+        k = np.asarray(real_array("kernel", self.kernel), dtype=np.float64)
+        b = np.asarray(real_array("bias", self.bias), dtype=np.float64)
         if k.ndim != 4:
             raise ShapeError(f"kernel must be rank 4, got rank {k.ndim}")
         if b.shape != (k.shape[0],):
@@ -47,8 +43,9 @@ class ConvWeights:
 
 
 def philox(seed: int) -> np.random.Generator:
-    """The package's one seeded generator: Philox keyed by the seed's low 64 bits."""
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    """The package's one seeded generator: Philox keyed by the low 64 bits of
+    any Python or numpy integer seed; a bool or other value is a DomainError."""
+    return np.random.Generator(np.random.Philox(key=check_integer("seed", seed) & (2**64 - 1)))
 
 
 def uniform_conv(rng: np.random.Generator, out_ch: int, in_ch: int, k: int) -> ConvWeights:
@@ -112,32 +109,21 @@ def conv2d(x: np.ndarray, w: ConvWeights, stride: int = 1, pad: int = 0) -> np.n
 
 # -- softmax -------------------------------------------------------------------
 
-def softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a finite float64 [B,N] array, written over it.
-
-    Unchecked: the caller proves the rows finite. Max subtraction keeps exp
-    from overflowing, and no pass allocates a B x N temporary.
-    """
-    x -= x.max(axis=1, keepdims=True)
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a finite [N,M] array, M >= 1, as a new float64
+    array: each row is shifted by its max, so exp cannot overflow, and an
+    entry shifted past float64's range is -inf, of weight 0."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ShapeError(f"softmax input must be [N,M] with M >= 1, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("softmax input must be finite")
+    x = x.astype(np.float64)
+    with np.errstate(over="ignore"):
+        x -= x.max(axis=1, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=1, keepdims=True)
     return x
-
-
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a finite [N,M] array, as a new float64 array."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax input must be [N,M], got rank {x.ndim}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("softmax input must be finite")
-    return softmax_rows_inplace(x.astype(np.float64))
-
-
-def softmax_rows_vjp(s: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Gradient through softmax given its output ``s``."""
-    inner = (gy * s).sum(axis=1, keepdims=True)
-    return s * (gy - inner)
 
 
 # -- per-channel statistics ------------------------------------------------------

@@ -34,7 +34,6 @@ from evframe.tensor_math import (
     ConvWeights,
     relative_error,
     softmax_rows,
-    softmax_rows_vjp,
 )
 from evframe.errors import ValidationError  # noqa: F401  (parity with sibling suites)
 from conftest import numeric_grad, philox
@@ -416,7 +415,17 @@ def test_attention_refuses_scores_that_overflow():
     with pytest.raises(DomainError, match="softmax input must be finite"):
         fusion_cafr._attend(q, k, v, scale)
     with pytest.raises(DomainError, match="softmax input must be finite"):
-        fusion_cafr._attend_vjp(q, k, v, scale, np.ones((1, 1)))
+        fusion_cafr._attend_vjp(q, k, v, scale, np.ones((1, 1)), np.ones((1, 1)))
+
+
+def block_vjp(q, k, v, scale, e, out, g):
+    """One block's (dq, dk, dv) in ``_attend_vjp``'s form, from its
+    unnormalised weights e and the forward's output: the row sums go on the
+    B x C side, and the softmax's row term is sum(g * out)."""
+    rowsum = e @ np.ones((e.shape[1], 1))
+    gs = g / rowsum
+    ds = e * (gs @ v.T - np.sum(g * out, axis=1, keepdims=True) / rowsum)
+    return ds @ k * scale, ds.T @ q * scale, e.T @ gs
 
 
 def test_attention_with_a_failed_bound_but_finite_scores_runs_checked():
@@ -426,10 +435,11 @@ def test_attention_with_a_failed_bound_but_finite_scores_runs_checked():
     g = np.array([[0.5, 2.0]])
     scale = 1.0 / np.sqrt(2.0)
     a = softmax_rows(q @ k.T * scale)
-    assert fusion_cafr._attend(q, k, v, scale).tobytes() == (a @ v).tobytes()
-    ds = softmax_rows_vjp(a, g @ v.T)
-    want = (ds @ k * scale, ds.T @ q * scale, a.T @ g)
-    got = fusion_cafr._attend_vjp(q, k, v, scale, g)
+    out = fusion_cafr._attend(q, k, v, scale)
+    assert out.tobytes() == (a @ v).tobytes()
+    # one key: the row max shift leaves e = exp(0) = 1
+    want = block_vjp(q, k, v, scale, np.ones((1, 1)), out, g)
+    got = fusion_cafr._attend_vjp(q, k, v, scale, out, g)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
@@ -442,15 +452,14 @@ def test_one_block_attention_normalises_after_the_value_product(monkeypatch):
     scale = 1.0 / np.sqrt(4.0)
     set_block_rows(monkeypatch, 6, 32)
     seen = spy_block_rows(monkeypatch)
-    got = fusion_cafr._attend(q, k, v, scale)
+    out = fusion_cafr._attend(q, k, v, scale)
     e = np.exp(shifted_scores(q, k, scale))
     rowsum = e @ np.ones((6, 1))
-    assert got.tobytes() == ((e @ v) / rowsum).tobytes()
-    # the backward normalises the block itself, then runs the softmax VJP
-    a = e / rowsum
-    ds = softmax_rows_vjp(a, g @ v.T)
-    want = (ds @ k * scale, ds.T @ q * scale, a.T @ g)
-    got = fusion_cafr._attend_vjp(q, k, v, scale, g)
+    assert out.tobytes() == ((e @ v) / rowsum).tobytes()
+    # the backward leaves the block unnormalised too, and divides only B x C
+    # and B x 1 arrays by its row sums
+    want = block_vjp(q, k, v, scale, e, out, g)
+    got = fusion_cafr._attend_vjp(q, k, v, scale, out, g)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert seen == [6, 6]
 
@@ -513,6 +522,61 @@ def test_both_shifts_match_the_dense_oracle(monkeypatch, fraction, row_max):
     want = dense_attention(pair, w)
     assert np.abs(out.frame - want.frame).max() < 1e-12
     assert np.abs(out.event - want.event).max() < 1e-12
+
+
+def dense_attention_vjp(q, k, v, scale, g):
+    """Oracle: (dq, dk, dv) through the full N x N softmax a, with the
+    softmax VJP written out: ds = a * (g @ v.T - rowsum(a * (g @ v.T)))."""
+    a = softmax_rows(q @ k.T * scale)
+    ga = g @ v.T
+    ds = a * (ga - np.sum(a * ga, axis=1, keepdims=True))
+    return ds @ k * scale, ds.T @ q * scale, a.T @ g
+
+
+def assert_matches_dense_vjp(q, k, v, scale, g):
+    out = fusion_cafr._attend(q, k, v, scale)
+    got = fusion_cafr._attend_vjp(q, k, v, scale, out, g)
+    for name, x, want in zip(("dq", "dk", "dv"), got, dense_attention_vjp(q, k, v, scale, g)):
+        err = np.abs(x - want).max() / max(1.0, np.abs(want).max())
+        assert err <= 1e-12, f"{name}: {err:.3e}"
+
+
+@pytest.mark.parametrize("fraction, row_max", SHIFT_CASES)
+def test_both_shifts_backward_matches_the_dense_oracle(monkeypatch, fraction, row_max):
+    pair, w = pair_at_bound(fraction, full_module=False)
+    _, _, scale, qkv_f, qkv_e = fusion_cafr._projections(pair, w)
+    set_block_rows(monkeypatch, 30, 7)
+    blocks = spy_block_rows(monkeypatch)
+    maxed = spy_row_max(monkeypatch)
+    g = philox(71).standard_normal((30, 4))
+    for q, k, v in (qkv_f, qkv_e):
+        assert_matches_dense_vjp(q, k, v, scale, g)
+    # forward then backward, each in 7-row blocks, for both streams
+    assert blocks == [7, 7, 7, 7, 2] * 4
+    assert bool(maxed) == row_max
+
+
+def test_single_token_backward_matches_the_dense_oracle():
+    rng = philox(72)
+    q, k, v, g = (rng.standard_normal((1, 5)) for _ in range(4))
+    assert_matches_dense_vjp(q, k, v, 1.0 / np.sqrt(5.0), g)
+
+
+def test_attention_backward_peaks_below_three_score_blocks():
+    # the bench-scale 5 655 tokens of the pinned 65x87 pair, in 92-row blocks
+    # of ~4 MiB: the recomputed e and the one ds buffer are the only B x N
+    # arrays; a normalise-then-softmax-VJP backward peaked at 4.43 blocks
+    rng = philox(73)
+    q, k, v, g = (rng.standard_normal((65 * 87, 8)) for _ in range(4))
+    scale = 1.0 / np.sqrt(8.0)
+    out = fusion_cafr._attend(q, k, v, scale)
+    tracemalloc.start()
+    try:
+        fusion_cafr._attend_vjp(q, k, v, scale, out, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * fusion_cafr.BLOCK_BYTES, f"peak {peak / fusion_cafr.BLOCK_BYTES:.2f} blocks"
 
 
 @pytest.mark.parametrize("fraction, row_max", SHIFT_CASES)
@@ -794,13 +858,13 @@ def array_digest(named: dict) -> str:
 # 40x40 pair's 1 600 tokens take five attention blocks per stream, and the
 # bench-scale 65x87 pair's 5 655 tokens 62, pinned by its forward alone. Those
 # two pins hold with OpenBLAS on 2 threads; OPENBLAS_NUM_THREADS=1 gives
-# ("fda9949fe1a5c712", "f4a9f74cda370bdc") for 40x40 and 23ffcc9b8b028069 for
+# ("fda9949fe1a5c712", "4fcf87a4f6ba90c6") for 40x40 and 23ffcc9b8b028069 for
 # 65x87, since BLAS sums the row sums and scores in another order (the
 # session header prints both settings)
 PINNED_CAFR = {
     (3, 1, 1): ("14aff2327de99792", "fd452499b99bc556"),
-    (4, 3, 5): ("13024b2ff12290f8", "7a828babd7e89000"),
-    (6, 40, 40): ("6ff3c959b0fe818b", "e227d16504a138b1"),
+    (4, 3, 5): ("13024b2ff12290f8", "eb5a68a974a24fa5"),
+    (6, 40, 40): ("6ff3c959b0fe818b", "2ad8832ec0b6cab5"),
     (8, 65, 87): ("1c8bf6f89025fbd1", None),
 }
 

@@ -1,7 +1,8 @@
-"""The package's export list: each name once, and none that only tests call;
-no defaulted parameter, and no defaulted dataclass field, that only tests
-pass; one home each for the budget refusal, the count refusal, the integer
-test and the tile size; every library count parameter refused in the one
+"""The package's export list: each name once; no public function or class
+of any module that only tests call; no defaulted parameter, and no
+defaulted dataclass field, that only tests pass; one home each for the
+budget refusal, the count refusal, the integer test, the real-array
+refusal and the tile size; every library count parameter refused in the one
 count message; and no JSON parse that lets deep nesting out as a bare
 RecursionError."""
 
@@ -11,6 +12,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +21,8 @@ import pytest
 
 import evframe
 from evframe import (
+    CafrWeights,
+    CameraRig,
     CorruptionSpec,
     CorruptionType,
     EventStream,
@@ -37,12 +41,12 @@ from evframe import (
 )
 from evframe.demo import make_scene
 from evframe.errors import DomainError, check_budget, check_count
-from evframe.tensor_math import philox
+from evframe.tensor_math import ConvWeights, philox
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "evframe"
 
-# Exports kept although no program code calls them.
+# Public functions and classes kept although no program code calls them.
 UNCALLED_EXPORTS = {
     "save_weights": "the only writer of the bundles `cafr-forward --weights` reads",
     "iou_tlwh": "the scalar IoU contract that `_iou` is defined against",
@@ -139,14 +143,6 @@ def _passed(path: Path, outside_own_definition: bool) -> set:
     return found
 
 
-def test_every_export_is_called_outside_the_unit_tests():
-    used = set()
-    for path, outside_own_definition in _program_files():
-        used |= _references(path, outside_own_definition)
-    uncalled = set(evframe.__all__) - used
-    assert uncalled == set(UNCALLED_EXPORTS)
-
-
 def _public_definitions(kind):
     """(name, value) for every public function or class of every evframe
     module that ``kind`` accepts."""
@@ -156,6 +152,20 @@ def _public_definitions(kind):
             if kind(value) and value.__module__ == module.__name__:
                 if not name.startswith("_"):
                     yield name, value
+
+
+# Called by name: corruption_bench's _CORRUPT finds each corrupt_<type>
+# renderer as globals()[f"corrupt_{type.value}"].
+DISPATCHED_BY_NAME = {f"corrupt_{t.value}" for t in CorruptionType}
+
+
+def test_every_public_definition_is_called_outside_the_unit_tests():
+    used = set()
+    for path, outside_own_definition in _program_files():
+        used |= _references(path, outside_own_definition)
+    public = {name for name, _ in _public_definitions(lambda v: inspect.isfunction(v) or inspect.isclass(v))}
+    assert set(evframe.__all__) <= public
+    assert public - used - DISPATCHED_BY_NAME == set(UNCALLED_EXPORTS)
 
 
 def _program_passes() -> set:
@@ -376,3 +386,55 @@ def test_every_count_parameter_refuses_with_the_one_count_message(tmp_path, para
 )
 def test_every_count_parameter_takes_a_numpy_integer(tmp_path, call, good):
     call(np.int64(good), tmp_path)
+
+
+def _cafr_weights(wq_f):
+    eye = ConvWeights(np.eye(2).reshape(2, 2, 1, 1), np.zeros(2))
+    return CafrWeights(eye, eye, wq_f, *[np.eye(2)] * 7)
+
+
+# Every constructor that widens arrays to float64: the name its refusal
+# gives one array, a valid value of that array, and a call that passes the
+# array and returns it as stored.
+REAL_ARRAYS = [
+    ("FeaturePair", "frame", np.eye(2)[None], lambda a: FeaturePair(a, np.zeros((1, 2, 2))).frame),
+    ("ConvWeights", "kernel", np.eye(2)[None, None], lambda a: ConvWeights(a, np.zeros(1)).kernel),
+    ("CafrWeights", "wq_f", np.eye(2), lambda a: _cafr_weights(a).wq_f),
+    ("CameraRig", "k_rgb", np.eye(3), lambda a: CameraRig(a, np.eye(3), np.eye(3), np.eye(3), np.eye(3)).k_rgb),
+    ("Homography", "homography", np.eye(3), lambda a: Homography(a).matrix),
+]
+
+
+def _not_real(good):
+    """(id, value, refusal message pattern) of each value no array check lets
+    through: a string, a ragged nesting and a complex array."""
+    return [
+        ("string", "abc", "values must be bool, integer or float, got dtype <U3$"),
+        ("ragged", [[1.0, 2.0], [3.0]], "is not one array: "),
+        ("complex", good * (1 + 1j), "values must be bool, integer or float, got dtype complex128$"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, value, pattern, call",
+    [
+        pytest.param(name, value, pattern, call, id=f"{site}.{name}-{kind}")
+        for site, name, good, call in REAL_ARRAYS
+        for kind, value, pattern in _not_real(good)
+    ],
+)
+def test_every_float64_constructor_refuses_a_non_real_array_without_a_warning(name, value, pattern, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} {pattern}"):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "good, call", [pytest.param(good, call, id=f"{site}.{name}") for site, name, good, call in REAL_ARRAYS]
+)
+def test_every_float64_constructor_keeps_the_bytes_of_real_input(good, call):
+    for value in (good.astype(bool), good.astype(np.int64), good.astype(np.float32), good, good.tolist()):
+        stored = call(value)
+        assert stored.dtype == np.float64
+        assert stored.tobytes() == np.asarray(value, dtype=np.float64).tobytes()

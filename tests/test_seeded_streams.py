@@ -8,6 +8,7 @@ derivation, draw order, size or dtype) changes a digest here.
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,12 @@ import pytest
 from evframe import (
     CorruptionSpec,
     CorruptionType,
+    DomainError,
+    FeaturePair,
     HeadConfig,
     apply_corruption,
+    cafr_gradcheck,
+    corruption_seed,
     init_cafr_weights,
     init_fpn_weights,
     init_head_weights,
@@ -147,3 +152,47 @@ def test_demo_summaries_are_pinned(tmp_path, seed):
     summary = json.loads((tmp_path / "summary.json").read_text())
     del summary["outputs"]
     assert summary == PINNED_SUMMARIES[seed]
+
+
+_PAIR = FeaturePair(philox(7).standard_normal((2, 2, 2)), philox(8).standard_normal((2, 2, 2)))
+_IMAGE = rgb_image(philox(5), 16, 12)
+
+# Every entry point that takes a seed: the name its refusal gives the seed,
+# and a call that passes the seed and returns what it drew, as digest parts.
+SEEDED_ENTRY_POINTS = {
+    "init_cafr_weights": ("seed", lambda s: tuple(_arrays(init_cafr_weights(2, seed=s)))),
+    "init_fpn_weights": ("seed", lambda s: tuple(_arrays(init_fpn_weights([1] * 4, width=2, seed=s)))),
+    "init_head_weights": ("seed", lambda s: tuple(_arrays(init_head_weights(HeadConfig(1, 2), seed=s)))),
+    "cafr_gradcheck": ("seed", lambda s: (cafr_gradcheck(_PAIR, init_cafr_weights(2), probes=3, seed=s),)),
+    # its one uniform draw, to within 1 %
+    "modality_dropout": ("seed", lambda s: tuple(
+        modality_dropout(np.ones(1), p, rng_seed=s) for p in np.linspace(0.01, 0.99, 99)
+    )),
+    "make_scene": ("seed", lambda s: make_scene(32, 24, seed=s)[0].pixels),
+    "apply_corruption": ("seed", lambda s: apply_corruption(
+        _IMAGE, CorruptionSpec(CorruptionType.GAUSSIAN_NOISE, 1, s)
+    ).pixels),
+    # corrupt_dataset's per-variant seeds
+    "corruption_seed": ("base_seed", lambda s: corruption_seed(s, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, None, True, np.bool_(False), "5"])
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+def test_every_seeded_entry_point_refuses_a_seed_that_is_no_integer(entry, value):
+    name, draw = SEEDED_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        draw(value)
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+def test_every_seeded_entry_point_takes_any_integer_by_its_low_64_bits(entry):
+    _, draw = SEEDED_ENTRY_POINTS[entry]
+
+    def drawn(seed):
+        parts = draw(seed)
+        return digest(*parts) if isinstance(parts, tuple) else digest(parts)
+
+    assert drawn(np.int64(5)) == drawn(np.uint8(5)) == drawn(2**64 + 5) == drawn(5)
+    assert drawn(np.int64(-1)) == drawn(np.uint64(2**64 - 1)) == drawn(-1)
+    assert drawn(5) != drawn(-1)
